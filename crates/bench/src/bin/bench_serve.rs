@@ -1,8 +1,8 @@
 //! Serving SLO tracker: drives the resident `sf2d-serve` engine through
 //! a deterministic query stream in two scenarios — **steady** (the plan
 //! compiled at construction serves every batch) and **mutating** (edge
-//! churn between bursts forces epoch bumps, recompiles, and possibly
-//! drift repartitions) — and writes `BENCH_serve.json` with per-scenario
+//! churn between bursts forces epoch bumps, in-place plan patches, and
+//! possibly drift repartitions) — and writes `BENCH_serve.json` with per-scenario
 //! request-level numbers: p50/p99 per-query latency (a query's latency
 //! is its batch's flush wall time), throughput in queries per second,
 //! the batch-size histogram, and the deterministic amortization ratios
@@ -52,7 +52,7 @@ fn query_vec(n: usize, q: usize) -> Vec<f64> {
 
 /// Runs one scenario to a [`ServeRow`] plus the engine's batch-size
 /// buckets. `mutate` interleaves an effective edge upsert before every
-/// other burst — each one an epoch bump and (lazily) a plan recompile.
+/// other burst — each one an epoch bump and (lazily) a plan patch.
 fn run_scenario(
     a: &CsrMatrix,
     cfg: EngineConfig,
@@ -203,8 +203,8 @@ fn main() {
         description: format!(
             "Resident serving engine on rmat graph500 scale {scale}, 2D-GP, p = {p}: \
              {ROUNDS} deterministic query bursts per scenario at max_batch {MAX_BATCH}; \
-             steady keeps one cached plan, mutating upserts an edge before every other \
-             burst (epoch bump + lazy recompile). Latency quantiles and qps are \
+             steady keeps one current plan, mutating upserts an edge before every other \
+             burst (epoch bump + lazy in-place plan patch). Latency quantiles and qps are \
              machine-local; the *_ratio columns are deterministic and gate under \
              --relative-only."
         ),

@@ -425,8 +425,8 @@ pub struct ServeRow {
     pub method: String,
     /// Rank count.
     pub p: usize,
-    /// Scenario phase: `"steady"` (cached plan, pure batching) or
-    /// `"mutating"` (edge churn forcing epoch bumps + recompiles).
+    /// Scenario phase: `"steady"` (one current plan, pure batching) or
+    /// `"mutating"` (edge churn forcing epoch bumps + plan patches).
     pub scenario: String,
     /// Configured maximum batch width.
     pub max_batch: usize,
@@ -444,7 +444,8 @@ pub struct ServeRow {
     /// Queries per batch — the expand-gather amortization from
     /// coalescing (deterministic; gated).
     pub gather_amortization_ratio: f64,
-    /// Plan-cache hit ratio over the phase (deterministic; gated).
+    /// Share of plan lookups that found the resident plan current over
+    /// the phase (deterministic; gated).
     pub cache_hit_ratio: f64,
     /// Epoch bumps during the phase (0 in steady state).
     pub epoch_bumps: u64,

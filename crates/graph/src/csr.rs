@@ -210,6 +210,13 @@ impl CsrMatrix {
         &self.values
     }
 
+    /// All values, row-major, writable: re-weighting stored entries
+    /// cannot break a structural invariant.
+    #[inline]
+    pub fn values_mut(&mut self) -> &mut [Val] {
+        &mut self.values
+    }
+
     /// Column indices and values of row `i`.
     #[inline]
     pub fn row(&self, i: usize) -> (&[Vtx], &[Val]) {

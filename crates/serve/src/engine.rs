@@ -6,15 +6,22 @@
 //! expensive part), a budgetable [`SpmvWorkspace`], and the
 //! [`SpgemmWorkspace`]/[`SummaWorkspace`] pair for repeated multiplies.
 //!
-//! ## Epochs and the plan cache
+//! ## Epochs and the resident plan
 //!
 //! The engine state is versioned by a monotonic **epoch**: every
 //! effective edge insert/delete bumps it, and a repartition (drift-
-//! triggered or forced) bumps it again — so a compiled plan is immutable
-//! for its whole lifetime and the cache key `(epoch, method, p)` can
-//! never serve a stale answer. Plans compile lazily at first use per
-//! epoch (plus eagerly at construction and at repartition, so a resident
-//! engine is warm) and the swap to a new plan is a single `Arc` store.
+//! triggered or forced) bumps it again. One plan is resident, stamped
+//! with the epoch it reflects. A mutation only records its entry deltas;
+//! the first batch that finds the plan behind brings it up to date with
+//! [`DistCsrMatrix::apply_delta`] — in place, at a cost proportional to
+//! the ranks the deltas dirty (two for an edge), folding every mutation
+//! since the last batch into one application. The patched plan is
+//! *schedule-equal* to a from-scratch `FillComplete` of the mutated
+//! matrix, so replies and the ledger cannot tell the difference. Only
+//! construction and repartition run the full `FillComplete`. The plan
+//! lives behind an `Arc` and is patched through `Arc::make_mut`: a
+//! holder of the old `Arc` keeps its generation, and the swap to a new
+//! one is a single `Arc` store.
 //!
 //! ## Batching
 //!
@@ -35,25 +42,22 @@
 //! `tests/tests/serve_{differential,property}.rs` pin all of this
 //! bitwise against from-scratch oracles.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use sf2d_core::{LayoutBuilder, Method};
-use sf2d_graph::{CooMatrix, CsrMatrix};
+use sf2d_graph::CsrMatrix;
 use sf2d_par::Pool;
 use sf2d_partition::MatrixDist;
 use sf2d_sim::{ChaosRuntime, CostLedger, Machine, Phase, PhaseCost};
 use sf2d_spgemm::{
     spgemm_with, summa_with, DistSpgemm, SpgemmWorkspace, SummaSpgemm, SummaWorkspace,
 };
-use sf2d_spmv::{spmm_chaos_with, spmm_with, DistCsrMatrix, DistMultiVector, SpmvWorkspace};
+use sf2d_spmv::{
+    spmm_chaos_with, spmm_with, DistCsrMatrix, DistMultiVector, EntryDelta, SpmvWorkspace,
+};
 
 use crate::metrics::EngineMetrics;
-
-/// Compiled plans retained across epochs. Old epochs can never be
-/// queried again (the epoch counter is monotonic), so a small window is
-/// enough to absorb mutation bursts without unbounded growth.
-const PLAN_CACHE_CAP: usize = 4;
 
 /// Engine construction knobs. `method`/`p`/`seed` fix the layout
 /// deterministically — two engines with equal config and equal mutation
@@ -148,16 +152,16 @@ pub struct ServeReply {
     pub y: Vec<f64>,
 }
 
-/// One immutable plan generation: the swap unit. Holding the `Arc` keeps
-/// a batch's matrix alive even if the engine moves on mid-flight.
+/// One plan generation: the swap unit. Holding the `Arc` keeps a batch's
+/// matrix alive and unchanged even if the engine moves on mid-flight.
+#[derive(Clone)]
 struct EnginePlan {
+    /// The epoch `matrix` reflects.
     epoch: u64,
     matrix: DistCsrMatrix,
 }
 
-type PlanKey = (u64, Method, usize);
-
-/// A resident, plan-cached, batch-coalescing SpMM frontend over one
+/// A resident, batch-coalescing SpMM frontend over one
 /// dynamic graph. See the [module docs](self) for the contract.
 pub struct Engine {
     cfg: EngineConfig,
@@ -169,9 +173,11 @@ pub struct Engine {
     epoch: u64,
     /// Current layout; replaced (and the epoch bumped) on repartition.
     dist: Arc<MatrixDist>,
-    /// The plan serving batches — swapped by a single `Arc` store.
+    /// The plan serving batches — patched in place while this is the
+    /// only `Arc`, swapped by a single `Arc` store otherwise.
     active: Arc<EnginePlan>,
-    cache: HashMap<PlanKey, Arc<EnginePlan>>,
+    /// Entry changes since `active.epoch`, in mutation order.
+    pending: Vec<EntryDelta>,
     pool: Option<Pool>,
     ws: SpmvWorkspace,
     spgemm_ws: SpgemmWorkspace,
@@ -186,6 +192,9 @@ pub struct Engine {
     /// Per-rank nonzero counts under `dist`, maintained in O(1) per
     /// mutation — the drift signal.
     nnz_per_rank: Vec<u64>,
+    /// The imbalance `dist` had when it was derived: a layout that is
+    /// born above the drift threshold has not drifted.
+    partition_imbalance: f64,
     /// Simulated cost of everything the engine has executed.
     pub ledger: CostLedger,
     /// Request-level counters and distributions.
@@ -194,8 +203,8 @@ pub struct Engine {
 
 impl Engine {
     /// Builds a warm engine: the layout is derived from `(a, seed)` via
-    /// [`LayoutBuilder`] and the epoch-0 plan is compiled eagerly (the
-    /// first cache miss), so the first query hits a resident plan.
+    /// [`LayoutBuilder`] and the epoch-0 plan is compiled eagerly, so the
+    /// first query finds a current plan.
     ///
     /// # Panics
     /// Panics if `a` is not square and structurally symmetric — the
@@ -222,12 +231,11 @@ impl Engine {
         let pool = (cfg.threads > 1).then(|| Pool::new(cfg.threads));
         let matrix = DistCsrMatrix::from_global_with(a, &*dist, cfg.threads, pool.as_ref());
         let active = Arc::new(EnginePlan { epoch: 0, matrix });
-        let mut cache = HashMap::new();
-        cache.insert((0, cfg.method, cfg.p), Arc::clone(&active));
         let mut ws = SpmvWorkspace::with_threads(cfg.threads);
         ws.set_budget(cfg.scratch_budget);
         let metrics = EngineMetrics {
             cache_misses: 1, // the warm-start compile
+            full_compiles: 1,
             ..EngineMetrics::default()
         };
         let ledger = CostLedger::new(cfg.machine);
@@ -237,7 +245,7 @@ impl Engine {
             epoch: 0,
             dist,
             active,
-            cache,
+            pending: Vec::new(),
             pool,
             ws,
             spgemm_ws: SpgemmWorkspace::with_threads(cfg.threads),
@@ -246,6 +254,7 @@ impl Engine {
             ready: Vec::new(),
             next_id: 0,
             chaos_batches: 0,
+            partition_imbalance: Self::imbalance_of(&nnz_per_rank),
             nnz_per_rank,
             ledger,
             metrics,
@@ -369,41 +378,25 @@ impl Engine {
         }
     }
 
-    /// Resolves the current epoch's plan: cache hit, or compile-and-swap
-    /// on a miss. The returned `Arc` pins the plan for the caller even
-    /// across a concurrent-looking swap.
+    /// The plan at the current epoch. A plan that is behind is brought
+    /// up to date by applying the pending deltas — in place when this is
+    /// the only `Arc`, on a private copy otherwise, so a batch still
+    /// holding the old `Arc` finishes on its own generation. The returned
+    /// `Arc` pins the plan for the caller the same way.
     fn resolve_plan(&mut self) -> Arc<EnginePlan> {
-        let key = (self.epoch, self.cfg.method, self.cfg.p);
-        if let Some(plan) = self.cache.get(&key) {
+        if self.active.epoch == self.epoch {
             self.metrics.cache_hits += 1;
-            let plan = Arc::clone(plan);
-            self.active = Arc::clone(&plan);
-            return plan;
+        } else {
+            self.metrics.cache_misses += 1;
+            let plan = Arc::make_mut(&mut self.active);
+            let report = plan.matrix.apply_delta(&*self.dist, &self.pending);
+            plan.epoch = self.epoch;
+            self.pending.clear();
+            self.metrics.plan_patches += 1;
+            self.metrics.arena_compactions += u64::from(report.compacted);
+            self.metrics.dirty_ranks.observe(report.dirty_ranks as u64);
         }
-        self.metrics.cache_misses += 1;
-        let a = self.global_matrix();
-        let matrix =
-            DistCsrMatrix::from_global_with(&a, &*self.dist, self.cfg.threads, self.pool.as_ref());
-        let plan = Arc::new(EnginePlan {
-            epoch: self.epoch,
-            matrix,
-        });
-        self.install(key, Arc::clone(&plan));
-        plan
-    }
-
-    /// Publishes a new plan: cache insert, bounded eviction of dead
-    /// epochs, then the atomic swap (one `Arc` store — in-flight batches
-    /// holding the old `Arc` finish on their own plan).
-    fn install(&mut self, key: PlanKey, plan: Arc<EnginePlan>) {
-        self.cache.insert(key, Arc::clone(&plan));
-        if self.cache.len() > PLAN_CACHE_CAP {
-            let mut epochs: Vec<u64> = self.cache.keys().map(|k| k.0).collect();
-            epochs.sort_unstable();
-            let cutoff = epochs[epochs.len() - PLAN_CACHE_CAP];
-            self.cache.retain(|k, _| k.0 >= cutoff);
-        }
-        self.active = plan;
+        Arc::clone(&self.active)
     }
 
     // -- mutations --------------------------------------------------------
@@ -412,8 +405,8 @@ impl Engine {
     /// graph symmetric — inserting it if absent. Returns whether the
     /// matrix changed (an identical re-insert is a no-op and does *not*
     /// bump the epoch). An effective change first drains pending queries
-    /// against the pre-mutation epoch, then bumps the epoch; the new
-    /// plan compiles lazily at the next batch.
+    /// against the pre-mutation epoch, then bumps the epoch; the plan is
+    /// patched lazily at the next batch.
     pub fn insert_edge(&mut self, i: u32, j: u32, w: f64) -> bool {
         self.check_vertex(i);
         self.check_vertex(j);
@@ -429,6 +422,11 @@ impl Engine {
             if self.edges.insert((u, v), w).is_none() {
                 self.nnz_per_rank[self.dist.nonzero_owner(u, v) as usize] += 1;
             }
+            self.pending.push(EntryDelta {
+                i: u,
+                j: v,
+                value: Some(w),
+            });
         }
         self.bump_epoch();
         self.maybe_repartition();
@@ -448,6 +446,11 @@ impl Engine {
             if self.edges.remove(&(u, v)).is_some() {
                 self.nnz_per_rank[self.dist.nonzero_owner(u, v) as usize] -= 1;
             }
+            self.pending.push(EntryDelta {
+                i: u,
+                j: v,
+                value: None,
+            });
         }
         self.bump_epoch();
         self.maybe_repartition();
@@ -456,28 +459,29 @@ impl Engine {
 
     /// Forces a repartition now: drains pending queries, re-derives the
     /// layout from the current matrix (deterministically, from the
-    /// configured seed), starts a new epoch, compiles the new
-    /// generation's plan (on the pool when threaded — the "background"
-    /// compile), and swaps it in atomically.
+    /// configured seed), starts a new epoch, runs the full `FillComplete`
+    /// under the new layout (on the pool when threaded — the "background"
+    /// compile), and swaps the new generation in atomically.
     pub fn repartition_now(&mut self) {
         self.drain_queue(None);
         let a = self.global_matrix();
         let dist = Arc::new(Self::build_dist(&a, &self.cfg));
         self.nnz_per_rank = Self::count_nnz(&self.edges, &dist);
         self.dist = dist;
+        self.partition_imbalance = self.imbalance();
         self.bump_epoch();
         self.metrics.repartitions += 1;
         self.metrics.cache_misses += 1;
+        self.metrics.full_compiles += 1;
         let matrix =
             DistCsrMatrix::from_global_with(&a, &*self.dist, self.cfg.threads, self.pool.as_ref());
-        let key = (self.epoch, self.cfg.method, self.cfg.p);
-        self.install(
-            key,
-            Arc::new(EnginePlan {
-                epoch: self.epoch,
-                matrix,
-            }),
-        );
+        // The new generation is built from the edge map: it already
+        // holds every pending delta.
+        self.pending.clear();
+        self.active = Arc::new(EnginePlan {
+            epoch: self.epoch,
+            matrix,
+        });
     }
 
     fn orientations(i: u32, j: u32) -> Vec<(u32, u32)> {
@@ -501,10 +505,15 @@ impl Engine {
         self.metrics.epoch_bumps += 1;
     }
 
+    /// Drift is imbalance beyond both the configured threshold and what
+    /// the partitioner itself achieved: a fresh 1D-HP layout at p = 256
+    /// sits at 2.0, and re-deriving it on every mutation would buy
+    /// nothing.
     fn maybe_repartition(&mut self) {
+        let tolerated = self.cfg.drift_threshold.max(self.partition_imbalance);
         if self.cfg.auto_repartition
             && self.cfg.method.is_partitioned()
-            && self.imbalance() > self.cfg.drift_threshold
+            && self.imbalance() > tolerated
         {
             self.repartition_now();
         }
@@ -512,7 +521,7 @@ impl Engine {
 
     // -- repeated multiplies ----------------------------------------------
 
-    /// `C = A·Aᵀ` of the resident matrix through the cached plan and the
+    /// `C = A·Aᵀ` of the resident matrix through the resident plan and the
     /// pooled expand/fold [`SpgemmWorkspace`], billed to the engine
     /// ledger.
     pub fn multiply(&mut self) -> DistSpgemm {
@@ -548,8 +557,8 @@ impl Engine {
         &self.active.matrix
     }
 
-    /// Whether the active plan is stale (a mutation happened since it
-    /// compiled; the next batch will miss and recompile).
+    /// Whether the active plan is stale (a mutation happened since it was
+    /// brought up to date; the next batch will patch it).
     pub fn active_is_stale(&self) -> bool {
         self.active.epoch != self.epoch
     }
@@ -562,23 +571,35 @@ impl Engine {
     /// Max-over-avg per-rank nonzero counts under the current layout —
     /// the drift signal (1.0 = perfectly balanced).
     pub fn imbalance(&self) -> f64 {
-        let total: u64 = self.nnz_per_rank.iter().sum();
+        Self::imbalance_of(&self.nnz_per_rank)
+    }
+
+    fn imbalance_of(nnz_per_rank: &[u64]) -> f64 {
+        let total: u64 = nnz_per_rank.iter().sum();
         if total == 0 {
             return 1.0;
         }
-        let avg = total as f64 / self.nnz_per_rank.len() as f64;
-        let max = *self.nnz_per_rank.iter().max().unwrap() as f64;
+        let avg = total as f64 / nnz_per_rank.len() as f64;
+        let max = *nnz_per_rank.iter().max().unwrap() as f64;
         max / avg
     }
 
-    /// Rebuilds the resident matrix to global CSR (deterministic:
-    /// row-major edge order).
+    /// Rebuilds the resident matrix to global CSR. The edge map iterates
+    /// row-major, which is CSR order: one streaming pass, no sort.
     pub fn global_matrix(&self) -> CsrMatrix {
-        let mut coo = CooMatrix::new(self.n, self.n);
+        let mut rowptr = vec![0usize; self.n + 1];
+        let mut colidx = Vec::with_capacity(self.edges.len());
+        let mut values = Vec::with_capacity(self.edges.len());
         for (&(i, j), &w) in &self.edges {
-            coo.push(i, j, w);
+            rowptr[i as usize + 1] += 1;
+            colidx.push(j);
+            values.push(w);
         }
-        CsrMatrix::from_coo(&coo)
+        for i in 0..self.n {
+            rowptr[i + 1] += rowptr[i];
+        }
+        CsrMatrix::from_parts(self.n, self.n, rowptr, colidx, values)
+            .expect("the edge map is row-major ordered and duplicate-free")
     }
 
     /// Matrix dimension.
@@ -599,11 +620,6 @@ impl Engine {
     /// Pending (unexecuted) query count.
     pub fn queue_depth(&self) -> usize {
         self.queue.len()
-    }
-
-    /// Compiled plans currently cached.
-    pub fn cached_plans(&self) -> usize {
-        self.cache.len()
     }
 
     /// The construction config.
@@ -665,7 +681,7 @@ mod tests {
     }
 
     #[test]
-    fn mutation_bumps_epoch_recompiles_and_stays_bitwise_correct() {
+    fn mutation_bumps_epoch_patches_the_plan_and_stays_bitwise_correct() {
         let (a, queries) = fixture();
         let cfg = EngineConfig::new(Method::OneDRandom, 4)
             .with_max_batch(4)
@@ -702,9 +718,22 @@ mod tests {
         assert!(!engine.remove_edge(i, j), "double delete is a no-op");
         assert_eq!(engine.epoch(), 2);
         // Removing the only mutation restores the seed matrix, but the
-        // epoch is monotonic: a fresh compile, not a stale hit.
+        // epoch is monotonic: the plan is patched again, not reused.
         let got = engine.query(&queries[2]);
         assert_bits_eq(&got, &oracle(&a, &cfg, &queries[2]), "post-delete");
+
+        // One plan update per epoch that is queried, none in between.
+        let misses_before = engine.metrics.cache_misses;
+        for k in 0..12u32 {
+            // A fresh weight each round: an effective change whether or
+            // not the edge already exists.
+            assert!(engine.insert_edge(0, 5 + k, 2.0 + k as f64));
+            let _ = engine.query(&queries[3]);
+            let _ = engine.query(&queries[4]);
+        }
+        assert_eq!(engine.metrics.cache_misses, misses_before + 12);
+        assert_eq!(engine.metrics.plan_patches, 2 + 12);
+        assert_eq!(engine.metrics.full_compiles, 1, "no epoch recompiled");
         i = 0;
         j = 0;
         let _ = (i, j);
@@ -747,18 +776,34 @@ mod tests {
     #[test]
     fn drift_triggers_auto_repartition_and_forced_repartition_works() {
         let (a, queries) = fixture();
-        // Threshold 1.0 means any imbalance at all repartitions — every
-        // effective mutation will trip it on a gp layout.
+        // Threshold 1.0 is below what any partition achieves, so drift is
+        // measured against the fresh layout's own imbalance.
         let cfg = EngineConfig::new(Method::OneDGp, 4)
             .with_max_batch(2)
             .with_drift_threshold(1.0);
         let mut engine = Engine::new(&a, cfg.clone());
         assert!(engine.imbalance() >= 1.0);
-        let (i, mut j) = (1u32, 2u32);
-        while engine.has_edge(i, j) {
-            j += 1;
-        }
-        assert!(engine.insert_edge(i, j, 1.0));
+
+        // 1D: both orientations of an edge inside one rank's rows land on
+        // that rank. Loading the lightest rank evens the layout out ...
+        let insert_within = |engine: &mut Engine, rank: usize| {
+            let rows: Vec<u32> = (0..engine.n() as u32)
+                .filter(|&v| engine.dist().vector_owner(v) as usize == rank)
+                .collect();
+            let (i, j) = (rows.iter())
+                .flat_map(|&i| rows.iter().map(move |&j| (i, j)))
+                .find(|&(i, j)| i < j && !engine.has_edge(i, j))
+                .expect("an absent pair inside the rank");
+            assert!(engine.insert_edge(i, j, 1.0));
+        };
+        let nnz = engine.active().nnz_per_rank();
+        let lightest = (0..4).min_by_key(|&r| nnz[r]).unwrap();
+        let heaviest = (0..4).max_by_key(|&r| nnz[r]).unwrap();
+        insert_within(&mut engine, lightest);
+        assert_eq!(engine.metrics.repartitions, 0, "no drift, no repartition");
+        // ... loading the heaviest one is drift past what the partitioner
+        // achieved.
+        insert_within(&mut engine, heaviest);
         assert_eq!(engine.metrics.repartitions, 1, "drift tripped");
         assert!(!engine.active_is_stale(), "repartition pre-compiles");
         let mutated = engine.global_matrix();
@@ -773,6 +818,10 @@ mod tests {
         let reparts = engine.metrics.repartitions;
         engine.repartition_now();
         assert_eq!(engine.metrics.repartitions, reparts + 1);
+        assert_eq!(
+            engine.metrics.full_compiles,
+            1 + engine.metrics.repartitions
+        );
         assert_bits_eq(
             &engine.query(&queries[1]),
             &oracle(&mutated, &cfg, &queries[1]),
@@ -781,21 +830,177 @@ mod tests {
     }
 
     #[test]
-    fn plan_cache_stays_bounded() {
+    fn a_layout_born_above_the_threshold_does_not_repartition_forever() {
         let (a, _) = fixture();
-        let cfg = EngineConfig::new(Method::OneDBlock, 2)
-            .with_max_batch(1)
-            .with_auto_repartition(false);
-        let mut engine = Engine::new(&a, cfg);
-        let x: Vec<f64> = (0..engine.n()).map(|i| i as f64).collect();
-        for k in 0..12u32 {
-            // A fresh weight each round: an effective change whether or
-            // not the edge already exists.
-            assert!(engine.insert_edge(0, 5 + k, 2.0 + k as f64));
-            let _ = engine.query(&x);
+        for method in [Method::OneDGp, Method::OneDHp] {
+            // No partition of this graph reaches imbalance 1.0, as 1D-HP
+            // at p = 256 never reaches the default 1.5 (fig8: 2.02).
+            let cfg = EngineConfig::new(method, 4).with_drift_threshold(1.0);
+            let mut engine = Engine::new(&a, cfg);
+            assert!(engine.imbalance() > 1.0);
+            let n = engine.n() as u32;
+            let mut effective = 0;
+            let mut k = 0u32;
+            while effective < 50 {
+                k += 1;
+                let (i, j) = ((k * 37) % n, (k * 91 + 5) % n);
+                if i != j && !engine.has_edge(i, j) {
+                    assert!(engine.insert_edge(i, j, 1.0));
+                    effective += 1;
+                }
+            }
+            // Comparing against the threshold alone gave 50 of 50.
+            assert!(
+                engine.metrics.repartitions <= 5,
+                "{}: {} repartitions over 50 mutations",
+                method.name(),
+                engine.metrics.repartitions
+            );
         }
-        assert!(engine.cached_plans() <= PLAN_CACHE_CAP);
-        assert_eq!(engine.metrics.cache_misses, 13, "one compile per epoch");
+    }
+
+    #[test]
+    fn global_matrix_streams_the_edge_map_into_the_csr_a_coo_build_gives() {
+        let (a, _) = fixture();
+        let cfg = EngineConfig::new(Method::TwoDBlock, 4).with_auto_repartition(false);
+        let mut engine = Engine::new(&a, cfg);
+        assert_eq!(engine.global_matrix(), a);
+        let n = engine.n() as u32;
+        for k in 0..40u32 {
+            let (i, j) = ((k * 29) % n, (k * 53 + 1) % n);
+            match k % 3 {
+                0 => engine.insert_edge(i, j, 1.0 + k as f64),
+                1 => engine.insert_edge(i, i, 0.5),
+                _ => engine.remove_edge((k - 2) * 29 % n, ((k - 2) * 53 + 1) % n),
+            };
+        }
+        let mut coo = sf2d_graph::CooMatrix::new(engine.n(), engine.n());
+        for (&(i, j), &w) in &engine.edges {
+            coo.push(i, j, w);
+        }
+        assert_eq!(engine.global_matrix(), CsrMatrix::from_coo(&coo));
+        assert_ne!(engine.global_matrix(), a);
+    }
+
+    #[test]
+    fn a_patch_accounts_for_the_ranks_it_dirtied() {
+        let (a, queries) = fixture();
+        let cfg = EngineConfig::new(Method::TwoDBlock, 4).with_auto_repartition(false);
+        let mut engine = Engine::new(&a, cfg);
+        let m = |e: &Engine| {
+            let m = &e.metrics;
+            let d = &m.dirty_ranks;
+            (
+                m.plan_patches,
+                m.full_compiles,
+                m.arena_compactions,
+                d.count,
+                d.sum,
+            )
+        };
+        assert_eq!(m(&engine), (0, 1, 0, 0, 0));
+
+        // Re-weight of a stored off-diagonal edge: its two owner blocks
+        // get one value each; the schedule keeps its bytes.
+        let (i, j, _) = (a.iter())
+            .find(|&(i, j, _)| {
+                i != j && engine.dist().nonzero_owner(i, j) != engine.dist().nonzero_owner(j, i)
+            })
+            .unwrap();
+        let before = engine.active().compiled.clone();
+        assert!(engine.insert_edge(i, j, 7.0));
+        assert_eq!(m(&engine), (0, 1, 0, 0, 0), "mutations only record deltas");
+        let _ = engine.query(&queries[0]);
+        assert_eq!(m(&engine), (1, 1, 0, 1, 2));
+        assert_eq!(engine.active().compiled, before, "0 schedule-dirty ranks");
+
+        // A new edge inside rows and columns its owners already map: the
+        // blocks and their compute costs change, no message does.
+        let mapped = |e: &Engine, i: u32, j: u32| {
+            let block = &e.active().blocks[e.dist().nonzero_owner(i, j) as usize];
+            block.rowmap.binary_search(&i).is_ok() && block.colmap.binary_search(&j).is_ok()
+        };
+        let n = engine.n() as u32;
+        let (i, j) = (0..n)
+            .flat_map(|i| (0..i).map(move |j| (i, j)))
+            .find(|&(i, j)| {
+                !engine.has_edge(i, j) && mapped(&engine, i, j) && mapped(&engine, j, i)
+            })
+            .expect("an absent edge inside mapped rows and columns");
+        assert!(engine.insert_edge(i, j, 1.0));
+        let _ = engine.query(&queries[1]);
+        let after = &engine.active().compiled;
+        assert_eq!(engine.metrics.plan_patches, 2);
+        assert_eq!(after.expand, before.expand);
+        assert_eq!(after.fold, before.fold);
+        assert_ne!(after.compute_costs, before.compute_costs);
+        assert_eq!(engine.metrics.full_compiles, 1);
+
+        // Several mutations before one batch fold into one patch.
+        assert!(engine.remove_edge(i, j));
+        assert!(engine.insert_edge(i, j, 2.0));
+        assert!(engine.insert_edge(0, 0, 1.5));
+        let _ = engine.query(&queries[2]);
+        assert_eq!(engine.metrics.plan_patches, 3);
+        assert_eq!(engine.metrics.dirty_ranks.count, 3);
+
+        let mut reg = sf2d_obs::MetricsRegistry::default();
+        engine.metrics.publish(&mut reg, 0);
+        assert_eq!(reg.counter("serve_plan_patches", 0), 3);
+        assert_eq!(reg.counter("serve_full_compiles", 0), 1);
+        assert_eq!(reg.counter("serve_arena_compactions", 0), 0);
+        assert_eq!(
+            reg.histogram("serve_dirty_ranks").expect("histogram").count,
+            3
+        );
+    }
+
+    #[test]
+    fn two_thousand_epochs_keep_the_plan_bounded_and_the_replies_exact() {
+        let (a, queries) = fixture();
+        let cfg = EngineConfig::new(Method::TwoDGp, 16).with_auto_repartition(false);
+        let mut engine = Engine::new(&a, cfg.clone());
+        let n = engine.n() as u32;
+        // A sliding window of 24 extra edges: once it is full, epochs
+        // alternate between inserting a new edge and removing the oldest,
+        // so the structure keeps moving and never returns to a plan whose
+        // segments are all still in the arena.
+        let mut window = std::collections::VecDeque::new();
+        let mut lcg = 12345u32;
+        let mut checked_after_compaction = false;
+        for epoch in 0..2000u32 {
+            if epoch % 2 == 0 || window.len() < 24 {
+                let (i, j) = loop {
+                    lcg = lcg.wrapping_mul(1664525).wrapping_add(1013904223);
+                    let (i, j) = ((lcg >> 8) % n, (lcg >> 20) % n);
+                    if i != j && !engine.has_edge(i, j) {
+                        break (i, j);
+                    }
+                };
+                assert!(engine.insert_edge(i, j, 1.0 + (epoch % 7) as f64));
+                window.push_back((i, j));
+            } else {
+                let (i, j) = window.pop_front().unwrap();
+                assert!(engine.remove_edge(i, j));
+            }
+            let compactions = engine.metrics.arena_compactions;
+            let got = engine.query(&queries[epoch as usize % queries.len()]);
+            let compacted = engine.metrics.arena_compactions > compactions;
+            // The rebuild oracle is slow: check around every compaction
+            // and on a sparse sample of the other epochs.
+            if compacted || checked_after_compaction || epoch % 97 == 0 {
+                let mutated = engine.global_matrix();
+                let q = &queries[epoch as usize % queries.len()];
+                assert_bits_eq(&got, &oracle(&mutated, &cfg, q), "patched vs rebuilt");
+                let fresh = DistCsrMatrix::from_global(&mutated, engine.dist());
+                assert!(engine.active().compiled.same_schedule(&fresh.compiled));
+                assert!(engine.active().compiled.plan_bytes() <= 2 * fresh.compiled.plan_bytes());
+            }
+            checked_after_compaction = compacted;
+        }
+        assert_eq!(engine.metrics.plan_patches, 2000);
+        assert_eq!(engine.metrics.full_compiles, 1);
+        assert!(engine.metrics.arena_compactions >= 1);
     }
 
     #[test]

@@ -5,12 +5,12 @@
 //! A resident serving layer over the sf2d kernels: the long-lived
 //! [`Engine`] owns a partitioned dynamic matrix plus all its pooled
 //! compiled state, coalesces streams of query vectors into SpMM batches,
-//! caches compiled plans by `(epoch, method, p)`, and supports
-//! incremental edge mutation with imbalance-drift tracking that triggers
-//! repartition + atomic plan swap. The chaos engine is the serving fault
-//! model ([`Engine::flush_chaos`]).
+//! keeps its compiled plan current under incremental edge mutation by
+//! patching the dirtied ranks in place, and tracks imbalance drift,
+//! which triggers repartition + atomic plan swap. The chaos engine is
+//! the serving fault model ([`Engine::flush_chaos`]).
 //!
-//! Every answer — batched, cached, epoch-mutated, or chaos-routed — is
+//! Every answer — batched, on a patched plan, or chaos-routed — is
 //! **bitwise equal** to a from-scratch one-shot `spmv` of the same query
 //! against the same matrix; the differential/property/chaos suites in
 //! `tests/tests/` are the contract.

@@ -16,16 +16,29 @@ pub struct EngineMetrics {
     /// SpMM batches executed — `queries / batches` is the gather
     /// amortization won by coalescing.
     pub batches: u64,
-    /// Batches served by an already-compiled plan.
+    /// Batches (and multiplies) that found the resident plan current.
     pub cache_hits: u64,
-    /// Plan compiles (including the warm-start compile at construction
-    /// and every post-mutation recompile).
+    /// Times the plan had to be brought up to date: the warm-start
+    /// compile at construction, every repartition, and every batch that
+    /// found the plan behind the epoch and patched it.
     pub cache_misses: u64,
     /// Epoch advances: one per effective mutation, plus one per
     /// repartition (a repartition starts a new plan generation).
     pub epoch_bumps: u64,
     /// Layout rebuilds (drift-triggered or forced).
     pub repartitions: u64,
+    /// In-place plan updates: one per batch that found the plan behind,
+    /// however many mutations it folded in.
+    pub plan_patches: u64,
+    /// Full `FillComplete` runs: construction plus one per repartition —
+    /// never an epoch bump.
+    pub full_compiles: u64,
+    /// Patches after which the plan's index arena, doubled by garbage,
+    /// was rebuilt.
+    pub arena_compactions: u64,
+    /// Ranks a patch dirtied — block written or schedule lowered again —
+    /// one observation per patch.
+    pub dirty_ranks: Histogram,
     /// Chaos-mode batches replayed after a mid-batch crash.
     pub crash_replays: u64,
     /// Largest queue depth observed at submit time.
@@ -35,7 +48,8 @@ pub struct EngineMetrics {
 }
 
 impl EngineMetrics {
-    /// Fraction of plan lookups answered from the cache, in `[0, 1]`.
+    /// Fraction of plan lookups that found the plan current, in `[0, 1]`
+    /// — on a request stream, how many batches ran per plan update.
     pub fn cache_hit_ratio(&self) -> f64 {
         let total = self.cache_hits + self.cache_misses;
         if total == 0 {
@@ -56,9 +70,9 @@ impl EngineMetrics {
     }
 
     /// Publishes the counters, the current queue depth, and the
-    /// batch-size distribution into a [`MetricsRegistry`] under
-    /// `serve_*` names (all on rank 0 — these are frontend-level, not
-    /// per-rank, quantities).
+    /// batch-size and dirty-rank distributions into a [`MetricsRegistry`]
+    /// under `serve_*` names (all on rank 0 — these are frontend-level,
+    /// not per-rank, quantities).
     pub fn publish(&self, reg: &mut MetricsRegistry, queue_depth: usize) {
         reg.add("serve_queries", 0, self.queries);
         reg.add("serve_batches", 0, self.batches);
@@ -66,11 +80,15 @@ impl EngineMetrics {
         reg.add("serve_cache_misses", 0, self.cache_misses);
         reg.add("serve_epoch_bumps", 0, self.epoch_bumps);
         reg.add("serve_repartitions", 0, self.repartitions);
+        reg.add("serve_plan_patches", 0, self.plan_patches);
+        reg.add("serve_full_compiles", 0, self.full_compiles);
+        reg.add("serve_arena_compactions", 0, self.arena_compactions);
         reg.add("serve_crash_replays", 0, self.crash_replays);
         reg.set_gauge("serve_queue_depth", 0, queue_depth as f64);
         reg.set_gauge("serve_queue_depth_peak", 0, self.queue_depth_peak as f64);
         reg.set_gauge("serve_cache_hit_ratio", 0, self.cache_hit_ratio());
         reg.merge_histogram("serve_batch_size", &self.batch_sizes);
+        reg.merge_histogram("serve_dirty_ranks", &self.dirty_ranks);
     }
 }
 

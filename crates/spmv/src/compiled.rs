@@ -4,7 +4,7 @@
 //! [`CommPlan`](crate::plan::CommPlan) stores the communication structure
 //! in **global ids**; executing it directly means every SpMV re-resolves
 //! `owner(gid)` / `lid(gid)` / `col_lid(gid)` for every entry. Since the
-//! maps are immutable after construction, all of those lookups can be done
+//! maps change only when the matrix does, all of those lookups can be done
 //! once: this module lowers the plans plus the row/column maps into flat
 //! local-index copy lists, so the per-iteration path is array indexing
 //! only. The static per-phase [`PhaseCost`] vectors are precomputed here
@@ -30,6 +30,15 @@
 //! compiled plan is byte-identical to the serial [`CompiledSpmv::compile`]
 //! for any thread count — property-tested in
 //! `tests/proptest_parallel_compile.rs`.
+//!
+//! **Maintenance** is rank-local: when a few ranks' maps or messages
+//! change ([`DistCsrMatrix::apply_delta`]), `CompiledSpmv::patch` runs
+//! the same per-rank lowering for those ranks only and splices the
+//! result in, leaving the *same schedule* a full compile would
+//! ([`CompiledSpmv::same_schedule`]; only arena offsets may differ) —
+//! property-tested in `tests/proptest_apply_delta.rs`.
+//!
+//! [`DistCsrMatrix::apply_delta`]: crate::distmat::DistCsrMatrix::apply_delta
 //!
 //! The compiled schedules change *nothing* observable: results are
 //! bit-identical to the gid-based reference executor
@@ -130,6 +139,99 @@ pub struct PhasePlan {
 }
 
 impl PhasePlan {
+    /// A plan over zero ranks, ready for [`push_rank`](PhasePlan::push_rank).
+    fn new() -> PhasePlan {
+        PhasePlan {
+            pack_off: vec![0],
+            unpack_off: vec![0],
+            ..PhasePlan::default()
+        }
+    }
+
+    /// Appends the next rank's raw lists, interning every index list
+    /// (owned, then packs, then unpacks — the arena layout is a function
+    /// of this order). Pack payload offsets are the prefix sums of the
+    /// message lengths; unpack payload offsets need the *source's* pack
+    /// list and are filled in by [`link_rank`](PhasePlan::link_rank).
+    fn push_rank(
+        &mut self,
+        interner: &mut Interner,
+        owned: &[u32],
+        pack: &[(u32, Vec<u32>)],
+        unpack: &[(u32, u32, Vec<u32>)],
+    ) {
+        self.owned.push(interner.intern(owned));
+        let mut payload = 0u32;
+        for (peer, lids) in pack {
+            self.pack.push(PackEntry {
+                peer: *peer,
+                lids: interner.intern(lids),
+                payload_off: payload,
+            });
+            payload = payload
+                .checked_add(lids.len() as u32)
+                .expect("per-rank payload fits u32");
+        }
+        self.pack_off.push(self.pack.len() as u32);
+        for (src, slot, lids) in unpack {
+            self.unpack.push(UnpackEntry {
+                src: *src,
+                slot: *slot,
+                payload_off: 0,
+                lids: interner.intern(lids),
+            });
+        }
+        self.unpack_off.push(self.unpack.len() as u32);
+        self.payload.push(payload);
+    }
+
+    /// Points rank `d`'s unpack entries at their sources' payloads. An
+    /// entry whose source `reslot` names also gets its slot looked up
+    /// again (pack lists are peer-ascending): the source's pack list was
+    /// rewritten since the entry was lowered.
+    fn link_rank(&mut self, d: usize, reslot: impl Fn(u32) -> bool) {
+        let range = self.unpack_off[d] as usize..self.unpack_off[d + 1] as usize;
+        for e in &mut self.unpack[range] {
+            let src = e.src as usize;
+            let packs = &self.pack[self.pack_off[src] as usize..self.pack_off[src + 1] as usize];
+            if reslot(e.src) {
+                e.slot = packs
+                    .binary_search_by_key(&(d as u32), |m| m.peer)
+                    .expect("every unpack entry has its sender's pack entry")
+                    as u32;
+            }
+            e.payload_off = packs[e.slot as usize].payload_off;
+        }
+    }
+
+    /// Replaces rank `r`'s schedule by its freshly lowered raw lists,
+    /// splicing the flat entry arrays and shifting the offset tables.
+    /// Unpack entries of `r` and of every rank reading `r`'s send buffer
+    /// must be [linked](PhasePlan::link_rank) afterwards.
+    fn replace_rank(
+        &mut self,
+        interner: &mut Interner,
+        r: usize,
+        owned: &[u32],
+        pack: &[(u32, Vec<u32>)],
+        unpack: &[(u32, u32, Vec<u32>)],
+    ) {
+        fn splice<T>(flat: &mut Vec<T>, off: &mut [u32], r: usize, new: Vec<T>) {
+            let (lo, hi) = (off[r] as usize, off[r + 1] as usize);
+            let new_hi = lo + new.len();
+            flat.splice(lo..hi, new);
+            for o in &mut off[r + 1..] {
+                *o = (*o as usize - hi + new_hi) as u32;
+            }
+        }
+        let mut one = PhasePlan::new();
+        one.push_rank(interner, owned, pack, unpack);
+        self.owned[r] = one.owned[0];
+        self.payload[r] = one.payload[0];
+        splice(&mut self.pack, &mut self.pack_off, r, one.pack);
+        splice(&mut self.unpack, &mut self.unpack_off, r, one.unpack);
+    }
+
     /// Number of ranks.
     pub fn nranks(&self) -> usize {
         self.owned.len()
@@ -244,8 +346,12 @@ impl<'a> RankPlan<'a> {
 /// [`DistCsrMatrix::from_global`]: crate::distmat::DistCsrMatrix::from_global
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompiledSpmv {
-    /// The shared, content-deduplicated index arena (the plan store).
-    arena: Vec<u32>,
+    /// The shared, content-deduplicated index arena (the plan store)
+    /// with its dedup index.
+    store: Interner,
+    /// Arena length at the last full compile: the arena is compacted
+    /// when patches have doubled it.
+    fresh_arena_len: usize,
     /// Expand-phase schedules for all ranks.
     pub expand: PhasePlan,
     /// Fold-phase schedules for all ranks.
@@ -363,13 +469,17 @@ fn lower_rank(
 
 /// Content-deduplicating arena interner. Interning happens serially in
 /// rank order, so the arena layout is a pure function of the raw plans —
-/// the parallel and serial compile paths produce identical bytes.
-#[derive(Default)]
+/// the parallel and serial compile paths produce identical bytes. It
+/// stays resident with the plan so that a patch re-interns a re-lowered
+/// rank's unchanged segments onto their old spans.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 struct Interner {
     arena: Vec<u32>,
-    /// Segment hash → spans with that hash (collisions resolved by
-    /// comparing contents against the arena).
-    seen: HashMap<u64, Vec<IdxSpan>>,
+    /// Segment hash → the first span stored with that hash. A second
+    /// segment with the same hash (never seen at 64 bits) is stored
+    /// without an index entry: deduplication is an economy, not an
+    /// invariant.
+    seen: HashMap<u64, IdxSpan>,
 }
 
 impl Interner {
@@ -380,11 +490,9 @@ impl Interner {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         seg.hash(&mut h);
         let key = h.finish();
-        if let Some(cands) = self.seen.get(&key) {
-            for &s in cands {
-                if &self.arena[s.range()] == seg {
-                    return s;
-                }
+        if let Some(&s) = self.seen.get(&key) {
+            if &self.arena[s.range()] == seg {
+                return s;
             }
         }
         let off = self.arena.len();
@@ -400,71 +508,14 @@ impl Interner {
             off: off as u32,
             len: seg.len() as u32,
         };
-        self.seen.entry(key).or_default().push(span);
+        self.seen.entry(key).or_insert(span);
         span
     }
 }
 
-/// Interns one phase's raw per-rank lists into a [`PhasePlan`].
-/// `payload_prefix[r][k]` must give the payload offset of rank `r`'s
-/// `k`-th message (prefix sums of its pack lengths).
-fn intern_phase<'r>(
-    interner: &mut Interner,
-    raws: impl Iterator<
-        Item = (
-            &'r Vec<u32>,
-            &'r [(u32, Vec<u32>)],
-            &'r [(u32, u32, Vec<u32>)],
-        ),
-    >,
-    payload_prefix: &[Vec<u32>],
-) -> PhasePlan {
-    let mut plan = PhasePlan::default();
-    plan.pack_off.push(0);
-    plan.unpack_off.push(0);
-    for (r, (owned, pack, unpack)) in raws.enumerate() {
-        plan.owned.push(interner.intern(owned));
-        for (k, (peer, lids)) in pack.iter().enumerate() {
-            plan.pack.push(PackEntry {
-                peer: *peer,
-                lids: interner.intern(lids),
-                payload_off: payload_prefix[r][k],
-            });
-        }
-        plan.pack_off.push(plan.pack.len() as u32);
-        for (src, slot, lids) in unpack {
-            plan.unpack.push(UnpackEntry {
-                src: *src,
-                slot: *slot,
-                payload_off: payload_prefix[*src as usize][*slot as usize],
-                lids: interner.intern(lids),
-            });
-        }
-        plan.unpack_off.push(plan.unpack.len() as u32);
-        plan.payload
-            .push(*payload_prefix[r].last().expect("prefix has p+1 entries"));
-    }
-    plan
-}
-
-/// Payload prefix sums for one phase: `out[r][k]` = offset (in width-1
-/// doubles) of rank `r`'s `k`-th message in its flat send buffer;
-/// `out[r][npacks]` = the buffer's total length.
-fn payload_prefixes<'r>(packs: impl Iterator<Item = &'r [(u32, Vec<u32>)]>) -> Vec<Vec<u32>> {
-    packs
-        .map(|pack| {
-            let mut offs = Vec::with_capacity(pack.len() + 1);
-            let mut acc = 0u32;
-            offs.push(0);
-            for (_, lids) in pack {
-                acc = acc
-                    .checked_add(lids.len() as u32)
-                    .expect("per-rank payload fits u32");
-                offs.push(acc);
-            }
-            offs
-        })
-        .collect()
+/// Local-compute cost of one rank: 2 flops per local nonzero.
+fn compute_cost(block: &RankBlock) -> PhaseCost {
+    PhaseCost::compute(2 * block.local.nnz() as u64)
 }
 
 impl CompiledSpmv {
@@ -502,56 +553,137 @@ impl CompiledSpmv {
 
         // Stage 2 — serial: intern into the shared arena in rank order
         // (deterministic layout, shared segments stored once).
-        let e_prefix = payload_prefixes(raw.iter().map(|rr| rr.e_pack.as_slice()));
-        let f_prefix = payload_prefixes(raw.iter().map(|rr| rr.f_pack.as_slice()));
-        let mut interner = Interner::default();
-        let expand = intern_phase(
-            &mut interner,
-            raw.iter()
-                .map(|rr| (&rr.e_owned, rr.e_pack.as_slice(), rr.e_unpack.as_slice())),
-            &e_prefix,
-        );
-        let fold = intern_phase(
-            &mut interner,
-            raw.iter()
-                .map(|rr| (&rr.f_owned, rr.f_pack.as_slice(), rr.f_unpack.as_slice())),
-            &f_prefix,
-        );
+        let mut store = Interner::default();
+        let mut expand = PhasePlan::new();
+        let mut fold = PhasePlan::new();
+        for rr in &raw {
+            expand.push_rank(&mut store, &rr.e_owned, &rr.e_pack, &rr.e_unpack);
+        }
+        for rr in &raw {
+            fold.push_rank(&mut store, &rr.f_owned, &rr.f_pack, &rr.f_unpack);
+        }
+        for d in 0..p {
+            expand.link_rank(d, |_| false);
+            fold.link_rank(d, |_| false);
+        }
 
-        // The per-phase cost vectors never change after FillComplete —
-        // freeze them so a superstep charge is a slice reduce, not a plan
-        // traversal.
-        let expand_costs = import.phase_costs();
-        let fold_costs = export.phase_costs();
-        let compute_costs = blocks
-            .iter()
-            .map(|b| PhaseCost::compute(2 * b.local.nnz() as u64))
-            .collect();
-        let sum_costs = raw
-            .iter()
-            .map(|rr| PhaseCost::compute(rr.sum_flops))
-            .collect();
+        // The per-phase cost vectors change only when a delta touches
+        // their rank — freeze them so a superstep charge is a slice
+        // reduce, not a plan traversal.
         CompiledSpmv {
-            arena: interner.arena,
+            fresh_arena_len: store.arena.len(),
+            store,
             expand,
             fold,
-            expand_costs,
-            compute_costs,
-            fold_costs,
-            sum_costs,
+            expand_costs: import.phase_costs(),
+            compute_costs: blocks.iter().map(compute_cost).collect(),
+            fold_costs: export.phase_costs(),
+            sum_costs: raw
+                .iter()
+                .map(|rr| PhaseCost::compute(rr.sum_flops))
+                .collect(),
         }
+    }
+
+    /// Brings the schedule up to date after `blocks`, `import` and
+    /// `export` changed at a few ranks — the dirty-rank form of
+    /// [`compile`](CompiledSpmv::compile), and schedule-equal to it
+    /// ([`same_schedule`](CompiledSpmv::same_schedule)). `relower` names,
+    /// ascending, every rank whose row or column map changed or whose
+    /// pack or unpack list gained, lost or rewrote a message; `resized`
+    /// every rank whose local nonzero count changed.
+    ///
+    /// Each `relower` rank is lowered again by the same `lower_rank` and
+    /// spliced in; the ranks reading a rewritten send buffer only have
+    /// their payload offsets and slots refreshed. Segments are interned
+    /// into the existing arena, so unchanged ones land on their old
+    /// spans and replaced ones become garbage; when the arena has
+    /// doubled since the last full compile, one full compile collects it
+    /// (the `Vec` growth rule). Returns whether that happened.
+    pub(crate) fn patch(
+        &mut self,
+        vmap: &VectorMap,
+        blocks: &[RankBlock],
+        import: &CommPlan,
+        export: &CommPlan,
+        resized: &[usize],
+        relower: &[usize],
+    ) -> bool {
+        for &r in resized {
+            self.compute_costs[r] = compute_cost(&blocks[r]);
+        }
+        if relower.is_empty() {
+            return false;
+        }
+        let mut relowered = vec![false; blocks.len()];
+        for &r in relower {
+            let rr = lower_rank(r, vmap, &blocks[r], import, export);
+            let store = &mut self.store;
+            self.expand
+                .replace_rank(store, r, &rr.e_owned, &rr.e_pack, &rr.e_unpack);
+            self.fold
+                .replace_rank(store, r, &rr.f_owned, &rr.f_pack, &rr.f_unpack);
+            self.expand_costs[r] = import.rank_phase_cost(r);
+            self.fold_costs[r] = export.rank_phase_cost(r);
+            self.sum_costs[r] = PhaseCost::compute(rr.sum_flops);
+            relowered[r] = true;
+        }
+        for phase in [&mut self.expand, &mut self.fold] {
+            // A fresh rank has its payload offsets unset; a reader of a
+            // fresh rank's send buffer has stale offsets and slots.
+            let mut stale: Vec<usize> = relower
+                .iter()
+                .flat_map(|&s| phase.pack_entries(s))
+                .map(|m| m.peer as usize)
+                .chain(relower.iter().copied())
+                .collect();
+            stale.sort_unstable();
+            stale.dedup();
+            for d in stale {
+                phase.link_rank(d, |src| relowered[src as usize]);
+            }
+        }
+        let compact = self.store.arena.len() > 2 * self.fresh_arena_len;
+        if compact {
+            *self = CompiledSpmv::compile(vmap, blocks, import, export);
+        }
+        compact
+    }
+
+    /// Whether `self` and `other` are the same schedule: every rank's
+    /// owned pairs, packs, unpacks and payload length in both phases,
+    /// with index lists compared by content through each plan's own
+    /// arena, and all four cost vectors. Arena offsets — all that can
+    /// differ between a patched plan and a fresh compile — are ignored.
+    pub fn same_schedule(&self, other: &CompiledSpmv) -> bool {
+        let same_phase = |a: &PhasePlan, b: &PhasePlan| {
+            a.payload == b.payload
+                && (0..a.nranks()).all(|r| {
+                    let (x, y) = (a.rank(&self.store.arena, r), b.rank(&other.store.arena, r));
+                    x.owned_pairs().eq(y.owned_pairs())
+                        && x.packs().eq(y.packs())
+                        && x.unpacks().eq(y.unpacks())
+                })
+        };
+        self.expand.nranks() == other.expand.nranks()
+            && same_phase(&self.expand, &other.expand)
+            && same_phase(&self.fold, &other.fold)
+            && self.expand_costs == other.expand_costs
+            && self.compute_costs == other.compute_costs
+            && self.fold_costs == other.fold_costs
+            && self.sum_costs == other.sum_costs
     }
 
     /// Rank `r`'s expand-phase schedule view.
     #[inline]
     pub fn expand_rank(&self, r: usize) -> RankPlan<'_> {
-        self.expand.rank(&self.arena, r)
+        self.expand.rank(&self.store.arena, r)
     }
 
     /// Rank `r`'s fold-phase schedule view.
     #[inline]
     pub fn fold_rank(&self, r: usize) -> RankPlan<'_> {
-        self.fold.rank(&self.arena, r)
+        self.fold.rank(&self.store.arena, r)
     }
 
     /// Sum-phase flops charged to rank `r` per SpMV column.
@@ -561,7 +693,7 @@ impl CompiledSpmv {
 
     /// Entries in the shared index arena (after deduplication).
     pub fn arena_len(&self) -> usize {
-        self.arena.len()
+        self.store.arena.len()
     }
 
     /// Actual heap footprint of the compressed plan store: arena, entry
@@ -575,7 +707,7 @@ impl CompiledSpmv {
                 + (pl.pack_off.len() + pl.unpack_off.len() + pl.payload.len()) * 4)
                 as u64
         };
-        (self.arena.len() * 4) as u64
+        (self.store.arena.len() * 4) as u64
             + phase(&self.expand)
             + phase(&self.fold)
             + (4 * self.expand_costs.len() * size_of::<PhaseCost>()) as u64
@@ -715,11 +847,17 @@ impl SpmvWorkspace {
         }
         self.expand_bufs.resize_with(blocks.len(), Vec::new);
         self.fold_bufs.resize_with(blocks.len(), Vec::new);
+        // Cleared first: `reserve` counts from the length, and the last
+        // product's payload is still in there — every buffer would sit at
+        // twice its need, and double again whenever a patched plan's
+        // payload grows by one.
         for (r, buf) in self.expand_bufs.iter_mut().enumerate() {
-            buf.reserve(compiled.expand.payload_doubles(r) * width);
+            buf.clear();
+            buf.reserve_exact(compiled.expand.payload_doubles(r) * width);
         }
         for (r, buf) in self.fold_bufs.iter_mut().enumerate() {
-            buf.reserve(compiled.fold.payload_doubles(r) * width);
+            buf.clear();
+            buf.reserve_exact(compiled.fold.payload_doubles(r) * width);
         }
     }
 }

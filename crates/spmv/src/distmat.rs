@@ -11,6 +11,9 @@ use crate::compiled::CompiledSpmv;
 use crate::map::VectorMap;
 use crate::plan::CommPlan;
 
+/// A stored nonzero: `(row gid, col gid, value)`.
+type Nonzero = (u32, u32, f64);
+
 /// One rank's share of the matrix.
 #[derive(Debug, Clone)]
 pub struct RankBlock {
@@ -29,6 +32,151 @@ impl RankBlock {
     pub fn col_lid(&self, gid: u32) -> usize {
         self.colmap.binary_search(&gid).expect("gid in column map")
     }
+
+    /// Assembles a block from its nonzeros in row-major order without
+    /// duplicates — the order both a global CSR
+    /// sweep and a block merge produce. The row map is then a run-length
+    /// dedup and the local CSR needs no sort; keeping both maps ascending
+    /// keeps every local row in ascending-gid column order, which fixes
+    /// the per-row summation order and with it every result bit.
+    fn from_sorted(entries: &[Nonzero]) -> RankBlock {
+        let mut rowmap: Vec<u32> = entries.iter().map(|e| e.0).collect();
+        rowmap.dedup();
+        let mut colmap: Vec<u32> = entries.iter().map(|e| e.1).collect();
+        colmap.sort_unstable();
+        colmap.dedup();
+
+        let mut rowptr = Vec::with_capacity(rowmap.len() + 1);
+        let mut colidx = Vec::with_capacity(entries.len());
+        let mut prev_row = None;
+        for (k, &(i, j, _)) in entries.iter().enumerate() {
+            if prev_row != Some(i) {
+                rowptr.push(k);
+                prev_row = Some(i);
+            }
+            colidx.push(colmap.binary_search(&j).expect("column just mapped") as u32);
+        }
+        rowptr.push(entries.len());
+        let values = entries.iter().map(|e| e.2).collect();
+        let local = CsrMatrix::from_parts(rowmap.len(), colmap.len(), rowptr, colidx, values)
+            .expect("block entries are row-major sorted and duplicate-free");
+        RankBlock {
+            rowmap,
+            colmap,
+            local,
+        }
+    }
+
+    /// Position of entry `(i, j)` in the local CSR arrays, if stored.
+    fn entry_pos(&self, i: u32, j: u32) -> Option<usize> {
+        let li = self.rowmap.binary_search(&i).ok()?;
+        let lj = self.colmap.binary_search(&j).ok()? as u32;
+        let k = self.local.row(li).0.binary_search(&lj).ok()?;
+        Some(self.local.rowptr()[li] + k)
+    }
+
+    /// The block's nonzeros, row-major.
+    fn entries(&self) -> impl Iterator<Item = Nonzero> + '_ {
+        self.local
+            .iter()
+            .map(|(li, lj, v)| (self.rowmap[li as usize], self.colmap[lj as usize], v))
+    }
+
+    /// Applies `changes` — `(i, j, new value or removal)`, ascending and
+    /// unique in `(i, j)`, all owned by this rank. Re-weights of stored
+    /// entries are written in place; anything else rebuilds the block by
+    /// one linear merge, which leaves it equal to a from-scratch assembly
+    /// of the changed nonzeros.
+    fn apply(&mut self, changes: &[(u32, u32, Option<f64>)]) -> BlockChange {
+        let stored: Vec<Option<usize>> = changes
+            .iter()
+            .map(|&(i, j, _)| self.entry_pos(i, j))
+            .collect();
+        if changes
+            .iter()
+            .zip(&stored)
+            .all(|(c, at)| c.2.is_some() == at.is_some())
+        {
+            // Every set hits a stored entry, every removal an absent one.
+            let values = self.local.values_mut();
+            for (c, at) in changes.iter().zip(&stored) {
+                if let (Some(v), Some(k)) = (c.2, *at) {
+                    values[k] = v;
+                }
+            }
+            return BlockChange::Values;
+        }
+        let mut merged = Vec::with_capacity(self.local.nnz() + changes.len());
+        let set = |c: &(u32, u32, Option<f64>)| c.2.map(|v| (c.0, c.1, v));
+        let mut k = 0;
+        for old in self.entries() {
+            let at = (old.0, old.1);
+            while k < changes.len() && (changes[k].0, changes[k].1) < at {
+                merged.extend(set(&changes[k]));
+                k += 1;
+            }
+            if k < changes.len() && (changes[k].0, changes[k].1) == at {
+                merged.extend(set(&changes[k]));
+                k += 1;
+            } else {
+                merged.push(old);
+            }
+        }
+        merged.extend(changes[k..].iter().filter_map(set));
+        let new = RankBlock::from_sorted(&merged);
+        let maps_changed = new.rowmap != self.rowmap || new.colmap != self.colmap;
+        *self = new;
+        if maps_changed {
+            BlockChange::Maps
+        } else {
+            BlockChange::Pattern
+        }
+    }
+
+    /// Global ids in `ids` (a row or column map) that `r` does not own:
+    /// the partial-y rows it must export, the x entries it must import.
+    fn remote(ids: &[u32], vmap: &VectorMap, r: usize) -> Vec<u32> {
+        ids.iter()
+            .copied()
+            .filter(|&g| vmap.owner(g) != r as u32)
+            .collect()
+    }
+}
+
+/// How far a delta reached into one rank's block.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum BlockChange {
+    /// Values only: no map, plan, schedule or cost changes.
+    Values,
+    /// The sparsity pattern changed inside the existing row and column
+    /// maps: the rank's compute cost changes, its schedule does not.
+    Pattern,
+    /// The row or column map changed: local ids shift, messages may too.
+    Maps,
+}
+
+/// One change to the global matrix: entry `(i, j)` takes `value`, or is
+/// removed when `value` is `None`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct EntryDelta {
+    /// Global row.
+    pub i: u32,
+    /// Global column.
+    pub j: u32,
+    /// The entry's new value; `None` removes it.
+    pub value: Option<f64>,
+}
+
+/// What one [`DistCsrMatrix::apply_delta`] touched.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct DeltaReport {
+    /// Ranks whose block was written or whose schedule was lowered again
+    /// — what the application cost.
+    pub dirty_ranks: usize,
+    /// The ranks among them whose compiled schedule was lowered again.
+    pub relowered: usize,
+    /// Whether the plan arena was compacted by a full compile.
+    pub compacted: bool,
 }
 
 /// A matrix distributed across logical ranks according to any
@@ -86,77 +234,34 @@ impl DistCsrMatrix {
         let p = dist.nprocs();
         let vmap = Arc::new(VectorMap::from_dist(dist));
 
-        // Bucket nonzeros by owner (serial: one pass over the input).
-        let mut buckets: Vec<Vec<(u32, u32, f64)>> = vec![Vec::new(); p];
+        // Bucket nonzeros by owner (serial: one pass over the input, so
+        // every bucket stays in the input's row-major order).
+        let mut buckets: Vec<Vec<Nonzero>> = vec![Vec::new(); p];
         for (i, j, v) in a.iter() {
             buckets[dist.nonzero_owner(i, j) as usize].push((i, j, v));
         }
 
         // Assemble every rank's block independently: each slot carries its
-        // bucket in and its finished block + remote-id lists out.
-        struct Slot {
-            bucket: Vec<(u32, u32, f64)>,
-            block: Option<RankBlock>,
-            needed_cols: Vec<u32>,
-            contributed_rows: Vec<u32>,
-        }
-        let mut slots: Vec<Slot> = buckets
-            .into_iter()
-            .map(|bucket| Slot {
-                bucket,
-                block: None,
-                needed_cols: Vec::new(),
-                contributed_rows: Vec::new(),
-            })
-            .collect();
-        sf2d_sim::sf2d_par::par_ranks_with(threads, pool, &mut slots, |r, slot| {
-            let bucket = std::mem::take(&mut slot.bucket);
-            // Row and column maps: sorted unique ids.
-            let mut rowmap: Vec<u32> = bucket.iter().map(|&(i, _, _)| i).collect();
-            rowmap.sort_unstable();
-            rowmap.dedup();
-            let mut colmap: Vec<u32> = bucket.iter().map(|&(_, j, _)| j).collect();
-            colmap.sort_unstable();
-            colmap.dedup();
-
-            // Local CSR in (row lid, col lid) coordinates.
-            let mut coo = CooMatrix::with_capacity(rowmap.len(), colmap.len(), bucket.len());
-            for (i, j, v) in bucket {
-                let li = rowmap.binary_search(&i).unwrap() as u32;
-                let lj = colmap.binary_search(&j).unwrap() as u32;
-                coo.push(li, lj, v);
-            }
-            let local = CsrMatrix::from_coo(&coo);
-
-            // Remote x entries this rank must import.
-            slot.needed_cols = colmap
-                .iter()
-                .copied()
-                .filter(|&g| vmap.owner(g) != r as u32)
-                .collect();
-            // Rows whose partial y must be exported.
-            slot.contributed_rows = rowmap
-                .iter()
-                .copied()
-                .filter(|&g| vmap.owner(g) != r as u32)
-                .collect();
-
-            slot.block = Some(RankBlock {
-                rowmap,
-                colmap,
-                local,
-            });
+        // bucket in and its finished block out.
+        let mut slots: Vec<(Vec<Nonzero>, Option<RankBlock>)> =
+            buckets.into_iter().map(|bucket| (bucket, None)).collect();
+        sf2d_sim::sf2d_par::par_ranks_with(threads, pool, &mut slots, |_, (bucket, block)| {
+            *block = Some(RankBlock::from_sorted(&std::mem::take(bucket)));
         });
+        let blocks: Vec<RankBlock> = slots
+            .into_iter()
+            .map(|(_, block)| block.expect("every rank assembled"))
+            .collect();
 
-        let mut blocks = Vec::with_capacity(p);
-        let mut needed_cols: Vec<Vec<u32>> = Vec::with_capacity(p);
-        let mut contributed_rows: Vec<Vec<u32>> = Vec::with_capacity(p);
-        for slot in slots {
-            blocks.push(slot.block.expect("every rank assembled"));
-            needed_cols.push(slot.needed_cols);
-            contributed_rows.push(slot.contributed_rows);
-        }
-
+        let ranked = || blocks.iter().enumerate();
+        // Remote x entries each rank must import.
+        let needed_cols: Vec<Vec<u32>> = ranked()
+            .map(|(r, b)| RankBlock::remote(&b.colmap, &vmap, r))
+            .collect();
+        // Rows whose partial y must be exported.
+        let contributed_rows: Vec<Vec<u32>> = ranked()
+            .map(|(r, b)| RankBlock::remote(&b.rowmap, &vmap, r))
+            .collect();
         let import = CommPlan::gather(&needed_cols, &vmap);
         let export = CommPlan::gather(&contributed_rows, &vmap);
         let compiled = CompiledSpmv::compile_with(&vmap, &blocks, &import, &export, threads, pool);
@@ -168,6 +273,98 @@ impl DistCsrMatrix {
             import,
             export,
             compiled,
+        }
+    }
+
+    /// Applies entry changes in place — the dirty-rank `FillComplete`.
+    /// Afterwards `self` is *schedule-equal* to
+    /// [`from_global`](DistCsrMatrix::from_global) of the changed global
+    /// matrix under the same `dist`: `blocks`, `import` and `export` are
+    /// `==`, and `compiled` is the
+    /// [same schedule](CompiledSpmv::same_schedule) (arena offsets may
+    /// differ), so products are bitwise equal and bill identically.
+    ///
+    /// Deltas are grouped by `dist.nonzero_owner`, the last delta to an
+    /// entry winning, and each dirty rank's block is touched once. The
+    /// cost follows the reach of the change:
+    /// * a re-weight of a stored entry overwrites one value;
+    /// * a pattern change inside a rank's row and column maps rebuilds
+    ///   that block by a linear merge and updates its compute cost;
+    /// * only when a row or column enters or leaves a rank's maps do the
+    ///   plans change — that rank's need-lists are regrouped, the one
+    ///   message entry of each affected peer is rewritten, and exactly
+    ///   those ranks are lowered again (`CompiledSpmv::patch`).
+    ///
+    /// Removing an absent entry is a no-op.
+    ///
+    /// # Panics
+    /// Panics if `dist` has another shape than the layout `self` was built
+    /// on, or a delta lies outside the matrix.
+    pub fn apply_delta<L: NonzeroLayout + ?Sized>(
+        &mut self,
+        dist: &L,
+        deltas: &[EntryDelta],
+    ) -> DeltaReport {
+        assert_eq!(dist.n(), self.n, "layout dimension mismatch");
+        assert_eq!(dist.nprocs(), self.nprocs(), "layout rank-count mismatch");
+        // (owner, i, j, arrival): after sorting, the last of each
+        // (owner, i, j) run is the delta that wins.
+        let mut keyed: Vec<(u32, u32, u32, usize)> = deltas
+            .iter()
+            .enumerate()
+            .map(|(k, d)| {
+                assert!(
+                    (d.i as usize) < self.n && (d.j as usize) < self.n,
+                    "delta ({}, {}) outside an {n} x {n} matrix",
+                    d.i,
+                    d.j,
+                    n = self.n
+                );
+                (dist.nonzero_owner(d.i, d.j), d.i, d.j, k)
+            })
+            .collect();
+        keyed.sort_unstable();
+
+        let mut written = Vec::new();
+        let mut resized = Vec::new();
+        let mut relower = Vec::new();
+        for run in keyed.chunk_by(|a, b| a.0 == b.0) {
+            let r = run[0].0 as usize;
+            let changes: Vec<(u32, u32, Option<f64>)> = run
+                .chunk_by(|a, b| (a.1, a.2) == (b.1, b.2))
+                .map(|same| same[same.len() - 1])
+                .map(|(_, i, j, k)| (i, j, deltas[k].value))
+                .collect();
+            written.push(r);
+            let change = self.blocks[r].apply(&changes);
+            if change != BlockChange::Values {
+                resized.push(r);
+            }
+            if change == BlockChange::Maps {
+                let block = &self.blocks[r];
+                let cols = RankBlock::remote(&block.colmap, &self.vmap, r);
+                let rows = RankBlock::remote(&block.rowmap, &self.vmap, r);
+                let peers = (self.import.set_needed(r, &cols, &self.vmap).into_iter())
+                    .chain(self.export.set_needed(r, &rows, &self.vmap));
+                relower.push(r);
+                relower.extend(peers.map(|q| q as usize));
+            }
+        }
+        relower.sort_unstable();
+        relower.dedup();
+        let compacted = self.compiled.patch(
+            &self.vmap,
+            &self.blocks,
+            &self.import,
+            &self.export,
+            &resized,
+            &relower,
+        );
+        written.retain(|r| relower.binary_search(r).is_err());
+        DeltaReport {
+            dirty_ranks: written.len() + relower.len(),
+            relowered: relower.len(),
+            compacted,
         }
     }
 

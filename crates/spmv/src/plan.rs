@@ -22,6 +22,47 @@ pub struct CommPlan {
     pub recvs: Vec<Vec<(u32, Vec<u32>)>>,
 }
 
+/// Groups rank `r`'s sorted need-list by owner: `(owner, gids)` with
+/// owners ascending and gids ascending within each; gids `r` owns itself
+/// are skipped (no self-messages).
+fn group_by_owner(r: usize, need: &[u32], source: &VectorMap) -> Vec<(u32, Vec<u32>)> {
+    // A real assert (not debug_assert): plans are built once per
+    // matrix, the check is linear, and an unsorted need-list would
+    // silently desync the compiled pack/unpack schedules.
+    assert!(
+        need.windows(2).all(|w| w[0] < w[1]),
+        "needed list must be sorted"
+    );
+    // Group by owner via (owner, gid) pairs and a stable sort —
+    // not a `vec![Vec::new(); p]` scratch table, which would make
+    // plan construction O(p²) across ranks and dominate
+    // FillComplete at p = 16,384 where most ranks need only a
+    // handful of remote gids. The stable sort keeps gids
+    // ascending within each owner; owners come out ascending.
+    let mut pairs: Vec<(u32, u32)> = need
+        .iter()
+        .map(|&gid| (source.owner(gid), gid))
+        .filter(|&(o, _)| o as usize != r)
+        .collect();
+    pairs.sort_by_key(|&(o, _)| o);
+    pairs
+        .chunk_by(|a, b| a.0 == b.0)
+        .map(|run| (run[0].0, run.iter().map(|&(_, g)| g).collect()))
+        .collect()
+}
+
+/// The gid list `msgs` (peer-ascending) holds for `peer`, if any.
+fn gids_from(msgs: &[(u32, Vec<u32>)], peer: u32) -> Option<&Vec<u32>> {
+    let k = msgs.binary_search_by_key(&peer, |m| m.0).ok()?;
+    Some(&msgs[k].1)
+}
+
+/// One endpoint's cost of a message list: a message each, 8 bytes per gid.
+fn side_cost(msgs: &[(u32, Vec<u32>)]) -> PhaseCost {
+    let doubles: u64 = msgs.iter().map(|(_, g)| g.len() as u64).sum();
+    PhaseCost::comm(msgs.len() as u64, 8 * doubles)
+}
+
 impl CommPlan {
     /// Builds a gather plan: rank `r` needs the values of `needed[r]`
     /// (sorted gids); each is supplied by its owner in `source`. Gids owned
@@ -30,40 +71,11 @@ impl CommPlan {
         let p = source.nprocs();
         assert_eq!(needed.len(), p, "one needed-list per rank");
         let mut sends: Vec<Vec<(u32, Vec<u32>)>> = vec![Vec::new(); p];
-        let mut recvs: Vec<Vec<(u32, Vec<u32>)>> = vec![Vec::new(); p];
-
-        // Group each rank's needs by owner; needed lists are sorted, so the
-        // per-owner gid lists come out sorted too.
-        for (r, need) in needed.iter().enumerate() {
-            // A real assert (not debug_assert): plans are built once per
-            // matrix, the check is linear, and an unsorted need-list would
-            // silently desync the compiled pack/unpack schedules.
-            assert!(
-                need.windows(2).all(|w| w[0] < w[1]),
-                "needed list must be sorted"
-            );
-            // Group by owner via (owner, gid) pairs and a stable sort —
-            // not a `vec![Vec::new(); p]` scratch table, which would make
-            // plan construction O(p²) across ranks and dominate
-            // FillComplete at p = 16,384 where most ranks need only a
-            // handful of remote gids. The stable sort keeps gids
-            // ascending within each owner; owners come out ascending.
-            let mut pairs: Vec<(u32, u32)> = need
-                .iter()
-                .map(|&gid| (source.owner(gid), gid))
-                .filter(|&(o, _)| o as usize != r)
-                .collect();
-            pairs.sort_by_key(|&(o, _)| o);
-            let mut i = 0;
-            while i < pairs.len() {
-                let owner = pairs[i].0;
-                let start = i;
-                while i < pairs.len() && pairs[i].0 == owner {
-                    i += 1;
-                }
-                recvs[r].push((owner, pairs[start..i].iter().map(|&(_, g)| g).collect()));
-            }
-        }
+        let recvs: Vec<Vec<(u32, Vec<u32>)>> = needed
+            .iter()
+            .enumerate()
+            .map(|(r, need)| group_by_owner(r, need, source))
+            .collect();
         // Mirror receives into sends, destination-ascending.
         for r in 0..p {
             for (src, gids) in &recvs[r] {
@@ -81,31 +93,53 @@ impl CommPlan {
         self.p
     }
 
+    /// Replaces rank `r`'s need-list — [`gather`](CommPlan::gather) for
+    /// one rank of an existing plan. `recvs[r]` is regrouped, and the one
+    /// `sends` entry of every source whose gid list for `r` changed is
+    /// rewritten, created or deleted. Returns those sources, ascending;
+    /// the plan equals a from-scratch `gather` of the updated need-lists.
+    pub fn set_needed(&mut self, r: usize, needed: &[u32], source: &VectorMap) -> Vec<u32> {
+        let new = group_by_owner(r, needed, source);
+        let old = std::mem::replace(&mut self.recvs[r], new);
+        let new = &self.recvs[r];
+        let mut touched: Vec<u32> = old.iter().chain(new).map(|m| m.0).collect();
+        touched.sort_unstable();
+        touched.dedup();
+        touched.retain(|&src| gids_from(&old, src) != gids_from(new, src));
+        for &src in &touched {
+            let out = &mut self.sends[src as usize];
+            match (
+                out.binary_search_by_key(&(r as u32), |m| m.0),
+                gids_from(new, src),
+            ) {
+                (Ok(k), Some(gids)) => out[k].1.clone_from(gids),
+                (Ok(k), None) => {
+                    out.remove(k);
+                }
+                (Err(k), Some(gids)) => out.insert(k, (r as u32, gids.clone())),
+                (Err(_), None) => unreachable!("sends mirror recvs"),
+            }
+        }
+        touched
+    }
+
     /// Send-side cost per rank: one message per destination, 8 bytes per
     /// value.
     pub fn send_costs(&self) -> Vec<PhaseCost> {
-        self.sends
-            .iter()
-            .map(|out| {
-                let msgs = out.len() as u64;
-                let doubles: u64 = out.iter().map(|(_, g)| g.len() as u64).sum();
-                PhaseCost::comm(msgs, 8 * doubles)
-            })
-            .collect()
+        self.sends.iter().map(|out| side_cost(out)).collect()
     }
 
-    /// Full per-rank phase cost: each message charges latency and bytes at
-    /// **both** endpoints. This is what the SpMV phases use — a hub rank
-    /// that receives from everyone pays for it, which is how receive-side
-    /// hot spots slow the paper's block layouts.
+    /// Full phase cost of rank `r`: each message charges latency and
+    /// bytes at **both** endpoints. This is what the SpMV phases use — a
+    /// hub rank that receives from everyone pays for it, which is how
+    /// receive-side hot spots slow the paper's block layouts.
+    pub fn rank_phase_cost(&self, r: usize) -> PhaseCost {
+        side_cost(&self.sends[r]).add(&side_cost(&self.recvs[r]))
+    }
+
+    /// [`rank_phase_cost`](CommPlan::rank_phase_cost) of every rank.
     pub fn phase_costs(&self) -> Vec<PhaseCost> {
-        let mut costs = self.send_costs();
-        for (r, inbox) in self.recvs.iter().enumerate() {
-            let msgs = inbox.len() as u64;
-            let doubles: u64 = inbox.iter().map(|(_, g)| g.len() as u64).sum();
-            costs[r] = costs[r].add(&PhaseCost::comm(msgs, 8 * doubles));
-        }
-        costs
+        (0..self.p).map(|r| self.rank_phase_cost(r)).collect()
     }
 
     /// Total doubles moved by one execution (each planned gid is one

@@ -1,6 +1,6 @@
 //! The serving differential battery: every answer the resident
-//! [`Engine`] produces — batched, plan-cached, budgeted, cache-hit or
-//! cache-miss — must be **bitwise equal** to a from-scratch one-shot
+//! [`Engine`] produces — batched, budgeted, on a current or a freshly
+//! patched plan — must be **bitwise equal** to a from-scratch one-shot
 //! [`sf2d_spmv::spmv`] of the same query against the same matrix.
 //!
 //! The sweep crosses batch widths {1, 3, 16} × p ∈ {1, 4, 16, 64} × all
@@ -10,8 +10,9 @@
 //! equal, superstep for superstep and bit for bit, a hand-rolled oracle
 //! that chunks the same queries into the same SpMM batches — the engine
 //! adds no hidden cost and loses no billed phase. Dedicated tests below
-//! pin the cache-hit vs cache-miss paths (same bits either way) and the
-//! budgeted wave-scheduled workspace cell.
+//! pin the current-plan vs patched-plan paths (same bits either way),
+//! mutations landing between `multiply`/`multiply_summa` calls and
+//! between chaos-mode batches, and the budgeted wave-scheduled cell.
 
 use sf2d_core::prelude::*;
 use sf2d_core::sf2d_gen::{chung_lu, erdos_renyi, powerlaw_degrees, rmat, RmatConfig};
@@ -127,9 +128,10 @@ fn erdos_renyi_replies_match_one_shot_spmv_on_all_layouts_procs_and_batches() {
     sweep(&erdos_renyi(150, 450, 13));
 }
 
-/// The two plan-resolution paths answer with the same bits: a cache hit
-/// (warm plan), then a mutation forcing the miss/recompile path, then a
-/// hit on the new plan — each compared to its own from-scratch oracle.
+/// The two plan-resolution paths answer with the same bits: a hit (the
+/// plan is current), then a mutation forcing the miss path that patches
+/// it in place, then a hit on the patched plan — each compared to its
+/// own from-scratch oracle.
 #[test]
 fn cache_hit_and_cache_miss_paths_are_bitwise_identical() {
     let a = rmat(&RmatConfig::graph500(7), 11);
@@ -147,7 +149,8 @@ fn cache_hit_and_cache_miss_paths_are_bitwise_identical() {
     let dm = DistCsrMatrix::from_global(&a, &dist);
     assert_bits_eq(&got, &one_shot(&dm, &queries[0]), "hit path");
 
-    // Miss path: a mutation bumps the epoch; the next batch recompiles.
+    // Miss path: a mutation bumps the epoch; the next batch patches the
+    // plan.
     let (i, mut j) = (0u32, 1u32);
     while engine.has_edge(i, j) {
         j += 1;
@@ -165,11 +168,66 @@ fn cache_hit_and_cache_miss_paths_are_bitwise_identical() {
     let dm = DistCsrMatrix::from_global(&mutated, &dist);
     assert_bits_eq(&got, &one_shot(&dm, &queries[1]), "miss path");
 
-    // Hit on the recompiled plan: same bits as the miss that built it.
+    // Hit on the patched plan: same bits as the miss that patched it.
     let hits = engine.metrics.cache_hits;
     let again = engine.query(&queries[1]);
     assert_eq!(engine.metrics.cache_hits, hits + 1, "took the hit path");
     assert_bits_eq(&again, &got, "hit after miss");
+}
+
+/// Mutations between repeated multiplies and between chaos-mode batches:
+/// both SpGEMM kernels read `blocks`/`import`/`export` of the patched
+/// plan, the chaos wire reads its compiled schedule, and each must see
+/// exactly what a from-scratch FillComplete of the mutated matrix gives.
+#[test]
+fn mutations_between_multiplies_and_chaos_batches_match_rebuilt_oracles() {
+    let a = rmat(&RmatConfig::graph500(7), 11);
+    let queries = queries_for(a.nrows());
+    let n = a.nrows() as u32;
+    for method in [Method::TwoDGp, Method::OneDRandom] {
+        let cfg = EngineConfig::new(method, 16)
+            .with_seed(SEED)
+            .with_max_batch(3)
+            .with_auto_repartition(false);
+        let mut engine = Engine::new(&a, cfg);
+        let dist = LayoutBuilder::new(&a, SEED).dist(method, 16);
+        let mut rt = ChaosRuntime::seeded(7, 0.3);
+        let mut oracle_ledger = CostLedger::new(Machine::cab());
+        for round in 0..6u32 {
+            // Insert, re-weight, remove, and a diagonal entry, in turn.
+            let (i, j) = ((round * 37 + 3) % n, (round * 59 + 10) % n);
+            match round % 4 {
+                0 | 1 => engine.insert_edge(i, j, 1.5 + round as f64),
+                2 => engine.remove_edge((i + n - 37) % n, (j + n - 59) % n),
+                _ => engine.insert_edge(i, i, 0.25),
+            };
+            let mutated = engine.global_matrix();
+            let fresh = DistCsrMatrix::from_global(&mutated, &dist);
+            let b = mutated.transpose();
+            let label = format!("{} round {round}", method.name());
+
+            let want = spgemm_dist(&fresh, &b, &mut oracle_ledger);
+            assert_eq!(engine.multiply().locals, want.locals, "{label}: multiply");
+            let want_summa = summa_dist(&fresh, &dist, &b, &mut oracle_ledger);
+            let got_summa = engine.multiply_summa();
+            assert_eq!(got_summa.locals, want_summa.locals, "{label}: summa");
+            assert_eq!(got_summa.bcast, want_summa.bcast, "{label}: summa traffic");
+
+            // A mutation between two chaos-mode batches of one stream.
+            engine.submit(queries[0].clone());
+            engine.submit(queries[1].clone());
+            let mut replies = engine.flush_chaos(&mut rt);
+            assert!(engine.insert_edge(i, (j + 1) % n, 2.5 + round as f64));
+            engine.submit(queries[2].clone());
+            replies.extend(engine.flush_chaos(&mut rt));
+            let after = DistCsrMatrix::from_global(&engine.global_matrix(), &dist);
+            for (reply, (dm, q)) in replies.iter().zip([(&fresh, 0), (&fresh, 1), (&after, 2)]) {
+                assert_bits_eq(&reply.y, &one_shot(dm, &queries[q]), &label);
+            }
+        }
+        assert!(rt.stats.any(), "the storm injected faults");
+        assert_eq!(engine.metrics.full_compiles, 1, "every epoch was a patch");
+    }
 }
 
 /// The budgeted cell: a scratch budget small enough to force multi-wave

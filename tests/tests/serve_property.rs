@@ -13,8 +13,11 @@
 //! one one-shot [`sf2d_spmv::spmv`]. Matching it pins the three
 //! invariants the engine promises: mutations are epoch barriers (a query
 //! answers against its submit-time state), plan swaps are atomic (no
-//! batch ever mixes epochs), and epochs are monotonic (a cached plan can
-//! never serve a stale answer).
+//! batch ever mixes epochs), and epochs are monotonic (a plan behind the
+//! epoch is never executed). The engine keeps up by patching its
+//! resident plan in place; the oracle rebuilding everything is what makes
+//! that a checked claim, and `full_compiles == 1 + repartitions` pins
+//! that no epoch bump fell back to a rebuild.
 
 use proptest::prelude::*;
 use sf2d_core::prelude::*;
@@ -122,6 +125,11 @@ fn run_engine(
         engine.global_matrix(),
         matrix_from(&shadow, a.nrows()),
         "resident matrix drifted from the mutation history"
+    );
+    assert_eq!(
+        engine.metrics.full_compiles,
+        1 + engine.metrics.repartitions,
+        "an epoch bump ran a full FillComplete"
     );
     (
         replies,
