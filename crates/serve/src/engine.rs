@@ -176,8 +176,11 @@ pub struct Engine {
     /// The plan serving batches — patched in place while this is the
     /// only `Arc`, swapped by a single `Arc` store otherwise.
     active: Arc<EnginePlan>,
-    /// Entry changes since `active.epoch`, in mutation order.
-    pending: Vec<EntryDelta>,
+    /// Entry changes since `active.epoch`, coalesced by entry: only the
+    /// last change to `(i, j)` is kept — the one `apply_delta` would let
+    /// win — so mutations with no query in between cannot grow this
+    /// beyond the distinct entries they touch.
+    pending: BTreeMap<(u32, u32), Option<f64>>,
     pool: Option<Pool>,
     ws: SpmvWorkspace,
     spgemm_ws: SpgemmWorkspace,
@@ -245,7 +248,7 @@ impl Engine {
             epoch: 0,
             dist,
             active,
-            pending: Vec::new(),
+            pending: BTreeMap::new(),
             pool,
             ws,
             spgemm_ws: SpgemmWorkspace::with_threads(cfg.threads),
@@ -389,9 +392,12 @@ impl Engine {
         } else {
             self.metrics.cache_misses += 1;
             let plan = Arc::make_mut(&mut self.active);
-            let report = plan.matrix.apply_delta(&*self.dist, &self.pending);
+            let deltas: Vec<EntryDelta> = std::mem::take(&mut self.pending)
+                .into_iter()
+                .map(|((i, j), value)| EntryDelta { i, j, value })
+                .collect();
+            let report = plan.matrix.apply_delta(&*self.dist, &deltas);
             plan.epoch = self.epoch;
-            self.pending.clear();
             self.metrics.plan_patches += 1;
             self.metrics.arena_compactions += u64::from(report.compacted);
             self.metrics.dirty_ranks.observe(report.dirty_ranks as u64);
@@ -422,11 +428,7 @@ impl Engine {
             if self.edges.insert((u, v), w).is_none() {
                 self.nnz_per_rank[self.dist.nonzero_owner(u, v) as usize] += 1;
             }
-            self.pending.push(EntryDelta {
-                i: u,
-                j: v,
-                value: Some(w),
-            });
+            self.pending.insert((u, v), Some(w));
         }
         self.bump_epoch();
         self.maybe_repartition();
@@ -446,11 +448,7 @@ impl Engine {
             if self.edges.remove(&(u, v)).is_some() {
                 self.nnz_per_rank[self.dist.nonzero_owner(u, v) as usize] -= 1;
             }
-            self.pending.push(EntryDelta {
-                i: u,
-                j: v,
-                value: None,
-            });
+            self.pending.insert((u, v), None);
         }
         self.bump_epoch();
         self.maybe_repartition();
@@ -774,6 +772,35 @@ mod tests {
     }
 
     #[test]
+    fn mutations_without_a_read_coalesce_to_the_entries_they_touch() {
+        let (a, queries) = fixture();
+        let cfg = EngineConfig::new(Method::TwoDRandom, 4);
+        let mut engine = Engine::new(&a, cfg.clone());
+        let (i, j, _) = a.iter().find(|&(i, j, _)| i != j).unwrap();
+        for k in 0..100_000u32 {
+            assert!(engine.insert_edge(i, j, 2.0 + k as f64));
+        }
+        assert_eq!(engine.epoch(), 100_000);
+        // One delta per orientation of the one edge.
+        assert_eq!(engine.pending.len(), 2);
+        // An insert taken back before anyone read it stays one (no-op)
+        // removal per orientation.
+        let absent = (0..a.nrows() as u32)
+            .find(|&v| v != i && !engine.has_edge(i, v))
+            .unwrap();
+        assert!(engine.insert_edge(i, absent, 1.0));
+        assert!(engine.remove_edge(i, absent));
+        assert_eq!(engine.pending.len(), 4);
+
+        let y = engine.query(&queries[0]);
+        assert!(engine.pending.is_empty());
+        assert_eq!(engine.metrics.plan_patches, 1);
+        let rebuilt = engine.global_matrix();
+        assert_eq!(rebuilt.get(i as usize, j), Some(100_001.0));
+        assert_bits_eq(&y, &oracle(&rebuilt, &cfg, &queries[0]), "rebuild oracle");
+    }
+
+    #[test]
     fn drift_triggers_auto_repartition_and_forced_repartition_works() {
         let (a, queries) = fixture();
         // Threshold 1.0 is below what any partition achieves, so drift is
@@ -915,7 +942,9 @@ mod tests {
         assert_eq!(engine.active().compiled, before, "0 schedule-dirty ranks");
 
         // A new edge inside rows and columns its owners already map: the
-        // blocks and their compute costs change, no message does.
+        // blocks and their compute costs change, no message does (a
+        // lengthened row may move in its block's stored order, which
+        // re-indexes that rank's own fold lists and nothing else).
         let mapped = |e: &Engine, i: u32, j: u32| {
             let block = &e.active().blocks[e.dist().nonzero_owner(i, j) as usize];
             block.rowmap.binary_search(&i).is_ok() && block.colmap.binary_search(&j).is_ok()
@@ -927,12 +956,18 @@ mod tests {
                 !engine.has_edge(i, j) && mapped(&engine, i, j) && mapped(&engine, j, i)
             })
             .expect("an absent edge inside mapped rows and columns");
+        let (import, export) = (
+            engine.active().import.clone(),
+            engine.active().export.clone(),
+        );
         assert!(engine.insert_edge(i, j, 1.0));
         let _ = engine.query(&queries[1]);
         let after = &engine.active().compiled;
         assert_eq!(engine.metrics.plan_patches, 2);
         assert_eq!(after.expand, before.expand);
-        assert_eq!(after.fold, before.fold);
+        assert_eq!(engine.active().import, import);
+        assert_eq!(engine.active().export, export);
+        assert_eq!(after.fold_costs, before.fold_costs);
         assert_ne!(after.compute_costs, before.compute_costs);
         assert_eq!(engine.metrics.full_compiles, 1);
 

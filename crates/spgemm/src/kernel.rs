@@ -202,7 +202,9 @@ pub(crate) fn decode_expand(
 
 /// Row-wise Gustavson over the rank's local A block: one SPA pass per
 /// local row, visiting A entries in ascending column order (the local CSR
-/// is colmap-lid sorted and the column map is gid-ascending). Fills the
+/// is colmap-lid sorted and the column map is gid-ascending). Rows are
+/// taken in the block's stored order, so partial row `s` belongs to
+/// stored row `s` — what the compiled fold lists index. Fills the
 /// partial-row buffers and returns the number of product terms.
 pub(crate) fn gustavson(scratch: &mut RankSpgemmScratch, block: &RankBlock, b: &CsrMatrix) -> u64 {
     let nloc = block.rowmap.len();
@@ -225,11 +227,10 @@ pub(crate) fn gustavson(scratch: &mut RankSpgemmScratch, block: &RankBlock, b: &
     part_cols.clear();
     part_vals.clear();
     let mut terms = 0u64;
-    for li in 0..nloc {
+    for (acols, avals) in block.stored_rows() {
         *spa_gen += 1;
         let gen = *spa_gen;
         touched.clear();
-        let (acols, avals) = block.local.row(li);
         for (&lj, &aij) in acols.iter().zip(avals) {
             let (bcols, bvals): (&[u32], &[f64]) = match brows[lj as usize] {
                 BRowRef::Local { gid } => b.row(gid as usize),
@@ -261,7 +262,7 @@ pub(crate) fn gustavson(scratch: &mut RankSpgemmScratch, block: &RankBlock, b: &
 }
 
 /// Packs one rank's fold payloads: the partial C rows named by the
-/// compiled pack indices (row-map positions).
+/// compiled pack indices (stored rows of the A block).
 pub(crate) fn pack_fold(buf: &mut MsgBufs, plan: RankPlan<'_>, scratch: &RankSpgemmScratch) {
     buf.reset();
     for (_owner, idxs, _off) in plan.packs() {

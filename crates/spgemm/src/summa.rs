@@ -449,7 +449,7 @@ fn pack_shuffle_a(buf: &mut DirBufs, o: usize, a: &DistCsrMatrix, rpart: &[u32],
             continue;
         }
         for li in 0..block.rowmap.len() {
-            let (lcols, vals) = block.local.row(li);
+            let (lcols, vals) = block.row(li);
             tc.clear();
             tv.clear();
             for (&lj, &v) in lcols.iter().zip(vals) {
@@ -486,7 +486,7 @@ fn build_a_block(
     let mut tc: Vec<u32> = Vec::new();
     let mut tv: Vec<f64> = Vec::new();
     for li in 0..block.rowmap.len() {
-        let (lcols, vals) = block.local.row(li);
+        let (lcols, vals) = block.row(li);
         tc.clear();
         tv.clear();
         for (&lj, &v) in lcols.iter().zip(vals) {

@@ -56,7 +56,7 @@ use std::ops::Range;
 use sf2d_sim::cost::PhaseCost;
 use sf2d_sim::sf2d_par::{par_ranks_with, Pool};
 
-use crate::distmat::RankBlock;
+use crate::distmat::{RankBlock, SPMM_CHUNK};
 use crate::map::VectorMap;
 use crate::plan::CommPlan;
 
@@ -421,12 +421,14 @@ fn lower_rank(
         .collect();
 
     // Fold: owned rows sum locally; the rest ship to their owner.
-    // `partials` is indexed by row-map position, so pack lists are
-    // row-map positions and unpack lists are y local ids.
+    // `partials` is indexed by the block's stored row (the local kernel
+    // writes it sequentially), so pack lists are stored rows — listed in
+    // the plan's gid order, which is the payload order — and unpack
+    // lists are y local ids.
     let mut f_owned = Vec::new();
     for (li, &g) in block.rowmap.iter().enumerate() {
         if vmap.owner(g) == r as u32 {
-            f_owned.push(li as u32);
+            f_owned.push(block.stored_row(li) as u32);
             f_owned.push(vmap.lid(g) as u32);
         }
     }
@@ -436,7 +438,8 @@ fn lower_rank(
             (
                 *owner,
                 gids.iter()
-                    .map(|&g| block.rowmap.binary_search(&g).expect("gid in row map") as u32)
+                    .map(|&g| block.rowmap.binary_search(&g).expect("gid in row map"))
+                    .map(|li| block.stored_row(li) as u32)
                     .collect(),
             )
         })
@@ -515,7 +518,7 @@ impl Interner {
 
 /// Local-compute cost of one rank: 2 flops per local nonzero.
 fn compute_cost(block: &RankBlock) -> PhaseCost {
-    PhaseCost::compute(2 * block.local.nnz() as u64)
+    PhaseCost::compute(2 * block.nnz() as u64)
 }
 
 impl CompiledSpmv {
@@ -589,9 +592,9 @@ impl CompiledSpmv {
     /// `export` changed at a few ranks — the dirty-rank form of
     /// [`compile`](CompiledSpmv::compile), and schedule-equal to it
     /// ([`same_schedule`](CompiledSpmv::same_schedule)). `relower` names,
-    /// ascending, every rank whose row or column map changed or whose
-    /// pack or unpack list gained, lost or rewrote a message; `resized`
-    /// every rank whose local nonzero count changed.
+    /// ascending, every rank whose row or column map or stored row order
+    /// changed or whose pack or unpack list gained, lost or rewrote a
+    /// message; `resized` every rank whose local nonzero count changed.
     ///
     /// Each `relower` rank is lowered again by the same `lower_rank` and
     /// spliced in; the ranks reading a rewritten send buffer only have
@@ -745,9 +748,22 @@ impl CompiledSpmv {
     }
 }
 
+/// Doubles of `(xcols, partials)` scratch rank `block` needs at SpMM
+/// width `width`: one column chunk of `xcols`, every column of
+/// `partials`. The wave planner's footprint and the executor's carving
+/// of the arena both come from here.
+pub(crate) fn scratch_split(block: &RankBlock, width: usize) -> (usize, usize) {
+    (
+        width.min(SPMM_CHUNK) * block.colmap.len(),
+        width * block.rowmap.len(),
+    )
+}
+
 /// Reusable scratch space for [`spmv`](crate::spmv::spmv) /
 /// [`spmm`](crate::spmv::spmm): one arena for the per-rank `xcols` /
-/// `partials` scratch and one flat `f64` send buffer per rank per phase.
+/// `partials` scratch (one column chunk of `xcols`, every column of
+/// `partials` — `scratch_split`) and one flat `f64` send buffer per rank
+/// per phase.
 ///
 /// A workspace is not tied to a matrix — buffers are (re)sized on first
 /// use with each matrix — so one workspace can serve a whole solve. The
@@ -771,6 +787,10 @@ pub struct SpmvWorkspace {
     budget: Option<u64>,
     /// The reusable xcols/partials arena, sized for the largest wave.
     pub(crate) scratch: Vec<f64>,
+    /// The per-rank costs of the superstep being charged, widened to the
+    /// product's width (unused at width 1, where the compiled costs are
+    /// charged as they stand).
+    pub(crate) widened: Vec<PhaseCost>,
     /// Per-rank flat expand-phase send payloads (one allocation per rank;
     /// messages at the plan's payload offsets). Destination ranks read
     /// them in place, so the simulated transport is zero-copy.
@@ -794,6 +814,7 @@ impl SpmvWorkspace {
             threads: threads.max(1),
             budget: None,
             scratch: Vec::new(),
+            widened: Vec::new(),
             expand_bufs: Vec::new(),
             fold_bufs: Vec::new(),
             waves: Vec::new(),
@@ -838,12 +859,19 @@ impl SpmvWorkspace {
     pub(crate) fn ensure(&mut self, blocks: &[RankBlock], compiled: &CompiledSpmv, width: usize) {
         let per_rank: Vec<u64> = blocks
             .iter()
-            .map(|b| 8 * (b.colmap.len() + width * b.rowmap.len()) as u64)
+            .map(|b| {
+                let (xcols, partials) = scratch_split(b, width);
+                8 * (xcols + partials) as u64
+            })
             .collect();
         self.waves = sf2d_sim::wave::plan_waves(&per_rank, self.budget);
         let need = sf2d_sim::wave::max_wave_bytes(&per_rank, &self.waves) as usize / 8;
         if self.scratch.len() < need {
-            self.scratch.resize(need, 0.0);
+            // Nothing in the arena outlives a product, so it grows by
+            // replacement: `resize` would copy the dead contents into a
+            // doubled allocation and hold both while it does.
+            self.scratch = Vec::new();
+            self.scratch = vec![0.0; need];
         }
         self.expand_bufs.resize_with(blocks.len(), Vec::new);
         self.fold_bufs.resize_with(blocks.len(), Vec::new);

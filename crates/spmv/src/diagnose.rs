@@ -369,7 +369,7 @@ pub fn spmv_time_hierarchical(a: &DistCsrMatrix, nm: &sf2d_sim::hierarchy::NodeM
     let compute = a
         .blocks
         .iter()
-        .map(|b| nm.gamma * 2.0 * b.local.nnz() as f64)
+        .map(|b| nm.gamma * 2.0 * b.nnz() as f64)
         .fold(0.0f64, f64::max);
     total + compute
 }

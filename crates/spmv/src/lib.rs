@@ -37,7 +37,7 @@ pub use compiled::{
     CompiledSpmv, IdxSpan, PackEntry, PhasePlan, RankPlan, SpmvWorkspace, UnpackEntry,
 };
 pub use diagnose::{diagnose_spmv, Bottleneck, PhaseDiagnosis};
-pub use distmat::{DeltaReport, DistCsrMatrix, EntryDelta, RankBlock};
+pub use distmat::{DeltaReport, DistCsrMatrix, EntryDelta, RankBlock, SPMM_CHUNK};
 pub use map::VectorMap;
 pub use migrate::MigrationPlan;
 pub use multivec::{DistMultiVector, DistVector};

@@ -16,8 +16,26 @@
 
 use sf2d_sim::cost::{CostLedger, Phase, PhaseCost};
 
-use crate::distmat::DistCsrMatrix;
+use crate::distmat::{DistCsrMatrix, RankBlock};
 use crate::multivec::{DistMultiVector, DistVector};
+
+/// `A_loc · xcols` indexed by **row-map position**: every row read
+/// through [`RankBlock::row`] and summed by the plain ascending-column
+/// loop of `CsrMatrix::spmv_dense_into` — the oracle for
+/// [`RankBlock::multiply`], sharing neither its row order nor its
+/// kernel.
+pub(crate) fn local_product(block: &RankBlock, xcols: &[f64]) -> Vec<f64> {
+    (0..block.rowmap.len())
+        .map(|li| {
+            let (cols, vals) = block.row(li);
+            let mut acc = 0.0;
+            for (&c, &v) in cols.iter().zip(vals) {
+                acc += v * xcols[c as usize];
+            }
+            acc
+        })
+        .collect()
+}
 
 /// Reference `y = A x`: identical contract and cost accounting to
 /// [`spmv`](crate::spmv::spmv), executed entirely through gid lookups.
@@ -52,8 +70,8 @@ pub fn spmv_ref(a: &DistCsrMatrix, x: &DistVector, y: &mut DistVector, ledger: &
         for &(g, v) in &imported[r] {
             xcols[block.col_lid(g)] = v;
         }
-        partials.push(block.local.spmv_dense(&xcols));
-        compute_costs.push(PhaseCost::compute(2 * block.local.nnz() as u64));
+        partials.push(local_product(block, &xcols));
+        compute_costs.push(PhaseCost::compute(2 * block.nnz() as u64));
     }
     ledger.superstep(Phase::LocalCompute, &compute_costs);
 
@@ -133,9 +151,9 @@ pub fn spmm_ref(
             for &(g, v) in &import_c[r] {
                 xcols[block.col_lid(g)] = v;
             }
-            partials[c].push(block.local.spmv_dense(&xcols));
+            partials[c].push(local_product(block, &xcols));
         }
-        compute_costs[r].flops += 2 * (m * block.local.nnz()) as u64;
+        compute_costs[r].flops += 2 * (m * block.nnz()) as u64;
     }
     ledger.superstep(Phase::LocalCompute, &compute_costs);
 

@@ -162,8 +162,8 @@ pub fn spmv_chaos(
         for &(g, v) in &imported[r] {
             xcols[block.col_lid(g)] = v;
         }
-        partials.push(block.local.spmv_dense(&xcols));
-        compute_costs.push(PhaseCost::compute(2 * block.local.nnz() as u64));
+        partials.push(crate::reference::local_product(block, &xcols));
+        compute_costs.push(PhaseCost::compute(2 * block.nnz() as u64));
     }
     ledger.superstep(Phase::LocalCompute, &compute_costs);
 

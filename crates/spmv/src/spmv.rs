@@ -23,16 +23,28 @@
 //!
 //! [`spmv`] and [`spmm`] share one executor: an SpMV is a width-1 SpMM
 //! (same schedules, same payload layout, costs widened by
-//! [`PhaseCost::widened`] — a no-op at width 1). When the workspace
-//! carries a **live-memory budget**, the unpack/compute/fold work runs in
-//! contiguous rank waves over one reusable scratch arena
+//! [`PhaseCost::widened`] — at width 1 the compiled cost vectors are
+//! charged as they stand, above it through one workspace-resident
+//! buffer). Phase 2 is one call per rank into the block kernel,
+//! [`RankBlock::multiply`](crate::distmat::RankBlock::multiply), which
+//! sweeps the block's rows in their stored `(nnz, gid)` order and writes
+//! the partials by stored row; the compiled fold lists index them the
+//! same way, so no permutation runs per product. A wider product goes
+//! through the kernel [`SPMM_CHUNK`] columns at a time: `xcols` is
+//! row-major over one chunk (`xcols[lid·w + c]`, each entry one
+//! contiguous copy out of the gid-major payload), so indices, values and
+//! loop exits are read once per chunk rather than once per column, while
+//! `partials` stay column-major and phases 3–4 do not know. When the
+//! workspace carries a **live-memory budget**, the unpack/compute/fold
+//! work runs in contiguous rank waves over one reusable scratch arena
 //! ([`sf2d_sim::wave`]): a rank's phase work reads only cross-rank state
 //! frozen before the phase (expand buffers written in phase 1, fold
 //! buffers read only in phase 4), so wave scheduling is invisible to both
 //! the results and the ledger. The original gid-based executors live on
-//! in [`reference`](crate::reference) as the oracle; the property tests in
-//! `tests/proptest_compiled.rs` pin this path to it bit-for-bit, ledger
-//! included.
+//! in [`reference`](crate::reference) as the oracle — they read every
+//! row through `RankBlock::row` and sum it with the plain serial loop —
+//! and the property tests in `tests/proptest_compiled.rs` pin this path
+//! to it bit-for-bit, ledger included.
 //!
 //! [`spmv_chaos_with`] / [`spmm_chaos_with`] are the same executor with
 //! both exchanges *also* mirrored onto a [`ChaosRuntime`] wire: the
@@ -52,9 +64,8 @@ use sf2d_sim::cost::{CostLedger, Phase, PhaseCost};
 use sf2d_sim::fault::{bill_retransmit, ChaosRuntime};
 use sf2d_sim::runtime::par_ranks;
 
-use crate::compiled::RankPlan;
-use crate::compiled::SpmvWorkspace;
-use crate::distmat::DistCsrMatrix;
+use crate::compiled::{scratch_split, RankPlan, SpmvWorkspace};
+use crate::distmat::{DistCsrMatrix, SPMM_CHUNK};
 use crate::multivec::{DistMultiVector, DistVector};
 
 thread_local! {
@@ -299,6 +310,25 @@ fn route_phase_chaos<'a>(
     }
 }
 
+/// Charges one superstep of a width-`m` product: the compiled per-rank
+/// costs as they stand at width 1, widened into the workspace's buffer
+/// above it.
+fn charge(
+    ledger: &mut CostLedger,
+    phase: Phase,
+    costs: &[PhaseCost],
+    m: usize,
+    widened: &mut Vec<PhaseCost>,
+) {
+    if m == 1 {
+        ledger.superstep(phase, costs);
+    } else {
+        widened.clear();
+        widened.extend(costs.iter().map(|c| c.widened(m as u64)));
+        ledger.superstep(phase, widened);
+    }
+}
+
 /// The shared 4-phase executor at SpMM width `x.ncols()` (1 = SpMV).
 ///
 /// `y_locals[r]` holds rank `r`'s output, column-major (`yl[c·nl + lid]`).
@@ -320,7 +350,16 @@ fn run_phases<X: ColumnAccess>(
 ) {
     let m = x.ncols();
     ws.ensure(&a.blocks, &a.compiled, m);
-    let threads = ws.threads;
+    let SpmvWorkspace {
+        threads,
+        scratch,
+        widened,
+        expand_bufs,
+        fold_bufs,
+        waves,
+        ..
+    } = ws;
+    let threads = *threads;
     let compiled = &a.compiled;
 
     // Phase 1 — expand: pack outgoing x values straight off the compiled
@@ -328,7 +367,7 @@ fn run_phases<X: ColumnAccess>(
     // Transport is zero-copy: the destination reads each payload in place
     // at the sender's payload offset recorded in its unpack entries.
     trace_span!(PhaseKind::Pack, spans.pack, {
-        par_ranks(threads, &mut ws.expand_bufs, |r, buf| {
+        par_ranks(threads, expand_bufs, |r, buf| {
             buf.clear();
             for (_dst, lids, _off) in compiled.expand_rank(r).packs() {
                 for &lid in lids {
@@ -340,19 +379,14 @@ fn run_phases<X: ColumnAccess>(
         })
     });
     note_gather();
-    let costs: Vec<PhaseCost> = compiled
-        .expand_costs
-        .iter()
-        .map(|c| c.widened(m as u64))
-        .collect();
-    ledger.superstep(Phase::Expand, &costs);
+    charge(ledger, Phase::Expand, &compiled.expand_costs, m, widened);
     if let Some(rt) = chaos.as_deref_mut() {
         route_phase_chaos(
             rt,
             ledger,
             a.nprocs(),
             m,
-            &ws.expand_bufs,
+            expand_bufs,
             |r| compiled.expand_rank(r),
             "spmv expand",
         );
@@ -366,44 +400,61 @@ fn run_phases<X: ColumnAccess>(
     // buffers (all written in phase 1); no zeroing is needed because
     // xcols is fully covered by owned + unpack entries and the local
     // kernel overwrites its whole output slice.
-    let waves = ws.waves.clone();
-    let ebufs = &ws.expand_bufs;
-    let scratch = &mut ws.scratch;
-    let fold_bufs = &mut ws.fold_bufs;
-    for w in &waves {
+    let ebufs = &*expand_bufs;
+    for w in waves.iter() {
         let mut rest: &mut [f64] = scratch;
         let mut views: Vec<(&mut [f64], &mut [f64])> = Vec::with_capacity(w.len());
         for r in w.clone() {
-            let (xc, r1) = rest.split_at_mut(a.blocks[r].colmap.len());
-            let (pt, r2) = r1.split_at_mut(m * a.blocks[r].rowmap.len());
+            let (nx, np) = scratch_split(&a.blocks[r], m);
+            let (xc, r1) = rest.split_at_mut(nx);
+            let (pt, r2) = r1.split_at_mut(np);
             rest = r2;
             views.push((xc, pt));
         }
 
         // Phase 2 — local compute: assemble xcols (owned copies +
         // unpacked messages; the two cover every position exactly once)
-        // and run the local kernel per column into the partials view.
+        // and run the block kernel into the partials view, which it
+        // indexes by stored row. A wider product goes chunk by chunk:
+        // xcols holds SPMM_CHUNK columns row-major, each lid's values
+        // one contiguous copy out of the gid-major payload.
         trace_span!(PhaseKind::LocalCompute, spans.compute, {
             par_ranks(threads, &mut views, |i, (xcols, partials)| {
                 let r = w.start + i;
                 let plan = compiled.expand_rank(r);
                 let block = &a.blocks[r];
-                let rl = block.rowmap.len();
-                for c in 0..m {
-                    let xc = x.col(r, c);
+                if m == 1 {
+                    let xc = x.col(r, 0);
                     for (src, dst) in plan.owned_pairs() {
                         xcols[dst as usize] = xc[src as usize];
                     }
                     for (src, _slot, off, lids) in plan.unpacks() {
-                        let off = off as usize * m;
-                        let data = &ebufs[src as usize][off..off + lids.len() * m];
-                        for (k, &lid) in lids.iter().enumerate() {
-                            xcols[lid as usize] = data[k * m + c];
+                        let off = off as usize;
+                        let data = &ebufs[src as usize][off..off + lids.len()];
+                        for (&lid, &v) in lids.iter().zip(data) {
+                            xcols[lid as usize] = v;
                         }
                     }
-                    block
-                        .local
-                        .spmv_dense_into(xcols, &mut partials[c * rl..(c + 1) * rl]);
+                    return block.multiply(xcols, 1, partials);
+                }
+                let rl = block.rowmap.len();
+                for c0 in (0..m).step_by(SPMM_CHUNK) {
+                    let cw = SPMM_CHUNK.min(m - c0);
+                    let xcols = &mut xcols[..cw * block.colmap.len()];
+                    for k in 0..cw {
+                        let xc = x.col(r, c0 + k);
+                        for (src, dst) in plan.owned_pairs() {
+                            xcols[dst as usize * cw + k] = xc[src as usize];
+                        }
+                    }
+                    for (src, _slot, off, lids) in plan.unpacks() {
+                        let off = off as usize * m;
+                        let data = &ebufs[src as usize][off..off + lids.len() * m];
+                        for (&lid, vals) in lids.iter().zip(data.chunks_exact(m)) {
+                            xcols[lid as usize * cw..][..cw].copy_from_slice(&vals[c0..c0 + cw]);
+                        }
+                    }
+                    block.multiply(xcols, cw, &mut partials[c0 * rl..(c0 + cw) * rl]);
                 }
             })
         });
@@ -441,25 +492,21 @@ fn run_phases<X: ColumnAccess>(
             }
         });
     }
-    let costs: Vec<PhaseCost> = compiled
-        .compute_costs
-        .iter()
-        .map(|c| c.widened(m as u64))
-        .collect();
-    ledger.superstep(Phase::LocalCompute, &costs);
-    let costs: Vec<PhaseCost> = compiled
-        .fold_costs
-        .iter()
-        .map(|c| c.widened(m as u64))
-        .collect();
-    ledger.superstep(Phase::Fold, &costs);
+    charge(
+        ledger,
+        Phase::LocalCompute,
+        &compiled.compute_costs,
+        m,
+        widened,
+    );
+    charge(ledger, Phase::Fold, &compiled.fold_costs, m, widened);
     if let Some(rt) = chaos {
         route_phase_chaos(
             rt,
             ledger,
             a.nprocs(),
             m,
-            &ws.fold_bufs,
+            fold_bufs,
             |r| compiled.fold_rank(r),
             "spmv fold",
         );
@@ -468,7 +515,7 @@ fn run_phases<X: ColumnAccess>(
     // Phase 4 — sum: add arriving partials in plan order (sources
     // ascending — the same per-element order as the reference executor,
     // which is what makes the result bit-identical).
-    let fbufs = &ws.fold_bufs;
+    let fbufs = &*fold_bufs;
     trace_span!(PhaseKind::Unpack, spans.sum, {
         par_ranks(threads, y_locals, |r, yl| {
             let nl = a.vmap.nlocal(r);
@@ -483,12 +530,7 @@ fn run_phases<X: ColumnAccess>(
             }
         })
     });
-    let costs: Vec<PhaseCost> = compiled
-        .sum_costs
-        .iter()
-        .map(|c| c.widened(m as u64))
-        .collect();
-    ledger.superstep(Phase::Sum, &costs);
+    charge(ledger, Phase::Sum, &compiled.sum_costs, m, widened);
 }
 
 #[cfg(test)]

@@ -3,8 +3,9 @@
 //! workspace level — not just in `sf2d_sim::wave::plan_waves` unit tests —
 //! before the serving engine reuses a budgeted workspace across batches.
 //!
-//! The per-rank footprint at width `m` is `8·(|colmap| + m·|rowmap|)`
-//! bytes (xcols view + column-major partials view). Pinned here:
+//! The per-rank footprint at width `m` is
+//! `8·(min(m, SPMM_CHUNK)·|colmap| + m·|rowmap|)` bytes (one row-major
+//! column chunk of xcols + the column-major partials view). Pinned here:
 //!
 //! * a budget smaller than *any* single rank's expand payload degrades to
 //!   one singleton wave per rank, with the overshoot visible through
@@ -19,7 +20,7 @@ use std::sync::Arc;
 use sf2d_gen::{rmat, RmatConfig};
 use sf2d_partition::MatrixDist;
 use sf2d_sim::{CostLedger, Machine};
-use sf2d_spmv::{spmm_with, DistCsrMatrix, DistMultiVector, SpmvWorkspace};
+use sf2d_spmv::{spmm_with, DistCsrMatrix, DistMultiVector, SpmvWorkspace, SPMM_CHUNK};
 
 /// SpGEMM-sized width: `spgemm` expands whole B-rows, so its payloads per
 /// entry are this many doubles wide, not 1.
@@ -41,7 +42,7 @@ fn fixture() -> (DistCsrMatrix, DistMultiVector, Vec<u64>) {
     let foot: Vec<u64> = dm
         .blocks
         .iter()
-        .map(|b| 8 * (b.colmap.len() + WIDTH * b.rowmap.len()) as u64)
+        .map(|b| 8 * (WIDTH.min(SPMM_CHUNK) * b.colmap.len() + WIDTH * b.rowmap.len()) as u64)
         .collect();
     (dm, x, foot)
 }

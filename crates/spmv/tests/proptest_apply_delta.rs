@@ -73,8 +73,9 @@ fn apply_shadow(entries: &mut Entries, batch: &[EntryDelta]) {
     }
 }
 
-/// One SpMV and one 3-wide SpMM through `dm`: value bits, ledger history.
-fn products(dm: &DistCsrMatrix) -> (Vec<u64>, Vec<(sf2d_sim::Phase, f64)>) {
+/// One SpMV and one `width`-wide SpMM through `dm`: value bits, ledger
+/// history.
+fn products_at(dm: &DistCsrMatrix, width: usize) -> (Vec<u64>, Vec<(sf2d_sim::Phase, f64)>) {
     let n = dm.n;
     let col = |c: usize| -> Vec<f64> {
         (0..n)
@@ -86,12 +87,12 @@ fn products(dm: &DistCsrMatrix) -> (Vec<u64>, Vec<(sf2d_sim::Phase, f64)>) {
     let x = DistVector::from_global(Arc::clone(&dm.vmap), &col(0));
     let mut y = DistVector::zeros(Arc::clone(&dm.vmap));
     spmv_with(dm, &x, &mut y, &mut ledger, &mut ws);
-    let cols: Vec<Vec<f64>> = (1..4).map(col).collect();
+    let cols: Vec<Vec<f64>> = (1..=width).map(col).collect();
     let xm = DistMultiVector::from_columns(Arc::clone(&dm.vmap), &cols);
-    let mut ym = DistMultiVector::zeros(Arc::clone(&dm.vmap), 3);
+    let mut ym = DistMultiVector::zeros(Arc::clone(&dm.vmap), width);
     spmm_with(dm, &xm, &mut ym, &mut ledger, &mut ws);
     let mut bits: Vec<u64> = y.to_global().iter().map(|v| v.to_bits()).collect();
-    for c in 0..3 {
+    for c in 0..width {
         bits.extend(ym.col_to_global(c).iter().map(|v| v.to_bits()));
     }
     (bits, ledger.history)
@@ -105,7 +106,7 @@ fn schedule_equal(
 ) -> Result<(), String> {
     let fresh = DistCsrMatrix::from_global(want, dist);
     for (r, (b, f)) in patched.blocks.iter().zip(&fresh.blocks).enumerate() {
-        if b.rowmap != f.rowmap || b.colmap != f.colmap || b.local != f.local {
+        if b != f {
             return Err(format!("block {r} differs"));
         }
     }
@@ -118,7 +119,7 @@ fn schedule_equal(
     if !patched.compiled.same_schedule(&fresh.compiled) {
         return Err("compiled schedule differs".into());
     }
-    if products(patched) != products(&fresh) {
+    if products_at(patched, 3) != products_at(&fresh, 3) {
         return Err("product bits or ledger history differ".into());
     }
     Ok(())
@@ -260,15 +261,51 @@ fn reweight_touches_no_map_plan_or_schedule() {
 
 #[test]
 fn insert_into_an_existing_row_and_column_changes_the_block_only() {
-    // Rank 0 of the grid holds (0,0), (0,1), (1,0); (1,1) closes the
-    // square: row 1 and column 1 are already mapped there.
-    let a = matrix(8, &[(0, 0), (0, 1), (1, 0), (5, 6)]);
+    // Rank 0 of the grid holds (0,0), (0,1), (0,2), (1,0); (1,1) lands
+    // on a row and a column already mapped there, and row 1 stays the
+    // shorter of the two, so the stored row order stands as well.
+    let a = matrix(8, &[(0, 0), (0, 1), (0, 2), (1, 0), (5, 6)]);
     let before = DistCsrMatrix::from_global(&a, &grid());
+    assert_eq!(before.blocks[0].nnz(), 4);
     let (dm, reports) = run(&a, &grid(), &[vec![set(1, 1, 4.0)]]);
-    assert_eq!(reports[0].relowered, 0, "no lid moved");
+    assert_eq!(reports[0].relowered, 0, "no lid and no stored row moved");
     assert_eq!(dm.compiled.expand, before.compiled.expand);
     assert_eq!(dm.compiled.fold, before.compiled.fold);
     assert_ne!(dm.compiled.compute_costs, before.compiled.compute_costs);
+}
+
+#[test]
+fn an_insert_that_moves_a_row_to_another_length_relowers_its_own_rank_only() {
+    // Rank 0 holds row 0 = {0, 1} and row 1 = {0}: row 1 is the
+    // length-1 run and is stored first. (1,1) is inside both maps and
+    // moves row 1 into the length-2 run, behind row 0 (ties go by gid).
+    let a = matrix(8, &[(0, 0), (0, 1), (1, 0), (5, 6)]);
+    let dist = grid();
+    let before = DistCsrMatrix::from_global(&a, &dist);
+    let stored = |dm: &DistCsrMatrix| [dm.blocks[0].stored_row(0), dm.blocks[0].stored_row(1)];
+    assert_eq!(before.blocks[0].nnz(), 3);
+    assert_eq!(stored(&before), [1, 0]);
+
+    let (dm, reports) = run(&a, &dist, &[vec![set(1, 1, 4.0)]]);
+    assert_eq!(dm.blocks[0].rowmap, before.blocks[0].rowmap);
+    assert_eq!(dm.blocks[0].colmap, before.blocks[0].colmap);
+    assert_eq!(stored(&dm), [0, 1], "the position table changed");
+    assert_eq!(reports[0].relowered, 1, "rank 0 and no peer");
+    assert_eq!(reports[0].dirty_ranks, 1);
+    // Only rank 0's fold lists moved: messages, payloads and the
+    // expand side are the bytes they were.
+    assert_eq!(dm.import, before.import);
+    assert_eq!(dm.export, before.export);
+    assert_eq!(dm.compiled.expand, before.compiled.expand);
+    assert_ne!(dm.compiled.fold, before.compiled.fold);
+
+    // `run` held the patched plan schedule-equal to a fresh one and
+    // compared spmv + width-3 bits; a served batch is width 16.
+    let mut want = entries_of(&a);
+    want.insert((1, 1), 4.0);
+    let fresh = DistCsrMatrix::from_global(&matrix_from(&want, 8), &dist);
+    assert!(dm.compiled.same_schedule(&fresh.compiled));
+    assert_eq!(products_at(&dm, 16), products_at(&fresh, 16));
 }
 
 #[test]
@@ -306,7 +343,7 @@ fn removals_empty_a_row_a_column_a_message_and_a_whole_block() {
             vec![remove(0, 6)], // the row, the messages, the block
         ],
     );
-    assert_eq!(dm.blocks[owner].local.nnz(), 0);
+    assert_eq!(dm.blocks[owner].nnz(), 0);
     assert!(dm.blocks[owner].rowmap.is_empty() && dm.blocks[owner].colmap.is_empty());
     assert!(dm.import.recvs[owner].is_empty() && dm.export.recvs[owner].is_empty());
 }
@@ -343,7 +380,7 @@ fn more_ranks_than_rows_leaves_empty_ranks_alone() {
             &[vec![set(0, 3, 1.0), set(3, 0, 1.0)], vec![remove(0, 1)]],
         );
         assert_eq!(dm.nprocs(), 8);
-        assert!(dm.blocks.iter().any(|b| b.local.nnz() == 0));
+        assert!(dm.blocks.iter().any(|b| b.nnz() == 0));
     }
 }
 

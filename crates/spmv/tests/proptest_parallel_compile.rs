@@ -36,9 +36,7 @@ fn assert_identical(par: &DistCsrMatrix, serial: &DistCsrMatrix) -> Result<(), T
     prop_assert_eq!(&par.compiled, &serial.compiled);
     prop_assert_eq!(par.blocks.len(), serial.blocks.len());
     for (b1, b2) in par.blocks.iter().zip(&serial.blocks) {
-        prop_assert_eq!(&b1.rowmap, &b2.rowmap);
-        prop_assert_eq!(&b1.colmap, &b2.colmap);
-        prop_assert_eq!(&b1.local, &b2.local);
+        prop_assert_eq!(b1, b2);
     }
     Ok(())
 }
