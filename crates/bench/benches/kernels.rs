@@ -97,8 +97,7 @@ fn distributed_spmv(c: &mut Criterion) {
 
 /// The PR's headline kernels: a 100-iteration SpMV sweep and a 4-column
 /// SpMM, compiled local-index path vs the gid-based reference executor,
-/// on the paper's 2D-GP layout. Mirrors the `bench_spmv` tracker binary
-/// (which records `BENCH_spmv.json`), at a criterion-friendly scale.
+/// on the paper's 2D-GP layout, at a criterion-friendly scale.
 fn spmv_hot_path(c: &mut Criterion) {
     use sf2d_core::sf2d_spmv::{reference, spmm_with, spmv_with, DistMultiVector, SpmvWorkspace};
 

@@ -3,8 +3,8 @@
 //! path over a sweep of thread budgets, verifies every parallel result is
 //! **byte-identical** to the sequential one (the determinism contract of
 //! `sf2d-partition`), attributes where the wall time goes per pipeline
-//! phase, and writes `BENCH_partition.json` in the same shape family as
-//! `BENCH_spmv.json` so successive PRs can track both.
+//! phase, and writes `BENCH_partition.json` (same `meta` header as the
+//! other `BENCH_*.json` trackers) so successive PRs can track it.
 //!
 //! Run from the repo root:
 //!

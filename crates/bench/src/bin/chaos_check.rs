@@ -102,7 +102,7 @@ fn main() {
         let mut led_gold = CostLedger::new(machine);
         let gold = krylov_schur_largest(&PlainSpmvOp::new(dm.clone()), &cfg, &mut led_gold);
         let rt = RefCell::new(ChaosRuntime::seeded(seed, rate));
-        let op = ChaosSpmvOp { a: &dm, rt: &rt };
+        let op = ChaosSpmvOp::new(&dm, &rt);
         let mut ledger = CostLedger::new(machine);
         let res = krylov_schur_largest_resilient(&op, &cfg, &mut ledger, &rt);
         let bits_ok = res.values == gold.values

@@ -41,7 +41,7 @@ pub mod perf;
 pub struct BenchMeta {
     /// Bumped when a tracker's row shape changes incompatibly.
     pub schema_version: u32,
-    /// The producing binary (`bench_partition`, `bench_spmv`, ...).
+    /// The producing binary (`bench_partition`, `bench_scale`, ...).
     pub bin: String,
     /// `available_parallelism` on the producing host.
     pub host_cpus: u64,
@@ -178,8 +178,7 @@ impl HarnessOpts {
 
 /// Median wall-clock nanoseconds of `samples` runs of `f`, after one
 /// warmup run (populates caches, sizes workspaces). Shared by the
-/// `bench_spmv` and `bench_partition` trackers so their numbers are
-/// comparable.
+/// `bench_*` trackers so their numbers are comparable.
 pub fn median_ns(samples: usize, mut f: impl FnMut()) -> u64 {
     f();
     let mut times: Vec<u64> = (0..samples.max(1))

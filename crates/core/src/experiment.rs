@@ -412,48 +412,6 @@ pub fn labeled_spgemm(mut row: SpgemmRow, matrix: &str, method: Method) -> Spgem
     row
 }
 
-/// One row of the serving SLO study (`BENCH_serve.json`): request-level
-/// latency/throughput for one phase of a serving scenario at fixed rank
-/// count, plus the deterministic amortization ratios the CI gate holds
-/// across machines (wall-clock quantiles shift with the host; cache hit
-/// rates and gather amortization must not).
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct ServeRow {
-    /// Matrix name.
-    pub matrix: String,
-    /// Layout name (as in the paper's tables).
-    pub method: String,
-    /// Rank count.
-    pub p: usize,
-    /// Scenario phase: `"steady"` (one current plan, pure batching) or
-    /// `"mutating"` (edge churn forcing epoch bumps + plan patches).
-    pub scenario: String,
-    /// Configured maximum batch width.
-    pub max_batch: usize,
-    /// Queries answered in this phase.
-    pub queries: u64,
-    /// SpMM batches executed in this phase.
-    pub batches: u64,
-    /// Median per-query wall latency (ns): a query's latency is its
-    /// batch's flush wall time (queueing excluded).
-    pub latency_p50_ns: u64,
-    /// 99th-percentile per-query wall latency (ns).
-    pub latency_p99_ns: u64,
-    /// Queries per wall second over the whole phase.
-    pub qps: f64,
-    /// Queries per batch — the expand-gather amortization from
-    /// coalescing (deterministic; gated).
-    pub gather_amortization_ratio: f64,
-    /// Share of plan lookups that found the resident plan current over
-    /// the phase (deterministic; gated).
-    pub cache_hit_ratio: f64,
-    /// Epoch bumps during the phase (0 in steady state).
-    pub epoch_bumps: u64,
-    /// Simulated seconds billed to the engine ledger in this phase —
-    /// the α-β-γ cost of the batched traffic (deterministic).
-    pub sim_time: f64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

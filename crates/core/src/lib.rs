@@ -41,7 +41,7 @@ pub use sf2d_spmv;
 
 pub use experiment::{
     eigen_experiment, spgemm_experiment, spmv_experiment, spmv_experiment_chaos, summa_experiment,
-    ChaosSpmvRow, EigenRow, ServeRow, SpgemmRow, SpmvRow,
+    ChaosSpmvRow, EigenRow, SpgemmRow, SpmvRow,
 };
 pub use layout::{LayoutBuilder, Method};
 
@@ -49,7 +49,7 @@ pub use layout::{LayoutBuilder, Method};
 pub mod prelude {
     pub use crate::experiment::{
         eigen_experiment, spgemm_experiment, spmv_experiment, spmv_experiment_chaos,
-        summa_experiment, ChaosSpmvRow, EigenRow, ServeRow, SpgemmRow, SpmvRow,
+        summa_experiment, ChaosSpmvRow, EigenRow, SpgemmRow, SpmvRow,
     };
     pub use crate::layout::{LayoutBuilder, Method};
     pub use sf2d_eigen::{

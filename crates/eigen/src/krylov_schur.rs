@@ -92,7 +92,8 @@ pub fn krylov_schur_largest(
 ///   [`Phase::Recovery`] superstep, and the cycle re-executes (the lost
 ///   operator applications stay counted in `op_applies` — honest work);
 /// * message-level faults inside the operator are healed and billed by
-///   the operator itself.
+///   the operator itself — `ChaosSpmvOp` is the one SpMV executor with
+///   the runtime passed in, not a second implementation.
 ///
 /// Because the chaos protocol always delivers fault-free values, the
 /// returned eigenpairs are **bit-identical** to the fault-free solve;
@@ -549,7 +550,7 @@ mod tests {
         // rewind to the cycle checkpoint, bill a Recovery superstep, and
         // still land on the gold bits.
         let rt = RefCell::new(ChaosRuntime::scripted(FaultScript::default().crash(1)));
-        let op = ChaosSpmvOp { a: &dm, rt: &rt };
+        let op = ChaosSpmvOp::new(&dm, &rt);
         let mut ledger = CostLedger::new(Machine::cab());
         let res = krylov_schur_largest_resilient(&op, &cfg, &mut ledger, &rt);
         assert_eq!(res.values, gold.values);
@@ -566,7 +567,7 @@ mod tests {
         // Seeded chaos (message faults + whatever crashes the plan
         // draws): still the gold bits, with retransmissions itemized.
         let rt = RefCell::new(ChaosRuntime::seeded(0xC0FFEE, 0.25));
-        let op = ChaosSpmvOp { a: &dm, rt: &rt };
+        let op = ChaosSpmvOp::new(&dm, &rt);
         let mut ledger = CostLedger::new(Machine::cab());
         let res = krylov_schur_largest_resilient(&op, &cfg, &mut ledger, &rt);
         assert_eq!(res.values, gold.values);
@@ -593,7 +594,7 @@ mod tests {
         let gold = krylov_schur_largest(&PlainSpmvOp::new(dm.clone()), &cfg, &mut led_gold);
 
         let rt = RefCell::new(ChaosRuntime::seeded(7, 0.0));
-        let op = ChaosSpmvOp { a: &dm, rt: &rt };
+        let op = ChaosSpmvOp::new(&dm, &rt);
         let mut ledger = CostLedger::new(Machine::cab());
         let res = krylov_schur_largest_resilient(&op, &cfg, &mut ledger, &rt);
         assert_eq!(res.values, gold.values);

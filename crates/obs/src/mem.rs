@@ -140,9 +140,13 @@ mod tests {
     // The test binary does NOT install CountingAlloc globally (that would
     // tax the whole suite), so these tests drive the GlobalAlloc impl
     // directly and check the counters move exactly as the calls dictate.
+    // The counters are process-wide, so the tests that move them hold
+    // this lock: run in parallel they read each other's allocations.
+    static COUNTERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     #[test]
     fn alloc_free_cycle_balances_and_tracks_peak() {
+        let _serial = COUNTERS.lock().unwrap();
         let before = snapshot();
         let layout = Layout::from_size_align(1 << 16, 8).unwrap();
         unsafe {
@@ -166,6 +170,7 @@ mod tests {
 
     #[test]
     fn realloc_keeps_live_bytes_exact() {
+        let _serial = COUNTERS.lock().unwrap();
         let before = snapshot();
         let layout = Layout::from_size_align(1024, 8).unwrap();
         unsafe {

@@ -28,6 +28,11 @@
 //! delivers the faulted wire traffic through crossbeam channels in
 //! arbitrary arrival order — produce identical inboxes, identical extra
 //! costs, and identical fault statistics.
+//!
+//! Kernels do not call the routers. Their transport is a zero-copy read
+//! of the sender's resident buffer, so under chaos they hand each
+//! exchange to [`ChaosRuntime::mirror_exchange`], which owns the clone
+//! onto the wire, the delivery checks and the `Retransmit` billing.
 
 use std::collections::BTreeSet;
 
@@ -47,6 +52,11 @@ pub const DELAY_PENALTY_MSGS: u64 = 4;
 /// Flops a stalled rank burns at the superstep boundary (an OS jitter /
 /// straggler quantum, following the paper's Hopper-noise footnotes).
 pub const STALL_PENALTY_FLOPS: u64 = 100_000;
+
+/// One rank's resident payloads in an exchange, each slice tagged with
+/// its peer rank: the destination on the send side, the source on the
+/// receive side. What [`ChaosRuntime::mirror_exchange`] takes per rank.
+pub type PeerPayloads<'a> = Vec<(u32, &'a [f64])>;
 
 /// Mutable chaos state threaded through a run: the immutable fault
 /// plan, the superstep counter that gives every routing round distinct
@@ -144,6 +154,83 @@ impl ChaosRuntime {
         } else {
             route_chaos(p, sends, self)
         }
+    }
+
+    /// Mirrors one exchange onto the fault-injecting wire: the kernels
+    /// transport by reading the sender's resident buffer in place, so
+    /// under chaos the same payloads are *also* cloned onto the wire,
+    /// routed (exactly one [`ChaosRuntime::route`] per call, empty
+    /// exchanges included, so step numbering never depends on traffic),
+    /// and every healed delivery is checked against what the receiving
+    /// rank reads — message count, source order, length and payload bits
+    /// — before the extra fault traffic is billed as one `Retransmit`
+    /// superstep (none when nothing fired).
+    ///
+    /// `sends[src]` lists the rank's outgoing `(dst, payload)` in send
+    /// order. `views[dst]`, when the kernel has a compiled receive side,
+    /// lists the `(src, payload)` slices the rank's unpack entries resolve
+    /// to, in delivery order — so a plan whose receive side disagrees
+    /// with its send side trips here. With `None` the expected inbox is
+    /// the sends regrouped by destination: source-ascending, send order
+    /// within a source, which is the order the wire delivers.
+    ///
+    /// # Panics
+    /// Panics, naming `what` and the rank, if a delivery differs from the
+    /// resident payload in any of the four ways above.
+    pub fn mirror_exchange<'a>(
+        &mut self,
+        ledger: &mut CostLedger,
+        what: &str,
+        sends: &[PeerPayloads<'a>],
+        views: Option<&[PeerPayloads<'a>]>,
+    ) {
+        let p = sends.len();
+        let wire = sends
+            .iter()
+            .map(|out| {
+                out.iter()
+                    .map(|&(dst, data)| (dst, data.to_vec()))
+                    .collect()
+            })
+            .collect();
+        let (delivered, extra) = self.route(p, wire);
+        let regrouped: Vec<PeerPayloads<'a>>;
+        let views = match views {
+            Some(views) => views,
+            None => {
+                let mut by_dst = vec![Vec::new(); p];
+                for (src, out) in sends.iter().enumerate() {
+                    for &(dst, data) in out {
+                        by_dst[dst as usize].push((src as u32, data));
+                    }
+                }
+                regrouped = by_dst;
+                &regrouped
+            }
+        };
+        assert_eq!(views.len(), p, "{what}: one receive view list per rank");
+        for (r, (inbox, expected)) in delivered.iter().zip(views).enumerate() {
+            assert_eq!(
+                inbox.len(),
+                expected.len(),
+                "{what}: wrong message count at rank {r}"
+            );
+            for (msg, &(src, resident)) in inbox.iter().zip(expected) {
+                assert_eq!(msg.src, src, "{what}: source mismatch at rank {r}");
+                assert_eq!(
+                    msg.data.len(),
+                    resident.len(),
+                    "{what}: short message at rank {r}"
+                );
+                let same_bits = msg
+                    .data
+                    .iter()
+                    .zip(resident)
+                    .all(|(a, b)| a.to_bits() == b.to_bits());
+                assert!(same_bits, "{what}: corrupted delivery at rank {r}");
+            }
+        }
+        bill_retransmit(ledger, &extra);
     }
 }
 
@@ -599,6 +686,76 @@ mod tests {
         }
         assert_eq!(rt1.step(), 4);
         assert_eq!(rt1.stats, rt2.stats);
+    }
+
+    /// Two messages into rank 2 (from 0 and 1), mirrored at rate 0 against
+    /// the caller's receive `views` — the negative tests below each break
+    /// one thing about them.
+    fn mirror_with_views(views: [&[(u32, &[f64])]; 3]) {
+        let views = views.map(<[_]>::to_vec);
+        let mut rt = ChaosRuntime::seeded(1, 0.0);
+        let mut ledger = CostLedger::new(Machine::cab());
+        rt.mirror_exchange(&mut ledger, "test", &two_into_rank_2(), Some(&views));
+    }
+
+    fn two_into_rank_2() -> Vec<PeerPayloads<'static>> {
+        vec![vec![(2, &[1.0, 2.0][..])], vec![(2, &[3.0][..])], vec![]]
+    }
+
+    #[test]
+    fn mirror_accepts_matching_views_and_heals_faults_at_a_retransmit_charge() {
+        mirror_with_views([&[], &[], &[(0, &[1.0, 2.0]), (1, &[3.0])]]);
+
+        // Same exchange with a scripted drop, receive side defaulted to
+        // the regrouped sends: healed, one Retransmit superstep, one step.
+        let sends = two_into_rank_2();
+        let script = FaultScript::default().fault(0, 0, 2, 0, FaultKind::Drop);
+        let mut rt = ChaosRuntime::scripted(script);
+        let mut ledger = CostLedger::new(Machine::cab());
+        rt.mirror_exchange(&mut ledger, "test", &sends, None);
+        assert_eq!(rt.stats.drops, 1);
+        assert_eq!(ledger.history.len(), 1);
+        assert_eq!(ledger.history[0].0, Phase::Retransmit);
+        assert_eq!(rt.step(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "test: corrupted delivery at rank 2")]
+    fn mirror_rejects_a_view_differing_in_one_bit() {
+        let flipped = f64::from_bits(2.0f64.to_bits() ^ 1);
+        mirror_with_views([&[], &[], &[(0, &[1.0, flipped]), (1, &[3.0])]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "test: short message at rank 2")]
+    fn mirror_rejects_a_view_one_element_short() {
+        mirror_with_views([&[], &[], &[(0, &[1.0]), (1, &[3.0])]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "test: source mismatch at rank 2")]
+    fn mirror_rejects_views_out_of_source_order() {
+        mirror_with_views([&[], &[], &[(1, &[3.0]), (0, &[1.0, 2.0])]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "test: wrong message count at rank 2")]
+    fn mirror_rejects_a_missing_view() {
+        mirror_with_views([&[], &[], &[(0, &[1.0, 2.0])]]);
+    }
+
+    #[test]
+    fn mirroring_an_empty_exchange_costs_nothing_and_takes_one_step() {
+        let sends: Vec<PeerPayloads> = vec![Vec::new(); 4];
+        let mut rt = ChaosRuntime::seeded(9, 0.0);
+        let mut ledger = CostLedger::new(Machine::cab());
+        rt.mirror_exchange(&mut ledger, "test", &sends, Some(&sends));
+        rt.mirror_exchange(&mut ledger, "test", &sends, None);
+        assert_eq!(ledger.steps, 0);
+        assert!(ledger.history.is_empty());
+        assert_eq!(ledger.total.to_bits(), 0.0f64.to_bits());
+        assert_eq!(rt.step(), 2, "one routing step per mirrored exchange");
+        assert!(!rt.stats.any());
     }
 
     #[test]

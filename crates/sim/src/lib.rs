@@ -33,7 +33,13 @@
 //!   workspaces;
 //! * [`fault`] — the chaos-aware verify-retry-timeout router, which
 //!   delivers the same values as the plain routers while billing injected
-//!   faults (drops, duplicates, bit-flips, delays, stalls) honestly.
+//!   faults (drops, duplicates, bit-flips, delays, stalls) honestly, and
+//!   [`ChaosRuntime::mirror_exchange`], the one place a kernel's resident
+//!   payloads are cloned onto that wire, verified against what the
+//!   receiving rank reads in place, and billed. Every distributed kernel
+//!   (SpMV, expand/fold SpGEMM, Sparse SUMMA) is written once and takes
+//!   `Option<&mut ChaosRuntime>`; none of them calls
+//!   [`ChaosRuntime::route`] itself.
 
 pub mod collective;
 pub mod cost;

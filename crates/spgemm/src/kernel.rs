@@ -23,6 +23,14 @@
 //! payload lengths at both endpoints rather than read from the frozen
 //! SpMV cost vectors.
 //!
+//! Fault injection is an argument: [`spgemm_with`] and [`spgemm_chaos`]
+//! are two entry points over one driver that takes
+//! `Option<&mut ChaosRuntime>` and, with a runtime, hands each exchange's
+//! resident payloads — send side from the pack entries, receive side from
+//! the `(src, slot)` unpack entries — to
+//! [`ChaosRuntime::mirror_exchange`] right after the exchange's superstep
+//! is charged (routing step 0 for the expand, 1 for the fold).
+//!
 //! Determinism: every rank multiplies its A-block rows in ascending
 //! column order and every owner merges per-row contributions in a fixed
 //! rank order (own partial first, then sources ascending — the order the
@@ -38,6 +46,7 @@ use sf2d_graph::CsrMatrix;
 use sf2d_obs::{trace_span, PhaseKind};
 use sf2d_sim::collective::{allreduce_cost, allreduce_sum_u64};
 use sf2d_sim::cost::{CostLedger, Phase, PhaseCost};
+use sf2d_sim::fault::{ChaosRuntime, PeerPayloads};
 use sf2d_sim::runtime::par_ranks;
 use sf2d_spmv::compiled::{PhasePlan, RankPlan};
 use sf2d_spmv::distmat::{DistCsrMatrix, RankBlock};
@@ -128,7 +137,7 @@ pub(crate) fn push_row(buf: &mut Vec<f64>, row: (&[u32], &[f64])) {
 /// Measures one exchange off the resident payload buffers: send side from
 /// each rank's own pack buffers, receive side mirrored through the
 /// compiled `(src, slot)` unpack entries.
-pub(crate) fn exchange_stats(bufs: &[MsgBufs], plan: &PhasePlan) -> ExchangeStats {
+fn exchange_stats(bufs: &[MsgBufs], plan: &PhasePlan) -> ExchangeStats {
     let send_msgs: Vec<u64> = bufs.iter().map(|out| out.nmsgs() as u64).collect();
     let send_doubles: Vec<u64> = bufs.iter().map(|out| out.data.len() as u64).collect();
     let mut costs: Vec<PhaseCost> = send_msgs
@@ -149,9 +158,35 @@ pub(crate) fn exchange_stats(bufs: &[MsgBufs], plan: &PhasePlan) -> ExchangeStat
     }
 }
 
+/// One exchange's resident payloads as
+/// [`ChaosRuntime::mirror_exchange`] takes them: per source rank its
+/// sealed `(dst, payload)` slots in pack order, per destination rank the
+/// `(src, payload)` slots its compiled `(src, slot)` unpack entries read
+/// in place.
+fn payload_views<'a>(
+    bufs: &'a [MsgBufs],
+    plan: &PhasePlan,
+) -> (Vec<PeerPayloads<'a>>, Vec<PeerPayloads<'a>>) {
+    let sends = (0..bufs.len())
+        .map(|r| {
+            let packs = plan.pack_entries(r).iter().enumerate();
+            packs.map(|(slot, e)| (e.peer, bufs[r].msg(slot))).collect()
+        })
+        .collect();
+    let views = (0..bufs.len())
+        .map(|r| {
+            let unpacks = plan.unpack_entries(r).iter();
+            unpacks
+                .map(|e| (e.src, bufs[e.src as usize].msg(e.slot as usize)))
+                .collect()
+        })
+        .collect();
+    (sends, views)
+}
+
 /// Packs one rank's expand payloads: the B rows named by the compiled
 /// pack lids (which index the sender's owned gid list).
-pub(crate) fn pack_expand(buf: &mut MsgBufs, plan: RankPlan<'_>, gids: &[u32], b: &CsrMatrix) {
+fn pack_expand(buf: &mut MsgBufs, plan: RankPlan<'_>, gids: &[u32], b: &CsrMatrix) {
     buf.reset();
     for (_dst, lids, _off) in plan.packs() {
         for &lid in lids {
@@ -164,7 +199,7 @@ pub(crate) fn pack_expand(buf: &mut MsgBufs, plan: RankPlan<'_>, gids: &[u32], b
 /// Builds the rank's B-row directory: owned slots point at `b` directly,
 /// remote slots are decoded out of the senders' payloads into the
 /// scratch's `rcols` / `rvals` arrays.
-pub(crate) fn decode_expand(
+fn decode_expand(
     scratch: &mut RankSpgemmScratch,
     block: &RankBlock,
     plan: RankPlan<'_>,
@@ -206,7 +241,7 @@ pub(crate) fn decode_expand(
 /// taken in the block's stored order, so partial row `s` belongs to
 /// stored row `s` — what the compiled fold lists index. Fills the
 /// partial-row buffers and returns the number of product terms.
-pub(crate) fn gustavson(scratch: &mut RankSpgemmScratch, block: &RankBlock, b: &CsrMatrix) -> u64 {
+fn gustavson(scratch: &mut RankSpgemmScratch, block: &RankBlock, b: &CsrMatrix) -> u64 {
     let nloc = block.rowmap.len();
     scratch.guard_gen(nloc);
     let RankSpgemmScratch {
@@ -263,7 +298,7 @@ pub(crate) fn gustavson(scratch: &mut RankSpgemmScratch, block: &RankBlock, b: &
 
 /// Packs one rank's fold payloads: the partial C rows named by the
 /// compiled pack indices (stored rows of the A block).
-pub(crate) fn pack_fold(buf: &mut MsgBufs, plan: RankPlan<'_>, scratch: &RankSpgemmScratch) {
+fn pack_fold(buf: &mut MsgBufs, plan: RankPlan<'_>, scratch: &RankSpgemmScratch) {
     buf.reset();
     for (_owner, idxs, _off) in plan.packs() {
         for &pi in idxs {
@@ -284,7 +319,7 @@ pub(crate) fn pack_fold(buf: &mut MsgBufs, plan: RankPlan<'_>, scratch: &RankSpg
 /// arriving partial rows, in fixed order (own first, then sources
 /// ascending), emitting sorted final rows. Returns the number of entries
 /// merged (1 flop each, the SpGEMM analogue of the SpMV sum phase).
-pub(crate) fn merge_rank(
+fn merge_rank(
     scratch: &mut RankSpgemmScratch,
     nlocal: usize,
     plan: RankPlan<'_>,
@@ -377,7 +412,7 @@ pub(crate) fn merge_rank(
 
 /// Assembles the per-rank output blocks and closes the global `nnz(C)`
 /// allreduce (one [`Phase::Collective`] superstep).
-pub(crate) fn finish(
+fn finish(
     a: &DistCsrMatrix,
     bcols: usize,
     ws: &SpgemmWorkspace,
@@ -450,6 +485,40 @@ pub fn spgemm_with(
     ledger: &mut CostLedger,
     ws: &mut SpgemmWorkspace,
 ) -> DistSpgemm {
+    spgemm_inner(a, b, ledger, ws, None)
+}
+
+/// Distributed `C = A·B` under fault injection: [`spgemm_with`] on an
+/// internal workspace sized to `rt.threads`, with both exchanges also
+/// mirrored onto the chaos wire. The billed Expand / Multiply / Fold /
+/// Merge / Collective supersteps are the plain run's; each mirrored
+/// exchange appends a `Retransmit` superstep when (and only when) faults
+/// cost something, so C is always bit-identical to a plain run and at
+/// rate 0 the ledger is too. Chaos superstep indices (for
+/// [`FaultScript`](sf2d_sim::fault) targeting): the expand exchange is
+/// routing step 0, the fold exchange step 1.
+pub fn spgemm_chaos(
+    a: &DistCsrMatrix,
+    b: &CsrMatrix,
+    ledger: &mut CostLedger,
+    rt: &mut ChaosRuntime,
+) -> DistSpgemm {
+    let mut ws = SpgemmWorkspace::with_threads(rt.threads);
+    spgemm_inner(a, b, ledger, &mut ws, Some(rt))
+}
+
+/// The shared expand/fold driver: plain when `chaos` is `None`, otherwise
+/// each exchange is also handed to [`ChaosRuntime::mirror_exchange`]
+/// right after its superstep is charged (faults never reach the multiply
+/// or the merge: the kernel reads the resident buffers, and the mirror
+/// asserts the healed deliveries carry the same bits).
+fn spgemm_inner(
+    a: &DistCsrMatrix,
+    b: &CsrMatrix,
+    ledger: &mut CostLedger,
+    ws: &mut SpgemmWorkspace,
+    mut chaos: Option<&mut ChaosRuntime>,
+) -> DistSpgemm {
     assert_conformal(a, b);
     ws.ensure(&a.blocks, &a.compiled, b.ncols());
     let threads = ws.threads;
@@ -465,6 +534,10 @@ pub fn spgemm_with(
     });
     let expand = exchange_stats(&ws.expand_bufs, &compiled.expand);
     ledger.superstep(Phase::Expand, &expand.costs);
+    if let Some(rt) = chaos.as_deref_mut() {
+        let (sends, views) = payload_views(&ws.expand_bufs, &compiled.expand);
+        rt.mirror_exchange(ledger, "spgemm expand", &sends, Some(&views));
+    }
 
     // Phase 2 — decode the arrived rows and run the local Gustavson pass.
     let ebufs = &ws.expand_bufs;
@@ -490,6 +563,10 @@ pub fn spgemm_with(
     });
     let fold = exchange_stats(&ws.fold_bufs, &compiled.fold);
     ledger.superstep(Phase::Fold, &fold.costs);
+    if let Some(rt) = chaos {
+        let (sends, views) = payload_views(&ws.fold_bufs, &compiled.fold);
+        rt.mirror_exchange(ledger, "spgemm fold", &sends, Some(&views));
+    }
 
     // Phase 4 — merge at the owners, fixed rank order per row.
     let fbufs = &ws.fold_bufs;
@@ -515,6 +592,7 @@ mod tests {
     use sf2d_gen::{grid_2d, rmat, RmatConfig};
     use sf2d_graph::spgemm;
     use sf2d_partition::{grid_shape, MatrixDist};
+    use sf2d_sim::sf2d_chaos::{FaultKind, FaultScript};
     use sf2d_sim::Machine;
 
     fn check_layout(a: &CsrMatrix, b: &CsrMatrix, dist: &MatrixDist) {
@@ -633,5 +711,86 @@ mod tests {
         let dm = DistCsrMatrix::from_global(&a, &MatrixDist::block_1d(9, 2));
         let b = grid_2d(2, 2);
         spgemm_dist(&dm, &b, &mut CostLedger::new(Machine::cab()));
+    }
+
+    fn chaos_fixture() -> (CsrMatrix, CsrMatrix, DistCsrMatrix) {
+        let a = rmat(&RmatConfig::graph500(6), 17);
+        let b = a.transpose();
+        let dm = DistCsrMatrix::from_global(&a, &MatrixDist::block_2d(a.nrows(), 2, 2));
+        (a, b, dm)
+    }
+
+    #[test]
+    fn chaos_rate_zero_is_byte_identical_to_plain() {
+        let (_a, b, dm) = chaos_fixture();
+        let mut l0 = CostLedger::new(Machine::cab());
+        let plain = spgemm_dist(&dm, &b, &mut l0);
+        let mut l1 = CostLedger::new(Machine::cab());
+        let mut rt = ChaosRuntime::seeded(42, 0.0);
+        let chaotic = spgemm_chaos(&dm, &b, &mut l1, &mut rt);
+        assert_eq!(plain.locals, chaotic.locals);
+        assert_eq!(l0.history, l1.history);
+        assert_eq!(l0.total.to_bits(), l1.total.to_bits());
+    }
+
+    #[test]
+    fn chaos_seeded_faults_recover_the_fault_free_bits_at_extra_cost() {
+        let (_a, b, dm) = chaos_fixture();
+        let mut l0 = CostLedger::new(Machine::cab());
+        let plain = spgemm_dist(&dm, &b, &mut l0);
+        let mut l1 = CostLedger::new(Machine::cab());
+        let mut rt = ChaosRuntime::seeded(7, 0.4);
+        let chaotic = spgemm_chaos(&dm, &b, &mut l1, &mut rt);
+        assert_eq!(plain.locals, chaotic.locals);
+        assert!(rt.stats.any(), "rate 0.4 injected nothing");
+        assert!(l1.total > l0.total, "faults should cost extra");
+    }
+
+    #[test]
+    fn chaos_scripted_expand_drop_is_healed() {
+        let (_a, b, dm) = chaos_fixture();
+        // Drop the first real expand message (routing step 0), whichever
+        // pair the layout produces.
+        let (src, dst) = dm
+            .import
+            .sends
+            .iter()
+            .enumerate()
+            .find_map(|(r, out)| out.first().map(|(d, _)| (r as u32, *d)))
+            .expect("2x2 block layout always has expand traffic");
+        let script = FaultScript::default().fault(0, src, dst, 0, FaultKind::Drop);
+        let mut rt = ChaosRuntime::scripted(script);
+        let mut l = CostLedger::new(Machine::cab());
+        let chaotic = spgemm_chaos(&dm, &b, &mut l, &mut rt);
+        let mut l0 = CostLedger::new(Machine::cab());
+        let plain = spgemm_dist(&dm, &b, &mut l0);
+        assert_eq!(plain.locals, chaotic.locals);
+        assert_eq!(rt.stats.drops, 1);
+        assert!(
+            l.history.iter().any(|(ph, _)| *ph == Phase::Retransmit),
+            "drop should bill a retransmit superstep"
+        );
+    }
+
+    #[test]
+    fn chaos_matches_across_thread_counts() {
+        let (_a, b, dm) = chaos_fixture();
+        let mut gold: Option<DistSpgemm> = None;
+        for threads in [1usize, 2, 8] {
+            let mut rt = ChaosRuntime::seeded(99, 0.2).with_threads(threads);
+            let mut l = CostLedger::new(Machine::cab());
+            let c = spgemm_chaos(&dm, &b, &mut l, &mut rt);
+            match &gold {
+                None => gold = Some(c),
+                Some(g) => {
+                    assert_eq!(g.locals, c.locals);
+                    for (gl, cl) in g.locals.iter().zip(&c.locals) {
+                        let gb: Vec<u64> = gl.values().iter().map(|v| v.to_bits()).collect();
+                        let cb: Vec<u64> = cl.values().iter().map(|v| v.to_bits()).collect();
+                        assert_eq!(gb, cb);
+                    }
+                }
+            }
+        }
     }
 }

@@ -15,7 +15,8 @@
 //!   payloads, multi-threaded over ranks with bit-identical results).
 //! - [`DistSpgemm`]: the distributed product — per-rank owned row blocks
 //!   plus measured per-phase traffic ([`ExchangeStats`]) and work.
-//! - [`spgemm_chaos`]: the same kernel under fault injection; heals every
+//! - [`spgemm_chaos`]: the same driver with a
+//!   [`ChaosRuntime`](sf2d_sim::ChaosRuntime) passed in; heals every
 //!   fault and proves bit-equality with the fault-free run.
 //! - [`summa_dist`] / [`summa_with`] / [`summa_chaos`]: the
 //!   communication-avoiding alternative — Sparse SUMMA over the same
@@ -35,12 +36,10 @@
 
 #![warn(missing_docs)]
 
-pub mod chaos;
 pub mod kernel;
 pub mod summa;
 pub mod workspace;
 
-pub use chaos::spgemm_chaos;
-pub use kernel::{spgemm_dist, spgemm_with, DistSpgemm, ExchangeStats};
+pub use kernel::{spgemm_chaos, spgemm_dist, spgemm_with, DistSpgemm, ExchangeStats};
 pub use summa::{summa_chaos, summa_dist, summa_with, SummaGrid, SummaSpgemm};
 pub use workspace::{BRowRef, SpgemmWorkspace, SummaWorkspace};

@@ -65,8 +65,8 @@ use sf2d_obs::{trace_span, PhaseKind};
 use sf2d_partition::{grid_shape, DistMode, MatrixDist};
 use sf2d_sim::collective::{allreduce_cost, allreduce_sum_u64};
 use sf2d_sim::cost::{CostLedger, Phase, PhaseCost};
-use sf2d_sim::fault::{bill_retransmit, ChaosRuntime};
-use sf2d_sim::runtime::{par_ranks, RankMessage};
+use sf2d_sim::fault::{ChaosRuntime, PeerPayloads};
+use sf2d_sim::runtime::par_ranks;
 use sf2d_spmv::distmat::DistCsrMatrix;
 use sf2d_spmv::map::VectorMap;
 
@@ -333,81 +333,33 @@ fn bcast_stats(bufs: &[MsgBufs], dsts: &[Vec<u32>]) -> ExchangeStats {
     stats
 }
 
-/// Wire messages of a directed exchange, `(dst, payload)` in slot order.
-fn dir_wire(bufs: &[DirBufs]) -> Vec<Vec<(u32, Vec<f64>)>> {
+/// A directed exchange as [`ChaosRuntime::mirror_exchange`] takes it:
+/// `(dst, payload)` in slot order.
+fn dir_wire(bufs: &[DirBufs]) -> Vec<PeerPayloads<'_>> {
     bufs.iter()
         .map(|b| {
             b.dsts
                 .iter()
                 .enumerate()
-                .map(|(slot, &d)| (d, b.bufs.msg(slot).to_vec()))
+                .map(|(slot, &d)| (d, b.bufs.msg(slot)))
                 .collect()
         })
         .collect()
 }
 
-/// Wire messages of a broadcast round: one copy of the root's payload per
-/// destination, in `dsts` order.
-fn bcast_wire(bufs: &[MsgBufs], dsts: &[Vec<u32>]) -> Vec<Vec<(u32, Vec<f64>)>> {
+/// A broadcast round on the wire: the root's one resident payload once
+/// per destination, in `dsts` order.
+fn bcast_wire<'a>(bufs: &'a [MsgBufs], dsts: &[Vec<u32>]) -> Vec<PeerPayloads<'a>> {
     bufs.iter()
         .zip(dsts)
         .map(|(buf, ds)| {
             if buf.nmsgs() == 0 {
                 Vec::new()
             } else {
-                ds.iter().map(|&d| (d, buf.msg(0).to_vec())).collect()
+                ds.iter().map(|&d| (d, buf.msg(0))).collect()
             }
         })
         .collect()
-}
-
-/// Routes one exchange through the chaos wire and checks the healed
-/// deliveries against the resident payloads the kernel reads: the inbox
-/// arrives sorted by `(src, seq)`, which is exactly source-ascending,
-/// send-order within source — the order `wire` enumerates.
-fn route_verified(
-    rt: &mut ChaosRuntime,
-    ledger: &mut CostLedger,
-    p: usize,
-    wire: Vec<Vec<(u32, Vec<f64>)>>,
-    what: &str,
-) {
-    let (delivered, extra) = rt.route(p, wire.clone());
-    bill_retransmit(ledger, &extra);
-    for (r, inbox) in delivered.iter().enumerate() {
-        let expected: Vec<(u32, &[f64])> = wire
-            .iter()
-            .enumerate()
-            .flat_map(|(src, out)| {
-                out.iter()
-                    .filter(move |(d, _)| *d == r as u32)
-                    .map(move |(_, payload)| (src as u32, payload.as_slice()))
-            })
-            .collect();
-        assert_eq!(
-            inbox.len(),
-            expected.len(),
-            "{what}: wrong message count at rank {r}"
-        );
-        for (msg, (src, payload)) in inbox.iter().zip(&expected) {
-            verify_message(msg, *src, payload, what, r);
-        }
-    }
-}
-
-fn verify_message(msg: &RankMessage, src: u32, payload: &[f64], what: &str, r: usize) {
-    assert_eq!(msg.src, src, "{what}: source mismatch at rank {r}");
-    assert_eq!(
-        msg.data.len(),
-        payload.len(),
-        "{what}: short message at rank {r}"
-    );
-    let same_bits = msg
-        .data
-        .iter()
-        .zip(payload.iter())
-        .all(|(a, b)| a.to_bits() == b.to_bits());
-    assert!(same_bits, "{what}: corrupted delivery at rank {r}");
 }
 
 /// Serializes a hypersparse block: `[gid, nnz, cols..., vals...]` per row.
@@ -826,10 +778,12 @@ fn assemble(
 }
 
 /// The shared SUMMA driver: plain when `chaos` is `None`, otherwise every
-/// exchange is also mirrored onto the fault-injecting wire and the healed
-/// deliveries are asserted bit-identical to the resident buffers (so a
-/// rate-0 chaos run is byte-identical — values *and* ledger — to the
-/// plain path, which the chaos tests pin).
+/// exchange is also handed to [`ChaosRuntime::mirror_exchange`] (SUMMA
+/// has no compiled receive side, so the expected inbox is the sends
+/// regrouped by destination) and the healed deliveries are asserted
+/// bit-identical to the resident buffers (so a rate-0 chaos run is
+/// byte-identical — values *and* ledger — to the plain path, which the
+/// chaos tests pin).
 fn summa_inner(
     a: &DistCsrMatrix,
     dist: &MatrixDist,
@@ -886,7 +840,7 @@ fn summa_inner(
     let shuffle_a_stats = dir_stats(shuffle_a);
     ledger.superstep(Phase::Expand, &shuffle_a_stats.costs);
     if let Some(rt) = chaos.as_deref_mut() {
-        route_verified(rt, ledger, p, dir_wire(shuffle_a), "summa a-shuffle");
+        rt.mirror_exchange(ledger, "summa a-shuffle", &dir_wire(shuffle_a), None);
     }
     {
         let sa: &[DirBufs] = shuffle_a;
@@ -906,7 +860,7 @@ fn summa_inner(
     let shuffle_b_stats = dir_stats(shuffle_b);
     ledger.superstep(Phase::Expand, &shuffle_b_stats.costs);
     if let Some(rt) = chaos.as_deref_mut() {
-        route_verified(rt, ledger, p, dir_wire(shuffle_b), "summa b-shuffle");
+        rt.mirror_exchange(ledger, "summa b-shuffle", &dir_wire(shuffle_b), None);
     }
     {
         let sb: &[DirBufs] = shuffle_b;
@@ -951,7 +905,7 @@ fn summa_inner(
         let a_stats = bcast_stats(stage_a, &a_dsts);
         ledger.superstep(Phase::Broadcast, &a_stats.costs);
         if let Some(rt) = chaos.as_deref_mut() {
-            route_verified(rt, ledger, p, bcast_wire(stage_a, &a_dsts), "summa a-bcast");
+            rt.mirror_exchange(ledger, "summa a-bcast", &bcast_wire(stage_a, &a_dsts), None);
         }
         {
             let sa: &[MsgBufs] = stage_a;
@@ -996,7 +950,7 @@ fn summa_inner(
         let b_stats = bcast_stats(stage_b, &b_dsts);
         ledger.superstep(Phase::Broadcast, &b_stats.costs);
         if let Some(rt) = chaos.as_deref_mut() {
-            route_verified(rt, ledger, p, bcast_wire(stage_b, &b_dsts), "summa b-bcast");
+            rt.mirror_exchange(ledger, "summa b-bcast", &bcast_wire(stage_b, &b_dsts), None);
         }
         {
             let sb: &[MsgBufs] = stage_b;
@@ -1059,7 +1013,7 @@ fn summa_inner(
     let fold_stats = dir_stats(fold);
     ledger.superstep(Phase::Fold, &fold_stats.costs);
     if let Some(rt) = chaos {
-        route_verified(rt, ledger, p, dir_wire(fold), "summa fold");
+        rt.mirror_exchange(ledger, "summa fold", &dir_wire(fold), None);
     }
 
     // Assembly: chunk concatenation at the owners.

@@ -41,12 +41,10 @@ pub use distmat::{DeltaReport, DistCsrMatrix, EntryDelta, RankBlock, SPMM_CHUNK}
 pub use map::VectorMap;
 pub use migrate::MigrationPlan;
 pub use multivec::{DistMultiVector, DistVector};
-pub use operator::{LinearOperator, NormalizedLaplacianOp, PlainSpmvOp, ShiftedOp};
+pub use operator::{ChaosSpmvOp, LinearOperator, NormalizedLaplacianOp, PlainSpmvOp, ShiftedOp};
 pub use plan::CommPlan;
-pub use resilient::{
-    gather_chaos, power_iterate, power_iterate_chaos, scatter_add_chaos, spmv_chaos, ChaosSpmvOp,
-    CHECKPOINT_EVERY,
-};
+pub use resilient::{power_iterate, power_iterate_chaos, CHECKPOINT_EVERY};
 pub use spmv::{
-    gather_executions, spmm, spmm_chaos_with, spmm_with, spmv, spmv_chaos_with, spmv_with,
+    gather_executions, spmm, spmm_chaos_with, spmm_with, spmv, spmv_chaos, spmv_chaos_with,
+    spmv_with,
 };

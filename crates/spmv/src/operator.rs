@@ -10,12 +10,13 @@ use std::cell::RefCell;
 use std::sync::Arc;
 
 use sf2d_sim::cost::{CostLedger, Phase, PhaseCost};
+use sf2d_sim::fault::ChaosRuntime;
 
 use crate::compiled::SpmvWorkspace;
 use crate::distmat::DistCsrMatrix;
 use crate::map::VectorMap;
 use crate::multivec::DistVector;
-use crate::spmv::spmv_with;
+use crate::spmv::{spmv_chaos_with, spmv_with};
 
 /// Anything that can apply `y = Op(x)` on distributed vectors.
 pub trait LinearOperator {
@@ -57,6 +58,48 @@ impl LinearOperator for PlainSpmvOp {
 
     fn apply(&self, x: &DistVector, y: &mut DistVector, ledger: &mut CostLedger) {
         spmv_with(&self.a, x, y, ledger, &mut self.workspace.borrow_mut());
+    }
+}
+
+/// `y = A x` with both exchanges on the chaos wire
+/// ([`spmv_chaos_with`]), so the eigensolver's operator applications run
+/// under fault injection. The runtime is shared via `RefCell` (the
+/// trait's `apply` takes `&self`) — callers keep a handle to read the
+/// fault statistics afterwards.
+pub struct ChaosSpmvOp<'a> {
+    /// The distributed matrix.
+    pub a: &'a DistCsrMatrix,
+    /// The shared chaos runtime.
+    pub rt: &'a RefCell<ChaosRuntime>,
+    /// Scratch reused across applications.
+    workspace: RefCell<SpmvWorkspace>,
+}
+
+impl<'a> ChaosSpmvOp<'a> {
+    /// Wraps a matrix and a shared runtime with a sequential workspace.
+    pub fn new(a: &'a DistCsrMatrix, rt: &'a RefCell<ChaosRuntime>) -> ChaosSpmvOp<'a> {
+        ChaosSpmvOp {
+            a,
+            rt,
+            workspace: RefCell::new(SpmvWorkspace::new()),
+        }
+    }
+}
+
+impl LinearOperator for ChaosSpmvOp<'_> {
+    fn vmap(&self) -> &Arc<VectorMap> {
+        &self.a.vmap
+    }
+
+    fn apply(&self, x: &DistVector, y: &mut DistVector, ledger: &mut CostLedger) {
+        spmv_chaos_with(
+            self.a,
+            x,
+            y,
+            ledger,
+            &mut self.workspace.borrow_mut(),
+            &mut self.rt.borrow_mut(),
+        );
     }
 }
 
@@ -236,6 +279,20 @@ mod tests {
         for (yv, xv) in y.to_global().iter().zip(&sqrt_deg) {
             assert!((yv - 2.0 * xv).abs() < 1e-9, "{yv} vs {}", 2.0 * xv);
         }
+    }
+
+    #[test]
+    fn chaos_op_applies_the_matrix() {
+        let a = rmat(&RmatConfig::graph500(6), 8);
+        let da = DistCsrMatrix::from_global(&a, &MatrixDist::block_2d(a.nrows(), 2, 2));
+        let x = DistVector::random(Arc::clone(&da.vmap), 11);
+        let rt = RefCell::new(ChaosRuntime::seeded(3, 0.2));
+        let op = ChaosSpmvOp::new(&da, &rt);
+        let mut y = DistVector::zeros(Arc::clone(&da.vmap));
+        op.apply(&x, &mut y, &mut CostLedger::new(Machine::cab()));
+        let mut y_ref = DistVector::zeros(Arc::clone(&da.vmap));
+        crate::reference::spmv_ref(&da, &x, &mut y_ref, &mut CostLedger::new(Machine::cab()));
+        assert_eq!(y.locals, y_ref.locals);
     }
 
     #[test]

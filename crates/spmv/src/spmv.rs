@@ -46,26 +46,31 @@
 //! and the property tests in `tests/proptest_compiled.rs` pin this path
 //! to it bit-for-bit, ledger included.
 //!
-//! [`spmv_chaos_with`] / [`spmm_chaos_with`] are the same executor with
-//! both exchanges *also* mirrored onto a [`ChaosRuntime`] wire: the
-//! verify-retry protocol heals every injected fault, the healed payloads
-//! are asserted bit-identical to the resident buffers the kernel reads,
-//! and only the ledger can differ — by the `Retransmit` supersteps that
-//! itemize the extra traffic (skipped entirely at rate 0, where the run
-//! is byte-identical, ledger included). Chaos superstep indices for
-//! [`FaultScript`](sf2d_sim::fault) targeting: the k-th chaos-routed
-//! product routes its expand exchange at step `2k` and its fold exchange
-//! at step `2k + 1`.
+//! Fault injection is an argument of that executor, not a second one:
+//! [`spmv_chaos_with`] / [`spmm_chaos_with`] (and the no-workspace
+//! [`spmv_chaos`]) pass `run_phases` a [`ChaosRuntime`], and right after
+//! each exchange's superstep is charged the resident payloads are handed
+//! — send side from the pack entries, receive side from the unpack
+//! entries — to [`ChaosRuntime::mirror_exchange`], which clones them onto
+//! the fault-injecting wire, checks every healed delivery against what
+//! the receiving rank reads in place, and bills the extra traffic as a
+//! `Retransmit` superstep (none at rate 0, where the run is
+//! byte-identical, ledger included). Only the ledger can differ. Chaos
+//! superstep indices for [`FaultScript`](sf2d_sim::fault) targeting: the
+//! k-th chaos-routed product routes its expand exchange at step `2k` and
+//! its fold exchange at step `2k + 1`, empty exchanges included.
 
 use std::cell::Cell;
+use std::sync::Arc;
 
 use sf2d_obs::{trace_span, PhaseKind};
 use sf2d_sim::cost::{CostLedger, Phase, PhaseCost};
-use sf2d_sim::fault::{bill_retransmit, ChaosRuntime};
+use sf2d_sim::fault::{ChaosRuntime, PeerPayloads};
 use sf2d_sim::runtime::par_ranks;
 
 use crate::compiled::{scratch_split, RankPlan, SpmvWorkspace};
 use crate::distmat::{DistCsrMatrix, SPMM_CHUNK};
+use crate::map::VectorMap;
 use crate::multivec::{DistMultiVector, DistVector};
 
 thread_local! {
@@ -85,13 +90,15 @@ fn note_gather() {
     GATHER_EXECUTIONS.with(|c| c.set(c.get() + 1));
 }
 
-fn assert_maps_compatible(a: &DistCsrMatrix, x: &DistVector, y: &DistVector) {
+/// The one statement of "these vectors live on the matrix's
+/// distribution": pointer-equal maps, or structurally equal ones.
+fn assert_maps_compatible(a: &DistCsrMatrix, x: &Arc<VectorMap>, y: &Arc<VectorMap>) {
     assert!(
-        std::sync::Arc::ptr_eq(&x.map, &a.vmap) || x.map.same_distribution(&a.vmap),
+        Arc::ptr_eq(x, &a.vmap) || x.same_distribution(&a.vmap),
         "x map mismatch"
     );
     assert!(
-        std::sync::Arc::ptr_eq(&y.map, &a.vmap) || y.map.same_distribution(&a.vmap),
+        Arc::ptr_eq(y, &a.vmap) || y.same_distribution(&a.vmap),
         "y map mismatch"
     );
 }
@@ -172,7 +179,7 @@ pub fn spmv_with(
     ledger: &mut CostLedger,
     ws: &mut SpmvWorkspace,
 ) {
-    assert_maps_compatible(a, x, y);
+    assert_maps_compatible(a, &x.map, &y.map);
     run_phases(a, x, &mut y.locals, ledger, ws, &SPMV_SPANS, None);
 }
 
@@ -190,8 +197,21 @@ pub fn spmv_chaos_with(
     ws: &mut SpmvWorkspace,
     rt: &mut ChaosRuntime,
 ) {
-    assert_maps_compatible(a, x, y);
+    assert_maps_compatible(a, &x.map, &y.map);
     run_phases(a, x, &mut y.locals, ledger, ws, &SPMV_SPANS, Some(rt));
+}
+
+/// `y = A x` under fault injection: convenience wrapper over
+/// [`spmv_chaos_with`] with a throwaway sequential workspace, as
+/// [`spmv`] is over [`spmv_with`].
+pub fn spmv_chaos(
+    a: &DistCsrMatrix,
+    x: &DistVector,
+    y: &mut DistVector,
+    ledger: &mut CostLedger,
+    rt: &mut ChaosRuntime,
+) {
+    spmv_chaos_with(a, x, y, ledger, &mut SpmvWorkspace::new(), rt);
 }
 
 /// Blocked SpMM `Y = A X` over a [`DistMultiVector`].
@@ -223,14 +243,7 @@ pub fn spmm_with(
     ws: &mut SpmvWorkspace,
 ) {
     assert_eq!(x.ncols, y.ncols, "column count mismatch");
-    assert!(
-        std::sync::Arc::ptr_eq(&x.map, &a.vmap) || x.map.same_distribution(&a.vmap),
-        "x map mismatch"
-    );
-    assert!(
-        std::sync::Arc::ptr_eq(&y.map, &a.vmap) || y.map.same_distribution(&a.vmap),
-        "y map mismatch"
-    );
+    assert_maps_compatible(a, &x.map, &y.map);
     run_phases(a, x, &mut y.locals, ledger, ws, &SPMM_SPANS, None);
 }
 
@@ -247,67 +260,40 @@ pub fn spmm_chaos_with(
     rt: &mut ChaosRuntime,
 ) {
     assert_eq!(x.ncols, y.ncols, "column count mismatch");
-    assert!(
-        std::sync::Arc::ptr_eq(&x.map, &a.vmap) || x.map.same_distribution(&a.vmap),
-        "x map mismatch"
-    );
-    assert!(
-        std::sync::Arc::ptr_eq(&y.map, &a.vmap) || y.map.same_distribution(&a.vmap),
-        "y map mismatch"
-    );
+    assert_maps_compatible(a, &x.map, &y.map);
     run_phases(a, x, &mut y.locals, ledger, ws, &SPMM_SPANS, Some(rt));
 }
 
-/// Mirrors one phase's flat resident payload buffers onto the chaos wire
-/// and checks the healed deliveries against what the plain executor reads
-/// in place: same sources, same order, same bits. Extra fault traffic is
-/// billed as a `Retransmit` superstep (a no-op when nothing fired).
-fn route_phase_chaos<'a>(
-    rt: &mut ChaosRuntime,
-    ledger: &mut CostLedger,
-    p: usize,
+/// One phase's resident payloads as [`ChaosRuntime::mirror_exchange`]
+/// takes them: per source rank the `(dst, payload)` slices its pack
+/// entries wrote, per destination rank the `(src, payload)` slices its
+/// unpack entries read in place (`payload_off` into the sender's buffer).
+fn payload_views<'a>(
     m: usize,
-    bufs: &[Vec<f64>],
+    bufs: &'a [Vec<f64>],
     rank_plan: impl Fn(usize) -> RankPlan<'a>,
-    what: &str,
-) {
-    let sends: Vec<Vec<(u32, Vec<f64>)>> = (0..p)
+) -> (Vec<PeerPayloads<'a>>, Vec<PeerPayloads<'a>>) {
+    let payload = |owner: usize, off: u32, n: usize| {
+        let off = off as usize * m;
+        &bufs[owner][off..off + n * m]
+    };
+    let sends = (0..bufs.len())
         .map(|r| {
             rank_plan(r)
                 .packs()
-                .map(|(dst, lids, off)| {
-                    let off = off as usize * m;
-                    (dst, bufs[r][off..off + lids.len() * m].to_vec())
-                })
+                .map(|(dst, lids, off)| (dst, payload(r, off, lids.len())))
                 .collect()
         })
         .collect();
-    let (delivered, extra) = rt.route(p, sends);
-    bill_retransmit(ledger, &extra);
-    for (r, inbox) in delivered.iter().enumerate() {
-        let plan = rank_plan(r);
-        assert_eq!(
-            inbox.len(),
-            plan.nunpacks(),
-            "{what}: wrong message count at rank {r}"
-        );
-        for (msg, (src, _slot, off, lids)) in inbox.iter().zip(plan.unpacks()) {
-            assert_eq!(msg.src, src, "{what}: source mismatch at rank {r}");
-            let off = off as usize * m;
-            let resident = &bufs[src as usize][off..off + lids.len() * m];
-            assert_eq!(
-                msg.data.len(),
-                resident.len(),
-                "{what}: short message at rank {r}"
-            );
-            let same_bits = msg
-                .data
-                .iter()
-                .zip(resident.iter())
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-            assert!(same_bits, "{what}: corrupted delivery at rank {r}");
-        }
-    }
+    let views = (0..bufs.len())
+        .map(|r| {
+            rank_plan(r)
+                .unpacks()
+                .map(|(src, _slot, off, lids)| (src, payload(src as usize, off, lids.len())))
+                .collect()
+        })
+        .collect();
+    (sends, views)
 }
 
 /// Charges one superstep of a width-`m` product: the compiled per-rank
@@ -381,15 +367,8 @@ fn run_phases<X: ColumnAccess>(
     note_gather();
     charge(ledger, Phase::Expand, &compiled.expand_costs, m, widened);
     if let Some(rt) = chaos.as_deref_mut() {
-        route_phase_chaos(
-            rt,
-            ledger,
-            a.nprocs(),
-            m,
-            expand_bufs,
-            |r| compiled.expand_rank(r),
-            "spmv expand",
-        );
+        let (sends, views) = payload_views(m, expand_bufs, |r| compiled.expand_rank(r));
+        rt.mirror_exchange(ledger, "spmv expand", &sends, Some(&views));
     }
 
     // Phases 2–3, wave by wave: each wave carves per-rank (xcols,
@@ -501,15 +480,8 @@ fn run_phases<X: ColumnAccess>(
     );
     charge(ledger, Phase::Fold, &compiled.fold_costs, m, widened);
     if let Some(rt) = chaos {
-        route_phase_chaos(
-            rt,
-            ledger,
-            a.nprocs(),
-            m,
-            fold_bufs,
-            |r| compiled.fold_rank(r),
-            "spmv fold",
-        );
+        let (sends, views) = payload_views(m, fold_bufs, |r| compiled.fold_rank(r));
+        rt.mirror_exchange(ledger, "spmv fold", &sends, Some(&views));
     }
 
     // Phase 4 — sum: add arriving partials in plan order (sources
@@ -536,7 +508,6 @@ fn run_phases<X: ColumnAccess>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     use sf2d_gen::{grid_2d, rmat, RmatConfig};
     use sf2d_partition::{grid_shape, GpConfig, MatrixDist};
@@ -890,19 +861,20 @@ mod tests {
     }
 
     #[test]
-    fn chaos_scripted_expand_drop_is_healed() {
+    fn chaos_scripted_expand_drop_bills_exactly_one_retransmit_step() {
         use sf2d_sim::sf2d_chaos::{FaultKind, FaultScript};
         let a = rmat(&RmatConfig::graph500(7), 29);
         let d = MatrixDist::block_2d(a.nrows(), 2, 3);
         let dm = DistCsrMatrix::from_global(&a, &d);
         let x = DistVector::random(Arc::clone(&dm.vmap), 3);
-        // Drop the first real expand message (routing step 0).
-        let (src, dst) = dm
+        // Drop the first real expand message (routing step 0); the fold
+        // round (step 1) stays clean.
+        let (src, (dst, gids)) = dm
             .import
             .sends
             .iter()
             .enumerate()
-            .find_map(|(r, out)| out.first().map(|(d, _)| (r as u32, *d)))
+            .find_map(|(r, out)| out.first().map(|m| (r as u32, m.clone())))
             .expect("2x3 block layout always has expand traffic");
         let mut rt = sf2d_sim::ChaosRuntime::scripted(FaultScript::default().fault(
             0,
@@ -913,21 +885,24 @@ mod tests {
         ));
         let mut y = DistVector::zeros(Arc::clone(&dm.vmap));
         let mut l = CostLedger::new(Machine::cab());
-        spmv_chaos_with(&dm, &x, &mut y, &mut l, &mut SpmvWorkspace::new(), &mut rt);
+        spmv_chaos(&dm, &x, &mut y, &mut l, &mut rt);
 
         let mut y0 = DistVector::zeros(Arc::clone(&dm.vmap));
         let mut l0 = CostLedger::new(Machine::cab());
-        spmv(&dm, &x, &mut y0, &mut l0);
+        crate::reference::spmv_ref(&dm, &x, &mut y0, &mut l0);
         for (sl, tl) in y0.locals.iter().zip(&y.locals) {
             let sb: Vec<u64> = sl.iter().map(|v| v.to_bits()).collect();
             let tb: Vec<u64> = tl.iter().map(|v| v.to_bits()).collect();
             assert_eq!(sb, tb);
         }
         assert_eq!(rt.stats.drops, 1);
-        assert!(
-            l.history.iter().any(|(ph, _)| *ph == Phase::Retransmit),
-            "drop should bill a retransmit superstep"
-        );
+        // Exactly one extra superstep: the retransmit after the expand —
+        // sender 2 msgs + (payload + NACK) bytes, receiver the NACK.
+        assert_eq!(l.steps, l0.steps + 1);
+        let payload = 8 * gids.len() as u64;
+        let m = Machine::cab();
+        let want = (m.alpha * 2.0 + m.beta * (payload + 8) as f64).max(m.alpha + m.beta * 8.0);
+        assert!((l.by_phase[&Phase::Retransmit] - want).abs() < 1e-18);
         assert!(l.total > l0.total);
     }
 
@@ -942,7 +917,8 @@ mod tests {
             .collect();
         let x = DistMultiVector::from_columns(Arc::clone(&dm.vmap), &cols);
         let mut y0 = DistMultiVector::zeros(Arc::clone(&dm.vmap), 4);
-        spmm(&dm, &x, &mut y0, &mut CostLedger::new(Machine::cab()));
+        let mut l0 = CostLedger::new(Machine::cab());
+        crate::reference::spmm_ref(&dm, &x, &mut y0, &mut l0);
         for threads in [1usize, 2, 8] {
             let mut rt = sf2d_sim::ChaosRuntime::seeded(7, 0.4).with_threads(threads);
             let mut y = DistMultiVector::zeros(Arc::clone(&dm.vmap), 4);
@@ -955,12 +931,14 @@ mod tests {
                 &mut SpmvWorkspace::with_threads(threads),
                 &mut rt,
             );
-            assert!(rt.stats.any(), "rate 0.4 injected nothing");
+            assert!(rt.stats.message_faults() > 0, "{:?}", rt.stats);
             for (sl, tl) in y0.locals.iter().zip(&y.locals) {
                 let sb: Vec<u64> = sl.iter().map(|v| v.to_bits()).collect();
                 let tb: Vec<u64> = tl.iter().map(|v| v.to_bits()).collect();
                 assert_eq!(sb, tb, "threads {threads}");
             }
+            assert!(l.by_phase[&Phase::Retransmit] > 0.0, "threads {threads}");
+            assert!(l.total > l0.total, "faults must cost time");
         }
     }
 

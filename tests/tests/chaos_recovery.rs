@@ -375,6 +375,86 @@ fn serve_seeded_faults_heal_identically_across_thread_counts() {
     }
 }
 
+/// What a seeded run leaves behind: the fault counters in declaration
+/// order, the ledger's superstep count and total bits, and the chaos
+/// runtime's next routing step.
+fn golden_cell(rt: &ChaosRuntime, ledger: &CostLedger) -> ([u64; 8], usize, u64, u64) {
+    let s = &rt.stats;
+    (
+        [
+            s.drops,
+            s.duplicates,
+            s.bit_flips,
+            s.delays,
+            s.stalls,
+            s.crashes,
+            s.retransmit_msgs,
+            s.retransmit_bytes,
+        ],
+        ledger.steps,
+        ledger.total.to_bits(),
+        rt.step(),
+    )
+}
+
+#[test]
+fn golden_seeded_cells_pin_every_fault_coordinate() {
+    // Recovery tests pass whatever the schedule, because every fault
+    // heals. These cells were recorded at 4a87a35 and fail when a message
+    // changes its (step, src, dst, seq) coordinate or its payload length:
+    // a different draw moves the counters and the billed total.
+    let a = rmat(&RmatConfig::graph500(8), 3);
+    let mut builder = LayoutBuilder::new(&a, 0);
+    let seeded = || ChaosRuntime::seeded(0xC0FFEE, 0.25);
+
+    let mut power = |method: Method| {
+        let dm = DistCsrMatrix::from_global(&a, &builder.dist(method, 16));
+        let x0 = DistVector::random(Arc::clone(&dm.vmap), 7);
+        let (mut rt, mut ledger) = (seeded(), CostLedger::new(Machine::cab()));
+        power_iterate_chaos(&dm, &x0, 30, &mut ledger, &mut rt);
+        golden_cell(&rt, &ledger)
+    };
+    assert_eq!(
+        power(Method::TwoDBlock),
+        (
+            [627, 353, 400, 306, 125, 5, 2407, 130752],
+            545,
+            0x3f720586fd8aafcc,
+            120
+        )
+    );
+    assert_eq!(
+        power(Method::OneDRandom),
+        (
+            [1494, 872, 1093, 821, 125, 5, 6046, 222272],
+            524,
+            0x3f7c1428abf0b422,
+            120
+        )
+    );
+
+    let dist = builder.dist(Method::TwoDBlock, 16);
+    let dm = DistCsrMatrix::from_global(&a, &dist);
+    let b = a.transpose();
+    let (mut rt, mut ledger) = (seeded(), CostLedger::new(Machine::cab()));
+    spgemm_chaos(&dm, &b, &mut ledger, &mut rt);
+    assert_eq!(
+        golden_cell(&rt, &ledger),
+        ([11, 9, 10, 6, 3, 0, 51, 279976], 7, 0x3f2b8b8a14f4e248, 2)
+    );
+    let (mut rt, mut ledger) = (seeded(), CostLedger::new(Machine::cab()));
+    summa_chaos(&dm, &dist, &b, &mut ledger, &mut rt);
+    assert_eq!(
+        golden_cell(&rt, &ledger),
+        (
+            [16, 15, 17, 8, 8, 0, 81, 273608],
+            29,
+            0x3f38939d89c6c656,
+            11
+        )
+    );
+}
+
 /// Long soak across a seed × rate grid — not part of tier-1
 /// (`cargo test -- --ignored` runs it; CI's chaos job keeps it out of
 /// the default suite).
