@@ -11,10 +11,9 @@
 //! What counts as a regression depends on the metric's *direction*,
 //! classified from its key ([`direction_of`]):
 //!
-//! * `median_ns` / `wall_ns` / `sim_time` / `latency` / `p50` / `p99` —
+//! * `median_ns` / `wall_ns` / `sim_time` / `p50` / `p99` —
 //!   wall-clock-like, **higher is worse**;
-//! * `speedup` / `ratio` / `qps` — relative or rate metrics, **lower is
-//!   worse**;
+//! * `speedup` / `ratio` — relative metrics, **lower is worse**;
 //! * everything else is informational (compared for the report, never a
 //!   failure);
 //! * `meta.*` (provenance) and `phases_*` (attribution of a single
@@ -23,12 +22,11 @@
 //! Two escape hatches keep the gate honest on weak hosts: speedup checks
 //! are skipped loudly when the current run's `meta.host_cpus < 2` (one
 //! core cannot demonstrate parallel speedup), and `relative_only` demotes
-//! the machine-absolute metrics — wall-clock-like ones *and* `qps`
-//! (throughput is as machine-bound as latency, just inverted) — to
-//! informational. That is the right setting when baseline and current ran
-//! on different machines; dimensionless `speedup`/`ratio` metrics keep
-//! gating there, which is exactly why deterministic serving ratios
-//! (cache-hit rate, gather amortization) are reported as `*_ratio`.
+//! the machine-absolute, wall-clock-like metrics to informational. That
+//! is the right setting when baseline and current ran on different
+//! machines; dimensionless `speedup`/`ratio` metrics keep gating there,
+//! which is exactly why deterministic ratios (plan compression, cache-hit
+//! rate) are reported as `*_ratio`.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -55,13 +53,12 @@ pub fn direction_of(key: &str) -> Option<Direction> {
     if key.contains("median_ns")
         || key.contains("wall_ns")
         || key.contains("sim_time")
-        || key.contains("latency")
         || key.contains("p50")
         || key.contains("p99")
     {
         return Some(Direction::HigherIsWorse);
     }
-    if key.contains("speedup") || key.contains("ratio") || key.contains("qps") {
+    if key.contains("speedup") || key.contains("ratio") {
         return Some(Direction::LowerIsWorse);
     }
     Some(Direction::Info)
@@ -227,12 +224,6 @@ pub fn compare(
         if relative_only && dir == Direction::HigherIsWorse {
             dir = Direction::Info;
         }
-        // Throughput is machine-absolute like wall clock (its inverse),
-        // unlike the dimensionless speedup/ratio metrics it shares a
-        // direction with.
-        if relative_only && dir == Direction::LowerIsWorse && key.contains("qps") {
-            dir = Direction::Info;
-        }
         if skip_speedups && dir == Direction::LowerIsWorse {
             dir = Direction::Info;
         }
@@ -375,30 +366,16 @@ mod tests {
     }
 
     #[test]
-    fn serving_latency_and_throughput_keys_classify_by_direction() {
-        assert_eq!(
-            direction_of("serve[scenario=steady].latency_p50_ns"),
-            Some(Direction::HigherIsWorse)
-        );
-        assert_eq!(
-            direction_of("serve[scenario=steady].latency_p99_ns"),
-            Some(Direction::HigherIsWorse)
-        );
-        assert_eq!(
-            direction_of("serve[scenario=steady].qps"),
-            Some(Direction::LowerIsWorse)
-        );
-        assert_eq!(
-            direction_of("serve[scenario=steady].cache_hit_ratio"),
-            Some(Direction::LowerIsWorse)
-        );
-        assert_eq!(
-            direction_of("serve[scenario=steady].gather_amortization_ratio"),
-            Some(Direction::LowerIsWorse)
-        );
+    fn percentile_keys_classify_as_wall_clock() {
+        for key in ["service_ns_p50", "service_ns_p99"] {
+            assert_eq!(
+                direction_of(&format!("cases[name=gp,threads=2].pool.{key}")),
+                Some(Direction::HigherIsWorse)
+            );
+        }
     }
 
-    fn serve_sample(p50: u64, p99: u64, qps: f64, hit_ratio: f64) -> Value {
+    fn serve_sample(p50: u64, p99: u64, hit_ratio: f64) -> Value {
         let text = format!(
             r#"{{
               "meta": {{ "schema_version": 1, "bin": "bench_serve",
@@ -406,8 +383,8 @@ mod tests {
                          "git_rev": "abc1234", "timestamp_unix": 1700000000 }},
               "serve": [
                 {{ "name": "steady", "p": 16,
-                   "latency_p50_ns": {p50}, "latency_p99_ns": {p99},
-                   "qps": {qps}, "cache_hit_ratio": {hit_ratio},
+                   "service_ns_p50": {p50}, "service_ns_p99": {p99},
+                   "cache_hit_ratio": {hit_ratio},
                    "gather_amortization_ratio": 4.0 }}
               ]
             }}"#
@@ -416,25 +393,11 @@ mod tests {
     }
 
     #[test]
-    fn latency_regressions_gate_but_are_demoted_under_relative_only() {
-        let base = serve_sample(1000, 5000, 2000.0, 0.9);
-        // p99 +60%, qps -50%: both regress on the same machine ...
-        let cur = serve_sample(1000, 8000, 1000.0, 0.9);
-        let diff = compare(&base, &cur, 15.0, false);
-        assert!(!diff.passed());
-        let regs = diff.regressions();
-        assert!(regs.iter().any(|d| d.key.contains("latency_p99_ns")));
-        assert!(regs.iter().any(|d| d.key.contains("qps")));
-        // ... and are both informational cross-machine.
-        assert!(compare(&base, &cur, 15.0, true).passed());
-    }
-
-    #[test]
     fn deterministic_serving_ratios_gate_even_under_relative_only() {
-        let base = serve_sample(1000, 5000, 2000.0, 0.9);
+        let base = serve_sample(1000, 5000, 0.9);
         // The cache-hit ratio collapsing is a real behavior change, not a
         // machine artifact: it must fail even with --relative-only.
-        let cur = serve_sample(9000, 50000, 100.0, 0.4);
+        let cur = serve_sample(9000, 50000, 0.4);
         let diff = compare(&base, &cur, 15.0, true);
         assert!(!diff.passed());
         assert!(diff

@@ -14,15 +14,21 @@
 //! p the per-rank blocks go hypersparse (Buluç & Gilbert): every index
 //! list is tiny and highly redundant across ranks, so replicating
 //! `Vec<Vec<u32>>`-of-`Vec` plans per rank would drown in allocator
-//! headers. Instead every index list lives in one shared u32 arena (the
-//! *plan store*), **deduplicated by content**, and the per-rank schedules
-//! are flat entry arrays holding [`IdxSpan`] offset-range views into it.
-//! Message payloads are flat per-rank `f64` buffers in the
-//! [`SpmvWorkspace`], one allocation per rank (not per message), read
-//! **in place** by the destination rank at the sender's precomputed
-//! payload offset — the zero-copy simulated transport, allocation-free at
-//! steady state; the bytes accounted to the ledger still equal the plan's
-//! volume exactly.
+//! headers. Instead the schedules are flat arrays with per-rank offset
+//! tables; the owned-copy lists live in one shared u32 arena (the *plan
+//! store*), **deduplicated by content**, behind [`IdxSpan`] views.
+//! Message payloads live in **one flat `f64` arena per phase** in the
+//! [`SpmvWorkspace`], whose layout is frozen here: rank `r` sends from
+//! the region `payload_base[r]..payload_base[r + 1]` (times the product's
+//! width), messages in pack order. Two index lists are congruent with
+//! that layout, so each side of an exchange is one gather: `pack_idx[i]`
+//! is where arena slot `i` is packed from, and per arriving value a rank
+//! holds the local position it lands in (`recv_dst`) and the arena slot
+//! it is read from (`recv_src`) **in place** — the zero-copy simulated
+//! transport, allocation-free at steady state; the bytes accounted to the
+//! ledger still equal the plan's volume exactly. These lists are a pure
+//! function of the schedule and are not deduplicated: at p = 4,096 nearly
+//! every message is a single element.
 //!
 //! **Construction** parallelizes: [`CompiledSpmv::compile_with`] fans the
 //! pure per-rank lowering across OS threads (optionally on a persistent
@@ -35,8 +41,9 @@
 //! change ([`DistCsrMatrix::apply_delta`]), `CompiledSpmv::patch` runs
 //! the same per-rank lowering for those ranks only and splices the
 //! result in, leaving the *same schedule* a full compile would
-//! ([`CompiledSpmv::same_schedule`]; only arena offsets may differ) —
-//! property-tested in `tests/proptest_apply_delta.rs`.
+//! ([`CompiledSpmv::same_schedule`]; only the owned lists' offsets in
+//! the plan store may differ) — property-tested in
+//! `tests/proptest_apply_delta.rs`.
 //!
 //! [`DistCsrMatrix::apply_delta`]: crate::distmat::DistCsrMatrix::apply_delta
 //!
@@ -95,10 +102,10 @@ impl IdxSpan {
 pub struct PackEntry {
     /// Destination rank.
     pub peer: u32,
-    /// Local ids whose values to pack, in plan order (arena span).
-    pub lids: IdxSpan,
-    /// Offset of this message's payload in the sender's flat per-rank
-    /// send buffer, in width-1 doubles (multiply by `ncols` for SpMM).
+    /// Offset of this message's payload in the sender's region of the
+    /// payload arena, and of its pack list in the sender's `pack_idx`, in
+    /// width-1 doubles (multiply by `ncols` for SpMM). The next entry's
+    /// offset, or the region's length, ends it.
     pub payload_off: u32,
 }
 
@@ -112,13 +119,14 @@ pub struct UnpackEntry {
     /// The source's precomputed `payload_off` for that slot — so reading
     /// a payload in place costs no lookup into the sender's plan.
     pub payload_off: u32,
-    /// Local positions the arriving values land in (arena span).
-    pub lids: IdxSpan,
+    /// Offset of this message's values in the receiver's receive lists.
+    /// The next entry's offset, or the lists' length, ends it.
+    pub start: u32,
 }
 
-/// One phase's compiled schedule for **all** ranks: flat entry arrays with
-/// per-rank offset tables, plus per-rank owned-copy spans — everything
-/// indexing into the [`CompiledSpmv`]'s shared arena.
+/// One phase's compiled schedule for **all** ranks: flat entry and index
+/// arrays with per-rank offset tables, plus per-rank owned-copy spans into
+/// the [`CompiledSpmv`]'s shared arena.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PhasePlan {
     /// Per-rank owned-copy pairs, interleaved `(a, b)` in one arena span
@@ -133,9 +141,19 @@ pub struct PhasePlan {
     unpack: Vec<UnpackEntry>,
     /// Per-rank ranges into `unpack` (`p + 1` offsets).
     unpack_off: Vec<u32>,
-    /// Per-rank total send-payload length in width-1 doubles — what the
-    /// workspace's flat per-rank send buffer must hold.
-    payload: Vec<u32>,
+    /// Per-rank regions of the phase's payload arena in width-1 doubles
+    /// (`p + 1` prefix sums of the ranks' send volumes).
+    payload_base: Vec<u32>,
+    /// Where each width-1 arena slot is packed from. Expand: the sender's
+    /// x lid; fold: its stored row of `partials`.
+    pack_idx: Vec<u32>,
+    /// Per-rank ranges into `recv_dst` / `recv_src` (`p + 1` offsets).
+    recv_base: Vec<u32>,
+    /// Per received value — sources ascending, payload order within a
+    /// message — where it lands. Expand: the `xcols` lid; fold: the y lid.
+    recv_dst: Vec<u32>,
+    /// Per received value, the width-1 arena slot it is read from.
+    recv_src: Vec<u32>,
 }
 
 impl PhasePlan {
@@ -144,15 +162,17 @@ impl PhasePlan {
         PhasePlan {
             pack_off: vec![0],
             unpack_off: vec![0],
+            payload_base: vec![0],
+            recv_base: vec![0],
             ..PhasePlan::default()
         }
     }
 
-    /// Appends the next rank's raw lists, interning every index list
-    /// (owned, then packs, then unpacks — the arena layout is a function
-    /// of this order). Pack payload offsets are the prefix sums of the
-    /// message lengths; unpack payload offsets need the *source's* pack
-    /// list and are filled in by [`link_rank`](PhasePlan::link_rank).
+    /// Appends the next rank's raw lists: the owned pairs are interned,
+    /// the pack and unpack lists concatenated onto `pack_idx` and
+    /// `recv_dst`. Where the received values are read from needs the
+    /// *sources'* regions and pack lists; [`link_rank`](PhasePlan::link_rank)
+    /// fills that in.
     fn push_rank(
         &mut self,
         interner: &mut Interner,
@@ -160,38 +180,43 @@ impl PhasePlan {
         pack: &[(u32, Vec<u32>)],
         unpack: &[(u32, u32, Vec<u32>)],
     ) {
+        let end = |list: &[u32]| u32::try_from(list.len()).expect("a phase's volume fits u32");
         self.owned.push(interner.intern(owned));
-        let mut payload = 0u32;
+        let base = end(&self.pack_idx);
         for (peer, lids) in pack {
             self.pack.push(PackEntry {
                 peer: *peer,
-                lids: interner.intern(lids),
-                payload_off: payload,
+                payload_off: end(&self.pack_idx) - base,
             });
-            payload = payload
-                .checked_add(lids.len() as u32)
-                .expect("per-rank payload fits u32");
+            self.pack_idx.extend_from_slice(lids);
         }
         self.pack_off.push(self.pack.len() as u32);
+        self.payload_base.push(end(&self.pack_idx));
+        let base = end(&self.recv_dst);
         for (src, slot, lids) in unpack {
             self.unpack.push(UnpackEntry {
                 src: *src,
                 slot: *slot,
                 payload_off: 0,
-                lids: interner.intern(lids),
+                start: end(&self.recv_dst) - base,
             });
+            self.recv_dst.extend_from_slice(lids);
         }
         self.unpack_off.push(self.unpack.len() as u32);
-        self.payload.push(payload);
+        self.recv_base.push(end(&self.recv_dst));
+        self.recv_src.resize(self.recv_dst.len(), 0);
     }
 
-    /// Points rank `d`'s unpack entries at their sources' payloads. An
-    /// entry whose source `reslot` names also gets its slot looked up
-    /// again (pack lists are peer-ascending): the source's pack list was
-    /// rewritten since the entry was lowered.
+    /// Points rank `d`'s unpack entries and received values at their
+    /// sources' payloads. An entry whose source `reslot` names also gets
+    /// its slot looked up again (pack lists are peer-ascending): the
+    /// source's pack list was rewritten since the entry was lowered.
     fn link_rank(&mut self, d: usize, reslot: impl Fn(u32) -> bool) {
+        let recv = self.recv_base[d] as usize..self.recv_base[d + 1] as usize;
         let range = self.unpack_off[d] as usize..self.unpack_off[d + 1] as usize;
-        for e in &mut self.unpack[range] {
+        // Backwards: a message's values end where the next one's start.
+        let mut end = recv.len();
+        for e in self.unpack[range].iter_mut().rev() {
             let src = e.src as usize;
             let packs = &self.pack[self.pack_off[src] as usize..self.pack_off[src + 1] as usize];
             if reslot(e.src) {
@@ -201,13 +226,20 @@ impl PhasePlan {
                     as u32;
             }
             e.payload_off = packs[e.slot as usize].payload_off;
+            let from = self.payload_base[src] + e.payload_off;
+            let values = &mut self.recv_src[recv.start + e.start as usize..recv.start + end];
+            for (s, slot) in values.iter_mut().zip(from..) {
+                *s = slot;
+            }
+            end = e.start as usize;
         }
     }
 
     /// Replaces rank `r`'s schedule by its freshly lowered raw lists,
-    /// splicing the flat entry arrays and shifting the offset tables.
-    /// Unpack entries of `r` and of every rank reading `r`'s send buffer
-    /// must be [linked](PhasePlan::link_rank) afterwards.
+    /// splicing the flat arrays and shifting the offset tables. Unpack
+    /// entries of `r` and of every rank reading `r`'s region must be
+    /// [linked](PhasePlan::link_rank) afterwards — every rank, when the
+    /// region changed length (returned), because all later ones moved.
     fn replace_rank(
         &mut self,
         interner: &mut Interner,
@@ -215,7 +247,7 @@ impl PhasePlan {
         owned: &[u32],
         pack: &[(u32, Vec<u32>)],
         unpack: &[(u32, u32, Vec<u32>)],
-    ) {
+    ) -> bool {
         fn splice<T>(flat: &mut Vec<T>, off: &mut [u32], r: usize, new: Vec<T>) {
             let (lo, hi) = (off[r] as usize, off[r + 1] as usize);
             let new_hi = lo + new.len();
@@ -226,10 +258,15 @@ impl PhasePlan {
         }
         let mut one = PhasePlan::new();
         one.push_rank(interner, owned, pack, unpack);
+        let moved = one.pack_idx.len() != self.payload_doubles(r);
         self.owned[r] = one.owned[0];
-        self.payload[r] = one.payload[0];
         splice(&mut self.pack, &mut self.pack_off, r, one.pack);
         splice(&mut self.unpack, &mut self.unpack_off, r, one.unpack);
+        splice(&mut self.pack_idx, &mut self.payload_base, r, one.pack_idx);
+        let recv = self.recv_base[r] as usize..self.recv_base[r + 1] as usize;
+        self.recv_src.splice(recv, one.recv_src);
+        splice(&mut self.recv_dst, &mut self.recv_base, r, one.recv_dst);
+        moved
     }
 
     /// Number of ranks.
@@ -249,96 +286,122 @@ impl PhasePlan {
         &self.unpack[self.unpack_off[r] as usize..self.unpack_off[r + 1] as usize]
     }
 
+    /// Rank `r`'s region of the phase's payload arena, in width-1
+    /// doubles. The regions tile `0..payload_range(p - 1).end` in rank
+    /// order.
+    #[inline]
+    pub fn payload_range(&self, r: usize) -> Range<usize> {
+        self.payload_base[r] as usize..self.payload_base[r + 1] as usize
+    }
+
     /// Rank `r`'s total send-payload length in width-1 doubles.
     #[inline]
     pub fn payload_doubles(&self, r: usize) -> usize {
-        self.payload[r] as usize
+        self.payload_range(r).len()
+    }
+
+    /// Length of the whole phase's payload arena in width-1 doubles.
+    #[inline]
+    pub fn arena_doubles(&self) -> usize {
+        self.pack_idx.len()
+    }
+
+    /// Where rank `r` packs its region from, slot by slot: its pack
+    /// lists concatenated in message order.
+    #[inline]
+    pub fn pack_indices(&self, r: usize) -> &[u32] {
+        &self.pack_idx[self.payload_range(r)]
+    }
+
+    /// Rank `r`'s received values as `(dst, src)` lists: the local
+    /// position each lands in and the width-1 arena slot it is read from,
+    /// sources ascending, payload order within a message.
+    #[inline]
+    pub fn received(&self, r: usize) -> (&[u32], &[u32]) {
+        let range = self.recv_base[r] as usize..self.recv_base[r + 1] as usize;
+        (&self.recv_dst[range.clone()], &self.recv_src[range])
     }
 
     /// The rank view joining this plan with the shared arena.
     #[inline]
     fn rank<'a>(&'a self, arena: &'a [u32], r: usize) -> RankPlan<'a> {
         RankPlan {
+            phase: self,
             arena,
-            owned: self.owned[r],
-            pack: self.pack_entries(r),
-            unpack: self.unpack_entries(r),
+            r,
         }
     }
 }
 
-/// One rank's schedule for one phase: a cheap `Copy` view borrowing the
-/// shared arena — the executor-facing face of the compressed plan store.
+/// One rank's schedule for one phase: a cheap `Copy` view of the
+/// compressed plan store that slices it on demand — what the per-message
+/// consumers (the SpGEMM kernel, the chaos mirror, the tests) read.
 #[derive(Debug, Clone, Copy)]
 pub struct RankPlan<'a> {
+    phase: &'a PhasePlan,
     arena: &'a [u32],
-    owned: IdxSpan,
-    pack: &'a [PackEntry],
-    unpack: &'a [UnpackEntry],
+    r: usize,
 }
 
 impl<'a> RankPlan<'a> {
-    /// Resolves a span to its arena slice.
-    #[inline]
-    pub fn lids(self, span: IdxSpan) -> &'a [u32] {
-        &self.arena[span.range()]
-    }
-
     /// Owned-copy pairs. Expand: `xcols[b] = x_local[a]`; fold:
     /// `y_local[b] += partials[a]`.
     #[inline]
     pub fn owned_pairs(self) -> impl Iterator<Item = (u32, u32)> + 'a {
-        self.arena[self.owned.range()]
-            .chunks_exact(2)
-            .map(|c| (c[0], c[1]))
+        let owned = &self.arena[self.phase.owned[self.r].range()];
+        owned.chunks_exact(2).map(|c| (c[0], c[1]))
     }
 
     /// Number of owned-copy pairs.
     pub fn n_owned(self) -> usize {
-        self.owned.len() / 2
+        self.phase.owned[self.r].len() / 2
     }
 
     /// Outgoing messages as `(peer, lids, payload_off)`, in plan order
     /// (which is also payload order: offsets ascend).
     #[inline]
     pub fn packs(self) -> impl Iterator<Item = (u32, &'a [u32], u32)> + 'a {
-        let arena = self.arena;
-        self.pack
-            .iter()
-            .map(move |e| (e.peer, &arena[e.lids.range()], e.payload_off))
+        (0..self.npacks()).map(move |slot| self.pack(slot))
     }
 
     /// One outgoing message by slot.
     #[inline]
     pub fn pack(self, slot: usize) -> (u32, &'a [u32], u32) {
-        let e = &self.pack[slot];
-        (e.peer, &self.arena[e.lids.range()], e.payload_off)
+        let pack = self.phase.pack_entries(self.r);
+        let idx = self.phase.pack_indices(self.r);
+        let e = &pack[slot];
+        let end = pack
+            .get(slot + 1)
+            .map_or(idx.len(), |n| n.payload_off as usize);
+        (e.peer, &idx[e.payload_off as usize..end], e.payload_off)
     }
 
     /// Number of outgoing messages.
     pub fn npacks(self) -> usize {
-        self.pack.len()
+        self.phase.pack_entries(self.r).len()
     }
 
     /// Incoming messages as `(src, slot, payload_off, lids)` — the
-    /// payload offset is the *sender's*, for reading its flat buffer in
-    /// place.
+    /// payload offset is the *sender's*, into its region of the arena.
     #[inline]
     pub fn unpacks(self) -> impl Iterator<Item = (u32, u32, u32, &'a [u32])> + 'a {
-        let arena = self.arena;
-        self.unpack
-            .iter()
-            .map(move |e| (e.src, e.slot, e.payload_off, &arena[e.lids.range()]))
+        let unpack = self.phase.unpack_entries(self.r);
+        let dst = self.phase.received(self.r).0;
+        (0..unpack.len()).map(move |k| {
+            let e = &unpack[k];
+            let end = unpack.get(k + 1).map_or(dst.len(), |n| n.start as usize);
+            (e.src, e.slot, e.payload_off, &dst[e.start as usize..end])
+        })
     }
 
     /// Number of incoming messages.
     pub fn nunpacks(self) -> usize {
-        self.unpack.len()
+        self.phase.unpack_entries(self.r).len()
     }
 }
 
-/// The full compiled schedule: shared index arena plus one [`PhasePlan`]
-/// per phase and the frozen per-rank cost vectors.
+/// The full compiled schedule: the shared arena of owned-copy lists, one
+/// [`PhasePlan`] per phase and the frozen per-rank cost vectors.
 ///
 /// Built once by [`DistCsrMatrix::from_global`] and reused by every
 /// [`spmv`](crate::spmv::spmv) / [`spmm`](crate::spmv::spmm) call.
@@ -346,8 +409,8 @@ impl<'a> RankPlan<'a> {
 /// [`DistCsrMatrix::from_global`]: crate::distmat::DistCsrMatrix::from_global
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompiledSpmv {
-    /// The shared, content-deduplicated index arena (the plan store)
-    /// with its dedup index.
+    /// The shared, content-deduplicated arena of owned-copy lists (the
+    /// plan store) with its dedup index.
     store: Interner,
     /// Arena length at the last full compile: the arena is compacted
     /// when patches have doubled it.
@@ -367,8 +430,9 @@ pub struct CompiledSpmv {
     pub sum_costs: Vec<PhaseCost>,
 }
 
-/// One rank's schedules before interning: plain nested vectors, built by
-/// the (parallelizable) pure per-rank lowering pass.
+/// One rank's schedules before they are appended to the flat plan: plain
+/// nested vectors, built by the (parallelizable) pure per-rank lowering
+/// pass.
 #[derive(Debug, Clone, Default)]
 struct RawRank {
     e_owned: Vec<u32>,
@@ -470,11 +534,11 @@ fn lower_rank(
     }
 }
 
-/// Content-deduplicating arena interner. Interning happens serially in
-/// rank order, so the arena layout is a pure function of the raw plans —
-/// the parallel and serial compile paths produce identical bytes. It
-/// stays resident with the plan so that a patch re-interns a re-lowered
-/// rank's unchanged segments onto their old spans.
+/// Content-deduplicating arena interner for the owned-copy lists.
+/// Interning happens serially in rank order, so the arena layout is a
+/// pure function of the raw plans — the parallel and serial compile paths
+/// produce identical bytes. It stays resident with the plan so that a
+/// patch re-interns a re-lowered rank's unchanged list onto its old span.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 struct Interner {
     arena: Vec<u32>,
@@ -536,8 +600,9 @@ impl CompiledSpmv {
 
     /// [`compile`](CompiledSpmv::compile) with the pure per-rank lowering
     /// fanned across `threads` OS threads (on the persistent `pool` when
-    /// given). Interning stays serial in rank order, so the result is
-    /// **byte-identical** to the serial compile for any thread count.
+    /// given). The flat plan is appended serially in rank order, so the
+    /// result is **byte-identical** to the serial compile for any thread
+    /// count.
     pub fn compile_with(
         vmap: &VectorMap,
         blocks: &[RankBlock],
@@ -554,8 +619,8 @@ impl CompiledSpmv {
             *slot = lower_rank(r, vmap, &blocks[r], import, export);
         });
 
-        // Stage 2 — serial: intern into the shared arena in rank order
-        // (deterministic layout, shared segments stored once).
+        // Stage 2 — serial: append to the flat plan in rank order
+        // (deterministic layout, shared owned lists stored once).
         let mut store = Interner::default();
         let mut expand = PhasePlan::new();
         let mut fold = PhasePlan::new();
@@ -597,12 +662,14 @@ impl CompiledSpmv {
     /// message; `resized` every rank whose local nonzero count changed.
     ///
     /// Each `relower` rank is lowered again by the same `lower_rank` and
-    /// spliced in; the ranks reading a rewritten send buffer only have
-    /// their payload offsets and slots refreshed. Segments are interned
-    /// into the existing arena, so unchanged ones land on their old
-    /// spans and replaced ones become garbage; when the arena has
-    /// doubled since the last full compile, one full compile collects it
-    /// (the `Vec` growth rule). Returns whether that happened.
+    /// spliced in; the ranks reading a rewritten region only have their
+    /// slots, payload offsets and `recv_src` refreshed — every rank of a
+    /// phase in which a region changed length, since all later regions
+    /// moved (O(volume) `u32` stores). Owned lists are interned into the
+    /// existing arena, so unchanged ones land on their old spans and
+    /// replaced ones become garbage; when the arena has doubled since the
+    /// last full compile, one full compile collects it (the `Vec` growth
+    /// rule). Returns whether that happened.
     pub(crate) fn patch(
         &mut self,
         vmap: &VectorMap,
@@ -619,29 +686,31 @@ impl CompiledSpmv {
             return false;
         }
         let mut relowered = vec![false; blocks.len()];
+        let mut moved = [false; 2];
         for &r in relower {
             let rr = lower_rank(r, vmap, &blocks[r], import, export);
-            let store = &mut self.store;
-            self.expand
-                .replace_rank(store, r, &rr.e_owned, &rr.e_pack, &rr.e_unpack);
-            self.fold
-                .replace_rank(store, r, &rr.f_owned, &rr.f_pack, &rr.f_unpack);
+            let (store, ex, fo) = (&mut self.store, &mut self.expand, &mut self.fold);
+            moved[0] |= ex.replace_rank(store, r, &rr.e_owned, &rr.e_pack, &rr.e_unpack);
+            moved[1] |= fo.replace_rank(store, r, &rr.f_owned, &rr.f_pack, &rr.f_unpack);
             self.expand_costs[r] = import.rank_phase_cost(r);
             self.fold_costs[r] = export.rank_phase_cost(r);
             self.sum_costs[r] = PhaseCost::compute(rr.sum_flops);
             relowered[r] = true;
         }
-        for phase in [&mut self.expand, &mut self.fold] {
+        for (phase, moved) in [&mut self.expand, &mut self.fold].into_iter().zip(moved) {
             // A fresh rank has its payload offsets unset; a reader of a
-            // fresh rank's send buffer has stale offsets and slots.
-            let mut stale: Vec<usize> = relower
-                .iter()
-                .flat_map(|&s| phase.pack_entries(s))
-                .map(|m| m.peer as usize)
-                .chain(relower.iter().copied())
-                .collect();
-            stale.sort_unstable();
-            stale.dedup();
+            // fresh rank's region has stale offsets and slots; and when
+            // regions moved, so did what every rank reads.
+            let stale: Vec<usize> = if moved {
+                (0..blocks.len()).collect()
+            } else {
+                let readers = relower.iter().flat_map(|&s| phase.pack_entries(s));
+                let readers = readers.map(|m| m.peer as usize);
+                let mut stale: Vec<usize> = readers.chain(relower.iter().copied()).collect();
+                stale.sort_unstable();
+                stale.dedup();
+                stale
+            };
             for d in stale {
                 phase.link_rank(d, |src| relowered[src as usize]);
             }
@@ -653,19 +722,23 @@ impl CompiledSpmv {
         compact
     }
 
-    /// Whether `self` and `other` are the same schedule: every rank's
-    /// owned pairs, packs, unpacks and payload length in both phases,
-    /// with index lists compared by content through each plan's own
-    /// arena, and all four cost vectors. Arena offsets — all that can
-    /// differ between a patched plan and a fresh compile — are ignored.
+    /// Whether `self` and `other` are the same schedule: in both phases
+    /// the message entries, the payload layout and the pack and receive
+    /// lists — absolute arena slots included, the layout being a pure
+    /// function of the schedule — every rank's owned pairs compared by
+    /// content through each plan's own arena, and all four cost vectors.
+    /// Where the owned lists sit in the plan store — all that can differ
+    /// between a patched plan and a fresh compile — is ignored.
     pub fn same_schedule(&self, other: &CompiledSpmv) -> bool {
         let same_phase = |a: &PhasePlan, b: &PhasePlan| {
-            a.payload == b.payload
+            (a.pack == b.pack && a.pack_off == b.pack_off)
+                && (a.unpack == b.unpack && a.unpack_off == b.unpack_off)
+                && (a.payload_base == b.payload_base && a.pack_idx == b.pack_idx)
+                && (a.recv_base == b.recv_base && a.recv_dst == b.recv_dst)
+                && a.recv_src == b.recv_src
                 && (0..a.nranks()).all(|r| {
                     let (x, y) = (a.rank(&self.store.arena, r), b.rank(&other.store.arena, r));
                     x.owned_pairs().eq(y.owned_pairs())
-                        && x.packs().eq(y.packs())
-                        && x.unpacks().eq(y.unpacks())
                 })
         };
         self.expand.nranks() == other.expand.nranks()
@@ -694,21 +767,24 @@ impl CompiledSpmv {
         self.sum_costs[r].flops
     }
 
-    /// Entries in the shared index arena (after deduplication).
+    /// Entries in the shared arena of owned-copy lists (after
+    /// deduplication).
     pub fn arena_len(&self) -> usize {
         self.store.arena.len()
     }
 
     /// Actual heap footprint of the compressed plan store: arena, entry
-    /// arrays, offset tables, and the frozen cost vectors.
+    /// arrays, pack and receive lists, offset tables, and the frozen cost
+    /// vectors.
     pub fn plan_bytes(&self) -> u64 {
         use std::mem::size_of;
         let phase = |pl: &PhasePlan| -> u64 {
+            // Four `p + 1` offset tables, the pack list, both receive lists.
+            let words = 4 * (pl.nranks() + 1) + pl.pack_idx.len() + 2 * pl.recv_dst.len();
             (pl.owned.len() * size_of::<IdxSpan>()
                 + pl.pack.len() * size_of::<PackEntry>()
                 + pl.unpack.len() * size_of::<UnpackEntry>()
-                + (pl.pack_off.len() + pl.unpack_off.len() + pl.payload.len()) * 4)
-                as u64
+                + words * 4) as u64
         };
         (self.store.arena.len() * 4) as u64
             + phase(&self.expand)
@@ -731,15 +807,13 @@ impl CompiledSpmv {
                 // owned: Vec<(u32, u32)>
                 total += vec_hdr + 8 * (pl.owned[r].len() / 2) as u64;
                 // pack: Vec<(u32, Vec<u32>)>
-                total += vec_hdr;
-                for e in pl.pack_entries(r) {
-                    total += size_of::<(u32, Vec<u32>)>() as u64 + 4 * e.lids.len as u64;
-                }
+                total += vec_hdr
+                    + (pl.pack_entries(r).len() * size_of::<(u32, Vec<u32>)>()) as u64
+                    + 4 * pl.payload_doubles(r) as u64;
                 // unpack: Vec<(u32, u32, Vec<u32>)>
-                total += vec_hdr;
-                for e in pl.unpack_entries(r) {
-                    total += size_of::<(u32, u32, Vec<u32>)>() as u64 + 4 * e.lids.len as u64;
-                }
+                total += vec_hdr
+                    + (pl.unpack_entries(r).len() * size_of::<(u32, u32, Vec<u32>)>()) as u64
+                    + 4 * pl.received(r).0.len() as u64;
             }
             // The per-rank struct list itself.
             total += vec_hdr + (pl.nranks() * 3 * size_of::<Vec<u32>>()) as u64;
@@ -762,8 +836,8 @@ pub(crate) fn scratch_split(block: &RankBlock, width: usize) -> (usize, usize) {
 /// Reusable scratch space for [`spmv`](crate::spmv::spmv) /
 /// [`spmm`](crate::spmv::spmm): one arena for the per-rank `xcols` /
 /// `partials` scratch (one column chunk of `xcols`, every column of
-/// `partials` — `scratch_split`) and one flat `f64` send buffer per rank
-/// per phase.
+/// `partials` — `scratch_split`) and one flat `f64` payload arena per
+/// phase, laid out by the plan ([`PhasePlan::payload_range`]).
 ///
 /// A workspace is not tied to a matrix — buffers are (re)sized on first
 /// use with each matrix — so one workspace can serve a whole solve. The
@@ -776,8 +850,8 @@ pub(crate) fn scratch_split(block: &RankBlock, width: usize) -> (usize, usize) {
 /// [`sf2d_sim::wave::plan_waves`]: the scratch arena holds only the
 /// largest wave instead of all `p` ranks, and results (ledger included)
 /// stay byte-identical because each rank's work reads only state frozen
-/// before its phase. The send buffers stay resident either way — they are
-/// the simulated network, read in place across waves.
+/// before its phase. The payload arenas stay resident either way — they
+/// are the simulated network, read in place across waves.
 #[derive(Debug, Clone)]
 pub struct SpmvWorkspace {
     /// Number of OS threads for phase-local work (1 = fully sequential).
@@ -791,12 +865,16 @@ pub struct SpmvWorkspace {
     /// product's width (unused at width 1, where the compiled costs are
     /// charged as they stand).
     pub(crate) widened: Vec<PhaseCost>,
-    /// Per-rank flat expand-phase send payloads (one allocation per rank;
-    /// messages at the plan's payload offsets). Destination ranks read
-    /// them in place, so the simulated transport is zero-copy.
-    pub(crate) expand_bufs: Vec<Vec<f64>>,
-    /// Per-rank fold-phase send payloads, same discipline.
-    pub(crate) fold_bufs: Vec<Vec<f64>>,
+    /// Every rank's expand-phase send payloads, at least
+    /// `expand.arena_doubles() · width` long and laid out by the plan, an
+    /// index's `width` values adjacent. Destination ranks read it in
+    /// place, so the simulated transport is zero-copy.
+    pub(crate) expand_arena: Vec<f64>,
+    /// Every rank's fold-phase send payloads, same discipline.
+    pub(crate) fold_arena: Vec<f64>,
+    /// Per-rank scratch footprints in bytes that `waves` was planned
+    /// from; empty when a new budget has yet to be planned for.
+    per_rank: Vec<u64>,
     /// The wave plan for the current (matrix, width, budget).
     pub(crate) waves: Vec<Range<usize>>,
 }
@@ -815,8 +893,9 @@ impl SpmvWorkspace {
             budget: None,
             scratch: Vec::new(),
             widened: Vec::new(),
-            expand_bufs: Vec::new(),
-            fold_bufs: Vec::new(),
+            expand_arena: Vec::new(),
+            fold_arena: Vec::new(),
+            per_rank: Vec::new(),
             waves: Vec::new(),
         }
     }
@@ -827,7 +906,7 @@ impl SpmvWorkspace {
     /// best effort, never failure). Results are byte-identical to the
     /// unbudgeted workspace.
     pub fn with_budget(mut self, bytes: u64) -> SpmvWorkspace {
-        self.budget = Some(bytes);
+        self.set_budget(Some(bytes));
         self
     }
 
@@ -835,6 +914,7 @@ impl SpmvWorkspace {
     /// [`with_budget`](SpmvWorkspace::with_budget)).
     pub fn set_budget(&mut self, bytes: Option<u64>) {
         self.budget = bytes;
+        self.per_rank.clear();
     }
 
     /// The configured scratch budget, if any.
@@ -855,17 +935,23 @@ impl SpmvWorkspace {
     }
 
     /// Sizes the buffers for `blocks` at SpMM width `width` (1 for SpMV),
-    /// plans the waves, and reuses allocations where they already fit.
+    /// plans the waves, and reuses allocations where they already fit —
+    /// at steady state it allocates nothing.
     pub(crate) fn ensure(&mut self, blocks: &[RankBlock], compiled: &CompiledSpmv, width: usize) {
-        let per_rank: Vec<u64> = blocks
-            .iter()
-            .map(|b| {
-                let (xcols, partials) = scratch_split(b, width);
-                8 * (xcols + partials) as u64
-            })
-            .collect();
-        self.waves = sf2d_sim::wave::plan_waves(&per_rank, self.budget);
-        let need = sf2d_sim::wave::max_wave_bytes(&per_rank, &self.waves) as usize / 8;
+        // The waves are a function of the footprints and the budget:
+        // plan again only when one of them moved.
+        let mut moved = self.per_rank.len() != blocks.len();
+        self.per_rank.resize(blocks.len(), 0);
+        for (have, block) in self.per_rank.iter_mut().zip(blocks) {
+            let (xcols, partials) = scratch_split(block, width);
+            let need = 8 * (xcols + partials) as u64;
+            moved |= *have != need;
+            *have = need;
+        }
+        if moved {
+            self.waves = sf2d_sim::wave::plan_waves(&self.per_rank, self.budget);
+        }
+        let need = sf2d_sim::wave::max_wave_bytes(&self.per_rank, &self.waves) as usize / 8;
         if self.scratch.len() < need {
             // Nothing in the arena outlives a product, so it grows by
             // replacement: `resize` would copy the dead contents into a
@@ -873,19 +959,17 @@ impl SpmvWorkspace {
             self.scratch = Vec::new();
             self.scratch = vec![0.0; need];
         }
-        self.expand_bufs.resize_with(blocks.len(), Vec::new);
-        self.fold_bufs.resize_with(blocks.len(), Vec::new);
-        // Cleared first: `reserve` counts from the length, and the last
-        // product's payload is still in there — every buffer would sit at
-        // twice its need, and double again whenever a patched plan's
-        // payload grows by one.
-        for (r, buf) in self.expand_bufs.iter_mut().enumerate() {
-            buf.clear();
-            buf.reserve_exact(compiled.expand.payload_doubles(r) * width);
-        }
-        for (r, buf) in self.fold_bufs.iter_mut().enumerate() {
-            buf.clear();
-            buf.reserve_exact(compiled.fold.payload_doubles(r) * width);
+        for (arena, plan) in [
+            (&mut self.expand_arena, &compiled.expand),
+            (&mut self.fold_arena, &compiled.fold),
+        ] {
+            // Grown exactly and never shrunk: a patched plan's payload
+            // grows a value at a time, and an engine's batch widths cycle.
+            let need = plan.arena_doubles() * width;
+            if arena.len() < need {
+                arena.reserve_exact(need - arena.len());
+                arena.resize(need, 0.0);
+            }
         }
     }
 }
@@ -1004,22 +1088,14 @@ mod tests {
 
     #[test]
     fn arena_dedups_shared_segments_and_compression_wins() {
-        // A block-1d layout over a dense-ish band graph: many ranks ship
-        // structurally identical lid lists, which must be stored once.
+        // Ranks of one grid row or column own structurally identical
+        // copy lists, which must be stored once.
         let dm = dist_matrix();
         let c = &dm.compiled;
         // Total entries the schedules *reference* vs entries stored.
         let mut referenced = 0usize;
         for pl in [&c.expand, &c.fold] {
-            for r in 0..pl.nranks() {
-                referenced += c.expand_rank(0).lids(pl.owned[r]).len();
-                for e in pl.pack_entries(r) {
-                    referenced += e.lids.len();
-                }
-                for e in pl.unpack_entries(r) {
-                    referenced += e.lids.len();
-                }
-            }
+            referenced += pl.owned.iter().map(|span| span.len()).sum::<usize>();
         }
         assert!(
             c.arena_len() <= referenced,
@@ -1034,6 +1110,20 @@ mod tests {
             c.plan_bytes(),
             c.replicated_plan_bytes()
         );
+    }
+
+    #[test]
+    fn same_schedule_reads_the_arena_offsets() {
+        let dm = dist_matrix();
+        assert!(dm.compiled.same_schedule(&dm.compiled.clone()));
+        // One received value read from its neighbour's slot: the same
+        // messages, another product.
+        let mut off = dm.compiled.clone();
+        off.expand.recv_src[0] ^= 1;
+        assert!(!dm.compiled.same_schedule(&off));
+        let mut off = dm.compiled.clone();
+        *off.fold.recv_src.last_mut().unwrap() ^= 1;
+        assert!(!dm.compiled.same_schedule(&off));
     }
 
     #[test]
@@ -1063,11 +1153,16 @@ mod tests {
             .map(|b| b.colmap.len() + b.rowmap.len())
             .sum();
         assert_eq!(ws.scratch.len(), want);
-        assert_eq!(ws.expand_bufs.len(), dm.nprocs());
-        assert_eq!(ws.fold_bufs.len(), dm.nprocs());
-        // Re-ensuring with the same matrix is a no-op resize.
+        assert_eq!(ws.expand_arena.len(), dm.import.total_volume());
+        assert_eq!(ws.fold_arena.len(), dm.export.total_volume());
+        // Re-ensuring with the same matrix is a no-op resize, and a
+        // narrower product after a wider one keeps the arenas.
         ws.ensure(&dm.blocks, &dm.compiled, 1);
         assert_eq!(ws.scratch.len(), want);
+        ws.ensure(&dm.blocks, &dm.compiled, 3);
+        ws.ensure(&dm.blocks, &dm.compiled, 1);
+        assert_eq!(ws.expand_arena.len(), 3 * dm.import.total_volume());
+        assert_eq!(ws.wave_count(), 1);
         assert_eq!(SpmvWorkspace::with_threads(0).threads, 1);
     }
 

@@ -13,13 +13,17 @@
 //!
 //! Execution runs on the **compiled** local-index schedules built at
 //! matrix construction ([`CompiledSpmv`](crate::compiled::CompiledSpmv)):
-//! no gid resolution happens per iteration, message payloads live in flat
-//! per-rank `f64` buffers owned by the [`SpmvWorkspace`] and are read in
-//! place by their destination rank at the sender's compiled payload
-//! offset (zero-copy transport, allocation-free at steady state), and the
-//! per-rank phase work can fan out across OS threads via the workspace's
-//! `threads` knob — bit-identical to sequential, because ranks only touch
-//! disjoint slices.
+//! no gid resolution happens per iteration, message payloads live in one
+//! flat `f64` arena per phase owned by the [`SpmvWorkspace`] and laid out
+//! by the plan, and each side of an exchange is one gather through an
+//! index list congruent with that layout — a rank packs
+//! `arena[i] = x[pack_idx[i]]` over its region and unpacks
+//! `xcols[recv_dst[k]] = arena[recv_src[k]]` over its received values,
+//! in place (zero-copy transport, allocation-free at steady state, and
+//! nothing paid per *message*: at large p on a 1D layout nearly every
+//! message carries one value). The per-rank phase work can fan out across
+//! OS threads via the workspace's `threads` knob — bit-identical to
+//! sequential, because ranks only touch disjoint slices.
 //!
 //! [`spmv`] and [`spmm`] share one executor: an SpMV is a width-1 SpMM
 //! (same schedules, same payload layout, costs widened by
@@ -38,8 +42,8 @@
 //! workspace carries a **live-memory budget**, the unpack/compute/fold
 //! work runs in contiguous rank waves over one reusable scratch arena
 //! ([`sf2d_sim::wave`]): a rank's phase work reads only cross-rank state
-//! frozen before the phase (expand buffers written in phase 1, fold
-//! buffers read only in phase 4), so wave scheduling is invisible to both
+//! frozen before the phase (the expand arena written in phase 1, the fold
+//! arena read only in phase 4), so wave scheduling is invisible to both
 //! the results and the ledger. The original gid-based executors live on
 //! in [`reference`](crate::reference) as the oracle — they read every
 //! row through `RankBlock::row` and sum it with the plain serial loop —
@@ -68,7 +72,7 @@ use sf2d_sim::cost::{CostLedger, Phase, PhaseCost};
 use sf2d_sim::fault::{ChaosRuntime, PeerPayloads};
 use sf2d_sim::runtime::par_ranks;
 
-use crate::compiled::{scratch_split, RankPlan, SpmvWorkspace};
+use crate::compiled::{scratch_split, PhasePlan, RankPlan, SpmvWorkspace};
 use crate::distmat::{DistCsrMatrix, SPMM_CHUNK};
 use crate::map::VectorMap;
 use crate::multivec::{DistMultiVector, DistVector};
@@ -107,7 +111,8 @@ fn assert_maps_compatible(a: &DistCsrMatrix, x: &Arc<VectorMap>, y: &Arc<VectorM
 /// [`DistMultiVector`] — what lets SpMV and SpMM share one executor.
 trait ColumnAccess: Sync {
     fn ncols(&self) -> usize;
-    fn col(&self, r: usize, c: usize) -> &[f64];
+    /// Rank `r`'s values, column-major (`local[c·nl + lid]`).
+    fn local(&self, r: usize) -> &[f64];
 }
 
 impl ColumnAccess for DistVector {
@@ -115,7 +120,7 @@ impl ColumnAccess for DistVector {
         1
     }
     #[inline]
-    fn col(&self, r: usize, _c: usize) -> &[f64] {
+    fn local(&self, r: usize) -> &[f64] {
         &self.locals[r]
     }
 }
@@ -125,8 +130,8 @@ impl ColumnAccess for DistMultiVector {
         self.ncols
     }
     #[inline]
-    fn col(&self, r: usize, c: usize) -> &[f64] {
-        DistMultiVector::col(self, r, c)
+    fn local(&self, r: usize) -> &[f64] {
+        &self.locals[r]
     }
 }
 
@@ -186,7 +191,7 @@ pub fn spmv_with(
 /// [`spmv_with`] with both exchanges also routed through a chaos wire.
 ///
 /// The healed deliveries are asserted bit-identical to the resident
-/// payload buffers (message by message), so the result — and, at rate 0,
+/// payloads (message by message), so the result — and, at rate 0,
 /// the ledger — is byte-identical to the plain run; injected faults only
 /// add `Retransmit` supersteps.
 pub fn spmv_chaos_with(
@@ -267,17 +272,18 @@ pub fn spmm_chaos_with(
 /// One phase's resident payloads as [`ChaosRuntime::mirror_exchange`]
 /// takes them: per source rank the `(dst, payload)` slices its pack
 /// entries wrote, per destination rank the `(src, payload)` slices its
-/// unpack entries read in place (`payload_off` into the sender's buffer).
+/// unpack entries read in place (the owner's region plus `payload_off`).
 fn payload_views<'a>(
     m: usize,
-    bufs: &'a [Vec<f64>],
+    arena: &'a [f64],
+    phase: &PhasePlan,
     rank_plan: impl Fn(usize) -> RankPlan<'a>,
 ) -> (Vec<PeerPayloads<'a>>, Vec<PeerPayloads<'a>>) {
     let payload = |owner: usize, off: u32, n: usize| {
-        let off = off as usize * m;
-        &bufs[owner][off..off + n * m]
+        let at = (phase.payload_range(owner).start + off as usize) * m;
+        &arena[at..at + n * m]
     };
-    let sends = (0..bufs.len())
+    let sends = (0..phase.nranks())
         .map(|r| {
             rank_plan(r)
                 .packs()
@@ -285,7 +291,7 @@ fn payload_views<'a>(
                 .collect()
         })
         .collect();
-    let views = (0..bufs.len())
+    let views = (0..phase.nranks())
         .map(|r| {
             rank_plan(r)
                 .unpacks()
@@ -315,6 +321,24 @@ fn charge(
     }
 }
 
+/// Packs one rank's region of a payload arena: slot `k` takes the `m`
+/// values of index `idx[k]`, adjacent (gid-major), out of the
+/// column-major `cols` (`cols[c·n + i]`).
+fn pack(region: &mut [f64], idx: &[u32], cols: &[f64], m: usize) {
+    if m == 1 {
+        for (out, &i) in region.iter_mut().zip(idx) {
+            *out = cols[i as usize];
+        }
+        return;
+    }
+    let n = cols.len() / m;
+    for (vals, &i) in region.chunks_exact_mut(m).zip(idx) {
+        for (c, out) in vals.iter_mut().enumerate() {
+            *out = cols[c * n + i as usize];
+        }
+    }
+}
+
 /// The shared 4-phase executor at SpMM width `x.ncols()` (1 = SpMV).
 ///
 /// `y_locals[r]` holds rank `r`'s output, column-major (`yl[c·nl + lid]`).
@@ -340,132 +364,124 @@ fn run_phases<X: ColumnAccess>(
         threads,
         scratch,
         widened,
-        expand_bufs,
-        fold_bufs,
+        expand_arena,
+        fold_arena,
         waves,
         ..
     } = ws;
     let threads = *threads;
     let compiled = &a.compiled;
+    let (expand, fold) = (&compiled.expand, &compiled.fold);
+    let expand_arena = &mut expand_arena[..expand.arena_doubles() * m];
+    let fold_arena = &mut fold_arena[..fold.arena_doubles() * m];
 
-    // Phase 1 — expand: pack outgoing x values straight off the compiled
-    // lid lists into the flat per-rank send buffers, gid-major strided.
-    // Transport is zero-copy: the destination reads each payload in place
-    // at the sender's payload offset recorded in its unpack entries.
+    // Phase 1 — expand: every rank gathers its outgoing x values into
+    // its region of the arena. Transport is zero-copy: the destination
+    // reads each value in place at the slot its receive list names.
     trace_span!(PhaseKind::Pack, spans.pack, {
-        par_ranks(threads, expand_bufs, |r, buf| {
-            buf.clear();
-            for (_dst, lids, _off) in compiled.expand_rank(r).packs() {
-                for &lid in lids {
-                    for c in 0..m {
-                        buf.push(x.col(r, c)[lid as usize]);
-                    }
-                }
-            }
+        let mut rest = &mut *expand_arena;
+        let mut regions: Vec<&mut [f64]> = Vec::with_capacity(expand.nranks());
+        for r in 0..expand.nranks() {
+            let (region, tail) = rest.split_at_mut(expand.payload_doubles(r) * m);
+            rest = tail;
+            regions.push(region);
+        }
+        par_ranks(threads, &mut regions, |r, region| {
+            pack(region, expand.pack_indices(r), x.local(r), m);
         })
     });
     note_gather();
     charge(ledger, Phase::Expand, &compiled.expand_costs, m, widened);
+    let expand_arena = &*expand_arena;
     if let Some(rt) = chaos.as_deref_mut() {
-        let (sends, views) = payload_views(m, expand_bufs, |r| compiled.expand_rank(r));
+        let (sends, views) = payload_views(m, expand_arena, expand, |r| compiled.expand_rank(r));
         rt.mirror_exchange(ledger, "spmv expand", &sends, Some(&views));
     }
 
     // Phases 2–3, wave by wave: each wave carves per-rank (xcols,
-    // partials) views out of the shared scratch arena, runs unpack +
-    // local kernel, then fold-packs and folds owned rows while the
-    // partials are still live. Safe to interleave across waves because a
-    // rank's phase-2/3 work reads only its own views plus the expand
-    // buffers (all written in phase 1); no zeroing is needed because
-    // xcols is fully covered by owned + unpack entries and the local
-    // kernel overwrites its whole output slice.
-    let ebufs = &*expand_bufs;
+    // partials) views out of the shared scratch arena and the ranks'
+    // (contiguous) regions out of the fold arena, runs unpack + local
+    // kernel, then fold-packs and folds owned rows while the partials
+    // are still live. Safe to interleave across waves because a rank's
+    // phase-2/3 work reads only its own views plus the expand arena (all
+    // written in phase 1); no zeroing is needed because xcols is fully
+    // covered by owned + received entries and the local kernel
+    // overwrites its whole output slice.
+    let mut fold_rest = &mut *fold_arena;
     for w in waves.iter() {
         let mut rest: &mut [f64] = scratch;
-        let mut views: Vec<(&mut [f64], &mut [f64])> = Vec::with_capacity(w.len());
+        let mut views: Vec<(&mut [f64], &mut [f64], &mut [f64])> = Vec::with_capacity(w.len());
         for r in w.clone() {
             let (nx, np) = scratch_split(&a.blocks[r], m);
             let (xc, r1) = rest.split_at_mut(nx);
             let (pt, r2) = r1.split_at_mut(np);
             rest = r2;
-            views.push((xc, pt));
+            let (region, tail) =
+                std::mem::take(&mut fold_rest).split_at_mut(fold.payload_doubles(r) * m);
+            fold_rest = tail;
+            views.push((xc, pt, region));
         }
 
         // Phase 2 — local compute: assemble xcols (owned copies +
-        // unpacked messages; the two cover every position exactly once)
+        // received values; the two cover every position exactly once)
         // and run the block kernel into the partials view, which it
         // indexes by stored row. A wider product goes chunk by chunk:
         // xcols holds SPMM_CHUNK columns row-major, each lid's values
         // one contiguous copy out of the gid-major payload.
         trace_span!(PhaseKind::LocalCompute, spans.compute, {
-            par_ranks(threads, &mut views, |i, (xcols, partials)| {
+            par_ranks(threads, &mut views, |i, (xcols, partials, _)| {
                 let r = w.start + i;
                 let plan = compiled.expand_rank(r);
+                let (dst, src) = expand.received(r);
                 let block = &a.blocks[r];
+                let xl = x.local(r);
                 if m == 1 {
-                    let xc = x.col(r, 0);
-                    for (src, dst) in plan.owned_pairs() {
-                        xcols[dst as usize] = xc[src as usize];
+                    for (from, to) in plan.owned_pairs() {
+                        xcols[to as usize] = xl[from as usize];
                     }
-                    for (src, _slot, off, lids) in plan.unpacks() {
-                        let off = off as usize;
-                        let data = &ebufs[src as usize][off..off + lids.len()];
-                        for (&lid, &v) in lids.iter().zip(data) {
-                            xcols[lid as usize] = v;
-                        }
+                    for (&d, &s) in dst.iter().zip(src) {
+                        xcols[d as usize] = expand_arena[s as usize];
                     }
                     return block.multiply(xcols, 1, partials);
                 }
-                let rl = block.rowmap.len();
+                let (nl, rl) = (xl.len() / m, block.rowmap.len());
                 for c0 in (0..m).step_by(SPMM_CHUNK) {
                     let cw = SPMM_CHUNK.min(m - c0);
                     let xcols = &mut xcols[..cw * block.colmap.len()];
                     for k in 0..cw {
-                        let xc = x.col(r, c0 + k);
-                        for (src, dst) in plan.owned_pairs() {
-                            xcols[dst as usize * cw + k] = xc[src as usize];
+                        let xc = &xl[(c0 + k) * nl..][..nl];
+                        for (from, to) in plan.owned_pairs() {
+                            xcols[to as usize * cw + k] = xc[from as usize];
                         }
                     }
-                    for (src, _slot, off, lids) in plan.unpacks() {
-                        let off = off as usize * m;
-                        let data = &ebufs[src as usize][off..off + lids.len() * m];
-                        for (&lid, vals) in lids.iter().zip(data.chunks_exact(m)) {
-                            xcols[lid as usize * cw..][..cw].copy_from_slice(&vals[c0..c0 + cw]);
-                        }
+                    for (&d, &s) in dst.iter().zip(src) {
+                        let vals = &expand_arena[s as usize * m + c0..][..cw];
+                        xcols[d as usize * cw..][..cw].copy_from_slice(vals);
                     }
                     block.multiply(xcols, cw, &mut partials[c0 * rl..(c0 + cw) * rl]);
                 }
             })
         });
 
-        // Phase 3 — fold: ship contributed partials through the flat
-        // fold buffers; owned rows sum locally (per y element: owned add
+        // Phase 3 — fold: ship contributed partials through the fold
+        // arena; owned rows sum locally (per y element: owned add
         // first, then messages by ascending source in phase 4 — the
         // reference executor's per-element order).
-        let views = &views;
         trace_span!(PhaseKind::Pack, spans.fold_pack, {
-            par_ranks(threads, &mut fold_bufs[w.clone()], |i, buf| {
-                let r = w.start + i;
-                let partials: &[f64] = &*views[i].1;
-                let rl = a.blocks[r].rowmap.len();
-                buf.clear();
-                for (_owner, idxs, _off) in compiled.fold_rank(r).packs() {
-                    for &pi in idxs {
-                        for c in 0..m {
-                            buf.push(partials[c * rl + pi as usize]);
-                        }
-                    }
-                }
+            par_ranks(threads, &mut views, |i, (_, partials, region)| {
+                pack(region, fold.pack_indices(w.start + i), partials, m);
             })
         });
+        let views = &views;
         par_ranks(threads, &mut y_locals[w.clone()], |i, yl| {
             let r = w.start + i;
+            let plan = compiled.fold_rank(r);
             let partials: &[f64] = &*views[i].1;
             let rl = a.blocks[r].rowmap.len();
             let nl = a.vmap.nlocal(r);
             yl.fill(0.0);
             for c in 0..m {
-                for (pi, lid) in compiled.fold_rank(r).owned_pairs() {
+                for (pi, lid) in plan.owned_pairs() {
                     yl[c * nl + lid as usize] += partials[c * rl + pi as usize];
                 }
             }
@@ -479,25 +495,23 @@ fn run_phases<X: ColumnAccess>(
         widened,
     );
     charge(ledger, Phase::Fold, &compiled.fold_costs, m, widened);
+    let fold_arena = &*fold_arena;
     if let Some(rt) = chaos {
-        let (sends, views) = payload_views(m, fold_bufs, |r| compiled.fold_rank(r));
+        let (sends, views) = payload_views(m, fold_arena, fold, |r| compiled.fold_rank(r));
         rt.mirror_exchange(ledger, "spmv fold", &sends, Some(&views));
     }
 
-    // Phase 4 — sum: add arriving partials in plan order (sources
-    // ascending — the same per-element order as the reference executor,
-    // which is what makes the result bit-identical).
-    let fbufs = &*fold_bufs;
+    // Phase 4 — sum: add arriving partials in receive-list order
+    // (sources ascending — the same per-element order as the reference
+    // executor, which is what makes the result bit-identical).
     trace_span!(PhaseKind::Unpack, spans.sum, {
         par_ranks(threads, y_locals, |r, yl| {
             let nl = a.vmap.nlocal(r);
-            for (src, _slot, off, lids) in compiled.fold_rank(r).unpacks() {
-                let off = off as usize * m;
-                let data = &fbufs[src as usize][off..off + lids.len() * m];
-                for (k, &lid) in lids.iter().enumerate() {
-                    for c in 0..m {
-                        yl[c * nl + lid as usize] += data[k * m + c];
-                    }
+            let (dst, src) = fold.received(r);
+            for (&d, &s) in dst.iter().zip(src) {
+                let vals = &fold_arena[s as usize * m..][..m];
+                for (c, v) in vals.iter().enumerate() {
+                    yl[c * nl + d as usize] += v;
                 }
             }
         })

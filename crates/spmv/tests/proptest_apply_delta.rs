@@ -3,13 +3,16 @@
 //! [`DistCsrMatrix::apply_delta`], the patched matrix is *schedule-equal*
 //! to [`DistCsrMatrix::from_global`] of the changed global matrix under
 //! the same layout — `blocks`, `import`, `export` are `==`, the compiled
-//! plan is the same schedule (only arena offsets may differ) — and so
+//! plan is the same schedule, payload-arena offsets included (only where
+//! the owned lists sit in the plan store may differ) — and so
 //! `spmv`/`spmm` through it give the same bits and bill the same ledger.
 //!
 //! The property sweep crosses three generator families × six layouts ×
 //! p ∈ {1, 4, 16, 64} with random multi-delta batches; the unit tests
 //! below it pin the degenerate cells one by one and check that each
 //! really is the cell it claims to be.
+
+mod common;
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -119,6 +122,7 @@ fn schedule_equal(
     if !patched.compiled.same_schedule(&fresh.compiled) {
         return Err("compiled schedule differs".into());
     }
+    common::plan_invariants(patched)?;
     if products_at(patched, 3) != products_at(&fresh, 3) {
         return Err("product bits or ledger history differ".into());
     }
