@@ -13,12 +13,13 @@
 use std::cell::RefCell;
 use std::sync::Arc;
 
+use sf2d_obs::{trace_span, PhaseKind};
 use sf2d_sim::cost::{CostLedger, Phase, PhaseCost};
 use sf2d_sim::fault::ChaosRuntime;
 use sf2d_spmv::{DistVector, LinearOperator};
 
 use crate::dense::{symmetric_eig, DenseMat};
-use crate::ortho::cgs2;
+use crate::ortho::{cgs2_with, subtract_columns, Workspace};
 
 /// Options for the eigensolver.
 #[derive(Debug, Clone, Copy)]
@@ -123,18 +124,21 @@ fn krylov_schur_core(
     let m = cfg.max_basis;
     let p = map.nprocs();
 
-    // Basis vectors V[0..=m]; T is the projected m x m matrix.
-    let mut basis: Vec<DistVector> = Vec::with_capacity(m + 1);
+    let mut v0 = DistVector::random(Arc::clone(&map), cfg.seed);
+    let n0 = v0.norm2(ledger);
+    scale_free(&mut v0, 1.0 / n0);
+
+    // V[0..=m], allocated once: the live prefix is the Krylov basis, the
+    // rest are spares the next Lanczos vector is taken from. T is the
+    // projected m x m matrix.
+    let mut basis = vec![v0];
+    basis.resize_with(m + 1, || DistVector::zeros(Arc::clone(&map)));
+    let mut ws = Workspace::default();
     let mut t = DenseMat::zeros(m);
     let mut k = 0usize; // locked Ritz vectors after restart
     let mut coupling: Vec<f64> = Vec::new(); // b_i, i < k
     let mut op_applies = 0usize;
     let mut restarts = 0usize;
-
-    let mut v0 = DistVector::random(Arc::clone(&map), cfg.seed);
-    let n0 = v0.norm2(ledger);
-    scale_free(&mut v0, 1.0 / n0);
-    basis.push(v0);
 
     let mut rng_salt = 1u64;
     // Monotone count of *executed* expansion cycles: the crash epoch.
@@ -149,48 +153,44 @@ fn krylov_schur_core(
 
         // Checkpoint the outer-loop state at the cycle boundary (a
         // node-local copy — free of charge, like DistVector::copy_from).
-        let snapshot = chaos.map(|_| (basis.clone(), t.clone(), k, coupling.clone(), rng_salt));
+        let snapshot = chaos.map(|_| {
+            let live = basis[..=k].to_vec();
+            (live, t.clone(), k, coupling.clone(), rng_salt)
+        });
 
         // --- Lanczos expansion from k to m ---
         let mut beta_last = 0.0f64;
         for j in k..m {
-            let mut w = DistVector::zeros(Arc::clone(&map));
-            op.apply(&basis[j], &mut w, ledger);
+            let (live, spares) = basis.split_at_mut(j + 1);
+            // A spare holds a vector of an earlier cycle; an operator
+            // that accumulates into its output must find zeros.
+            let w = &mut spares[0];
+            w.locals.iter_mut().for_each(|l| l.fill(0.0));
+            op.apply(&live[j], w, ledger);
             op_applies += 1;
 
-            let alpha = w.dot(&basis[j], ledger);
+            let alpha = w.dot(&live[j], ledger);
             t[(j, j)] = alpha;
             // Subtractions of previous basis directions are folded into the
             // full CGS2 reorthogonalization below (numerically stronger than
             // the bare three-term recurrence on scale-free spectra).
-            let norm = cgs2(&mut w, &basis[..=j], ledger);
+            let norm = cgs2_with(&mut ws, w, live, ledger);
 
-            if j < m {
-                if norm < 1e-12 * (1.0 + alpha.abs()) {
-                    // Breakdown: restart the recurrence with a fresh random
-                    // direction orthogonal to everything so far.
-                    let mut fresh =
-                        DistVector::random(Arc::clone(&map), cfg.seed ^ (rng_salt << 32));
-                    rng_salt += 1;
-                    let fresh_norm = cgs2(&mut fresh, &basis[..=j], ledger);
-                    scale_free(&mut fresh, 1.0 / fresh_norm.max(1e-300));
-                    basis.truncate(j + 1);
-                    basis.push(fresh);
-                    if j + 1 < m {
-                        t[(j, j + 1)] = 0.0;
-                        t[(j + 1, j)] = 0.0;
-                    }
-                    beta_last = 0.0;
-                } else {
-                    scale_free(&mut w, 1.0 / norm);
-                    basis.truncate(j + 1);
-                    basis.push(w);
-                    if j + 1 < m {
-                        t[(j, j + 1)] = norm;
-                        t[(j + 1, j)] = norm;
-                    }
-                    beta_last = norm;
-                }
+            beta_last = if norm < 1e-12 * (1.0 + alpha.abs()) {
+                // Breakdown: restart the recurrence with a fresh random
+                // direction orthogonal to everything so far.
+                *w = DistVector::random(Arc::clone(&map), cfg.seed ^ (rng_salt << 32));
+                rng_salt += 1;
+                let fresh_norm = cgs2_with(&mut ws, w, live, ledger);
+                scale_free(w, 1.0 / fresh_norm.max(1e-300));
+                0.0
+            } else {
+                scale_free(w, 1.0 / norm);
+                norm
+            };
+            if j + 1 < m {
+                t[(j, j + 1)] = beta_last;
+                t[(j + 1, j)] = beta_last;
             }
             // Coupling row from a previous restart.
             if j == k && k > 0 {
@@ -210,9 +210,9 @@ fn krylov_schur_core(
             let crashed = rt.borrow_mut().take_crash(epoch);
             epoch += 1;
             if crashed {
-                let (b, tt, kk, c, s) = snapshot.expect("snapshot taken under chaos");
-                let restored = b.len();
-                basis = b;
+                let (live, tt, kk, c, s) = snapshot.expect("snapshot taken under chaos");
+                let restored = live.len();
+                basis[..restored].clone_from_slice(&live);
                 t = tt;
                 k = kk;
                 coupling = c;
@@ -234,7 +234,7 @@ fn krylov_schur_core(
         }
 
         // --- Solve the projected problem ---
-        let (vals, vecs) = symmetric_eig(&t);
+        let (vals, vecs) = trace_span!(PhaseKind::Other, "eigen:dense-solve", symmetric_eig(&t));
         // Largest nev (Jacobi returns ascending).
         let sel: Vec<usize> = (0..m).rev().take(cfg.nev).collect();
         let residuals: Vec<f64> = sel
@@ -247,8 +247,9 @@ fn krylov_schur_core(
         let converged = residuals.iter().all(|&r| r <= cfg.tol);
 
         if converged || restarts >= cfg.max_restarts {
-            // Form the Ritz vectors X = V[0..m] * S_sel.
-            let vectors = rotate_basis(&basis[..m], &vecs, &sel, p, ledger);
+            // The Ritz vectors X = V[0..m] * S_sel take the basis's place.
+            rotate_basis(&mut basis, m, &vecs, &sel, &mut ws, ledger);
+            basis.truncate(cfg.nev);
             let values: Vec<f64> = sel.iter().map(|&i| vals[i]).collect();
             if sf2d_obs::enabled() {
                 sf2d_obs::record_sim_span(
@@ -260,7 +261,7 @@ fn krylov_schur_core(
             }
             return EigResult {
                 values,
-                vectors,
+                vectors: basis,
                 residuals,
                 op_applies,
                 restarts,
@@ -272,15 +273,14 @@ fn krylov_schur_core(
         restarts += 1;
         let keep = (cfg.nev + (m - cfg.nev) / 2).min(m - 1);
         let kept: Vec<usize> = (0..m).rev().take(keep).collect();
-        let mut new_basis = rotate_basis(&basis[..m], &vecs, &kept, p, ledger);
+        rotate_basis(&mut basis, m, &vecs, &kept, &mut ws, ledger);
         // Residual vector carries over as the (keep+1)-th basis vector.
-        new_basis.push(basis[m].clone());
+        basis.swap(keep, m);
         coupling = kept.iter().map(|&i| beta_last * vecs[(m - 1, i)]).collect();
         t = DenseMat::zeros(m);
         for (j, &i) in kept.iter().enumerate() {
             t[(j, j)] = vals[i];
         }
-        basis = new_basis;
         k = keep;
         if sf2d_obs::enabled() {
             sf2d_obs::record_sim_span(
@@ -304,36 +304,42 @@ fn scale_free(v: &mut DistVector, s: f64) {
     }
 }
 
-/// Computes `out_j = Σ_i basis_i * vecs[(i, sel_j)]`, charged as one vector
-/// superstep (`2 · |basis| · |sel|` flops per local entry).
+/// Overwrites `basis[j]` with `Σ_{i < m} basis[i] * vecs[(i, sel[j])]` for
+/// every `j < sel.len()`, charged as one vector superstep (`2 · m · |sel|`
+/// flops per local entry). Rank-major: a rank's new columns are all formed
+/// from its slab of the old basis while that is in cache, then copied over
+/// it. An entry still adds its `m` products in ascending `i` from `0.0`:
+/// `x − (−c)·v` is `x + c·v` to the bit.
 fn rotate_basis(
-    basis: &[DistVector],
+    basis: &mut [DistVector],
+    m: usize,
     vecs: &DenseMat,
     sel: &[usize],
-    p: usize,
+    ws: &mut Workspace,
     ledger: &mut CostLedger,
-) -> Vec<DistVector> {
-    let map = Arc::clone(&basis[0].map);
-    let mut out: Vec<DistVector> = sel
-        .iter()
-        .map(|_| DistVector::zeros(Arc::clone(&map)))
-        .collect();
-    let mut costs = vec![PhaseCost::default(); p];
-    for (oj, &col) in sel.iter().enumerate() {
-        for (i, b) in basis.iter().enumerate() {
-            let c = vecs[(i, col)];
-            for r in 0..p {
-                for (o, &x) in out[oj].locals[r].iter_mut().zip(&b.locals[r]) {
-                    *o += c * x;
-                }
+) {
+    trace_span!(PhaseKind::VectorOp, "eigen:rotate", {
+        ws.coefs.clear();
+        for &col in sel {
+            ws.coefs.extend((0..m).map(|i| -vecs[(i, col)]));
+        }
+        ws.costs.clear();
+        for r in 0..basis[0].map.nprocs() {
+            let nl = basis[0].map.nlocal(r);
+            let flops = 2 * (m * sel.len() * nl) as u64;
+            ws.costs.push(PhaseCost::compute(flops));
+            ws.rotated.clear();
+            ws.rotated.resize(sel.len() * nl, 0.0);
+            for j in 0..sel.len() {
+                let (c, out) = (&ws.coefs[j * m..][..m], &mut ws.rotated[j * nl..][..nl]);
+                subtract_columns(&basis[..m], r, c, out);
+            }
+            for (j, v) in basis[..sel.len()].iter_mut().enumerate() {
+                v.locals[r].copy_from_slice(&ws.rotated[j * nl..][..nl]);
             }
         }
-    }
-    for r in 0..p {
-        costs[r].flops += 2 * (basis.len() * sel.len() * map.nlocal(r)) as u64;
-    }
-    ledger.superstep(Phase::VectorOp, &costs);
-    out
+        ledger.superstep(Phase::VectorOp, &ws.costs);
+    })
 }
 
 #[cfg(test)]
@@ -359,6 +365,109 @@ mod tests {
         }
         let (vals, _) = symmetric_eig(&dm);
         vals.into_iter().rev().take(nev).collect()
+    }
+
+    /// `rotate_basis` as it stood before it went rank-major and in place
+    /// — output column outermost, the whole basis streamed once per
+    /// output, a fresh vector per output — kept as the bitwise oracle.
+    fn rotate_basis_reference(
+        basis: &[DistVector],
+        vecs: &DenseMat,
+        sel: &[usize],
+        p: usize,
+        ledger: &mut CostLedger,
+    ) -> Vec<DistVector> {
+        let map = Arc::clone(&basis[0].map);
+        let mut out: Vec<DistVector> = sel
+            .iter()
+            .map(|_| DistVector::zeros(Arc::clone(&map)))
+            .collect();
+        let mut costs = vec![PhaseCost::default(); p];
+        for (oj, &col) in sel.iter().enumerate() {
+            for (i, b) in basis.iter().enumerate() {
+                let c = vecs[(i, col)];
+                for r in 0..p {
+                    for (o, &x) in out[oj].locals[r].iter_mut().zip(&b.locals[r]) {
+                        *o += c * x;
+                    }
+                }
+            }
+        }
+        for r in 0..p {
+            costs[r].flops += 2 * (basis.len() * sel.len() * map.nlocal(r)) as u64;
+        }
+        ledger.superstep(Phase::VectorOp, &costs);
+        out
+    }
+
+    proptest::proptest! {
+        /// Every rotated column and the ledger, bit for bit, with basis
+        /// sizes crossing the kernel's block width and ranks that own
+        /// nothing (`p > n`).
+        #[test]
+        fn rotate_basis_matches_the_reference_bit_for_bit(
+            n in 3usize..24,
+            p in 1usize..=9,
+            block_2d in proptest::bool::ANY,
+            m in 1usize..=19,
+            outputs in 1usize..=6,
+            coefs in proptest::collection::vec(-1.0f64..1.0, 19 * 19),
+            seed in 0u64..1000,
+        ) {
+            let dist = if block_2d {
+                let (pr, pc) = sf2d_partition::grid_shape(p);
+                MatrixDist::block_2d(n, pr, pc)
+            } else {
+                MatrixDist::random_1d(n, p, seed)
+            };
+            let map = Arc::new(sf2d_spmv::VectorMap::from_dist(&dist));
+            // One vector past the m being rotated, as in a solve; every
+            // seventh entry an exact zero of either sign.
+            let mut basis: Vec<DistVector> = (0..=m as u64)
+                .map(|k| {
+                    let mut v = DistVector::random(Arc::clone(&map), seed * 31 + k);
+                    for (i, x) in v.locals.iter_mut().flatten().enumerate() {
+                        match (i as u64 + k) % 7 {
+                            0 => *x = 0.0,
+                            1 => *x = -0.0,
+                            _ => {}
+                        }
+                    }
+                    v
+                })
+                .collect();
+            let mut vecs = DenseMat::zeros(m);
+            for i in 0..m {
+                for j in 0..m {
+                    if (i + 2 * j) % 5 != 0 {
+                        vecs[(i, j)] = coefs[i * m + j];
+                    }
+                }
+            }
+            let sel: Vec<usize> = (0..m).rev().take(outputs).collect();
+
+            let mut led_want = CostLedger::new(Machine::cab());
+            let want = rotate_basis_reference(&basis[..m], &vecs, &sel, p, &mut led_want);
+            let untouched: Vec<DistVector> = basis[sel.len()..].to_vec();
+            let mut led_got = CostLedger::new(Machine::cab());
+            rotate_basis(&mut basis, m, &vecs, &sel, &mut Workspace::default(), &mut led_got);
+
+            for (j, (got, want)) in basis.iter().zip(&want).enumerate() {
+                for (g, w) in got.locals.iter().zip(&want.locals) {
+                    let (g, w): (Vec<u64>, Vec<u64>) = (
+                        g.iter().map(|x| x.to_bits()).collect(),
+                        w.iter().map(|x| x.to_bits()).collect(),
+                    );
+                    proptest::prop_assert_eq!(g, w, "column {} from {} vectors", j, m);
+                }
+            }
+            for (got, want) in basis[sel.len()..].iter().zip(&untouched) {
+                proptest::prop_assert_eq!(&got.locals, &want.locals);
+            }
+            proptest::prop_assert_eq!(&led_got.history, &led_want.history);
+            proptest::prop_assert_eq!(led_got.steps, led_want.steps);
+            proptest::prop_assert_eq!(led_got.total.to_bits(), led_want.total.to_bits());
+        }
     }
 
     #[test]
@@ -413,6 +522,31 @@ mod tests {
         assert!(events
             .iter()
             .any(|e| matches!(e, sf2d_obs::TraceEvent::Superstep { .. })));
+
+        // Host spans say where inside a solve the wall time went: one
+        // `cgs2` per Lanczos step (no breakdown on this graph), one dense
+        // solve and one rotation per cycle.
+        let host_spans = |name: &str, kind: PhaseKind| {
+            events
+                .iter()
+                .filter(|e| {
+                    matches!(e, sf2d_obs::TraceEvent::WallSpan { kind: k, label, .. }
+                        if label == name && *k == kind)
+                })
+                .count()
+        };
+        assert_eq!(
+            host_spans("eigen:cgs2", PhaseKind::VectorOp),
+            r_on.op_applies
+        );
+        assert_eq!(
+            host_spans("eigen:dense-solve", PhaseKind::Other),
+            r_on.restarts + 1
+        );
+        assert_eq!(
+            host_spans("eigen:rotate", PhaseKind::VectorOp),
+            r_on.restarts + 1
+        );
     }
 
     #[test]
