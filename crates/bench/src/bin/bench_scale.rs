@@ -1,4 +1,4 @@
-//! Paper-scale sweep tracker: drives the compressed-plan compiler and the
+//! Paper-scale sweep tracker: drives the flat-plan compiler and the
 //! bounded-memory wave scheduler up to p = 16,384 ranks on a scale-20
 //! R-MAT generator and writes `BENCH_scale.json` — the artefact that
 //! shows the paper's 1D-vs-2D communication crossover at rank counts the
@@ -13,11 +13,10 @@
 //! Per (layout, p) row it records the crossover ingredients — max
 //! messages per rank and total exchanged volume for expand and fold —
 //! plus the cost-model `sim_time` of one budget-waved SpMV, the plan
-//! compile wall-clock, the compressed arena footprint vs what the old
-//! replicated nested-`Vec` representation would have held
-//! (`plan_compress_ratio`, higher is better), and the allocator's
-//! peak-live-bytes / allocation-count deltas for the row (this binary
-//! installs [`sf2d_obs::mem::CountingAlloc`] as its global allocator).
+//! compile wall-clock, the compiled plan's footprint (`plan_bytes`), and
+//! the allocator's peak-live-bytes / allocation-count deltas for the row
+//! (this binary installs [`sf2d_obs::mem::CountingAlloc`] as its global
+//! allocator).
 //!
 //! Flags: positional `OUT.json` (default `BENCH_scale.json`), `--scale N`
 //! (R-MAT scale, default 20), `--procs a,b,c` (rank counts, default
@@ -68,13 +67,8 @@ struct ScaleRow {
     waves: u64,
     /// FillComplete (distribute + compile) wall clock, one shot.
     compile_wall_ns: u64,
-    /// Compressed arena-backed plan footprint.
+    /// The compiled plan's heap footprint.
     plan_bytes: u64,
-    /// What the pre-arena replicated nested representation would hold.
-    replicated_plan_bytes: u64,
-    /// replicated / compressed — higher is better; tracked as a
-    /// regression metric (a drop means the dedup got worse).
-    plan_compress_ratio: f64,
     /// Allocator high-water mark over this row (matrix build + compile +
     /// budgeted SpMV), bytes.
     peak_live_bytes: u64,
@@ -247,15 +241,12 @@ fn main() {
                 waves: ws.wave_count() as u64,
                 compile_wall_ns,
                 plan_bytes: dm.compiled.plan_bytes(),
-                replicated_plan_bytes: dm.compiled.replicated_plan_bytes(),
-                plan_compress_ratio: dm.compiled.replicated_plan_bytes() as f64
-                    / dm.compiled.plan_bytes().max(1) as f64,
                 peak_live_bytes: snap.peak_live_bytes,
                 allocs: snap.allocs - base.allocs,
             };
             eprintln!(
                 "bench_scale: {:>9} p={:<5} msgs {:>5}/{:<5} sim {:>9.4}s waves {:>3} \
-                 compile {:>7.1}ms plans {:>6.1}MiB (x{:.1} vs replicated) peak {:>7.1}MiB",
+                 compile {:>7.1}ms plans {:>6.1}MiB peak {:>7.1}MiB",
                 row.name,
                 row.p,
                 row.expand_max_msgs,
@@ -264,7 +255,6 @@ fn main() {
                 row.waves,
                 row.compile_wall_ns as f64 / 1e6,
                 row.plan_bytes as f64 / (1 << 20) as f64,
-                row.plan_compress_ratio,
                 row.peak_live_bytes as f64 / (1 << 20) as f64,
             );
             rows.push(row);
@@ -340,8 +330,8 @@ fn main() {
         description: format!(
             "1D-vs-2D crossover sweep on an R-MAT scale-{scale} generator: per (layout, p) \
              row, max messages + volume per exchange, modeled SpMV seconds under a \
-             {budget_mb} MiB wave budget, FillComplete wall clock, compressed vs replicated \
-             plan bytes, and allocator peak/count deltas; compile gate = serial vs \
+             {budget_mb} MiB wave budget, FillComplete wall clock, plan bytes, and \
+             allocator peak/count deltas; compile gate = serial vs \
              {threads}-thread FillComplete medians over {samples} samples"
         ),
         matrix: format!("rmat graph500 scale {scale} ({} nnz)", a.nnz()),

@@ -127,7 +127,7 @@ fn main() {
     let dist = builder.dist(Method::TwoDGp, p);
     let dm = DistCsrMatrix::from_global(&a, &dist);
     let b = a.transpose();
-    let threads = RuntimeConfig::from_env().threads;
+    let threads = sf2d_core::sf2d_sim::sf2d_par::threads_from_env();
     let mut ws = SpgemmWorkspace::with_threads(threads);
     let wall_ns_2d_gp = sf2d_bench::median_ns(SAMPLES, || {
         let mut ledger = CostLedger::new(Machine::cab());

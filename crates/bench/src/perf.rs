@@ -25,8 +25,8 @@
 //! the machine-absolute, wall-clock-like metrics to informational. That
 //! is the right setting when baseline and current ran on different
 //! machines; dimensionless `speedup`/`ratio` metrics keep gating there,
-//! which is exactly why deterministic ratios (plan compression, cache-hit
-//! rate) are reported as `*_ratio`.
+//! which is exactly why deterministic ratios (cache-hit rate) are
+//! reported as `*_ratio`.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

@@ -5,7 +5,8 @@ use std::sync::Arc;
 use sf2d_eigen::{krylov_schur_largest, KrylovSchurConfig};
 use sf2d_graph::CsrMatrix;
 use sf2d_partition::{LayoutMetrics, MatrixDist, NonzeroLayout};
-use sf2d_sim::{ChaosRuntime, CostLedger, Machine, Phase, RuntimeConfig};
+use sf2d_sim::sf2d_par::threads_from_env;
+use sf2d_sim::{ChaosRuntime, CostLedger, Machine, Phase};
 use sf2d_spgemm::{spgemm_with, summa_with, SpgemmWorkspace, SummaWorkspace};
 use sf2d_spmv::{
     power_iterate, power_iterate_chaos, spmv_with, DistCsrMatrix, DistVector,
@@ -52,7 +53,7 @@ pub fn spmv_experiment<L: NonzeroLayout + ?Sized>(
     let mut ledger = CostLedger::new(machine);
     // SF2D_THREADS only changes the simulator's wall clock, never the
     // modeled costs (the parallel engine is bit-identical to sequential).
-    let mut ws = SpmvWorkspace::with_threads(RuntimeConfig::from_env().threads);
+    let mut ws = SpmvWorkspace::with_threads(threads_from_env());
     spmv_with(&dm, &x, &mut y, &mut ledger, &mut ws);
     let m = LayoutMetrics::compute(a, dist);
     SpmvRow {
@@ -228,7 +229,7 @@ pub fn spgemm_experiment<L: NonzeroLayout + ?Sized>(
     let mut ledger = CostLedger::new(machine);
     // Threads only change the simulator's wall clock, never the modeled
     // costs or the result bits (the kernel is thread-count independent).
-    let mut ws = SpgemmWorkspace::with_threads(RuntimeConfig::from_env().threads);
+    let mut ws = SpgemmWorkspace::with_threads(threads_from_env());
     let c = spgemm_with(&dm, &b, &mut ledger, &mut ws);
     let per_rank_flops: Vec<u64> = c
         .multiply_flops
@@ -272,7 +273,7 @@ pub fn summa_experiment(a: &CsrMatrix, dist: &MatrixDist, machine: Machine) -> S
     let mut ledger = CostLedger::new(machine);
     // Threads only change the simulator's wall clock, never the modeled
     // costs or the result bits (the kernel is thread-count independent).
-    let mut ws = SummaWorkspace::with_threads(RuntimeConfig::from_env().threads);
+    let mut ws = SummaWorkspace::with_threads(threads_from_env());
     let c = summa_with(&dm, dist, &b, &mut ledger, &mut ws);
     let p = dist.nprocs();
     let per_rank_flops: Vec<u64> = c
@@ -351,8 +352,7 @@ pub fn eigen_experiment<L: NonzeroLayout + ?Sized>(
     let stripped = adj.without_diagonal();
     let degrees: Vec<usize> = (0..stripped.nrows()).map(|i| stripped.row_nnz(i)).collect();
     let dm = DistCsrMatrix::from_global(&stripped, dist);
-    let op =
-        NormalizedLaplacianOp::new(dm, &degrees).with_threads(RuntimeConfig::from_env().threads);
+    let op = NormalizedLaplacianOp::new(dm, &degrees).with_threads(threads_from_env());
 
     let mut solve_time = 0.0;
     let mut spmv_time = 0.0;

@@ -63,7 +63,7 @@ pub mod prelude {
         TraceFormat,
     };
     pub use sf2d_partition::{grid_shape, LayoutMetrics, MatrixDist, NonzeroLayout};
-    pub use sf2d_sim::{ChaosRuntime, CostLedger, Machine, RuntimeConfig};
+    pub use sf2d_sim::{ChaosRuntime, CostLedger, Machine};
     pub use sf2d_spgemm::{
         spgemm_chaos, spgemm_dist, spgemm_with, summa_chaos, summa_dist, summa_with, DistSpgemm,
         SpgemmWorkspace, SummaGrid, SummaSpgemm, SummaWorkspace,

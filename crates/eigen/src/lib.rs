@@ -12,8 +12,6 @@
 //!   with block size 1** on a symmetric operator: exactly the Anasazi
 //!   configuration the paper runs for the ten largest eigenpairs of the
 //!   normalized Laplacian (§4, §5.3);
-//! * [`lanczos`](crate::lanczos::lanczos) — plain full-reorthogonalized Lanczos (cross-check and
-//!   spectral estimates);
 //! * [`power`] — power method and PageRank (§1's motivating workload);
 //! * [`cg`] — distributed conjugate gradients (the paper's "applies
 //!   immediately to iterative methods for linear systems" claim);
@@ -29,7 +27,6 @@ pub mod block_lanczos;
 pub mod cg;
 pub mod dense;
 pub mod krylov_schur;
-pub mod lanczos;
 pub mod lobpcg;
 pub mod ortho;
 pub mod power;
@@ -39,6 +36,5 @@ pub use cg::{conjugate_gradient, CgConfig, CgResult};
 pub use krylov_schur::{
     krylov_schur_largest, krylov_schur_largest_resilient, EigResult, KrylovSchurConfig,
 };
-pub use lanczos::{lanczos, LanczosResult};
 pub use lobpcg::{lobpcg_largest, LobpcgConfig, LobpcgResult};
 pub use power::{pagerank, power_method, PageRankResult};

@@ -260,15 +260,15 @@ pub fn tree_fold<T>(items: Vec<T>, f: impl Fn(T, T) -> T) -> Option<T> {
 /// edges off a shared cache line for element sizes down to one byte.
 pub const CHUNK_ALIGN: usize = 64;
 
-/// A thread budget plus an optional persistent [`Pool`] to run chunked
-/// loops on — the handle the partitioner threads through its phases.
+/// A thread budget over a persistent [`Pool`] to run chunked loops on —
+/// the handle the partitioner threads through its phases. A handle
+/// without a pool is sequential: its budget is one thread.
 ///
 /// Every loop is **granularity-gated**: a loop over `work` items with a
 /// per-item cost class `grain` runs on `min(threads, work / grain + 1)`
 /// threads, so tiny coarse-level loops run inline instead of paying a
-/// dispatch for nothing. With a pool, dispatch is a condvar wake of
-/// persistent workers; without one, scoped threads are spawned per call
-/// (the pre-pool behaviour). The result is byte-identical in all cases.
+/// dispatch for nothing. Dispatch is a condvar wake of the pool's
+/// persistent workers. The result is byte-identical in all cases.
 #[derive(Clone, Copy)]
 pub struct Par<'p> {
     threads: usize,
@@ -290,10 +290,11 @@ impl<'p> Par<'p> {
         }
     }
 
-    /// A handle over `threads` threads, optionally backed by a pool.
+    /// A handle over `threads` threads of `pool`; sequential (one thread)
+    /// without a pool.
     pub fn new(threads: usize, pool: Option<&'p Pool>) -> Par<'p> {
         Par {
-            threads: threads.max(1),
+            threads: if pool.is_some() { threads.max(1) } else { 1 },
             pool,
             tag: BatchTag::default(),
         }
@@ -314,8 +315,8 @@ impl<'p> Par<'p> {
     /// Same pool, different budget (for fork-join splits).
     pub fn with_threads(&self, threads: usize) -> Par<'p> {
         Par {
-            threads: threads.max(1),
-            ..*self
+            tag: self.tag,
+            ..Par::new(threads, self.pool)
         }
     }
 
@@ -340,26 +341,21 @@ impl<'p> Par<'p> {
         F: Fn(usize) -> T + Sync,
     {
         let t = self.threads_for(out.len(), grain);
-        if t <= 1 {
+        let Some(pool) = self.pool.filter(|_| t > 1) else {
             for (i, slot) in out.iter_mut().enumerate() {
                 *slot = f(i);
             }
             return;
-        }
+        };
         let ranges = chunk_ranges_aligned(t, out.len(), CHUNK_ALIGN);
-        match self.pool {
-            Some(pool) => {
-                let shared = SharedSlice::new(out);
-                pool.run_tagged(ranges.len(), self.tag, |ci| {
-                    for i in ranges[ci].clone() {
-                        // SAFETY: chunk ranges are disjoint; `T: Copy` so
-                        // the overwritten slot needs no drop.
-                        unsafe { shared.write(i, f(i)) };
-                    }
-                });
+        let shared = SharedSlice::new(out);
+        pool.run_tagged(ranges.len(), self.tag, |ci| {
+            for i in ranges[ci].clone() {
+                // SAFETY: chunk ranges are disjoint; `T: Copy` so the
+                // overwritten slot needs no drop.
+                unsafe { shared.write(i, f(i)) };
             }
-            None => par_fill(t, out, f),
-        }
+        });
     }
 
     /// `a[i], b[i] = f(i)` with shared aligned chunk boundaries.
@@ -371,36 +367,34 @@ impl<'p> Par<'p> {
     {
         assert_eq!(a.len(), b.len(), "fill2 requires equal-length slices");
         let t = self.threads_for(a.len(), grain);
-        if t <= 1 {
+        let Some(pool) = self.pool.filter(|_| t > 1) else {
             for (i, (sa, sb)) in a.iter_mut().zip(b.iter_mut()).enumerate() {
                 let (va, vb) = f(i);
                 *sa = va;
                 *sb = vb;
             }
             return;
-        }
+        };
         let ranges = chunk_ranges_aligned(t, a.len(), CHUNK_ALIGN);
-        match self.pool {
-            Some(pool) => {
-                let sa = SharedSlice::new(a);
-                let sb = SharedSlice::new(b);
-                pool.run_tagged(ranges.len(), self.tag, |ci| {
-                    for i in ranges[ci].clone() {
-                        let (va, vb) = f(i);
-                        // SAFETY: disjoint chunks, Copy slots.
-                        unsafe {
-                            sa.write(i, va);
-                            sb.write(i, vb);
-                        }
-                    }
-                });
+        let sa = SharedSlice::new(a);
+        let sb = SharedSlice::new(b);
+        pool.run_tagged(ranges.len(), self.tag, |ci| {
+            for i in ranges[ci].clone() {
+                let (va, vb) = f(i);
+                // SAFETY: disjoint chunks, Copy slots.
+                unsafe {
+                    sa.write(i, va);
+                    sb.write(i, vb);
+                }
             }
-            None => par_fill2(t, a, b, f),
-        }
+        });
     }
 
     /// Maps aligned chunks of `0..len` through `f` and returns the results
-    /// **in chunk order** (same merge contract as [`par_map_chunks`]).
+    /// **in chunk order**. As long as `f`'s result for a range depends
+    /// only on the items in that range (not on chunk boundaries),
+    /// concatenating the returned values in order reproduces the
+    /// sequential result exactly, independent of thread count.
     pub fn map_chunks<R, F>(&self, len: usize, grain: usize, f: F) -> Vec<R>
     where
         R: Send,
@@ -408,43 +402,25 @@ impl<'p> Par<'p> {
     {
         let t = self.threads_for(len, grain);
         let ranges = chunk_ranges_aligned(t, len, CHUNK_ALIGN);
-        if t <= 1 || ranges.len() <= 1 {
+        let Some(pool) = self.pool.filter(|_| ranges.len() > 1) else {
             return ranges
                 .into_iter()
                 .enumerate()
                 .map(|(ci, r)| f(ci, r))
                 .collect();
-        }
-        match self.pool {
-            Some(pool) => {
-                let mut out: Vec<Option<R>> = Vec::new();
-                out.resize_with(ranges.len(), || None);
-                let shared = SharedSlice::new(&mut out);
-                pool.run_tagged(ranges.len(), self.tag, |ci| {
-                    let r = f(ci, ranges[ci].clone());
-                    // SAFETY: each job writes only its own slot, and the
-                    // overwritten value is `None` (nothing to drop).
-                    unsafe { shared.write(ci, Some(r)) };
-                });
-                out.into_iter()
-                    .map(|r| r.expect("sf2d-par: chunk result missing"))
-                    .collect()
-            }
-            None => std::thread::scope(|scope| {
-                let handles: Vec<_> = ranges
-                    .into_iter()
-                    .enumerate()
-                    .map(|(ci, r)| {
-                        let f = &f;
-                        scope.spawn(move || f(ci, r))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("sf2d-par: chunk task panicked"))
-                    .collect()
-            }),
-        }
+        };
+        let mut out: Vec<Option<R>> = Vec::new();
+        out.resize_with(ranges.len(), || None);
+        let shared = SharedSlice::new(&mut out);
+        pool.run_tagged(ranges.len(), self.tag, |ci| {
+            let r = f(ci, ranges[ci].clone());
+            // SAFETY: each job writes only its own slot, and the
+            // overwritten value is `None` (nothing to drop).
+            unsafe { shared.write(ci, Some(r)) };
+        });
+        out.into_iter()
+            .map(|r| r.expect("sf2d-par: chunk result missing"))
+            .collect()
     }
 
     /// Chunked reduction: maps aligned chunks through `f`, then combines
@@ -462,102 +438,6 @@ impl<'p> Par<'p> {
     }
 }
 
-/// Maps each chunk of `0..len` through `f` on its own scoped thread and
-/// returns the per-chunk results **in chunk order**. `f` receives
-/// `(chunk_index, range)`.
-///
-/// Deterministic-merge building block: as long as `f`'s result for a
-/// range depends only on the items in that range (not on chunk
-/// boundaries), concatenating the returned values in order reproduces
-/// the sequential result exactly, independent of thread count.
-pub fn par_map_chunks<R, F>(threads: usize, len: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize, Range<usize>) -> R + Sync,
-{
-    let ranges = chunk_ranges(threads, len);
-    if ranges.len() <= 1 {
-        return ranges
-            .into_iter()
-            .enumerate()
-            .map(|(ci, r)| f(ci, r))
-            .collect();
-    }
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .into_iter()
-            .enumerate()
-            .map(|(ci, r)| {
-                let f = &f;
-                scope.spawn(move || f(ci, r))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("sf2d-par: chunk task panicked"))
-            .collect()
-    })
-}
-
-/// Fills `out[i] = f(i)` in parallel chunks. Each slot is written exactly
-/// once from a pure-by-index function, so the result is identical for
-/// any thread count.
-pub fn par_fill<T, F>(threads: usize, out: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    if threads <= 1 || out.len() <= 1 {
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = f(i);
-        }
-        return;
-    }
-    let chunk = out.len().div_ceil(threads.min(out.len()));
-    std::thread::scope(|scope| {
-        for (ci, slice) in out.chunks_mut(chunk).enumerate() {
-            let f = &f;
-            scope.spawn(move || {
-                for (j, slot) in slice.iter_mut().enumerate() {
-                    *slot = f(ci * chunk + j);
-                }
-            });
-        }
-    });
-}
-
-/// Fills two equal-length slices `a[i], b[i] = f(i)` in parallel chunks
-/// with shared chunk boundaries (same contract as [`par_fill`]).
-pub fn par_fill2<A, B, F>(threads: usize, a: &mut [A], b: &mut [B], f: F)
-where
-    A: Send,
-    B: Send,
-    F: Fn(usize) -> (A, B) + Sync,
-{
-    assert_eq!(a.len(), b.len(), "par_fill2 requires equal-length slices");
-    if threads <= 1 || a.len() <= 1 {
-        for (i, (sa, sb)) in a.iter_mut().zip(b.iter_mut()).enumerate() {
-            let (va, vb) = f(i);
-            *sa = va;
-            *sb = vb;
-        }
-        return;
-    }
-    let chunk = a.len().div_ceil(threads.min(a.len()));
-    std::thread::scope(|scope| {
-        for (ci, (ca, cb)) in a.chunks_mut(chunk).zip(b.chunks_mut(chunk)).enumerate() {
-            let f = &f;
-            scope.spawn(move || {
-                for (j, (sa, sb)) in ca.iter_mut().zip(cb.iter_mut()).enumerate() {
-                    let (va, vb) = f(ci * chunk + j);
-                    *sa = va;
-                    *sb = vb;
-                }
-            });
-        }
-    });
-}
-
 /// A raw view over a mutable slice that concurrent tasks may write
 /// through, **provided they write disjoint indices**.
 ///
@@ -570,8 +450,8 @@ where
 /// # Safety contract
 /// Callers of [`SharedSlice::write`] must guarantee that no two tasks
 /// ever write the same index and that nobody reads the slice until all
-/// writers have been joined (the scoped-thread structure of [`join`] /
-/// [`par_map_chunks`] enforces the join).
+/// writers have been joined (the scoped-thread structure of [`join`] and
+/// the batch barrier of [`Pool::run`] enforce the join).
 pub struct SharedSlice<'a, T> {
     ptr: *mut T,
     len: usize,
@@ -767,13 +647,15 @@ mod tests {
         let f = |i: usize| (i as u64).wrapping_mul(0x9E3779B97F4A7C15) >> 7;
         let mut expect = vec![0u64; 777];
         Par::seq().fill(&mut expect, 1, f);
-        for (threads, use_pool) in [(2usize, true), (4, true), (4, false), (8, true)] {
-            let par = Par::new(threads, use_pool.then_some(&pool));
+        assert_eq!(Par::new(4, None).threads(), 1, "no pool, no threads");
+        assert_eq!(Par::seq().with_threads(4).threads(), 1);
+        for threads in [2usize, 4, 8] {
+            let par = Par::new(threads, Some(&pool));
             // Below the grain: runs inline.
             assert_eq!(par.threads_for(10, 1000), 1);
             let mut out = vec![0u64; 777];
             par.fill(&mut out, 64, f);
-            assert_eq!(out, expect, "fill threads {threads} pool {use_pool}");
+            assert_eq!(out, expect, "fill threads {threads}");
 
             let mut a = vec![0u64; 777];
             let mut b = vec![0i64; 777];
@@ -862,48 +744,6 @@ mod tests {
                 }
                 assert_eq!(next, len);
             }
-        }
-    }
-
-    #[test]
-    fn par_map_chunks_concatenates_in_chunk_order() {
-        let data: Vec<u32> = (0..137).map(|i| i * 3 + 1).collect();
-        let seq: Vec<u32> = data.iter().map(|v| v * v).collect();
-        for threads in [1, 2, 5, 16] {
-            let merged: Vec<u32> = par_map_chunks(threads, data.len(), |_, r| {
-                data[r].iter().map(|v| v * v).collect::<Vec<u32>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect();
-            assert_eq!(merged, seq, "threads {threads}");
-        }
-    }
-
-    #[test]
-    fn par_fill_matches_sequential() {
-        let f = |i: usize| (i as u64).wrapping_mul(0x9E3779B97F4A7C15);
-        let mut seq = vec![0u64; 41];
-        par_fill(1, &mut seq, f);
-        for threads in [2, 4, 13] {
-            let mut par = vec![0u64; 41];
-            par_fill(threads, &mut par, f);
-            assert_eq!(par, seq);
-        }
-    }
-
-    #[test]
-    fn par_fill2_matches_sequential() {
-        let f = |i: usize| (i as i64 * 7 - 3, (i % 5) as u8);
-        let mut sa = vec![0i64; 29];
-        let mut sb = vec![0u8; 29];
-        par_fill2(1, &mut sa, &mut sb, f);
-        for threads in [2, 3, 8] {
-            let mut pa = vec![0i64; 29];
-            let mut pb = vec![0u8; 29];
-            par_fill2(threads, &mut pa, &mut pb, f);
-            assert_eq!(pa, sa);
-            assert_eq!(pb, sb);
         }
     }
 

@@ -9,7 +9,7 @@
 //!
 //! **Determinism is unchanged:** a batch is `njobs` indexed jobs; workers
 //! claim indices from a shared counter, but each job writes only state
-//! derived from its own index (the same contract as [`crate::par_fill`]),
+//! derived from its own index (the same contract as [`crate::par_ranks`]),
 //! so the claim order cannot affect the result — only the wall clock.
 //!
 //! Claims are tagged with a per-batch epoch packed into the claim word

@@ -19,27 +19,20 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// `Par::fill` is byte-identical to the sequential loop for every
-    /// (threads, grain, pool?) combination — grain changes the chunk
-    /// count, threads change the schedule, neither may change the bytes.
+    /// (threads, grain) combination — grain changes the chunk count,
+    /// threads change the schedule, neither may change the bytes.
     #[test]
     fn fill_identical_across_threads_and_grains(
         len in 0usize..3000,
         salt in 0u64..u64::MAX,
         grain in 1usize..2048,
         threads in 1usize..9,
-        use_pool in proptest::bool::ANY,
     ) {
         let mut expect = vec![0u64; len];
         Par::seq().fill(&mut expect, 1, |i| mix(i, salt));
-        let pool;
-        let handle = if use_pool {
-            pool = Pool::new(threads);
-            Par::new(threads, Some(&pool))
-        } else {
-            Par::new(threads, None)
-        };
+        let pool = Pool::new(threads);
         let mut got = vec![0u64; len];
-        handle.fill(&mut got, grain, |i| mix(i, salt));
+        Par::new(threads, Some(&pool)).fill(&mut got, grain, |i| mix(i, salt));
         prop_assert_eq!(got, expect);
     }
 
@@ -51,17 +44,10 @@ proptest! {
         salt in 0u64..u64::MAX,
         grain in 1usize..2048,
         threads in 1usize..9,
-        use_pool in proptest::bool::ANY,
     ) {
         let expect: Vec<u64> = (0..len).map(|i| mix(i, salt)).collect();
-        let pool;
-        let handle = if use_pool {
-            pool = Pool::new(threads);
-            Par::new(threads, Some(&pool))
-        } else {
-            Par::new(threads, None)
-        };
-        let got: Vec<u64> = handle
+        let pool = Pool::new(threads);
+        let got: Vec<u64> = Par::new(threads, Some(&pool))
             .map_chunks(len, grain, |_, r| r.map(|i| mix(i, salt)).collect::<Vec<u64>>())
             .into_iter()
             .flatten()

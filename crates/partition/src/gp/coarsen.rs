@@ -217,14 +217,13 @@ mod tests {
             let (seq_g, seq_map) = contract(&wg, &mate, &Par::seq());
             for threads in [2, 4, 7] {
                 let pool = sf2d_par::Pool::new(threads);
-                for par in [Par::new(threads, None), Par::new(threads, Some(&pool))] {
-                    let (par_g, par_map) = contract(&wg, &mate, &par);
-                    assert_eq!(par_map, seq_map, "threads {threads}");
-                    assert_eq!(par_g.xadj, seq_g.xadj, "threads {threads}");
-                    assert_eq!(par_g.adjncy, seq_g.adjncy, "threads {threads}");
-                    assert_eq!(par_g.adjwgt, seq_g.adjwgt, "threads {threads}");
-                    assert_eq!(par_g.vwgt, seq_g.vwgt, "threads {threads}");
-                }
+                let par = Par::new(threads, Some(&pool));
+                let (par_g, par_map) = contract(&wg, &mate, &par);
+                assert_eq!(par_map, seq_map, "threads {threads}");
+                assert_eq!(par_g.xadj, seq_g.xadj, "threads {threads}");
+                assert_eq!(par_g.adjncy, seq_g.adjncy, "threads {threads}");
+                assert_eq!(par_g.adjwgt, seq_g.adjwgt, "threads {threads}");
+                assert_eq!(par_g.vwgt, seq_g.vwgt, "threads {threads}");
             }
         }
     }

@@ -328,12 +328,11 @@ mod tests {
         let seq_out = fm_refine(&wg, &mut seq, &even_targets(&wg), 1.10, 6, &Par::seq());
         for threads in [2, 4, 8] {
             let pool = sf2d_par::Pool::new(threads);
-            for h in [Par::new(threads, None), Par::new(threads, Some(&pool))] {
-                let mut par = init.clone();
-                let par_out = fm_refine(&wg, &mut par, &even_targets(&wg), 1.10, 6, &h);
-                assert_eq!(par_out, seq_out, "threads {threads}");
-                assert_eq!(par, seq, "threads {threads}");
-            }
+            let h = Par::new(threads, Some(&pool));
+            let mut par = init.clone();
+            let par_out = fm_refine(&wg, &mut par, &even_targets(&wg), 1.10, 6, &h);
+            assert_eq!(par_out, seq_out, "threads {threads}");
+            assert_eq!(par, seq, "threads {threads}");
         }
     }
 }

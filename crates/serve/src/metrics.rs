@@ -33,9 +33,6 @@ pub struct EngineMetrics {
     /// Full `FillComplete` runs: construction plus one per repartition —
     /// never an epoch bump.
     pub full_compiles: u64,
-    /// Patches after which the plan's index arena, doubled by garbage,
-    /// was rebuilt.
-    pub arena_compactions: u64,
     /// Ranks a patch dirtied — block written or schedule lowered again —
     /// one observation per patch.
     pub dirty_ranks: Histogram,
@@ -82,7 +79,6 @@ impl EngineMetrics {
         reg.add("serve_repartitions", 0, self.repartitions);
         reg.add("serve_plan_patches", 0, self.plan_patches);
         reg.add("serve_full_compiles", 0, self.full_compiles);
-        reg.add("serve_arena_compactions", 0, self.arena_compactions);
         reg.add("serve_crash_replays", 0, self.crash_replays);
         reg.set_gauge("serve_queue_depth", 0, queue_depth as f64);
         reg.set_gauge("serve_queue_depth_peak", 0, self.queue_depth_peak as f64);

@@ -56,5 +56,5 @@ pub use cost::{CostLedger, Phase, PhaseCost};
 pub use fault::{bill_retransmit, route_chaos, route_chaos_threaded, ChaosRuntime};
 pub use hierarchy::NodeModel;
 pub use machine::Machine;
-pub use runtime::{par_ranks, route_sequential, route_threaded, RankMessage, RuntimeConfig};
+pub use runtime::{par_ranks, route_sequential, route_threaded, RankMessage};
 pub use wave::{max_wave_bytes, plan_waves};

@@ -70,46 +70,6 @@ fn finish_inbox(rank: usize, mut inbox: Vec<Tagged>) -> Vec<RankMessage> {
     inbox.into_iter().map(|t| t.msg).collect()
 }
 
-/// Execution-tuning knobs for the simulator runtime. These change only
-/// how fast the simulator itself runs — never the modeled costs or the
-/// computed values (the parallel engine is bit-identical to sequential).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RuntimeConfig {
-    /// OS threads the phase-local per-rank work fans out across
-    /// (1 = fully sequential).
-    pub threads: usize,
-}
-
-impl Default for RuntimeConfig {
-    fn default() -> RuntimeConfig {
-        RuntimeConfig { threads: 1 }
-    }
-}
-
-impl RuntimeConfig {
-    /// Reads the shared `SF2D_THREADS` environment variable (the same
-    /// knob the parallel partitioner honors); unset falls back to 1
-    /// (sequential).
-    ///
-    /// # Panics
-    /// Panics with a clear message when the variable is set to garbage
-    /// (empty, `0`, negative, non-numeric, fractional) — see
-    /// [`RuntimeConfig::parse_threads`]. Silently degrading to
-    /// sequential on a typo would falsify benchmark numbers.
-    pub fn from_env() -> RuntimeConfig {
-        RuntimeConfig {
-            threads: sf2d_par::threads_from_env(),
-        }
-    }
-
-    /// The pure validator behind [`RuntimeConfig::from_env`] (`None` =
-    /// variable unset). Exposed so tests can cover every rejected form
-    /// without racing on the process environment.
-    pub fn parse_threads(raw: Option<&str>) -> Result<usize, String> {
-        sf2d_par::parse_threads(raw)
-    }
-}
-
 /// The parallel superstep engine, now hosted in the shared `sf2d-par`
 /// work module so the partitioner can reuse the same chunked
 /// scoped-thread fan-out. Re-exported here for backwards compatibility.
@@ -316,28 +276,6 @@ mod tests {
         let mut few = vec![0u8; 3];
         par_ranks(100, &mut few, |r, v| *v = r as u8 + 1);
         assert_eq!(few, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn runtime_config_defaults_to_sequential() {
-        assert_eq!(RuntimeConfig::default().threads, 1);
-        // from_env falls back to 1 when the variable is unset (it is not
-        // set in the test environment).
-        assert!(RuntimeConfig::from_env().threads >= 1);
-    }
-
-    #[test]
-    fn runtime_config_rejects_each_garbage_threads_form() {
-        // The pure validator behind from_env, one case per rejected
-        // form. (from_env itself panics with the same messages; tested
-        // here without mutating the shared process environment.)
-        assert_eq!(RuntimeConfig::parse_threads(None), Ok(1));
-        assert_eq!(RuntimeConfig::parse_threads(Some("4")), Ok(4));
-        for garbage in ["", "   ", "0", "-1", "abc", "1.5", "1e3", "O8"] {
-            let err = RuntimeConfig::parse_threads(Some(garbage))
-                .expect_err(&format!("{garbage:?} must be rejected"));
-            assert!(err.contains("SF2D_THREADS"), "{garbage:?} -> {err}");
-        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Compiled local-index schedules for the 4-phase SpMV — the plan
-//! *compilation* step of Epetra's `FillComplete()`, stored compressed.
+//! *compilation* step of Epetra's `FillComplete()`, stored flat.
 //!
 //! [`CommPlan`](crate::plan::CommPlan) stores the communication structure
 //! in **global ids**; executing it directly means every SpMV re-resolves
@@ -12,11 +12,12 @@
 //!
 //! **Storage** is built for paper-scale rank counts (p = 16,384). At high
 //! p the per-rank blocks go hypersparse (Buluç & Gilbert): every index
-//! list is tiny and highly redundant across ranks, so replicating
-//! `Vec<Vec<u32>>`-of-`Vec` plans per rank would drown in allocator
-//! headers. Instead the schedules are flat arrays with per-rank offset
-//! tables; the owned-copy lists live in one shared u32 arena (the *plan
-//! store*), **deduplicated by content**, behind [`IdxSpan`] views.
+//! list is tiny, so replicating `Vec<Vec<u32>>`-of-`Vec` plans per rank
+//! would drown in allocator headers. Instead every list of a phase —
+//! owned-copy pairs, pack and receive lists — is one flat `u32` array in
+//! rank order with a `p + 1` offset table, and a [`RankPlan`] view slices
+//! them on demand. Nothing is shared between ranks: sharing equal owned
+//! lists measures at most 0.83 % of `plan_bytes` (EXPERIMENTS.md).
 //! Message payloads live in **one flat `f64` arena per phase** in the
 //! [`SpmvWorkspace`], whose layout is frozen here: rank `r` sends from
 //! the region `payload_base[r]..payload_base[r + 1]` (times the product's
@@ -26,13 +27,11 @@
 //! holds the local position it lands in (`recv_dst`) and the arena slot
 //! it is read from (`recv_src`) **in place** — the zero-copy simulated
 //! transport, allocation-free at steady state; the bytes accounted to the
-//! ledger still equal the plan's volume exactly. These lists are a pure
-//! function of the schedule and are not deduplicated: at p = 4,096 nearly
-//! every message is a single element.
+//! ledger still equal the plan's volume exactly.
 //!
 //! **Construction** parallelizes: [`CompiledSpmv::compile_with`] fans the
 //! pure per-rank lowering across OS threads (optionally on a persistent
-//! [`Pool`]) and then interns the results serially in rank order, so the
+//! [`Pool`]) and then appends the results serially in rank order, so the
 //! compiled plan is byte-identical to the serial [`CompiledSpmv::compile`]
 //! for any thread count — property-tested in
 //! `tests/proptest_parallel_compile.rs`.
@@ -40,10 +39,8 @@
 //! **Maintenance** is rank-local: when a few ranks' maps or messages
 //! change ([`DistCsrMatrix::apply_delta`]), `CompiledSpmv::patch` runs
 //! the same per-rank lowering for those ranks only and splices the
-//! result in, leaving the *same schedule* a full compile would
-//! ([`CompiledSpmv::same_schedule`]; only the owned lists' offsets in
-//! the plan store may differ) — property-tested in
-//! `tests/proptest_apply_delta.rs`.
+//! result in, leaving a plan **byte-equal** (`==`) to a full compile —
+//! property-tested in `tests/proptest_apply_delta.rs`.
 //!
 //! [`DistCsrMatrix::apply_delta`]: crate::distmat::DistCsrMatrix::apply_delta
 //!
@@ -56,8 +53,6 @@
 //! [`CostLedger`]: sf2d_sim::cost::CostLedger
 //! [`Pool`]: sf2d_sim::sf2d_par::Pool
 
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::ops::Range;
 
 use sf2d_sim::cost::PhaseCost;
@@ -66,36 +61,6 @@ use sf2d_sim::sf2d_par::{par_ranks_with, Pool};
 use crate::distmat::{RankBlock, SPMM_CHUNK};
 use crate::map::VectorMap;
 use crate::plan::CommPlan;
-
-/// An offset-range view into the shared index arena (u32 offsets: plans
-/// stay addressable up to 4G shared indices, far beyond scale-20 inputs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub struct IdxSpan {
-    /// Start offset in the arena.
-    pub off: u32,
-    /// Number of u32 entries.
-    pub len: u32,
-}
-
-impl IdxSpan {
-    /// The arena range this span covers.
-    #[inline]
-    pub fn range(self) -> Range<usize> {
-        self.off as usize..(self.off + self.len) as usize
-    }
-
-    /// Number of entries.
-    #[inline]
-    pub fn len(self) -> usize {
-        self.len as usize
-    }
-
-    /// True when the span is empty.
-    #[inline]
-    pub fn is_empty(self) -> bool {
-        self.len == 0
-    }
-}
 
 /// One outgoing message of a rank's compiled schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -125,14 +90,14 @@ pub struct UnpackEntry {
 }
 
 /// One phase's compiled schedule for **all** ranks: flat entry and index
-/// arrays with per-rank offset tables, plus per-rank owned-copy spans into
-/// the [`CompiledSpmv`]'s shared arena.
+/// arrays with per-rank offset tables.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PhasePlan {
-    /// Per-rank owned-copy pairs, interleaved `(a, b)` in one arena span
-    /// of `2·n` entries. Expand: `(src_lid, xcols_lid)`; fold:
-    /// `(partial_idx, y_lid)`.
-    owned: Vec<IdxSpan>,
+    /// Per-rank ranges into `owned_idx` (`p + 1` offsets).
+    owned_base: Vec<u32>,
+    /// All ranks' owned-copy pairs, interleaved `(a, b)`, in rank order.
+    /// Expand: `(src_lid, xcols_lid)`; fold: `(partial_idx, y_lid)`.
+    owned_idx: Vec<u32>,
     /// All ranks' pack entries, concatenated in rank order.
     pack: Vec<PackEntry>,
     /// Per-rank ranges into `pack` (`p + 1` offsets).
@@ -160,6 +125,7 @@ impl PhasePlan {
     /// A plan over zero ranks, ready for [`push_rank`](PhasePlan::push_rank).
     fn new() -> PhasePlan {
         PhasePlan {
+            owned_base: vec![0],
             pack_off: vec![0],
             unpack_off: vec![0],
             payload_base: vec![0],
@@ -168,20 +134,20 @@ impl PhasePlan {
         }
     }
 
-    /// Appends the next rank's raw lists: the owned pairs are interned,
-    /// the pack and unpack lists concatenated onto `pack_idx` and
+    /// Appends the next rank's raw lists: the owned pairs, the pack and
+    /// the unpack lists concatenated onto `owned_idx`, `pack_idx` and
     /// `recv_dst`. Where the received values are read from needs the
     /// *sources'* regions and pack lists; [`link_rank`](PhasePlan::link_rank)
     /// fills that in.
     fn push_rank(
         &mut self,
-        interner: &mut Interner,
         owned: &[u32],
         pack: &[(u32, Vec<u32>)],
         unpack: &[(u32, u32, Vec<u32>)],
     ) {
         let end = |list: &[u32]| u32::try_from(list.len()).expect("a phase's volume fits u32");
-        self.owned.push(interner.intern(owned));
+        self.owned_idx.extend_from_slice(owned);
+        self.owned_base.push(end(&self.owned_idx));
         let base = end(&self.pack_idx);
         for (peer, lids) in pack {
             self.pack.push(PackEntry {
@@ -242,7 +208,6 @@ impl PhasePlan {
     /// region changed length (returned), because all later ones moved.
     fn replace_rank(
         &mut self,
-        interner: &mut Interner,
         r: usize,
         owned: &[u32],
         pack: &[(u32, Vec<u32>)],
@@ -253,13 +218,13 @@ impl PhasePlan {
             let new_hi = lo + new.len();
             flat.splice(lo..hi, new);
             for o in &mut off[r + 1..] {
-                *o = (*o as usize - hi + new_hi) as u32;
+                *o = u32::try_from(*o as usize - hi + new_hi).expect("a phase's volume fits u32");
             }
         }
         let mut one = PhasePlan::new();
-        one.push_rank(interner, owned, pack, unpack);
+        one.push_rank(owned, pack, unpack);
         let moved = one.pack_idx.len() != self.payload_doubles(r);
-        self.owned[r] = one.owned[0];
+        splice(&mut self.owned_idx, &mut self.owned_base, r, one.owned_idx);
         splice(&mut self.pack, &mut self.pack_off, r, one.pack);
         splice(&mut self.unpack, &mut self.unpack_off, r, one.unpack);
         splice(&mut self.pack_idx, &mut self.payload_base, r, one.pack_idx);
@@ -271,7 +236,7 @@ impl PhasePlan {
 
     /// Number of ranks.
     pub fn nranks(&self) -> usize {
-        self.owned.len()
+        self.owned_base.len() - 1
     }
 
     /// Rank `r`'s pack entries.
@@ -322,24 +287,19 @@ impl PhasePlan {
         (&self.recv_dst[range.clone()], &self.recv_src[range])
     }
 
-    /// The rank view joining this plan with the shared arena.
+    /// Rank `r`'s view of this plan.
     #[inline]
-    fn rank<'a>(&'a self, arena: &'a [u32], r: usize) -> RankPlan<'a> {
-        RankPlan {
-            phase: self,
-            arena,
-            r,
-        }
+    fn rank(&self, r: usize) -> RankPlan<'_> {
+        RankPlan { phase: self, r }
     }
 }
 
-/// One rank's schedule for one phase: a cheap `Copy` view of the
-/// compressed plan store that slices it on demand — what the per-message
+/// One rank's schedule for one phase: a cheap `Copy` view of the flat
+/// plan that slices it on demand — what the per-message
 /// consumers (the SpGEMM kernel, the chaos mirror, the tests) read.
 #[derive(Debug, Clone, Copy)]
 pub struct RankPlan<'a> {
     phase: &'a PhasePlan,
-    arena: &'a [u32],
     r: usize,
 }
 
@@ -348,13 +308,19 @@ impl<'a> RankPlan<'a> {
     /// `y_local[b] += partials[a]`.
     #[inline]
     pub fn owned_pairs(self) -> impl Iterator<Item = (u32, u32)> + 'a {
-        let owned = &self.arena[self.phase.owned[self.r].range()];
-        owned.chunks_exact(2).map(|c| (c[0], c[1]))
+        self.owned().chunks_exact(2).map(|c| (c[0], c[1]))
     }
 
     /// Number of owned-copy pairs.
     pub fn n_owned(self) -> usize {
-        self.phase.owned[self.r].len() / 2
+        self.owned().len() / 2
+    }
+
+    /// The rank's interleaved owned-copy pairs.
+    #[inline]
+    fn owned(self) -> &'a [u32] {
+        let base = &self.phase.owned_base;
+        &self.phase.owned_idx[base[self.r] as usize..base[self.r + 1] as usize]
     }
 
     /// Outgoing messages as `(peer, lids, payload_off)`, in plan order
@@ -400,8 +366,8 @@ impl<'a> RankPlan<'a> {
     }
 }
 
-/// The full compiled schedule: the shared arena of owned-copy lists, one
-/// [`PhasePlan`] per phase and the frozen per-rank cost vectors.
+/// The full compiled schedule: one [`PhasePlan`] per phase and the frozen
+/// per-rank cost vectors.
 ///
 /// Built once by [`DistCsrMatrix::from_global`] and reused by every
 /// [`spmv`](crate::spmv::spmv) / [`spmm`](crate::spmv::spmm) call.
@@ -409,12 +375,6 @@ impl<'a> RankPlan<'a> {
 /// [`DistCsrMatrix::from_global`]: crate::distmat::DistCsrMatrix::from_global
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompiledSpmv {
-    /// The shared, content-deduplicated arena of owned-copy lists (the
-    /// plan store) with its dedup index.
-    store: Interner,
-    /// Arena length at the last full compile: the arena is compacted
-    /// when patches have doubled it.
-    fresh_arena_len: usize,
     /// Expand-phase schedules for all ranks.
     pub expand: PhasePlan,
     /// Fold-phase schedules for all ranks.
@@ -534,52 +494,6 @@ fn lower_rank(
     }
 }
 
-/// Content-deduplicating arena interner for the owned-copy lists.
-/// Interning happens serially in rank order, so the arena layout is a
-/// pure function of the raw plans — the parallel and serial compile paths
-/// produce identical bytes. It stays resident with the plan so that a
-/// patch re-interns a re-lowered rank's unchanged list onto its old span.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-struct Interner {
-    arena: Vec<u32>,
-    /// Segment hash → the first span stored with that hash. A second
-    /// segment with the same hash (never seen at 64 bits) is stored
-    /// without an index entry: deduplication is an economy, not an
-    /// invariant.
-    seen: HashMap<u64, IdxSpan>,
-}
-
-impl Interner {
-    fn intern(&mut self, seg: &[u32]) -> IdxSpan {
-        if seg.is_empty() {
-            return IdxSpan { off: 0, len: 0 };
-        }
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        seg.hash(&mut h);
-        let key = h.finish();
-        if let Some(&s) = self.seen.get(&key) {
-            if &self.arena[s.range()] == seg {
-                return s;
-            }
-        }
-        let off = self.arena.len();
-        assert!(
-            off + seg.len() <= u32::MAX as usize,
-            "plan store overflow: the shared index arena would exceed u32 addressing \
-             ({} + {} entries)",
-            off,
-            seg.len()
-        );
-        self.arena.extend_from_slice(seg);
-        let span = IdxSpan {
-            off: off as u32,
-            len: seg.len() as u32,
-        };
-        self.seen.entry(key).or_insert(span);
-        span
-    }
-}
-
 /// Local-compute cost of one rank: 2 flops per local nonzero.
 fn compute_cost(block: &RankBlock) -> PhaseCost {
     PhaseCost::compute(2 * block.nnz() as u64)
@@ -619,16 +533,14 @@ impl CompiledSpmv {
             *slot = lower_rank(r, vmap, &blocks[r], import, export);
         });
 
-        // Stage 2 — serial: append to the flat plan in rank order
-        // (deterministic layout, shared owned lists stored once).
-        let mut store = Interner::default();
+        // Stage 2 — serial: append to the flat plan in rank order.
         let mut expand = PhasePlan::new();
         let mut fold = PhasePlan::new();
         for rr in &raw {
-            expand.push_rank(&mut store, &rr.e_owned, &rr.e_pack, &rr.e_unpack);
+            expand.push_rank(&rr.e_owned, &rr.e_pack, &rr.e_unpack);
         }
         for rr in &raw {
-            fold.push_rank(&mut store, &rr.f_owned, &rr.f_pack, &rr.f_unpack);
+            fold.push_rank(&rr.f_owned, &rr.f_pack, &rr.f_unpack);
         }
         for d in 0..p {
             expand.link_rank(d, |_| false);
@@ -639,8 +551,6 @@ impl CompiledSpmv {
         // their rank — freeze them so a superstep charge is a slice
         // reduce, not a plan traversal.
         CompiledSpmv {
-            fresh_arena_len: store.arena.len(),
-            store,
             expand,
             fold,
             expand_costs: import.phase_costs(),
@@ -655,21 +565,17 @@ impl CompiledSpmv {
 
     /// Brings the schedule up to date after `blocks`, `import` and
     /// `export` changed at a few ranks — the dirty-rank form of
-    /// [`compile`](CompiledSpmv::compile), and schedule-equal to it
-    /// ([`same_schedule`](CompiledSpmv::same_schedule)). `relower` names,
-    /// ascending, every rank whose row or column map or stored row order
-    /// changed or whose pack or unpack list gained, lost or rewrote a
-    /// message; `resized` every rank whose local nonzero count changed.
+    /// [`compile`](CompiledSpmv::compile), and byte-equal (`==`) to it.
+    /// `relower` names, ascending, every rank whose row or column map or
+    /// stored row order changed or whose pack or unpack list gained, lost
+    /// or rewrote a message; `resized` every rank whose local nonzero
+    /// count changed.
     ///
     /// Each `relower` rank is lowered again by the same `lower_rank` and
     /// spliced in; the ranks reading a rewritten region only have their
     /// slots, payload offsets and `recv_src` refreshed — every rank of a
     /// phase in which a region changed length, since all later regions
-    /// moved (O(volume) `u32` stores). Owned lists are interned into the
-    /// existing arena, so unchanged ones land on their old spans and
-    /// replaced ones become garbage; when the arena has doubled since the
-    /// last full compile, one full compile collects it (the `Vec` growth
-    /// rule). Returns whether that happened.
+    /// moved (O(volume) `u32` stores).
     pub(crate) fn patch(
         &mut self,
         vmap: &VectorMap,
@@ -678,20 +584,23 @@ impl CompiledSpmv {
         export: &CommPlan,
         resized: &[usize],
         relower: &[usize],
-    ) -> bool {
+    ) {
         for &r in resized {
             self.compute_costs[r] = compute_cost(&blocks[r]);
         }
         if relower.is_empty() {
-            return false;
+            return;
         }
         let mut relowered = vec![false; blocks.len()];
         let mut moved = [false; 2];
         for &r in relower {
             let rr = lower_rank(r, vmap, &blocks[r], import, export);
-            let (store, ex, fo) = (&mut self.store, &mut self.expand, &mut self.fold);
-            moved[0] |= ex.replace_rank(store, r, &rr.e_owned, &rr.e_pack, &rr.e_unpack);
-            moved[1] |= fo.replace_rank(store, r, &rr.f_owned, &rr.f_pack, &rr.f_unpack);
+            moved[0] |= self
+                .expand
+                .replace_rank(r, &rr.e_owned, &rr.e_pack, &rr.e_unpack);
+            moved[1] |= self
+                .fold
+                .replace_rank(r, &rr.f_owned, &rr.f_pack, &rr.f_unpack);
             self.expand_costs[r] = import.rank_phase_cost(r);
             self.fold_costs[r] = export.rank_phase_cost(r);
             self.sum_costs[r] = PhaseCost::compute(rr.sum_flops);
@@ -715,51 +624,18 @@ impl CompiledSpmv {
                 phase.link_rank(d, |src| relowered[src as usize]);
             }
         }
-        let compact = self.store.arena.len() > 2 * self.fresh_arena_len;
-        if compact {
-            *self = CompiledSpmv::compile(vmap, blocks, import, export);
-        }
-        compact
-    }
-
-    /// Whether `self` and `other` are the same schedule: in both phases
-    /// the message entries, the payload layout and the pack and receive
-    /// lists — absolute arena slots included, the layout being a pure
-    /// function of the schedule — every rank's owned pairs compared by
-    /// content through each plan's own arena, and all four cost vectors.
-    /// Where the owned lists sit in the plan store — all that can differ
-    /// between a patched plan and a fresh compile — is ignored.
-    pub fn same_schedule(&self, other: &CompiledSpmv) -> bool {
-        let same_phase = |a: &PhasePlan, b: &PhasePlan| {
-            (a.pack == b.pack && a.pack_off == b.pack_off)
-                && (a.unpack == b.unpack && a.unpack_off == b.unpack_off)
-                && (a.payload_base == b.payload_base && a.pack_idx == b.pack_idx)
-                && (a.recv_base == b.recv_base && a.recv_dst == b.recv_dst)
-                && a.recv_src == b.recv_src
-                && (0..a.nranks()).all(|r| {
-                    let (x, y) = (a.rank(&self.store.arena, r), b.rank(&other.store.arena, r));
-                    x.owned_pairs().eq(y.owned_pairs())
-                })
-        };
-        self.expand.nranks() == other.expand.nranks()
-            && same_phase(&self.expand, &other.expand)
-            && same_phase(&self.fold, &other.fold)
-            && self.expand_costs == other.expand_costs
-            && self.compute_costs == other.compute_costs
-            && self.fold_costs == other.fold_costs
-            && self.sum_costs == other.sum_costs
     }
 
     /// Rank `r`'s expand-phase schedule view.
     #[inline]
     pub fn expand_rank(&self, r: usize) -> RankPlan<'_> {
-        self.expand.rank(&self.store.arena, r)
+        self.expand.rank(r)
     }
 
     /// Rank `r`'s fold-phase schedule view.
     #[inline]
     pub fn fold_rank(&self, r: usize) -> RankPlan<'_> {
-        self.fold.rank(&self.store.arena, r)
+        self.fold.rank(r)
     }
 
     /// Sum-phase flops charged to rank `r` per SpMV column.
@@ -767,58 +643,24 @@ impl CompiledSpmv {
         self.sum_costs[r].flops
     }
 
-    /// Entries in the shared arena of owned-copy lists (after
-    /// deduplication).
-    pub fn arena_len(&self) -> usize {
-        self.store.arena.len()
-    }
-
-    /// Actual heap footprint of the compressed plan store: arena, entry
-    /// arrays, pack and receive lists, offset tables, and the frozen cost
-    /// vectors.
+    /// Actual heap footprint of the plan: entry arrays, owned, pack and
+    /// receive lists, offset tables, and the frozen cost vectors.
     pub fn plan_bytes(&self) -> u64 {
         use std::mem::size_of;
         let phase = |pl: &PhasePlan| -> u64 {
-            // Four `p + 1` offset tables, the pack list, both receive lists.
-            let words = 4 * (pl.nranks() + 1) + pl.pack_idx.len() + 2 * pl.recv_dst.len();
-            (pl.owned.len() * size_of::<IdxSpan>()
-                + pl.pack.len() * size_of::<PackEntry>()
+            // Five `p + 1` offset tables, the owned and pack lists, both
+            // receive lists.
+            let words = 5 * (pl.nranks() + 1)
+                + pl.owned_idx.len()
+                + pl.pack_idx.len()
+                + 2 * pl.recv_dst.len();
+            (pl.pack.len() * size_of::<PackEntry>()
                 + pl.unpack.len() * size_of::<UnpackEntry>()
                 + words * 4) as u64
         };
-        (self.store.arena.len() * 4) as u64
-            + phase(&self.expand)
+        phase(&self.expand)
             + phase(&self.fold)
             + (4 * self.expand_costs.len() * size_of::<PhaseCost>()) as u64
-    }
-
-    /// What the same schedules would occupy in the pre-compression
-    /// replicated representation (per-rank structs of nested `Vec`s, one
-    /// heap list per message, no cross-rank sharing) — the denominator of
-    /// the compressed-vs-replicated comparison in `BENCH_scale.json`.
-    /// Heap payloads plus `Vec` / tuple headers; allocator per-block
-    /// overhead is *not* counted, so the estimate is conservative.
-    pub fn replicated_plan_bytes(&self) -> u64 {
-        use std::mem::size_of;
-        let vec_hdr = size_of::<Vec<u32>>() as u64;
-        let mut total = 0u64;
-        for pl in [&self.expand, &self.fold] {
-            for r in 0..pl.nranks() {
-                // owned: Vec<(u32, u32)>
-                total += vec_hdr + 8 * (pl.owned[r].len() / 2) as u64;
-                // pack: Vec<(u32, Vec<u32>)>
-                total += vec_hdr
-                    + (pl.pack_entries(r).len() * size_of::<(u32, Vec<u32>)>()) as u64
-                    + 4 * pl.payload_doubles(r) as u64;
-                // unpack: Vec<(u32, u32, Vec<u32>)>
-                total += vec_hdr
-                    + (pl.unpack_entries(r).len() * size_of::<(u32, u32, Vec<u32>)>()) as u64
-                    + 4 * pl.received(r).0.len() as u64;
-            }
-            // The per-rank struct list itself.
-            total += vec_hdr + (pl.nranks() * 3 * size_of::<Vec<u32>>()) as u64;
-        }
-        total + (4 * self.expand_costs.len() * size_of::<PhaseCost>()) as u64
     }
 }
 
@@ -1084,58 +926,6 @@ mod tests {
             Some(&pool),
         );
         assert_eq!(pooled, dm.compiled);
-    }
-
-    #[test]
-    fn arena_dedups_shared_segments_and_compression_wins() {
-        // Ranks of one grid row or column own structurally identical
-        // copy lists, which must be stored once.
-        let dm = dist_matrix();
-        let c = &dm.compiled;
-        // Total entries the schedules *reference* vs entries stored.
-        let mut referenced = 0usize;
-        for pl in [&c.expand, &c.fold] {
-            referenced += pl.owned.iter().map(|span| span.len()).sum::<usize>();
-        }
-        assert!(
-            c.arena_len() <= referenced,
-            "arena {} > referenced {}",
-            c.arena_len(),
-            referenced
-        );
-        assert!(c.plan_bytes() > 0);
-        assert!(
-            c.plan_bytes() < c.replicated_plan_bytes(),
-            "compressed {} not below replicated {}",
-            c.plan_bytes(),
-            c.replicated_plan_bytes()
-        );
-    }
-
-    #[test]
-    fn same_schedule_reads_the_arena_offsets() {
-        let dm = dist_matrix();
-        assert!(dm.compiled.same_schedule(&dm.compiled.clone()));
-        // One received value read from its neighbour's slot: the same
-        // messages, another product.
-        let mut off = dm.compiled.clone();
-        off.expand.recv_src[0] ^= 1;
-        assert!(!dm.compiled.same_schedule(&off));
-        let mut off = dm.compiled.clone();
-        *off.fold.recv_src.last_mut().unwrap() ^= 1;
-        assert!(!dm.compiled.same_schedule(&off));
-    }
-
-    #[test]
-    fn interner_dedups_by_content_not_hash() {
-        let mut i = Interner::default();
-        let a = i.intern(&[1, 2, 3]);
-        let b = i.intern(&[4, 5]);
-        let c = i.intern(&[1, 2, 3]);
-        assert_eq!(a, c, "identical segments share a span");
-        assert_ne!(a, b);
-        assert_eq!(i.arena, vec![1, 2, 3, 4, 5]);
-        assert_eq!(i.intern(&[]), IdxSpan { off: 0, len: 0 });
     }
 
     #[test]

@@ -332,8 +332,6 @@ pub struct DeltaReport {
     pub dirty_ranks: usize,
     /// The ranks among them whose compiled schedule was lowered again.
     pub relowered: usize,
-    /// Whether the plan arena was compacted by a full compile.
-    pub compacted: bool,
 }
 
 /// A matrix distributed across logical ranks according to any
@@ -434,12 +432,11 @@ impl DistCsrMatrix {
     }
 
     /// Applies entry changes in place — the dirty-rank `FillComplete`.
-    /// Afterwards `self` is *schedule-equal* to
+    /// Afterwards `self` is equal to
     /// [`from_global`](DistCsrMatrix::from_global) of the changed global
-    /// matrix under the same `dist`: `blocks`, `import` and `export` are
-    /// `==`, and `compiled` is the
-    /// [same schedule](CompiledSpmv::same_schedule) (arena offsets may
-    /// differ), so products are bitwise equal and bill identically.
+    /// matrix under the same `dist`: `blocks`, `import`, `export` and
+    /// `compiled` are all `==`, so products are bitwise equal and bill
+    /// identically.
     ///
     /// Deltas are grouped by `dist.nonzero_owner`, the last delta to an
     /// entry winning, and each dirty rank's block is touched once. The
@@ -514,7 +511,7 @@ impl DistCsrMatrix {
         }
         relower.sort_unstable();
         relower.dedup();
-        let compacted = self.compiled.patch(
+        self.compiled.patch(
             &self.vmap,
             &self.blocks,
             &self.import,
@@ -526,7 +523,6 @@ impl DistCsrMatrix {
         DeltaReport {
             dirty_ranks: written.len() + relower.len(),
             relowered: relower.len(),
-            compacted,
         }
     }
 

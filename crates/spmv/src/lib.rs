@@ -33,9 +33,7 @@ pub mod reference;
 pub mod resilient;
 pub mod spmv;
 
-pub use compiled::{
-    CompiledSpmv, IdxSpan, PackEntry, PhasePlan, RankPlan, SpmvWorkspace, UnpackEntry,
-};
+pub use compiled::{CompiledSpmv, PackEntry, PhasePlan, RankPlan, SpmvWorkspace, UnpackEntry};
 pub use diagnose::{diagnose_spmv, Bottleneck, PhaseDiagnosis};
 pub use distmat::{DeltaReport, DistCsrMatrix, EntryDelta, RankBlock, SPMM_CHUNK};
 pub use map::VectorMap;

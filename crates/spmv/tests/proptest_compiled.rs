@@ -145,6 +145,36 @@ proptest! {
         }
     }
 
+    /// The owned-copy pairs are `lower_rank`'s contract, read off the maps
+    /// alone: a rank's owned colmap entries as `(vmap lid, colmap lid)`
+    /// ascending, its owned rows as `(stored row, vmap lid)`.
+    #[test]
+    fn owned_pairs_are_the_owned_map_entries_in_order((a, dist, _xs) in setup_strategy()) {
+        let dm = DistCsrMatrix::from_global(&a, &dist);
+        for (r, block) in dm.blocks.iter().enumerate() {
+            let owned = |map: &[u32]| -> Vec<(usize, u32)> {
+                let gids = map.iter().copied().enumerate();
+                gids.filter(|&(_, g)| dm.vmap.owner(g) == r as u32).collect()
+            };
+            let expand: Vec<(u32, u32)> = owned(&block.colmap)
+                .into_iter()
+                .map(|(lid, g)| (dm.vmap.lid(g) as u32, lid as u32))
+                .collect();
+            let fold: Vec<(u32, u32)> = owned(&block.rowmap)
+                .into_iter()
+                .map(|(li, g)| (block.stored_row(li) as u32, dm.vmap.lid(g) as u32))
+                .collect();
+            for (what, plan, want) in [
+                ("expand", dm.compiled.expand_rank(r), expand),
+                ("fold", dm.compiled.fold_rank(r), fold),
+            ] {
+                prop_assert_eq!(plan.n_owned(), want.len(), "{}, rank {}", what, r);
+                let got: Vec<(u32, u32)> = plan.owned_pairs().collect();
+                prop_assert_eq!(got, want, "{}, rank {}", what, r);
+            }
+        }
+    }
+
     /// A workspace survives reuse across calls and matrices of different
     /// shapes without contaminating results.
     #[test]
