@@ -34,7 +34,7 @@ use sf2d_core::sf2d_gen::{rmat, RmatConfig};
 use sf2d_core::sf2d_graph::Graph;
 use sf2d_core::sf2d_partition::{
     mondriaan_report, partition_graph_multiconstraint_report, partition_graph_report, GpConfig,
-    GpReport, MondriaanConfig, PoolStats,
+    GpReport, GpStats, MondriaanConfig, PoolStats,
 };
 
 /// Per-phase nanoseconds — `gp` rows populate
@@ -68,6 +68,11 @@ struct CaseResult {
     samples: u64,
     phases_seq: PhaseMap,
     phases_par: PhaseMap,
+    /// Coarsest-graph vertices handed to the sequential initial partition,
+    /// summed over the run's bisections (`gp` rows; 0 for mondriaan).
+    coarsest_vertices: u64,
+    /// How many of those bisections stopped coarsening above `coarsen_to`.
+    stalled_bisections: u64,
     /// Worker-pool utilization of one representative parallel run
     /// (per-worker busy/idle/park, jobs, epoch backoffs); `None` for
     /// sequential rows and the pool-less mondriaan pipeline.
@@ -197,6 +202,7 @@ fn main() {
                     par_median,
                     gp_phases(&seq),
                     gp_phases(&par),
+                    par.stats,
                     par.pool.clone(),
                 ));
             }
@@ -224,6 +230,7 @@ fn main() {
                     par_median,
                     gp_phases(&seq),
                     gp_phases(&par),
+                    par.stats,
                     par.pool.clone(),
                 ));
             }
@@ -256,6 +263,7 @@ fn main() {
                     par_median,
                     mondriaan_phases(&seq_ph),
                     mondriaan_phases(&par_ph),
+                    GpStats::default(),
                     None,
                 ));
             }
@@ -386,6 +394,7 @@ fn case_row(
     median_ns_par: u64,
     phases_seq: PhaseMap,
     phases_par: PhaseMap,
+    stats: GpStats,
     pool: Option<PoolStats>,
 ) -> CaseResult {
     CaseResult {
@@ -400,6 +409,8 @@ fn case_row(
         samples: samples as u64,
         phases_seq,
         phases_par,
+        coarsest_vertices: stats.coarsest_vertices,
+        stalled_bisections: stats.stalled_bisections,
         pool,
     }
 }

@@ -78,14 +78,12 @@ pub fn rmat(cfg: &RmatConfig, seed: u64) -> CsrMatrix {
             coo.push_sym(u, v, 1.0);
         }
     }
-    let a = CsrMatrix::from_coo(&coo);
+    let mut a = CsrMatrix::from_coo(&coo);
     // Collapse multi-edges to unit weight: partitioners care about the
-    // pattern, and Graph500 deduplicates too.
-    let mut unit = CooMatrix::with_capacity(n, n, a.nnz());
-    for (r, c, _) in a.iter() {
-        unit.push(r, c, 1.0);
-    }
-    CsrMatrix::from_coo(&unit)
+    // pattern, and Graph500 deduplicates too. `from_coo` already merged
+    // the duplicates, so only the summed values are left to reset.
+    a.values_mut().fill(1.0);
+    a
 }
 
 /// Draws one directed R-MAT edge.

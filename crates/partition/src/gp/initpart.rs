@@ -4,6 +4,22 @@
 //! vertex whose move loses the least edge weight, until side 0 reaches its
 //! target weight. Several tries from different seeds; the best (feasible
 //! balance first, then lowest cut) wins.
+//!
+//! **Gains are kept, not recomputed.** The gain of a side-1 vertex `u` is
+//! its edge weight to side 0 minus its edge weight to side 1: `base[u] =
+//! -Σ adjwgt(u)` against an empty side 0 (once per [`gggp`] call), and
+//! `+2·w` for every adjacency entry `(v, u, w)` of a `v` that joins side 0
+//! — O(deg(v)) per absorbed vertex, where re-walking each neighbour's row
+//! is Σdeg² per try: most of a call on a coarsest graph that stalled with
+//! its hubs intact. The two agree to the bit, not just in quality. Gains
+//! are `i64` over a symmetric adjacency, so the running sum *is* the
+//! recomputed one (parallel entries included; a self-loop stays in `base`,
+//! since `u` is on side 1 whenever its gain is read). Weights are
+//! positive, so a gain only rises and every heap entry but a vertex's
+//! newest is below `gain[u]` and rejected on pop. And the key `(gain,
+//! Reverse(id))` is a total order, so what pops next depends on the live
+//! keys, not on the stale ones beside them. The tests hold this against
+//! the recomputing growth it replaced.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -77,28 +93,29 @@ pub fn violation(
     viol
 }
 
-/// One GGGP growth from `seed_vertex`. Returns the side assignment.
-fn grow_once(wg: &WorkGraph, targets0: &[f64; MAX_CON], seed_vertex: usize) -> Vec<u8> {
+/// Every vertex's gain against an empty side 0: `-Σ adjwgt(v)`.
+fn base_gains(wg: &WorkGraph) -> Vec<i64> {
+    (0..wg.nv())
+        .map(|v| -wg.neighbors(v).1.iter().sum::<i64>())
+        .collect()
+}
+
+/// One GGGP growth from `seed_vertex`, given [`base_gains`]. Returns the
+/// side assignment.
+fn grow_once(
+    wg: &WorkGraph,
+    targets0: &[f64; MAX_CON],
+    seed_vertex: usize,
+    base: &[i64],
+) -> Vec<u8> {
     let nv = wg.nv();
     let mut side = vec![1u8; nv];
     let mut w0 = [0i64; MAX_CON];
 
-    // Max-heap of (gain, vertex); gains go stale and are re-checked on pop.
+    // Max-heap of (gain, vertex); entries go stale when the gain rises and
+    // are re-checked against `gain` on pop.
     let mut heap: BinaryHeap<(i64, Reverse<u32>)> = BinaryHeap::new();
-    let mut in_heap_gain = vec![i64::MIN; nv];
-
-    let gain_of = |v: usize, side: &[u8]| -> i64 {
-        let (nbrs, wgts) = wg.neighbors(v);
-        let mut g = 0i64;
-        for (&u, &w) in nbrs.iter().zip(wgts) {
-            if side[u as usize] == 0 {
-                g += w;
-            } else {
-                g -= w;
-            }
-        }
-        g
-    };
+    let mut gain = base.to_vec();
 
     let reached = |w0: &[i64; MAX_CON]| (0..wg.ncon).all(|c| w0[c] as f64 >= targets0[c]);
 
@@ -106,38 +123,30 @@ fn grow_once(wg: &WorkGraph, targets0: &[f64; MAX_CON], seed_vertex: usize) -> V
                side: &mut Vec<u8>,
                w0: &mut [i64; MAX_CON],
                heap: &mut BinaryHeap<(i64, Reverse<u32>)>,
-               in_heap_gain: &mut Vec<i64>| {
+               gain: &mut Vec<i64>| {
         side[v] = 0;
         for c in 0..wg.ncon {
             w0[c] += wg.vw(v, c);
         }
-        let (nbrs, _) = wg.neighbors(v);
-        for &u in nbrs {
+        let (nbrs, wgts) = wg.neighbors(v);
+        for (&u, &w) in nbrs.iter().zip(wgts) {
             let u = u as usize;
             if side[u] == 1 {
-                let g = gain_of(u, side);
-                if g > in_heap_gain[u] {
-                    in_heap_gain[u] = g;
-                    heap.push((g, Reverse(u as u32)));
-                }
+                // The edge (u, v) flips from "to side 1" to "to side 0".
+                gain[u] += 2 * w;
+                heap.push((gain[u], Reverse(u as u32)));
             }
         }
     };
 
-    add(
-        seed_vertex,
-        &mut side,
-        &mut w0,
-        &mut heap,
-        &mut in_heap_gain,
-    );
+    add(seed_vertex, &mut side, &mut w0, &mut heap, &mut gain);
     let mut next_fallback = 0usize;
     while !reached(&w0) {
         // Pop the best fresh frontier vertex.
         let mut picked = None;
         while let Some((g, Reverse(v))) = heap.pop() {
             let v = v as usize;
-            if side[v] == 1 && g == in_heap_gain[v] {
+            if side[v] == 1 && g == gain[v] {
                 picked = Some(v);
                 break;
             }
@@ -155,7 +164,7 @@ fn grow_once(wg: &WorkGraph, targets0: &[f64; MAX_CON], seed_vertex: usize) -> V
                 next_fallback
             }
         };
-        add(v, &mut side, &mut w0, &mut heap, &mut in_heap_gain);
+        add(v, &mut side, &mut w0, &mut heap, &mut gain);
     }
     side
 }
@@ -172,10 +181,11 @@ pub fn gggp(
 ) -> Vec<u8> {
     let nv = wg.nv();
     assert!(nv >= 1);
+    let base = base_gains(wg);
     let mut best: Option<(BisectionQuality, Vec<u8>)> = None;
     for _ in 0..tries.max(1) {
         let seed_vertex = rng.gen_range(0..nv);
-        let side = grow_once(wg, &targets[0], seed_vertex);
+        let side = grow_once(wg, &targets[0], seed_vertex, &base);
         let q = BisectionQuality {
             violation: violation(&side_weights(wg, &side), targets, wg.ncon, ub),
             cut: cut_of(wg, &side),
@@ -193,10 +203,202 @@ pub fn gggp(
 
 #[cfg(test)]
 mod tests {
+    use super::super::work::testgraphs::{arb_workgraph, from_weighted_edges, two_hub_star};
     use super::*;
+    use proptest::prelude::*;
     use rand::SeedableRng;
     use sf2d_gen::grid_2d;
     use sf2d_graph::Graph;
+
+    /// The growth [`grow_once`] replaced, kept as its bitwise oracle: the
+    /// gain of every frontier neighbour is recomputed from its whole row,
+    /// and a vertex is pushed again only when that gain rose. `key` / `id`
+    /// wrap and unwrap the heap's tie-break on the vertex id — `Reverse`
+    /// is the real one; the negative test passes the identity.
+    fn grow_once_reference<K: Ord>(
+        wg: &WorkGraph,
+        targets0: &[f64; MAX_CON],
+        seed_vertex: usize,
+        key: fn(u32) -> K,
+        id: fn(K) -> u32,
+    ) -> Vec<u8> {
+        let nv = wg.nv();
+        let mut side = vec![1u8; nv];
+        let mut w0 = [0i64; MAX_CON];
+        let mut heap: BinaryHeap<(i64, K)> = BinaryHeap::new();
+        let mut in_heap_gain = vec![i64::MIN; nv];
+
+        let gain_of = |v: usize, side: &[u8]| -> i64 {
+            let (nbrs, wgts) = wg.neighbors(v);
+            let mut g = 0i64;
+            for (&u, &w) in nbrs.iter().zip(wgts) {
+                if side[u as usize] == 0 {
+                    g += w;
+                } else {
+                    g -= w;
+                }
+            }
+            g
+        };
+        let reached = |w0: &[i64; MAX_CON]| (0..wg.ncon).all(|c| w0[c] as f64 >= targets0[c]);
+        let add = |v: usize,
+                   side: &mut Vec<u8>,
+                   w0: &mut [i64; MAX_CON],
+                   heap: &mut BinaryHeap<(i64, K)>,
+                   in_heap_gain: &mut Vec<i64>| {
+            side[v] = 0;
+            for c in 0..wg.ncon {
+                w0[c] += wg.vw(v, c);
+            }
+            let (nbrs, _) = wg.neighbors(v);
+            for &u in nbrs {
+                let u = u as usize;
+                if side[u] == 1 {
+                    let g = gain_of(u, side);
+                    if g > in_heap_gain[u] {
+                        in_heap_gain[u] = g;
+                        heap.push((g, key(u as u32)));
+                    }
+                }
+            }
+        };
+
+        add(
+            seed_vertex,
+            &mut side,
+            &mut w0,
+            &mut heap,
+            &mut in_heap_gain,
+        );
+        let mut next_fallback = 0usize;
+        while !reached(&w0) {
+            let mut picked = None;
+            while let Some((g, k)) = heap.pop() {
+                let v = id(k) as usize;
+                if side[v] == 1 && g == in_heap_gain[v] {
+                    picked = Some(v);
+                    break;
+                }
+            }
+            let v = match picked {
+                Some(v) => v,
+                None => {
+                    while next_fallback < nv && side[next_fallback] == 0 {
+                        next_fallback += 1;
+                    }
+                    if next_fallback >= nv {
+                        break;
+                    }
+                    next_fallback
+                }
+            };
+            add(v, &mut side, &mut w0, &mut heap, &mut in_heap_gain);
+        }
+        side
+    }
+
+    fn reference(wg: &WorkGraph, targets0: &[f64; MAX_CON], seed_vertex: usize) -> Vec<u8> {
+        grow_once_reference(wg, targets0, seed_vertex, Reverse, |Reverse(v)| v)
+    }
+
+    /// Side-0 targets at `pct[c]` percent of constraint `c`'s total.
+    fn targets0_at(wg: &WorkGraph, pct: [u32; MAX_CON]) -> [f64; MAX_CON] {
+        let tot = wg.total_wgt();
+        let mut t = [0.0; MAX_CON];
+        for c in 0..wg.ncon {
+            t[c] = f64::from(pct[c]) / 100.0 * tot[c] as f64;
+        }
+        t
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Incremental gains ≡ recomputed gains, from every seed vertex:
+        /// asymmetric per-constraint targets, and targets past the total so
+        /// the growth runs through the fallback walk until it is out of
+        /// vertices. `gggp` is a loop of `grow_once` calls over one RNG
+        /// stream, so equal sides here are equal bisections there.
+        #[test]
+        fn incremental_growth_matches_recomputed(
+            wg in arb_workgraph(),
+            pct0 in 5u32..=120,
+            pct1 in 5u32..=120,
+        ) {
+            let t0 = targets0_at(&wg, [pct0, pct1]);
+            let base = base_gains(&wg);
+            for seed_vertex in 0..wg.nv() {
+                prop_assert_eq!(
+                    grow_once(&wg, &t0, seed_vertex, &base),
+                    reference(&wg, &t0, seed_vertex),
+                    "seed vertex {} of {:?}", seed_vertex, wg
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn incremental_growth_matches_recomputed_on_a_two_hub_star() {
+        // The regime the incremental form exists for: Σdeg² ≫ adjacency.
+        for ncon in [1usize, 2] {
+            let wg = two_hub_star(300, ncon);
+            let base = base_gains(&wg);
+            for pct in [[30, 60], [50, 50], [85, 20]] {
+                let t0 = targets0_at(&wg, pct);
+                for seed_vertex in [0usize, 1, 2, 150, 301] {
+                    assert_eq!(
+                        grow_once(&wg, &t0, seed_vertex, &base),
+                        reference(&wg, &t0, seed_vertex),
+                        "ncon {ncon} pct {pct:?} seed vertex {seed_vertex}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gggp_draws_the_same_rng_stream_as_the_reference_loop() {
+        // One whole call against the same loop over the reference growth:
+        // same winner, and the caller's RNG is left where it was.
+        let wg = two_hub_star(40, 2);
+        let tot = wg.total_wgt();
+        let mut targets = [[0.0; MAX_CON]; 2];
+        for c in 0..2 {
+            targets[0][c] = 0.4 * tot[c] as f64;
+            targets[1][c] = 0.6 * tot[c] as f64;
+        }
+        let mut rng = ChaCha8Rng::seed_from_u64(11);
+        let got = gggp(&wg, &targets, 1.05, 8, &mut rng);
+        let mut ref_rng = ChaCha8Rng::seed_from_u64(11);
+        let mut best: Option<(BisectionQuality, Vec<u8>)> = None;
+        for _ in 0..8 {
+            let side = reference(&wg, &targets[0], ref_rng.gen_range(0..wg.nv()));
+            let q = BisectionQuality {
+                violation: violation(&side_weights(&wg, &side), &targets, wg.ncon, 1.05),
+                cut: cut_of(&wg, &side),
+            };
+            if best.as_ref().is_none_or(|(bq, _)| q.better_than(bq)) {
+                best = Some((q, side));
+            }
+        }
+        assert_eq!(got, best.unwrap().1);
+        assert_eq!(rng.gen::<u64>(), ref_rng.gen::<u64>());
+    }
+
+    #[test]
+    fn the_oracle_sees_a_wrong_tie_break() {
+        // Unit-weight 8-cycle grown from vertex 0 to half its weight: 1 and
+        // 7 tie at gain 0 and `Reverse` takes the lower id, so side 0 is
+        // {0, 1, 2, 3}; with `Reverse` dropped it runs the other way round.
+        let edges: Vec<(u32, u32, i64)> = (0..8u32).map(|i| (i, (i + 1) % 8, 1)).collect();
+        let wg = from_weighted_edges(1, vec![1; 8], &edges);
+        let t0 = targets0_at(&wg, [50, 0]);
+        let got = grow_once(&wg, &t0, 0, &base_gains(&wg));
+        assert_eq!(got, vec![0, 0, 0, 0, 1, 1, 1, 1]);
+        assert_eq!(got, reference(&wg, &t0, 0));
+        let wrong = grow_once_reference(&wg, &t0, 0, |v| v, |v| v);
+        assert_eq!(wrong, vec![0, 1, 1, 1, 1, 0, 0, 0]);
+    }
 
     fn targets_even(wg: &WorkGraph) -> [[f64; MAX_CON]; 2] {
         let tot = wg.total_wgt();

@@ -21,6 +21,19 @@
 //! the loop converges in a handful of rounds (capped by
 //! [`MATCH_ROUNDS_MAX`], and exited early when a round matches nothing).
 //!
+//! **Nothing unchanged is re-read.** The preference order is fixed for a
+//! whole call, so every vertex's `rank` is computed once, not at every
+//! edge touch of every round. And from round 1 on a free vertex re-scans
+//! its row only if the neighbour it pointed at has since married: within
+//! a call `v`'s eligible set (free neighbours under the cap) only loses
+//! members and keys are fixed, so a candidate that is still free is still
+//! the arg-max (keys end in the vertex id: only parallel entries naming
+//! one neighbour tie) and a vertex without a candidate never gains one.
+//! Round `r`'s candidate is still a function of round `r − 1`'s `(mate,
+//! cand)` at `v` alone — two buffers, swapped — so the chunked fill is as
+//! order-free as before. The tests hold the result against the full
+//! re-scan with per-touch ranks that this replaced.
+//!
 //! Two guards adapt the scheme to scale-free graphs, as before:
 //!
 //! * a **weight cap** refuses matches whose combined weight could not be
@@ -70,15 +83,25 @@ pub fn heavy_edge_matching(wg: &WorkGraph, max_vwgt: &[i64], salt: u64, par: &Pa
     if nv == 0 {
         return mate;
     }
+    let mut ranks: Vec<Rank> = vec![(Reverse(0), 0, 0); nv];
+    par.fill(&mut ranks, VERTEX_GRAIN, |u| rank(wg, u, salt));
     let mut cand = vec![UNMATCHED; nv];
-    for _round in 0..MATCH_ROUNDS_MAX {
+    let mut prev = vec![UNMATCHED; nv];
+    for round in 0..MATCH_ROUNDS_MAX {
         // Phase 1: every free vertex picks its best free neighbour. Reads
-        // only the previous round's `mate`, writes only `cand[v]`.
+        // only the previous round's `mate` and `cand`, writes only `cand[v]`.
+        std::mem::swap(&mut cand, &mut prev);
         {
-            let mate_ro: &[u32] = &mate;
+            let (mate_ro, prev_ro, ranks): (&[u32], &[u32], &[Rank]) = (&mate, &prev, &ranks);
             par.fill(&mut cand, EDGE_GRAIN, |v| {
                 if mate_ro[v] != UNMATCHED {
                     return UNMATCHED;
+                }
+                // The eligible set only shrinks: last round's pick, if
+                // still free, is still the arg-max, and no pick stays none.
+                let u = prev_ro[v];
+                if round > 0 && (u == UNMATCHED || mate_ro[u as usize] == UNMATCHED) {
+                    return u;
                 }
                 let (nbrs, wgts) = wg.neighbors(v);
                 let mut best: Option<(i64, Rank)> = None;
@@ -91,7 +114,7 @@ pub fn heavy_edge_matching(wg: &WorkGraph, max_vwgt: &[i64], salt: u64, par: &Pa
                     if !fits {
                         continue;
                     }
-                    let key = (w, rank(wg, uu, salt));
+                    let key = (w, ranks[uu]);
                     if best.as_ref().map(|b| key > *b).unwrap_or(true) {
                         best = Some(key);
                     }
@@ -142,8 +165,124 @@ pub fn matched_fraction(mate: &[u32]) -> f64 {
 
 #[cfg(test)]
 mod tests {
+    use super::super::work::testgraphs::{arb_workgraph, from_weighted_edges, two_hub_star};
     use super::*;
+    use proptest::prelude::*;
     use sf2d_graph::Graph;
+
+    /// The matching [`heavy_edge_matching`] replaced, kept as its bitwise
+    /// oracle: every round re-scans the row of every free vertex, and the
+    /// rank of a neighbour is hashed anew at every edge touch.
+    fn heavy_edge_matching_reference(wg: &WorkGraph, max_vwgt: &[i64], salt: u64) -> Vec<u32> {
+        let nv = wg.nv();
+        let mut mate = vec![UNMATCHED; nv];
+        for _round in 0..MATCH_ROUNDS_MAX {
+            let cand: Vec<u32> = (0..nv)
+                .map(|v| {
+                    if mate[v] != UNMATCHED {
+                        return UNMATCHED;
+                    }
+                    let (nbrs, wgts) = wg.neighbors(v);
+                    let mut best: Option<(i64, Rank)> = None;
+                    for (&u, &w) in nbrs.iter().zip(wgts) {
+                        let uu = u as usize;
+                        if uu == v || mate[uu] != UNMATCHED {
+                            continue;
+                        }
+                        let fits = (0..wg.ncon).all(|c| wg.vw(v, c) + wg.vw(uu, c) <= max_vwgt[c]);
+                        if !fits {
+                            continue;
+                        }
+                        let key = (w, rank(wg, uu, salt));
+                        if best.as_ref().map(|b| key > *b).unwrap_or(true) {
+                            best = Some(key);
+                        }
+                    }
+                    best.map(|(_, (_, _, u))| u).unwrap_or(UNMATCHED)
+                })
+                .collect();
+            let mut accepted = 0usize;
+            for v in 0..nv {
+                let u = cand[v];
+                if u != UNMATCHED && cand[u as usize] == v as u32 {
+                    mate[v] = u;
+                    accepted += 1;
+                }
+            }
+            if accepted == 0 {
+                break;
+            }
+        }
+        mate
+    }
+
+    /// `got == reference` sequentially and on pools of 2 and 5 threads.
+    fn assert_matches_reference(wg: &WorkGraph, max_vwgt: &[i64], salt: u64) {
+        let want = heavy_edge_matching_reference(wg, max_vwgt, salt);
+        let seq = heavy_edge_matching(wg, max_vwgt, salt, &Par::seq());
+        assert_eq!(seq, want, "seq, salt {salt}, caps {max_vwgt:?}, {wg:?}");
+        for threads in [2usize, 5] {
+            let pool = sf2d_par::Pool::new(threads);
+            let got = heavy_edge_matching(wg, max_vwgt, salt, &Par::new(threads, Some(&pool)));
+            assert_eq!(
+                got, want,
+                "threads {threads}, salt {salt}, caps {max_vwgt:?}"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Sticky candidates and per-call ranks ≡ a full re-scan with
+        /// per-touch ranks: free caps, and caps in the range of single
+        /// vertex weights (1..=50 each), which forbid most pairs.
+        #[test]
+        fn sticky_candidates_match_a_full_rescan(
+            wg in arb_workgraph(),
+            salt in 0u64..u64::MAX,
+            cap0 in 2i64..=100,
+            cap1 in 2i64..=100,
+        ) {
+            assert_matches_reference(&wg, &[i64::MAX, i64::MAX], salt);
+            assert_matches_reference(&wg, &[cap0, cap1], salt);
+        }
+    }
+
+    #[test]
+    fn sticky_candidates_match_a_full_rescan_on_a_two_hub_star() {
+        // Every leaf points at a hub; a hub marries one leaf per round at
+        // most, so all the others must notice their candidate is taken —
+        // and with caps that keep the hubs single, nobody has a candidate
+        // in round 0 and nobody may find one later.
+        for ncon in [1usize, 2] {
+            let wg = two_hub_star(300, ncon);
+            for salt in [0u64, 9, 77] {
+                assert_matches_reference(&wg, &[i64::MAX, i64::MAX], salt);
+                assert_matches_reference(&wg, &[40, 40], salt);
+            }
+        }
+    }
+
+    #[test]
+    fn sticky_candidates_match_a_full_rescan_when_the_fills_chunk() {
+        // 6000 vertices (above EDGE_GRAIN, so the pooled fills really
+        // split) of a weighted multigraph that needs several rounds.
+        let mut edges = Vec::new();
+        let mut x = 4242u64;
+        for _ in 0..24_000 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let (a, b) = ((x >> 33) % 6000, (x >> 13) % 6000);
+            edges.push((a as u32, b as u32, 1 + (x >> 7) as i64 % 4));
+        }
+        let vwgt = (0..6000).map(|v| 1 + v % 9).collect();
+        let wg = from_weighted_edges(1, vwgt, &edges);
+        for salt in [3u64, 1 << 40] {
+            assert_matches_reference(&wg, &[12, i64::MAX], salt);
+        }
+    }
 
     fn wg_from_edges(n: usize, edges: &[(u32, u32)]) -> WorkGraph {
         WorkGraph::from_graph(&Graph::from_edges(n, edges))

@@ -125,14 +125,16 @@ fn partition_workgraph(wg: &WorkGraph, tag: &str, k: usize, cfg: &GpConfig) -> G
         moves
     };
     if sf2d_obs::enabled() {
-        sf2d_obs::counter!(&format!("partition.{tag}.bisections"), 0, stats.bisections);
-        sf2d_obs::counter!(
-            &format!("partition.{tag}.coarsen_levels"),
-            0,
-            stats.coarsen_levels
-        );
-        sf2d_obs::counter!(&format!("partition.{tag}.fm_moves"), 0, stats.fm_moves);
-        sf2d_obs::counter!(&format!("partition.{tag}.kway_moves"), 0, kway_moves);
+        for (name, value) in [
+            ("bisections", stats.bisections),
+            ("coarsen_levels", stats.coarsen_levels),
+            ("coarsest_vertices", stats.coarsest_vertices),
+            ("stalled_bisections", stats.stalled_bisections),
+            ("fm_moves", stats.fm_moves),
+            ("kway_moves", kway_moves as u64),
+        ] {
+            sf2d_obs::counter!(&format!("partition.{tag}.{name}"), 0, value);
+        }
         sf2d_obs::histogram!(
             &format!("partition.{tag}.match_rate_pct"),
             (stats.match_rate() * 100.0).round()

@@ -87,6 +87,10 @@ pub struct GpStats {
     pub matchable_vertices: u64,
     /// FM moves kept across all refinement passes.
     pub fm_moves: u64,
+    /// Coarsest-graph vertices (the initial partition's input), summed.
+    pub coarsest_vertices: u64,
+    /// Bisections whose coarsening stalled above `coarsen_to`.
+    pub stalled_bisections: u64,
 }
 
 impl GpStats {
@@ -97,6 +101,8 @@ impl GpStats {
         self.matched_vertices += o.matched_vertices;
         self.matchable_vertices += o.matchable_vertices;
         self.fm_moves += o.fm_moves;
+        self.coarsest_vertices += o.coarsest_vertices;
+        self.stalled_bisections += o.stalled_bisections;
     }
 
     /// Fraction of offered vertices the matcher paired, in [0, 1].
@@ -300,10 +306,14 @@ pub fn multilevel_bisect(
         max_vwgt[c] = cap;
     }
 
-    // Coarsening.
-    let mut levels: Vec<(WorkGraph, Vec<u32>)> = Vec::new(); // (finer graph, cmap to coarser)
-    let mut cur = wg.clone();
-    while cur.nv() > cfg.coarsen_to {
+    // Coarsening. Graph 0 is `wg`, borrowed; `levels[i]` is the cmap from
+    // graph `i` to graph `i + 1`, and graph `i + 1` itself.
+    let mut levels: Vec<(Vec<u32>, WorkGraph)> = Vec::new();
+    loop {
+        let cur = levels.last().map_or(wg, |(_, g)| g);
+        if cur.nv() <= cfg.coarsen_to {
+            break;
+        }
         let level = levels.len();
         // The matching salt is drawn from the subtree RNG, so every level
         // gets fresh tie-breaks (the determinism-preserving stand-in for
@@ -313,7 +323,7 @@ pub fn multilevel_bisect(
         let mate = sf2d_obs::trace_span!(
             sf2d_obs::PhaseKind::Partition,
             &format!("gp:match:l{level}"),
-            heavy_edge_matching(&cur, &max_vwgt, match_salt, &tag("match"))
+            heavy_edge_matching(cur, &max_vwgt, match_salt, &tag("match"))
         );
         phases.matching += t.elapsed().as_nanos() as u64;
         stats.matchable_vertices += mate.len() as u64;
@@ -325,26 +335,28 @@ pub fn multilevel_bisect(
         let (coarse, cmap) = sf2d_obs::trace_span!(
             sf2d_obs::PhaseKind::Partition,
             &format!("gp:contract:l{level}"),
-            contract(&cur, &mate, &tag("contract"))
+            contract(cur, &mate, &tag("contract"))
         );
         phases.contract += t.elapsed().as_nanos() as u64;
         if coarse.nv() as f64 > 0.97 * cur.nv() as f64 {
             break;
         }
-        levels.push((cur, cmap));
-        cur = coarse;
+        levels.push((cmap, coarse));
     }
     stats.coarsen_levels += levels.len() as u64;
+    let cur = levels.last().map_or(wg, |(_, g)| g);
+    stats.coarsest_vertices += cur.nv() as u64;
+    stats.stalled_bisections += u64::from(cur.nv() > cfg.coarsen_to);
 
     // Initial partition at the coarsest level.
     let t = Instant::now();
     let mut side = if cur.nv() == 0 {
         Vec::new()
     } else {
-        gggp(&cur, &targets, cfg.ub, cfg.init_tries, &mut rng)
+        gggp(cur, &targets, cfg.ub, cfg.init_tries, &mut rng)
     };
     let (_, moves) = fm_refine(
-        &cur,
+        cur,
         &mut side,
         &targets,
         cfg.ub,
@@ -355,7 +367,8 @@ pub fn multilevel_bisect(
     stats.fm_moves += moves as u64;
 
     // Uncoarsening with refinement at each level.
-    while let Some((finer, cmap)) = levels.pop() {
+    while let Some((cmap, _coarser)) = levels.pop() {
+        let finer = levels.last().map_or(wg, |(_, g)| g);
         let level = levels.len();
         // Projection is a pure per-vertex gather through cmap — parallel
         // fill is byte-identical to the sequential loop.
@@ -369,7 +382,7 @@ pub fn multilevel_bisect(
             sf2d_obs::PhaseKind::Partition,
             &format!("gp:refine:l{level}"),
             fm_refine(
-                &finer,
+                finer,
                 &mut fine_side,
                 &targets,
                 cfg.ub,
@@ -434,6 +447,32 @@ mod tests {
         // A 1024-vertex grid must coarsen several levels and match well.
         assert!(stats.coarsen_levels >= 2, "{stats:?}");
         assert!(stats.match_rate() > 0.5, "{stats:?}");
+    }
+
+    #[test]
+    fn stall_counters_tell_a_stalled_coarsening_from_a_finished_one() {
+        let cfg = GpConfig::default();
+        // A 32x32 grid coarsens all the way down.
+        let wg = WorkGraph::from_graph(&Graph::from_symmetric_matrix(&grid_2d(32, 32)));
+        let (_, stats, _) = multilevel_bisect(&wg, 0.5, &cfg, 0, &Par::seq());
+        assert_eq!(stats.stalled_bisections, 0, "{stats:?}");
+        assert!(
+            (1..=cfg.coarsen_to as u64).contains(&stats.coarsest_vertices),
+            "{stats:?}"
+        );
+        // A 1000-leaf star: the weight cap keeps the hub single, the leaves
+        // have nobody else, so matching stalls on the input graph itself.
+        let edges: Vec<(u32, u32)> = (1..=1000u32).map(|leaf| (0, leaf)).collect();
+        let wg = WorkGraph::from_graph(&Graph::from_edges(1001, &edges));
+        let (_, stats, _) = multilevel_bisect(&wg, 0.5, &cfg, 0, &Par::seq());
+        assert_eq!(
+            (
+                stats.stalled_bisections,
+                stats.coarsest_vertices,
+                stats.coarsen_levels
+            ),
+            (1, 1001, 0)
+        );
     }
 
     #[test]

@@ -137,6 +137,87 @@ impl WorkGraph {
 }
 
 #[cfg(test)]
+/// Work graphs built directly for the bitwise oracles in `initpart` and
+/// `matching`: shapes `from_graph` cannot produce (weighted parallel
+/// entries, self-loops, two constraints with arbitrary weights) but
+/// contraction can.
+pub(crate) mod testgraphs {
+    use super::WorkGraph;
+    use proptest::prelude::*;
+
+    /// A symmetric multigraph holding exactly the listed entries: `(a, b, w)`
+    /// lands in both rows, parallel edges stay separate entries and
+    /// `(a, a, w)` is one self-loop entry. `vwgt` is `nv * ncon` long.
+    pub(crate) fn from_weighted_edges(
+        ncon: usize,
+        vwgt: Vec<i64>,
+        edges: &[(u32, u32, i64)],
+    ) -> WorkGraph {
+        let nv = vwgt.len() / ncon;
+        let mut rows: Vec<Vec<(u32, i64)>> = vec![Vec::new(); nv];
+        for &(a, b, w) in edges {
+            rows[a as usize].push((b, w));
+            if a != b {
+                rows[b as usize].push((a, w));
+            }
+        }
+        let mut xadj = vec![0usize];
+        for row in &rows {
+            xadj.push(xadj.last().unwrap() + row.len());
+        }
+        WorkGraph {
+            xadj,
+            adjncy: rows.iter().flatten().map(|&(u, _)| u).collect(),
+            adjwgt: rows.iter().flatten().map(|&(_, w)| w).collect(),
+            ncon,
+            vwgt,
+        }
+    }
+
+    /// Two hubs adjacent to each other and to every one of `leaves` leaves:
+    /// Σdeg² ≈ 2·leaves² against 4·leaves adjacency entries, the shape of a
+    /// coarsest graph that stalled with its hubs intact.
+    pub(crate) fn two_hub_star(leaves: u32, ncon: usize) -> WorkGraph {
+        let mut edges = vec![(0u32, 1u32, 7i64)];
+        for leaf in 2..leaves + 2 {
+            edges.push((0, leaf, 1 + i64::from(leaf % 5)));
+            edges.push((1, leaf, 1 + i64::from(leaf % 3)));
+        }
+        let vwgt = (0..(leaves as usize + 2) * ncon)
+            .map(|i| 1 + (i as i64 * 7) % 50)
+            .collect();
+        from_weighted_edges(ncon, vwgt, &edges)
+    }
+
+    /// Random work graphs: 1..48 vertices, `ncon` ∈ {1, 2}, vertex and edge
+    /// weights in 1..=50, up to three mutually disconnected vertex classes
+    /// (plus whatever isolated vertices fall out), self-loops, and parallel
+    /// entries with different weights.
+    pub(crate) fn arb_workgraph() -> impl Strategy<Value = WorkGraph> {
+        (1usize..48, 1usize..=2, 1usize..=3).prop_flat_map(|(nv, ncon, classes)| {
+            let edge = (0..nv, 0..nv, 1i64..=50, proptest::bool::ANY);
+            (
+                proptest::collection::vec(edge, 0..4 * nv),
+                proptest::collection::vec(1i64..=50, nv * ncon),
+            )
+                .prop_map(move |(raw, vwgt)| {
+                    let mut edges = Vec::new();
+                    for (a, b, w, twice) in raw {
+                        // Pull `b` into `a`'s class; off the end, a self-loop.
+                        let b = b - b % classes + a % classes;
+                        let b = if b < nv { b } else { a };
+                        edges.push((a as u32, b as u32, w));
+                        if twice {
+                            edges.push((a as u32, b as u32, w % 50 + 1));
+                        }
+                    }
+                    from_weighted_edges(ncon, vwgt, &edges)
+                })
+        })
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use sf2d_graph::Graph;

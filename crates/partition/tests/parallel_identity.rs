@@ -11,7 +11,8 @@ use proptest::prelude::*;
 use sf2d_gen::{chung_lu, powerlaw_degrees, rmat, RmatConfig};
 use sf2d_graph::{CsrMatrix, Graph};
 use sf2d_partition::{
-    mondriaan, partition_graph, partition_graph_multiconstraint, GpConfig, MondriaanConfig,
+    mondriaan, partition_graph, partition_graph_multiconstraint,
+    partition_graph_multiconstraint_report, partition_graph_report, GpConfig, MondriaanConfig,
 };
 
 /// Scale-free test inputs from both generator families: R-MAT (Graph500
@@ -97,6 +98,34 @@ proptest! {
                 &traced.part, &plain.part,
                 "tracing changed the partition (threads {}, k {})", threads, k
             );
+        }
+    }
+
+    /// The work counters are part of the contract too — the coarsest-graph
+    /// sizes and the stall count included, which are what say from emitted
+    /// data how much of a call was the sequential initial partition.
+    #[test]
+    fn gp_stats_match_sequential(
+        a in scale_free_matrix(),
+        k_idx in 0usize..4,
+        seed in 0u64..1000,
+        multiconstraint in proptest::bool::ANY,
+    ) {
+        let k = [2usize, 4, 16, 64][k_idx];
+        let g = Graph::from_symmetric_matrix(&a);
+        let run = |threads: usize| {
+            let cfg = GpConfig { seed, threads, ..GpConfig::default() };
+            if multiconstraint {
+                partition_graph_multiconstraint_report(&g, k, &cfg).stats
+            } else {
+                partition_graph_report(&g, k, &cfg).stats
+            }
+        };
+        let seq = run(1);
+        prop_assert!(seq.stalled_bisections <= seq.bisections, "{:?}", seq);
+        prop_assert!(seq.coarsest_vertices >= seq.bisections, "{:?}", seq);
+        for threads in [2usize, 4, 8] {
+            prop_assert_eq!(run(threads), seq, "threads {} diverged (k {})", threads, k);
         }
     }
 
