@@ -10,6 +10,10 @@
 //! 5. nnz(C):   allreduce of the per-rank output sizes              (collective)
 //! ```
 //!
+//! Steps 2 and 4 accumulate each row in, and emit it sorted from, the one
+//! `Spa` of `workspace.rs`, which picks per row between a bitmap walk and
+//! a sort.
+//!
 //! The communication *pattern* is exactly the SpMV's — the set of B rows a
 //! rank needs equals the set of x entries it imports (its column map), and
 //! the set of C rows it contributes equals the set of y partials it
@@ -52,7 +56,9 @@ use sf2d_spmv::compiled::{PhasePlan, RankPlan};
 use sf2d_spmv::distmat::{DistCsrMatrix, RankBlock};
 use sf2d_spmv::map::VectorMap;
 
-use crate::workspace::{BRowRef, MsgBufs, RankSpgemmScratch, SpgemmWorkspace};
+use crate::workspace::{
+    publish_drain_arms, BRowRef, MsgBufs, RankSpgemmScratch, RowBuf, SpgemmWorkspace,
+};
 
 /// Per-rank traffic of one exchange phase (expand or fold).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -107,21 +113,47 @@ impl DistSpgemm {
     /// order with sorted columns, so the result compares bitwise against
     /// the serial [`sf2d_graph::spgemm`] when the sums are exact.
     pub fn to_global(&self) -> CsrMatrix {
-        let n = self.vmap.n();
-        let mut rowptr = Vec::with_capacity(n + 1);
-        rowptr.push(0usize);
-        let mut colidx = Vec::new();
-        let mut values = Vec::new();
-        for gid in 0..n as u32 {
-            let r = self.vmap.owner(gid) as usize;
-            let (cols, vals) = self.locals[r].row(self.vmap.lid(gid));
-            colidx.extend_from_slice(cols);
-            values.extend_from_slice(vals);
-            rowptr.push(colidx.len());
-        }
-        CsrMatrix::from_parts(n, self.ncols, rowptr, colidx, values)
-            .expect("per-rank blocks satisfy CSR invariants")
+        to_global(&self.vmap, self.ncols, &self.locals)
     }
+}
+
+/// The global matrix whose rows `locals` hold under `vmap`.
+pub(crate) fn to_global(vmap: &VectorMap, ncols: usize, locals: &[CsrMatrix]) -> CsrMatrix {
+    let n = vmap.n();
+    let mut rowptr = Vec::with_capacity(n + 1);
+    rowptr.push(0usize);
+    let mut colidx = Vec::new();
+    let mut values = Vec::new();
+    for gid in 0..n as u32 {
+        let (cols, vals) = locals[vmap.owner(gid) as usize].row(vmap.lid(gid));
+        colidx.extend_from_slice(cols);
+        values.extend_from_slice(vals);
+        rowptr.push(colidx.len());
+    }
+    CsrMatrix::from_parts(n, ncols, rowptr, colidx, values)
+        .expect("per-rank blocks satisfy CSR invariants")
+}
+
+/// Copies each rank's final rows out as its owned block of C and closes
+/// the global `nnz(C)` allreduce (one [`Phase::Collective`] superstep).
+pub(crate) fn close_output<'a>(
+    vmap: &VectorMap,
+    bcols: usize,
+    rows: impl Iterator<Item = &'a RowBuf>,
+    ledger: &mut CostLedger,
+) -> (Vec<CsrMatrix>, u64) {
+    let locals: Vec<CsrMatrix> = rows
+        .enumerate()
+        .map(|(r, o)| {
+            let (ptr, cols, vals) = (o.ptr.clone(), o.cols.clone(), o.vals.clone());
+            CsrMatrix::from_parts(vmap.nlocal(r), bcols, ptr, cols, vals)
+                .expect("final rows satisfy CSR invariants")
+        })
+        .collect();
+    let partials: Vec<u64> = locals.iter().map(|c| c.nnz() as u64).collect();
+    let p = locals.len();
+    ledger.superstep_uniform(Phase::Collective, allreduce_cost(p, 1), p);
+    (locals, allreduce_sum_u64(&partials))
 }
 
 /// Serializes one sparse row onto a message payload:
@@ -134,28 +166,32 @@ pub(crate) fn push_row(buf: &mut Vec<f64>, row: (&[u32], &[f64])) {
     buf.extend_from_slice(vals);
 }
 
-/// Measures one exchange off the resident payload buffers: send side from
-/// each rank's own pack buffers, receive side mirrored through the
-/// compiled `(src, slot)` unpack entries.
-fn exchange_stats(bufs: &[MsgBufs], plan: &PhasePlan) -> ExchangeStats {
-    let send_msgs: Vec<u64> = bufs.iter().map(|out| out.nmsgs() as u64).collect();
-    let send_doubles: Vec<u64> = bufs.iter().map(|out| out.data.len() as u64).collect();
-    let mut costs: Vec<PhaseCost> = send_msgs
-        .iter()
-        .zip(&send_doubles)
-        .map(|(&m, &d)| PhaseCost::comm(m, 8 * d))
-        .collect();
-    for (r, cost) in costs.iter_mut().enumerate() {
-        for e in plan.unpack_entries(r) {
-            let doubles = bufs[e.src as usize].msg(e.slot as usize).len() as u64;
-            *cost = cost.add(&PhaseCost::comm(1, 8 * doubles));
-        }
-    }
+/// The sender half of an exchange's stats, off each rank's resident
+/// payload buffers; the receive halves differ per exchange kind.
+pub(crate) fn send_stats<'a>(bufs: impl Iterator<Item = &'a MsgBufs>) -> ExchangeStats {
+    let (send_msgs, send_doubles): (Vec<u64>, Vec<u64>) = bufs
+        .map(|out| (out.nmsgs() as u64, out.data.len() as u64))
+        .unzip();
+    let sends = send_msgs.iter().zip(&send_doubles);
+    let costs = sends.map(|(&m, &d)| PhaseCost::comm(m, 8 * d)).collect();
     ExchangeStats {
         send_msgs,
         send_doubles,
         costs,
     }
+}
+
+/// Measures one exchange: send side from each rank's own pack buffers,
+/// receive side mirrored through the compiled `(src, slot)` unpack entries.
+fn exchange_stats(bufs: &[MsgBufs], plan: &PhasePlan) -> ExchangeStats {
+    let mut stats = send_stats(bufs.iter());
+    for (r, cost) in stats.costs.iter_mut().enumerate() {
+        for e in plan.unpack_entries(r) {
+            let doubles = bufs[e.src as usize].msg(e.slot as usize).len() as u64;
+            *cost = cost.add(&PhaseCost::comm(1, 8 * doubles));
+        }
+    }
+    stats
 }
 
 /// One exchange's resident payloads as
@@ -242,30 +278,17 @@ fn decode_expand(
 /// stored row `s` — what the compiled fold lists index. Fills the
 /// partial-row buffers and returns the number of product terms.
 fn gustavson(scratch: &mut RankSpgemmScratch, block: &RankBlock, b: &CsrMatrix) -> u64 {
-    let nloc = block.rowmap.len();
-    scratch.guard_gen(nloc);
     let RankSpgemmScratch {
-        spa_vals,
-        spa_stamp,
-        spa_gen,
-        touched,
+        spa,
         brows,
         rcols,
         rvals,
-        part_ptr,
-        part_cols,
-        part_vals,
+        part,
         ..
     } = scratch;
-    part_ptr.clear();
-    part_ptr.push(0);
-    part_cols.clear();
-    part_vals.clear();
+    part.reset();
     let mut terms = 0u64;
     for (acols, avals) in block.stored_rows() {
-        *spa_gen += 1;
-        let gen = *spa_gen;
-        touched.clear();
         for (&lj, &aij) in acols.iter().zip(avals) {
             let (bcols, bvals): (&[u32], &[f64]) = match brows[lj as usize] {
                 BRowRef::Local { gid } => b.row(gid as usize),
@@ -275,23 +298,12 @@ fn gustavson(scratch: &mut RankSpgemmScratch, block: &RankBlock, b: &CsrMatrix) 
                 }
             };
             for (&k, &bjk) in bcols.iter().zip(bvals) {
-                let ku = k as usize;
-                if spa_stamp[ku] != gen {
-                    spa_stamp[ku] = gen;
-                    spa_vals[ku] = aij * bjk;
-                    touched.push(k);
-                } else {
-                    spa_vals[ku] += aij * bjk;
-                }
+                spa.add(k, aij * bjk);
             }
             terms += bcols.len() as u64;
         }
-        touched.sort_unstable();
-        for &k in touched.iter() {
-            part_cols.push(k);
-            part_vals.push(spa_vals[k as usize]);
-        }
-        part_ptr.push(part_cols.len());
+        spa.drain(&mut part.cols, &mut part.vals);
+        part.close_row();
     }
     terms
 }
@@ -302,14 +314,7 @@ fn pack_fold(buf: &mut MsgBufs, plan: RankPlan<'_>, scratch: &RankSpgemmScratch)
     buf.reset();
     for (_owner, idxs, _off) in plan.packs() {
         for &pi in idxs {
-            let (lo, hi) = (
-                scratch.part_ptr[pi as usize],
-                scratch.part_ptr[pi as usize + 1],
-            );
-            push_row(
-                &mut buf.data,
-                (&scratch.part_cols[lo..hi], &scratch.part_vals[lo..hi]),
-            );
+            push_row(&mut buf.data, scratch.part.row(pi as usize));
         }
         buf.seal();
     }
@@ -325,7 +330,6 @@ fn merge_rank(
     plan: RankPlan<'_>,
     fbufs: &[MsgBufs],
 ) -> u64 {
-    scratch.guard_gen(nlocal);
     scratch.own_part.clear();
     scratch.own_part.resize(nlocal, u32::MAX);
     for (pi, y_lid) in plan.owned_pairs() {
@@ -349,106 +353,38 @@ fn merge_rank(
     scratch.incoming.sort_by_key(|e| e.0);
 
     let RankSpgemmScratch {
-        spa_vals,
-        spa_stamp,
-        spa_gen,
-        touched,
-        part_ptr,
-        part_cols,
-        part_vals,
+        spa,
+        part,
         own_part,
         incoming,
-        out_ptr,
-        out_cols,
-        out_vals,
+        out,
         ..
     } = scratch;
-    out_ptr.clear();
-    out_ptr.push(0);
-    out_cols.clear();
-    out_vals.clear();
+    out.reset();
     let mut merged = 0u64;
     let mut cursor = 0usize;
     for (y, &pi) in own_part.iter().enumerate().take(nlocal) {
-        *spa_gen += 1;
-        let gen = *spa_gen;
-        touched.clear();
-        let mut add = |k: u32, v: f64| {
-            let ku = k as usize;
-            if spa_stamp[ku] != gen {
-                spa_stamp[ku] = gen;
-                spa_vals[ku] = v;
-                touched.push(k);
-            } else {
-                spa_vals[ku] += v;
-            }
-        };
         if pi != u32::MAX {
-            let (lo, hi) = (part_ptr[pi as usize], part_ptr[pi as usize + 1]);
-            for (&k, &v) in part_cols[lo..hi].iter().zip(&part_vals[lo..hi]) {
-                add(k, v);
+            let (cols, vals) = part.row(pi as usize);
+            for (&k, &v) in cols.iter().zip(vals) {
+                spa.add(k, v);
             }
-            merged += (hi - lo) as u64;
+            merged += cols.len() as u64;
         }
         while cursor < incoming.len() && incoming[cursor].0 as usize == y {
             let (_, src, slot, off, len) = incoming[cursor];
             let data = fbufs[src as usize].msg(slot as usize);
             let (off, len) = (off as usize, len as usize);
             for k in 0..len {
-                add(data[off + k] as u32, data[off + len + k]);
+                spa.add(data[off + k] as u32, data[off + len + k]);
             }
             merged += len as u64;
             cursor += 1;
         }
-        touched.sort_unstable();
-        for &k in touched.iter() {
-            out_cols.push(k);
-            out_vals.push(spa_vals[k as usize]);
-        }
-        out_ptr.push(out_cols.len());
+        spa.drain(&mut out.cols, &mut out.vals);
+        out.close_row();
     }
     merged
-}
-
-/// Assembles the per-rank output blocks and closes the global `nnz(C)`
-/// allreduce (one [`Phase::Collective`] superstep).
-fn finish(
-    a: &DistCsrMatrix,
-    bcols: usize,
-    ws: &SpgemmWorkspace,
-    ledger: &mut CostLedger,
-    expand: ExchangeStats,
-    fold: ExchangeStats,
-) -> DistSpgemm {
-    let p = a.nprocs();
-    let locals: Vec<CsrMatrix> = ws
-        .ranks
-        .iter()
-        .enumerate()
-        .map(|(r, s)| {
-            CsrMatrix::from_parts(
-                a.vmap.nlocal(r),
-                bcols,
-                s.out_ptr.clone(),
-                s.out_cols.clone(),
-                s.out_vals.clone(),
-            )
-            .expect("merged rows satisfy CSR invariants")
-        })
-        .collect();
-    let partials: Vec<u64> = locals.iter().map(|c| c.nnz() as u64).collect();
-    let nnz = allreduce_sum_u64(&partials);
-    ledger.superstep_uniform(Phase::Collective, allreduce_cost(p, 1), p);
-    DistSpgemm {
-        vmap: Arc::clone(&a.vmap),
-        ncols: bcols,
-        locals,
-        nnz,
-        expand,
-        fold,
-        multiply_flops: ws.ranks.iter().map(|s| 2 * s.terms).collect(),
-        merge_flops: ws.ranks.iter().map(|s| s.merged).collect(),
-    }
 }
 
 fn assert_conformal(a: &DistCsrMatrix, b: &CsrMatrix) {
@@ -520,7 +456,7 @@ fn spgemm_inner(
     mut chaos: Option<&mut ChaosRuntime>,
 ) -> DistSpgemm {
     assert_conformal(a, b);
-    ws.ensure(&a.blocks, &a.compiled, b.ncols());
+    ws.ensure(&a.blocks, b.ncols());
     let threads = ws.threads;
     let compiled = &a.compiled;
     let vmap = &a.vmap;
@@ -581,9 +517,21 @@ fn spgemm_inner(
         .map(|s| PhaseCost::compute(s.merged))
         .collect();
     ledger.superstep(Phase::Merge, &merge_costs);
+    publish_drain_arms("ef", ws.ranks.iter().map(|s| &s.spa));
 
     // Phase 5 — close nnz(C) and assemble the output blocks.
-    finish(a, b.ncols(), ws, ledger, expand, fold)
+    let rows = ws.ranks.iter().map(|s| &s.out);
+    let (locals, nnz) = close_output(vmap, b.ncols(), rows, ledger);
+    DistSpgemm {
+        vmap: Arc::clone(vmap),
+        ncols: b.ncols(),
+        locals,
+        nnz,
+        expand,
+        fold,
+        multiply_flops: ws.ranks.iter().map(|s| 2 * s.terms).collect(),
+        merge_flops: ws.ranks.iter().map(|s| s.merged).collect(),
+    }
 }
 
 #[cfg(test)]

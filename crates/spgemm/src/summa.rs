@@ -39,10 +39,12 @@
 //!   into `gc` column chunks and ships chunk `j` to the stage's
 //!   broadcast root `rank(t mod gr, j)` (≤ `gc` sends).
 //!
-//! After the stages, per-stage partials are merged in fixed stage order
-//! ([`Phase::Merge`]), folded within grid rows to the C row owners
-//! ([`Phase::Fold`], ≤ `gc − 1` sends), and assembled by chunk
-//! concatenation. Output rows are **bitwise equal** to the serial
+//! Each stage's multiply and the cross-stage merge accumulate a row in,
+//! and emit it sorted from, the `Spa` (`workspace.rs`) the expand/fold
+//! kernel uses. After the stages, per-stage partials are
+//! merged in fixed stage order ([`Phase::Merge`]), folded within grid rows
+//! to the C row owners ([`Phase::Fold`], ≤ `gc − 1` sends), and assembled
+//! by chunk concatenation. Output rows are **bitwise equal** to the serial
 //! Gustavson oracle whenever row sums are exact (the generator matrices'
 //! products are small integers), and bit-identical for any `threads`
 //! setting — the differential suite pins both, head-to-head with
@@ -63,15 +65,16 @@ use std::sync::Arc;
 use sf2d_graph::CsrMatrix;
 use sf2d_obs::{trace_span, PhaseKind};
 use sf2d_partition::{grid_shape, DistMode, MatrixDist};
-use sf2d_sim::collective::{allreduce_cost, allreduce_sum_u64};
 use sf2d_sim::cost::{CostLedger, Phase, PhaseCost};
 use sf2d_sim::fault::{ChaosRuntime, PeerPayloads};
 use sf2d_sim::runtime::par_ranks;
 use sf2d_spmv::distmat::DistCsrMatrix;
 use sf2d_spmv::map::VectorMap;
 
-use crate::kernel::{push_row, ExchangeStats};
-use crate::workspace::{DirBufs, HyperCsr, MsgBufs, RankSummaScratch, SummaWorkspace};
+use crate::kernel::{close_output, push_row, send_stats, to_global, ExchangeStats};
+use crate::workspace::{
+    publish_drain_arms, DirBufs, HyperCsr, MsgBufs, RankSummaScratch, SummaWorkspace,
+};
 
 /// The SUMMA process grid a [`MatrixDist`] induces.
 ///
@@ -226,20 +229,7 @@ impl SummaSpgemm {
     /// Reassembles the global C (test oracle); bitwise comparable to the
     /// serial [`sf2d_graph::spgemm`] when row sums are exact.
     pub fn to_global(&self) -> CsrMatrix {
-        let n = self.vmap.n();
-        let mut rowptr = Vec::with_capacity(n + 1);
-        rowptr.push(0usize);
-        let mut colidx = Vec::new();
-        let mut values = Vec::new();
-        for gid in 0..n as u32 {
-            let r = self.vmap.owner(gid) as usize;
-            let (cols, vals) = self.locals[r].row(self.vmap.lid(gid));
-            colidx.extend_from_slice(cols);
-            values.extend_from_slice(vals);
-            rowptr.push(colidx.len());
-        }
-        CsrMatrix::from_parts(n, self.ncols, rowptr, colidx, values)
-            .expect("per-rank blocks satisfy CSR invariants")
+        to_global(&self.vmap, self.ncols, &self.locals)
     }
 
     /// Total messages sent by rank `r` across every phase (shuffles,
@@ -290,43 +280,48 @@ fn add_stats(into: &mut ExchangeStats, other: &ExchangeStats) {
 /// per-slot destination list (same both-endpoints convention as
 /// [`exchange_stats`](crate::kernel)).
 fn dir_stats(bufs: &[DirBufs]) -> ExchangeStats {
-    let send_msgs: Vec<u64> = bufs.iter().map(|b| b.bufs.nmsgs() as u64).collect();
-    let send_doubles: Vec<u64> = bufs.iter().map(|b| b.bufs.data.len() as u64).collect();
-    let mut costs: Vec<PhaseCost> = send_msgs
-        .iter()
-        .zip(&send_doubles)
-        .map(|(&m, &d)| PhaseCost::comm(m, 8 * d))
-        .collect();
+    let mut stats = send_stats(bufs.iter().map(|b| &b.bufs));
     for src in bufs {
         for (slot, &d) in src.dsts.iter().enumerate() {
             let doubles = src.bufs.msg(slot).len() as u64;
-            costs[d as usize] = costs[d as usize].add(&PhaseCost::comm(1, 8 * doubles));
+            stats.costs[d as usize] = stats.costs[d as usize].add(&PhaseCost::comm(1, 8 * doubles));
         }
     }
-    ExchangeStats {
-        send_msgs,
-        send_doubles,
-        costs,
-    }
+    stats
 }
 
-/// Measures one broadcast round: each root packs its payload **once** and
-/// fans it out to `dsts[r]`; the simulator has no multicast, so the root
-/// is billed one point-to-point send per destination and each destination
-/// one receive.
-fn bcast_stats(bufs: &[MsgBufs], dsts: &[Vec<u32>]) -> ExchangeStats {
-    let p = bufs.len();
-    let mut stats = zero_stats(p);
-    for (r, (buf, ds)) in bufs.iter().zip(dsts).enumerate() {
-        if buf.nmsgs() == 0 || ds.is_empty() {
+/// Where root `r` fans its one stage payload out: along its grid row to
+/// every other grid column (`along_row`, the A broadcast) or down its
+/// grid column to every other grid row (the B broadcast) — a pure
+/// function of the grid, so no destination lists are built.
+fn bcast_dsts(g: SummaGrid, along_row: bool, r: u32) -> impl Iterator<Item = u32> {
+    let (ri, rj) = (g.row_of_rank(r), g.col_of_rank(r));
+    let (n, own) = if along_row { (g.gc, rj) } else { (g.gr, ri) };
+    (0..n).filter(move |&x| x != own).map(move |x| {
+        if along_row {
+            g.rank_at(ri, x)
+        } else {
+            g.rank_at(x, rj)
+        }
+    })
+}
+
+/// Measures one broadcast round: each root packs its payload **once**
+/// (only roots seal one) and fans it out to [`bcast_dsts`]; the simulator
+/// has no multicast, so the root is billed one point-to-point send per
+/// destination and each destination one receive.
+fn bcast_stats(bufs: &[MsgBufs], g: SummaGrid, along_row: bool) -> ExchangeStats {
+    let mut stats = zero_stats(bufs.len());
+    for (r, buf) in bufs.iter().enumerate().filter(|(_, b)| b.nmsgs() == 1) {
+        let nd = bcast_dsts(g, along_row, r as u32).count() as u64;
+        if nd == 0 {
             continue;
         }
         let doubles = buf.msg(0).len() as u64;
-        let nd = ds.len() as u64;
         stats.send_msgs[r] = nd;
         stats.send_doubles[r] = nd * doubles;
         stats.costs[r] = stats.costs[r].add(&PhaseCost::comm(nd, 8 * nd * doubles));
-        for &d in ds {
+        for d in bcast_dsts(g, along_row, r as u32) {
             stats.costs[d as usize] = stats.costs[d as usize].add(&PhaseCost::comm(1, 8 * doubles));
         }
     }
@@ -348,15 +343,17 @@ fn dir_wire(bufs: &[DirBufs]) -> Vec<PeerPayloads<'_>> {
 }
 
 /// A broadcast round on the wire: the root's one resident payload once
-/// per destination, in `dsts` order.
-fn bcast_wire<'a>(bufs: &'a [MsgBufs], dsts: &[Vec<u32>]) -> Vec<PeerPayloads<'a>> {
+/// per destination, in [`bcast_dsts`] order.
+fn bcast_wire(bufs: &[MsgBufs], g: SummaGrid, along_row: bool) -> Vec<PeerPayloads<'_>> {
     bufs.iter()
-        .zip(dsts)
-        .map(|(buf, ds)| {
+        .enumerate()
+        .map(|(r, buf)| {
             if buf.nmsgs() == 0 {
                 Vec::new()
             } else {
-                ds.iter().map(|&d| (d, buf.msg(0))).collect()
+                bcast_dsts(g, along_row, r as u32)
+                    .map(|d| (d, buf.msg(0)))
+                    .collect()
             }
         })
         .collect()
@@ -372,15 +369,16 @@ fn serialize_block(data: &mut Vec<f64>, h: &HyperCsr) {
 }
 
 /// Appends the rows of one serialized hypersparse payload onto `out`.
-/// `tmp` is scratch for the column-index cast.
-fn decode_block(data: &[f64], out: &mut HyperCsr, tmp: &mut Vec<u32>) {
+fn decode_block(data: &[f64], out: &mut HyperCsr) {
     let mut off = 0usize;
     while off < data.len() {
         let gid = data[off] as u32;
         let nnz = data[off + 1] as usize;
-        tmp.clear();
-        tmp.extend(data[off + 2..off + 2 + nnz].iter().map(|&c| c as u32));
-        out.push_row(gid, tmp, &data[off + 2 + nnz..off + 2 + 2 * nnz]);
+        let cols = &data[off + 2..off + 2 + nnz];
+        out.cols.extend(cols.iter().map(|&c| c as u32));
+        out.vals
+            .extend_from_slice(&data[off + 2 + nnz..off + 2 + 2 * nnz]);
+        out.close_row(gid);
         off += 2 + 2 * nnz;
     }
     debug_assert_eq!(off, data.len(), "summa block payload framing mismatch");
@@ -394,27 +392,35 @@ fn pack_shuffle_a(buf: &mut DirBufs, o: usize, a: &DistCsrMatrix, rpart: &[u32],
     buf.reset();
     let (oi, oj) = (g.row_of_rank(o as u32), g.col_of_rank(o as u32));
     let block = &a.blocks[o];
-    let mut tc: Vec<u32> = Vec::new();
-    let mut tv: Vec<f64> = Vec::new();
     for s in 0..g.gc {
         if s == oj {
             continue;
         }
+        let data = &mut buf.bufs.data;
         for li in 0..block.rowmap.len() {
             let (lcols, vals) = block.row(li);
-            tc.clear();
-            tv.clear();
+            // The framing puts a row's values after all of its columns, so
+            // the sub-row is written in place at full-row spacing and its
+            // values closed up once its length is known.
+            let (base, len) = (data.len(), lcols.len());
+            data.resize(base + 2 + 2 * len, 0.0);
+            let mut nnz = 0usize;
             for (&lj, &v) in lcols.iter().zip(vals) {
                 let gj = block.colmap[lj as usize];
                 if g.col_of_part(rpart[gj as usize]) == s {
-                    tc.push(gj);
-                    tv.push(v);
+                    data[base + 2 + nnz] = gj as f64;
+                    data[base + 2 + len + nnz] = v;
+                    nnz += 1;
                 }
             }
-            if !tc.is_empty() {
-                buf.bufs.data.push(block.rowmap[li] as f64);
-                push_row(&mut buf.bufs.data, (&tc, &tv));
+            if nnz == 0 {
+                data.truncate(base);
+                continue;
             }
+            data[base] = block.rowmap[li] as f64;
+            data[base + 1] = nnz as f64;
+            data.copy_within(base + 2 + len..base + 2 + len + nnz, base + 2 + nnz);
+            data.truncate(base + 2 + 2 * nnz);
         }
         buf.seal_to(g.rank_at(oi, s));
     }
@@ -435,21 +441,18 @@ fn build_a_block(
     let (ri, rj) = (g.row_of_rank(r as u32), g.col_of_rank(r as u32));
     s.a_block.clear();
     let block = &a.blocks[r];
-    let mut tc: Vec<u32> = Vec::new();
-    let mut tv: Vec<f64> = Vec::new();
     for li in 0..block.rowmap.len() {
         let (lcols, vals) = block.row(li);
-        tc.clear();
-        tv.clear();
+        let before = s.a_block.nnz();
         for (&lj, &v) in lcols.iter().zip(vals) {
             let gj = block.colmap[lj as usize];
             if g.col_of_part(rpart[gj as usize]) == rj {
-                tc.push(gj);
-                tv.push(v);
+                s.a_block.cols.push(gj);
+                s.a_block.vals.push(v);
             }
         }
-        if !tc.is_empty() {
-            s.a_block.push_row(block.rowmap[li], &tc, &tv);
+        if s.a_block.nnz() > before {
+            s.a_block.close_row(block.rowmap[li]);
         }
     }
     for st in 0..g.gc {
@@ -458,10 +461,11 @@ fn build_a_block(
         }
         let src = g.rank_at(ri, st) as usize;
         if let Some(slot) = sbufs[src].slot_for(r as u32) {
-            decode_block(sbufs[src].bufs.msg(slot), &mut s.a_block, &mut tc);
+            decode_block(sbufs[src].bufs.msg(slot), &mut s.a_block);
         }
     }
-    s.a_block.sort_rows();
+    // No stage has run yet, so the receive block is free to sort into.
+    s.a_block.sort_rows(&mut s.a_recv, &mut s.sort_order);
 }
 
 /// Packs rank `o`'s B-shuffle payloads: its owned B rows (all of stage
@@ -514,7 +518,6 @@ fn build_b_stages(
     bcols: usize,
 ) {
     let (ri, rj) = (g.row_of_rank(r as u32), g.col_of_rank(r as u32));
-    let mut tmp: Vec<u32> = Vec::new();
     for t in 0..g.gc {
         if t % g.gr != ri {
             continue;
@@ -537,10 +540,10 @@ fn build_b_stages(
                 continue;
             }
             if let Some(slot) = sbufs[src].slot_for(r as u32) {
-                decode_block(sbufs[src].bufs.msg(slot), bt, &mut tmp);
+                decode_block(sbufs[src].bufs.msg(slot), bt);
             }
         }
-        bt.sort_rows();
+        bt.sort_rows(&mut s.b_recv, &mut s.sort_order);
     }
 }
 
@@ -548,14 +551,9 @@ fn build_b_stages(
 /// received hypersparse blocks, emitting the stage-`t` partial. Returns
 /// the product terms processed.
 fn multiply_stage(s: &mut RankSummaScratch, r: u32, t: u32, g: &SummaGrid) -> u64 {
-    let rows = s.a_block.nrows().max(s.a_recv.nrows());
-    s.guard_gen(rows);
     let (ri, rj) = (g.row_of_rank(r), g.col_of_rank(r));
     let RankSummaScratch {
-        spa_vals,
-        spa_stamp,
-        spa_gen,
-        touched,
+        spa,
         a_block,
         b_stage,
         a_recv,
@@ -573,35 +571,18 @@ fn multiply_stage(s: &mut RankSummaScratch, r: u32, t: u32, g: &SummaGrid) -> u6
     let mut terms = 0u64;
     for k in 0..a.nrows() {
         let (gid, acols, avals) = a.row_at(k);
-        *spa_gen += 1;
-        let gen = *spa_gen;
-        touched.clear();
         for (&j, &aij) in acols.iter().zip(avals) {
             if let Some((bc, bv)) = bs.row(j) {
                 for (&c, &bjc) in bc.iter().zip(bv) {
-                    let cu = c as usize;
-                    if spa_stamp[cu] != gen {
-                        spa_stamp[cu] = gen;
-                        spa_vals[cu] = aij * bjc;
-                        touched.push(c);
-                    } else {
-                        spa_vals[cu] += aij * bjc;
-                    }
+                    spa.add(c, aij * bjc);
                 }
                 terms += bc.len() as u64;
             }
         }
-        if !touched.is_empty() {
-            touched.sort_unstable();
-            if out.ptr.is_empty() {
-                out.ptr.push(0);
-            }
-            out.rows.push(gid);
-            for &c in touched.iter() {
-                out.cols.push(c);
-                out.vals.push(spa_vals[c as usize]);
-            }
-            out.ptr.push(out.cols.len());
+        let before = out.nnz();
+        spa.drain(&mut out.cols, &mut out.vals);
+        if out.nnz() > before {
+            out.close_row(gid);
         }
     }
     terms
@@ -611,8 +592,6 @@ fn multiply_stage(s: &mut RankSummaScratch, r: u32, t: u32, g: &SummaGrid) -> u6
 /// ascending **stage** order (the fixed reassociation the differential
 /// suite pins bitwise). Returns entries merged (1 flop each).
 fn merge_stages(s: &mut RankSummaScratch, gc: usize) -> u64 {
-    let total_rows: usize = s.stage_out.iter().take(gc).map(HyperCsr::nrows).sum();
-    s.guard_gen(total_rows);
     s.pairs.clear();
     for (t, so) in s.stage_out.iter().enumerate().take(gc) {
         for k in 0..so.nrows() {
@@ -621,10 +600,7 @@ fn merge_stages(s: &mut RankSummaScratch, gc: usize) -> u64 {
     }
     s.pairs.sort_unstable();
     let RankSummaScratch {
-        spa_vals,
-        spa_stamp,
-        spa_gen,
-        touched,
+        spa,
         stage_out,
         merged,
         pairs,
@@ -635,35 +611,17 @@ fn merge_stages(s: &mut RankSummaScratch, gc: usize) -> u64 {
     let mut i = 0usize;
     while i < pairs.len() {
         let gid = pairs[i].0;
-        *spa_gen += 1;
-        let gen = *spa_gen;
-        touched.clear();
         while i < pairs.len() && pairs[i].0 == gid {
             let (_, t, k) = pairs[i];
             let (_, cols, vals) = stage_out[t as usize].row_at(k as usize);
             for (&c, &v) in cols.iter().zip(vals) {
-                let cu = c as usize;
-                if spa_stamp[cu] != gen {
-                    spa_stamp[cu] = gen;
-                    spa_vals[cu] = v;
-                    touched.push(c);
-                } else {
-                    spa_vals[cu] += v;
-                }
+                spa.add(c, v);
             }
             flops += cols.len() as u64;
             i += 1;
         }
-        touched.sort_unstable();
-        if merged.ptr.is_empty() {
-            merged.ptr.push(0);
-        }
-        merged.rows.push(gid);
-        for &c in touched.iter() {
-            merged.cols.push(c);
-            merged.vals.push(spa_vals[c as usize]);
-        }
-        merged.ptr.push(merged.cols.len());
+        spa.drain(&mut merged.cols, &mut merged.vals);
+        merged.close_row(gid);
     }
     flops
 }
@@ -746,15 +704,10 @@ fn assemble(
     let RankSummaScratch {
         merged,
         incoming,
-        out_ptr,
-        out_cols,
-        out_vals,
+        out,
         ..
     } = s;
-    out_ptr.clear();
-    out_ptr.push(0);
-    out_cols.clear();
-    out_vals.clear();
+    out.reset();
     let mut flops = 0u64;
     let mut cur = 0usize;
     for lid in 0..nlocal as u32 {
@@ -762,17 +715,18 @@ fn assemble(
             let (_, _, src, slot, off, len) = incoming[cur];
             let (off, len) = (off as usize, len as usize);
             if slot == u32::MAX {
-                out_cols.extend_from_slice(&merged.cols[off..off + len]);
-                out_vals.extend_from_slice(&merged.vals[off..off + len]);
+                out.cols.extend_from_slice(&merged.cols[off..off + len]);
+                out.vals.extend_from_slice(&merged.vals[off..off + len]);
             } else {
                 let data = fbufs[src as usize].bufs.msg(slot as usize);
-                out_cols.extend(data[off..off + len].iter().map(|&c| c as u32));
-                out_vals.extend_from_slice(&data[off + len..off + 2 * len]);
+                out.cols
+                    .extend(data[off..off + len].iter().map(|&c| c as u32));
+                out.vals.extend_from_slice(&data[off + len..off + 2 * len]);
             }
             flops += len as u64;
             cur += 1;
         }
-        out_ptr.push(out_cols.len());
+        out.close_row();
     }
     flops
 }
@@ -889,23 +843,11 @@ fn summa_inner(
                 })
             });
         }
-        let a_dsts: Vec<Vec<u32>> = (0..p)
-            .map(|r| {
-                if g.col_of_rank(r as u32) == t && stage_a[r].nmsgs() == 1 {
-                    let ri = g.row_of_rank(r as u32);
-                    (0..g.gc)
-                        .filter(|&j| j != t)
-                        .map(|j| g.rank_at(ri, j))
-                        .collect()
-                } else {
-                    Vec::new()
-                }
-            })
-            .collect();
-        let a_stats = bcast_stats(stage_a, &a_dsts);
+        let a_stats = bcast_stats(stage_a, g, true);
         ledger.superstep(Phase::Broadcast, &a_stats.costs);
         if let Some(rt) = chaos.as_deref_mut() {
-            rt.mirror_exchange(ledger, "summa a-bcast", &bcast_wire(stage_a, &a_dsts), None);
+            let wire = bcast_wire(stage_a, g, true);
+            rt.mirror_exchange(ledger, "summa a-bcast", &wire, None);
         }
         {
             let sa: &[MsgBufs] = stage_a;
@@ -915,7 +857,7 @@ fn summa_inner(
                     if g.col_of_rank(r as u32) != t {
                         let src = g.rank_at(g.row_of_rank(r as u32), t) as usize;
                         if sa[src].nmsgs() == 1 {
-                            decode_block(sa[src].msg(0), &mut scratch.a_recv, &mut scratch.touched);
+                            decode_block(sa[src].msg(0), &mut scratch.a_recv);
                         }
                     }
                 })
@@ -934,23 +876,11 @@ fn summa_inner(
                 })
             });
         }
-        let b_dsts: Vec<Vec<u32>> = (0..p)
-            .map(|r| {
-                if g.row_of_rank(r as u32) == t % g.gr && stage_b[r].nmsgs() == 1 {
-                    let rj = g.col_of_rank(r as u32);
-                    (0..g.gr)
-                        .filter(|&i| i != t % g.gr)
-                        .map(|i| g.rank_at(i, rj))
-                        .collect()
-                } else {
-                    Vec::new()
-                }
-            })
-            .collect();
-        let b_stats = bcast_stats(stage_b, &b_dsts);
+        let b_stats = bcast_stats(stage_b, g, false);
         ledger.superstep(Phase::Broadcast, &b_stats.costs);
         if let Some(rt) = chaos.as_deref_mut() {
-            rt.mirror_exchange(ledger, "summa b-bcast", &bcast_wire(stage_b, &b_dsts), None);
+            let wire = bcast_wire(stage_b, g, false);
+            rt.mirror_exchange(ledger, "summa b-bcast", &wire, None);
         }
         {
             let sb: &[MsgBufs] = stage_b;
@@ -960,7 +890,7 @@ fn summa_inner(
                     if g.row_of_rank(r as u32) != t % g.gr {
                         let src = g.rank_at(t % g.gr, g.col_of_rank(r as u32)) as usize;
                         if sb[src].nmsgs() == 1 {
-                            decode_block(sb[src].msg(0), &mut scratch.b_recv, &mut scratch.touched);
+                            decode_block(sb[src].msg(0), &mut scratch.b_recv);
                         }
                     }
                 })
@@ -1000,6 +930,7 @@ fn summa_inner(
         .map(|s| PhaseCost::compute(s.merged_flops))
         .collect();
     ledger.superstep(Phase::Merge, &merge_costs);
+    publish_drain_arms("summa", ranks.iter().map(|s| &s.spa));
 
     // Fold: merged chunk rows to their C row owners, within grid rows.
     {
@@ -1032,23 +963,7 @@ fn summa_inner(
     ledger.superstep(Phase::Merge, &assemble_costs);
 
     // Close nnz(C) and assemble the output blocks.
-    let locals: Vec<CsrMatrix> = ranks
-        .iter()
-        .enumerate()
-        .map(|(r, s)| {
-            CsrMatrix::from_parts(
-                vmap.nlocal(r),
-                bcols,
-                s.out_ptr.clone(),
-                s.out_cols.clone(),
-                s.out_vals.clone(),
-            )
-            .expect("assembled rows satisfy CSR invariants")
-        })
-        .collect();
-    let partials: Vec<u64> = locals.iter().map(|c| c.nnz() as u64).collect();
-    let nnz = allreduce_sum_u64(&partials);
-    ledger.superstep_uniform(Phase::Collective, allreduce_cost(p, 1), p);
+    let (locals, nnz) = close_output(vmap, bcols, ranks.iter().map(|s| &s.out), ledger);
 
     SummaSpgemm {
         vmap: Arc::clone(vmap),

@@ -180,6 +180,130 @@ fn rectangular_product_matches_oracle() {
     }
 }
 
+/// Bits of `c`'s values with every NaN folded onto one pattern: which
+/// NaN a sum ends on (an operand's payload, or the default NaN of
+/// `Inf − Inf`) depends on the association, everything else does not.
+fn bits_nan_folded(c: &CsrMatrix) -> Vec<u64> {
+    let fold = |v: &f64| if v.is_nan() { u64::MAX } else { v.to_bits() };
+    c.values().iter().map(fold).collect()
+}
+
+const NEG_ZERO: u64 = (-0.0f64).to_bits();
+
+/// [`bits_nan_folded`] with −0.0 folded onto +0.0 as well.
+fn bits_nan_and_zero_sign_folded(c: &CsrMatrix) -> Vec<u64> {
+    let fold = |b: u64| if b == NEG_ZERO { 0 } else { b };
+    bits_nan_folded(c).into_iter().map(fold).collect()
+}
+
+#[test]
+fn non_finite_and_signed_zero_values_match_oracle() {
+    // NaN, ±Inf and −0.0 in both operands, through both kernels, on a 1D
+    // and a 2D layout. The finite values are small integers, so every sum
+    // is exact and only three things could depend on the order of
+    // summation: a NaN's payload (folded above), an `Inf − Inf` (NaN in
+    // every order), and the sign of a zero sum (−0.0 iff every term is
+    // −0.0, in every order). One difference from the oracle is by
+    // design: it starts a sum at +0.0, the kernels start it at the first
+    // term, so an all-−0.0 entry is −0.0 from the kernels and +0.0 from
+    // the oracle — the zeros are compared by value against the oracle and
+    // by bits between the kernels.
+    const PALETTE: [f64; 8] = [
+        1.0,
+        -0.0,
+        2.0,
+        f64::INFINITY,
+        -0.0,
+        3.0,
+        f64::NEG_INFINITY,
+        f64::NAN,
+    ];
+    let paint = |m: &mut CsrMatrix, salt: usize| {
+        for (e, v) in m.values_mut().iter_mut().enumerate() {
+            *v = PALETTE[(e * 7 + e / 5 + salt) % PALETTE.len()];
+        }
+    };
+    // Layouts come from the unit-valued pattern: the graph partitioner
+    // reads values as edge weights and is not this cell's subject.
+    let pattern = erdos_renyi(150, 450, 21);
+    let (mut a, mut b) = (pattern.clone(), pattern.transpose());
+    paint(&mut a, 0);
+    paint(&mut b, 3);
+    let want = spgemm(&a, &b);
+    let want_bits = bits_nan_and_zero_sign_folded(&want);
+    assert!(want.values().iter().any(|v| v.is_nan()));
+    assert!(want.values().iter().any(|v| v.is_infinite()));
+
+    let mut builder = LayoutBuilder::new(&pattern, 0);
+    for method in [Method::OneDRandom, Method::TwoDGp] {
+        for p in [4usize, 16] {
+            let label = format!("{} p={p}", method.name());
+            let dist = builder.dist(method, p);
+            let dm = DistCsrMatrix::from_global(&a, &dist);
+            let ef = spgemm_dist(&dm, &b, &mut CostLedger::new(Machine::cab())).to_global();
+            let su = summa_dist(&dm, &dist, &b, &mut CostLedger::new(Machine::cab())).to_global();
+            for (algo, got) in [("expand/fold", &ef), ("summa", &su)] {
+                assert_eq!(got.rowptr(), want.rowptr(), "{label} {algo}: row pointers");
+                assert_eq!(
+                    got.colidx(),
+                    want.colidx(),
+                    "{label} {algo}: column indices"
+                );
+                let got_bits = bits_nan_and_zero_sign_folded(got);
+                assert_eq!(got_bits, want_bits, "{label} {algo}: values");
+            }
+            let ef_bits = bits_nan_folded(&ef);
+            assert_eq!(ef_bits, bits_nan_folded(&su), "{label}: kernels by bits");
+            // The kept sign is exercised: some entry is −0.0 where the
+            // oracle's `0.0 + −0.0` is +0.0.
+            let mut kept = ef_bits.iter().zip(want.values());
+            assert!(
+                kept.any(|(&g, w)| g == NEG_ZERO && w.to_bits() == 0),
+                "{label}: no all-−0.0 entry in this product"
+            );
+        }
+    }
+}
+
+#[test]
+fn rectangular_b_with_a_partial_last_word_matches_oracle() {
+    // Column spaces narrower than one 64-bit word, one past a word, and
+    // ending mid-word — and narrower than the grid has columns, so some
+    // SUMMA chunks are empty. Every B row is dense enough that C's rows
+    // leave the accumulator through its bitmap.
+    let a = rmat(&RmatConfig::graph500(7), 3);
+    let n = a.nrows();
+    let mut builder = LayoutBuilder::new(&a, 0);
+    let dists: Vec<(Method, MatrixDist)> = [Method::OneDRandom, Method::TwoDGp]
+        .into_iter()
+        .map(|m| (m, builder.dist(m, 16)))
+        .collect();
+    for ncols in [1usize, 3, 63, 65, 100, 130] {
+        let mut coo = sf2d_graph::CooMatrix::new(n, ncols);
+        for i in 0..n {
+            for k in 0..5usize {
+                let c = (i * 11 + k * k * 13) % ncols;
+                coo.push(i as u32, c as u32, 1.0 + (k % 3) as f64);
+            }
+        }
+        let b = CsrMatrix::from_coo(&coo);
+        let want = spgemm(&a, &b);
+        for (method, dist) in &dists {
+            let label = format!("{} ncols={ncols}", method.name());
+            let dm = DistCsrMatrix::from_global(&a, dist);
+            let mut gold = None;
+            let c = spgemm_dist(&dm, &b, &mut CostLedger::new(Machine::cab()));
+            assert_eq!(c.ncols, ncols);
+            let ledger = CostLedger::new(Machine::cab());
+            check_against_oracle(&label, 1, &c.to_global(), c.nnz, &want, &ledger, &mut gold);
+            let c = summa_dist(&dm, dist, &b, &mut CostLedger::new(Machine::cab()));
+            assert_eq!(c.ncols, ncols);
+            // Same gold: SUMMA's value bits against expand/fold's.
+            check_against_oracle(&label, 1, &c.to_global(), c.nnz, &want, &ledger, &mut gold);
+        }
+    }
+}
+
 /// Golden pin of the `spgemm_experiment` **and** `summa_experiment`
 /// drivers: the six-layout row set at p = 16 on a fixed R-MAT, one row
 /// per (layout, algo), compared field-for-field against the checked-in
