@@ -13,6 +13,8 @@
 //!
 //! * `median_ns` / `wall_ns` / `sim_time` / `p50` / `p99` —
 //!   wall-clock-like, **higher is worse**;
+//! * `plan_bytes` — a footprint, **higher is worse**: a pure function of
+//!   the compiled plan, so it repeats to the byte on any machine;
 //! * `speedup` / `ratio` — relative metrics, **lower is worse**;
 //! * everything else is informational (compared for the report, never a
 //!   failure);
@@ -24,9 +26,16 @@
 //! core cannot demonstrate parallel speedup), and `relative_only` demotes
 //! the machine-absolute, wall-clock-like metrics to informational. That
 //! is the right setting when baseline and current ran on different
-//! machines; dimensionless `speedup`/`ratio` metrics keep gating there,
-//! which is exactly why deterministic ratios (cache-hit rate) are
-//! reported as `*_ratio`.
+//! machines; dimensionless `speedup`/`ratio` metrics and footprints keep
+//! gating there, which is exactly why deterministic ratios (cache-hit
+//! rate) are reported as `*_ratio`.
+//!
+//! `peak_live_bytes` (the allocator's high-water mark over a FillComplete
+//! and a product) stays informational: it counts every allocation the
+//! process makes meanwhile, the thread pool's included, and does not
+//! repeat to the byte — two runs of the CI scale sweep on a 2-core host
+//! differed by up to 336 B on the 2D rows at p = 64, and `SF2D_THREADS`
+//! 1 against 2 by 2 B on every row.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -40,6 +49,9 @@ pub enum Direction {
     HigherIsWorse,
     /// Speedup-like: a drop beyond tolerance is a regression.
     LowerIsWorse,
+    /// A deterministic footprint: a rise beyond tolerance is a regression,
+    /// on any machine (`relative_only` keeps it gating).
+    FootprintHigherIsWorse,
     /// Compared and reported, never a failure.
     Info,
 }
@@ -60,6 +72,9 @@ pub fn direction_of(key: &str) -> Option<Direction> {
     }
     if key.contains("speedup") || key.contains("ratio") {
         return Some(Direction::LowerIsWorse);
+    }
+    if key.contains("plan_bytes") {
+        return Some(Direction::FootprintHigherIsWorse);
     }
     Some(Direction::Info)
 }
@@ -175,7 +190,8 @@ impl PerfDiff {
 
 /// Compares two tracker documents under `tolerance_pct`. With
 /// `relative_only`, absolute wall-clock metrics are demoted to
-/// informational (use when the two files come from different machines);
+/// informational (use when the two files come from different machines;
+/// footprints still gate);
 /// speedup checks are skipped automatically when the current run reports
 /// `meta.host_cpus < 2`.
 pub fn compare(
@@ -233,7 +249,9 @@ pub fn compare(
             (c - b) / b * 100.0
         };
         let regressed = match dir {
-            Direction::HigherIsWorse => delta_pct > tolerance_pct,
+            Direction::HigherIsWorse | Direction::FootprintHigherIsWorse => {
+                delta_pct > tolerance_pct
+            }
             Direction::LowerIsWorse => -delta_pct > tolerance_pct,
             Direction::Info => false,
         };
@@ -453,6 +471,51 @@ mod tests {
         assert!(compare(&base, &cur, 15.0, true).passed());
         // ...but a speedup drop still fails under --relative-only.
         assert!(!compare(&base, &sample(5_000_000, 1.0, 8), 15.0, true).passed());
+    }
+
+    fn scale_sample(plan_bytes: u64, compile_wall_ns: u64, peak: u64) -> Value {
+        let text = format!(
+            r#"{{ "rows": [ {{ "name": "1D-Random", "p": 64,
+                   "plan_bytes": {plan_bytes}, "compile_wall_ns": {compile_wall_ns},
+                   "peak_live_bytes": {peak} }} ] }}"#
+        );
+        serde_json::from_str(&text).expect("scale sample parses")
+    }
+
+    #[test]
+    fn plan_bytes_gate_as_a_footprint_and_peak_stays_informational() {
+        assert_eq!(
+            direction_of("rows[name=1D-Random,p=64].plan_bytes"),
+            Some(Direction::FootprintHigherIsWorse)
+        );
+        assert_eq!(
+            direction_of("rows[name=1D-Random,p=64].peak_live_bytes"),
+            Some(Direction::Info)
+        );
+        let base = scale_sample(1_000_000, 20_000_000, 9_000_000);
+        // A plan 30 % larger fails with and without --relative-only...
+        let grown = scale_sample(1_300_000, 20_000_000, 9_000_000);
+        for relative_only in [false, true] {
+            let diff = compare(&base, &grown, 15.0, relative_only);
+            let regs = diff.regressions();
+            assert_eq!(regs.len(), 1, "relative_only {relative_only}");
+            assert!(regs[0].key.ends_with("plan_bytes"));
+        }
+        // ...one inside tolerance passes, and a smaller plan is no
+        // regression.
+        for plan_bytes in [1_100_000, 500_000] {
+            let cur = scale_sample(plan_bytes, 20_000_000, 9_000_000);
+            assert!(compare(&base, &cur, 15.0, true).passed(), "{plan_bytes}");
+        }
+    }
+
+    #[test]
+    fn relative_only_still_ignores_wall_clock_and_peak_beside_plan_bytes() {
+        let base = scale_sample(1_000_000, 20_000_000, 9_000_000);
+        // A slower machine with a fatter allocator, same plan.
+        let cur = scale_sample(1_000_000, 90_000_000, 30_000_000);
+        assert!(!compare(&base, &cur, 15.0, false).passed());
+        assert!(compare(&base, &cur, 15.0, true).passed());
     }
 
     #[test]

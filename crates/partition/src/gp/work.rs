@@ -10,6 +10,20 @@ use sf2d_graph::Graph;
 /// Maximum number of balance constraints (paper uses at most 2: rows+nnz).
 pub const MAX_CON: usize = 2;
 
+/// Converts edge values to the partitioner's integer weights: rounded,
+/// at least 1 (NaN and non-positive values included), and at most
+/// `i64::MAX / 4` over the entry count, so that the sum of all weights —
+/// and with it every gain, cut and contracted weight summed from them —
+/// stays within `i64::MAX / 4`. Weights a real graph carries are far
+/// below the cap; `+∞` or `1e300` land on it.
+fn edge_weights(values: &[f64]) -> Vec<i64> {
+    let cap = i64::MAX / 4 / values.len().max(1) as i64;
+    values
+        .iter()
+        .map(|&w| (w.round().max(1.0) as i64).min(cap))
+        .collect()
+}
+
 /// Weighted graph in CSR form.
 #[derive(Debug, Clone)]
 pub struct WorkGraph {
@@ -63,11 +77,7 @@ impl WorkGraph {
         WorkGraph {
             xadj: adj.rowptr().to_vec(),
             adjncy: adj.colidx().to_vec(),
-            adjwgt: adj
-                .values()
-                .iter()
-                .map(|&w| w.round().max(1.0) as i64)
-                .collect(),
+            adjwgt: edge_weights(adj.values()),
             ncon: 1,
             vwgt: g.vwgt.clone(),
         }
@@ -85,11 +95,7 @@ impl WorkGraph {
         WorkGraph {
             xadj: adj.rowptr().to_vec(),
             adjncy: adj.colidx().to_vec(),
-            adjwgt: adj
-                .values()
-                .iter()
-                .map(|&w| w.round().max(1.0) as i64)
-                .collect(),
+            adjwgt: edge_weights(adj.values()),
             ncon: 2,
             vwgt,
         }
@@ -234,6 +240,14 @@ mod tests {
         assert_eq!(wg.ncon, 1);
         assert_eq!(wg.vwgt, vec![1, 2, 2, 1]);
         assert_eq!(wg.total_wgt()[0], 6);
+    }
+
+    #[test]
+    fn edge_weights_round_and_clamp() {
+        let cap = i64::MAX / 4 / 6;
+        let got = edge_weights(&[f64::INFINITY, 1e300, f64::NAN, -3.0, 2.4, 1.0]);
+        assert_eq!(got, [cap, cap, 1, 1, 2, 1]);
+        assert_eq!(edge_weights(&[]), Vec::<i64>::new());
     }
 
     #[test]

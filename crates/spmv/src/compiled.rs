@@ -14,20 +14,19 @@
 //! p the per-rank blocks go hypersparse (Buluç & Gilbert): every index
 //! list is tiny, so replicating `Vec<Vec<u32>>`-of-`Vec` plans per rank
 //! would drown in allocator headers. Instead every list of a phase —
-//! owned-copy pairs, pack and receive lists — is one flat `u32` array in
-//! rank order with a `p + 1` offset table, and a [`RankPlan`] view slices
-//! them on demand. Nothing is shared between ranks: sharing equal owned
-//! lists measures at most 0.83 % of `plan_bytes` (EXPERIMENTS.md).
-//! Message payloads live in **one flat `f64` arena per phase** in the
-//! [`SpmvWorkspace`], whose layout is frozen here: rank `r` sends from
-//! the region `payload_base[r]..payload_base[r + 1]` (times the product's
-//! width), messages in pack order. Two index lists are congruent with
-//! that layout, so each side of an exchange is one gather: `pack_idx[i]`
-//! is where arena slot `i` is packed from, and per arriving value a rank
-//! holds the local position it lands in (`recv_dst`) and the arena slot
-//! it is read from (`recv_src`) **in place** — the zero-copy simulated
-//! transport, allocation-free at steady state; the bytes accounted to the
-//! ledger still equal the plan's volume exactly.
+//! owned-copy pairs, pack, receive and gather lists — is one flat `u32`
+//! array in rank order with a `p + 1` offset table, and a [`RankPlan`]
+//! view slices them on demand. Nothing is shared between ranks: sharing
+//! equal owned lists measures at most 0.83 % of `plan_bytes`
+//! (EXPERIMENTS.md). Rank `r` sends the region from `payload_base[r]`
+//! to `payload_base[r + 1]`, messages in pack order, slot `i` packed from
+//! `pack_idx[i]`. Both phases read in place — the zero-copy simulated
+//! transport, billed at exactly the plan's volume. The **fold**'s region
+//! is in a payload arena in the [`SpmvWorkspace`]; per arriving value a
+//! rank holds where it lands (`recv_dst`) and the arena slot it reads
+//! (`reads`). The **expand** has no arena: per column-map position a
+//! rank's reads — its **gather list** — name x-window slots
+//! ([`VectorMap::local_base`]), linked from the senders' pack lists.
 //!
 //! **Construction** parallelizes: [`CompiledSpmv::compile_with`] fans the
 //! pure per-rank lowering across OS threads (optionally on a persistent
@@ -58,7 +57,7 @@ use std::ops::Range;
 use sf2d_sim::cost::PhaseCost;
 use sf2d_sim::sf2d_par::{par_ranks_with, Pool};
 
-use crate::distmat::{RankBlock, SPMM_CHUNK};
+use crate::distmat::{DistCsrMatrix, RankBlock, SPMM_CHUNK};
 use crate::map::VectorMap;
 use crate::plan::CommPlan;
 
@@ -112,24 +111,31 @@ pub struct PhasePlan {
     /// Where each width-1 arena slot is packed from. Expand: the sender's
     /// x lid; fold: its stored row of `partials`.
     pack_idx: Vec<u32>,
-    /// Per-rank ranges into `recv_dst` / `recv_src` (`p + 1` offsets).
+    /// Per-rank ranges into `recv_dst` (`p + 1` offsets).
     recv_base: Vec<u32>,
     /// Per received value — sources ascending, payload order within a
     /// message — where it lands. Expand: the `xcols` lid; fold: the y lid.
     recv_dst: Vec<u32>,
-    /// Per received value, the width-1 arena slot it is read from.
-    recv_src: Vec<u32>,
+    /// Per-rank ranges into `reads` (`p + 1` offsets).
+    pub(crate) reads_base: Vec<u32>,
+    /// The width-1 slot each read takes. Fold: per received value, its
+    /// arena slot. Expand: per column-map position, its x-window slot.
+    pub(crate) reads: Vec<u32>,
+    /// Whether reads name x-window slots (the expand), not arena slots.
+    windowed: bool,
 }
 
 impl PhasePlan {
     /// A plan over zero ranks, ready for [`push_rank`](PhasePlan::push_rank).
-    fn new() -> PhasePlan {
+    fn new(windowed: bool) -> PhasePlan {
         PhasePlan {
             owned_base: vec![0],
             pack_off: vec![0],
             unpack_off: vec![0],
             payload_base: vec![0],
             recv_base: vec![0],
+            reads_base: vec![0],
+            windowed,
             ..PhasePlan::default()
         }
     }
@@ -170,16 +176,21 @@ impl PhasePlan {
         }
         self.unpack_off.push(self.unpack.len() as u32);
         self.recv_base.push(end(&self.recv_dst));
-        self.recv_src.resize(self.recv_dst.len(), 0);
+        // The expand reads its whole column map, owned and received columns.
+        let owned_reads = if self.windowed { owned.len() / 2 } else { 0 };
+        let reads = self.reads.len() + owned_reads + self.recv_dst.len() - base as usize;
+        self.reads.resize(reads, 0);
+        self.reads_base.push(end(&self.reads));
     }
 
-    /// Points rank `d`'s unpack entries and received values at their
-    /// sources' payloads. An entry whose source `reslot` names also gets
-    /// its slot looked up again (pack lists are peer-ascending): the
-    /// source's pack list was rewritten since the entry was lowered.
-    fn link_rank(&mut self, d: usize, reslot: impl Fn(u32) -> bool) {
+    /// Points rank `d`'s unpack entries and reads at their sources: arena
+    /// slots, or window slots `local_base(src) + lid` from the pack lists.
+    /// An entry whose source `reslot` names also gets its slot looked up
+    /// again (pack lists are peer-ascending): that pack list was rewritten.
+    fn link_rank(&mut self, d: usize, reslot: impl Fn(u32) -> bool, vmap: &VectorMap) {
         let recv = self.recv_base[d] as usize..self.recv_base[d + 1] as usize;
         let range = self.unpack_off[d] as usize..self.unpack_off[d + 1] as usize;
+        let r0 = self.reads_base[d] as usize;
         // Backwards: a message's values end where the next one's start.
         let mut end = recv.len();
         for e in self.unpack[range].iter_mut().rev() {
@@ -193,19 +204,34 @@ impl PhasePlan {
             }
             e.payload_off = packs[e.slot as usize].payload_off;
             let from = self.payload_base[src] + e.payload_off;
-            let values = &mut self.recv_src[recv.start + e.start as usize..recv.start + end];
-            for (s, slot) in values.iter_mut().zip(from..) {
-                *s = slot;
+            if self.windowed {
+                let base = vmap.local_base(src) as u32;
+                let dst = &self.recv_dst[recv.start + e.start as usize..recv.start + end];
+                for (&lid, &there) in dst.iter().zip(&self.pack_idx[from as usize..]) {
+                    self.reads[r0 + lid as usize] = base + there;
+                }
+            } else {
+                let reads = &mut self.reads[r0 + e.start as usize..r0 + end];
+                for (s, slot) in reads.iter_mut().zip(from..) {
+                    *s = slot;
+                }
             }
             end = e.start as usize;
+        }
+        if self.windowed {
+            let base = vmap.local_base(d) as u32;
+            let owned = self.owned_base[d] as usize..self.owned_base[d + 1] as usize;
+            for pair in self.owned_idx[owned].chunks_exact(2) {
+                self.reads[r0 + pair[1] as usize] = base + pair[0];
+            }
         }
     }
 
     /// Replaces rank `r`'s schedule by its freshly lowered raw lists,
     /// splicing the flat arrays and shifting the offset tables. Unpack
     /// entries of `r` and of every rank reading `r`'s region must be
-    /// [linked](PhasePlan::link_rank) afterwards — every rank, when the
-    /// region changed length (returned), because all later ones moved.
+    /// [linked](PhasePlan::link_rank) afterwards — in the fold, every rank
+    /// when the region changed length (returned): all later ones moved.
     fn replace_rank(
         &mut self,
         r: usize,
@@ -221,16 +247,15 @@ impl PhasePlan {
                 *o = u32::try_from(*o as usize - hi + new_hi).expect("a phase's volume fits u32");
             }
         }
-        let mut one = PhasePlan::new();
+        let mut one = PhasePlan::new(self.windowed);
         one.push_rank(owned, pack, unpack);
         let moved = one.pack_idx.len() != self.payload_doubles(r);
         splice(&mut self.owned_idx, &mut self.owned_base, r, one.owned_idx);
         splice(&mut self.pack, &mut self.pack_off, r, one.pack);
         splice(&mut self.unpack, &mut self.unpack_off, r, one.unpack);
         splice(&mut self.pack_idx, &mut self.payload_base, r, one.pack_idx);
-        let recv = self.recv_base[r] as usize..self.recv_base[r + 1] as usize;
-        self.recv_src.splice(recv, one.recv_src);
         splice(&mut self.recv_dst, &mut self.recv_base, r, one.recv_dst);
+        splice(&mut self.reads, &mut self.reads_base, r, one.reads);
         moved
     }
 
@@ -280,16 +305,23 @@ impl PhasePlan {
 
     /// Rank `r`'s received values as `(dst, src)` lists: the local
     /// position each lands in and the width-1 arena slot it is read from,
-    /// sources ascending, payload order within a message.
+    /// sources ascending, payload order within a message (the fold's).
     #[inline]
     pub fn received(&self, r: usize) -> (&[u32], &[u32]) {
         let range = self.recv_base[r] as usize..self.recv_base[r + 1] as usize;
-        (&self.recv_dst[range.clone()], &self.recv_src[range])
+        (&self.recv_dst[range], self.gather(r))
+    }
+
+    /// Rank `r`'s reads; in the expand, its gather list: per column-map
+    /// position the width-1 x-window slot it reads, `local_base(owner) + lid`.
+    #[inline]
+    pub fn gather(&self, r: usize) -> &[u32] {
+        &self.reads[self.reads_base[r] as usize..self.reads_base[r + 1] as usize]
     }
 
     /// Rank `r`'s view of this plan.
     #[inline]
-    fn rank(&self, r: usize) -> RankPlan<'_> {
+    pub(crate) fn rank(&self, r: usize) -> RankPlan<'_> {
         RankPlan { phase: self, r }
     }
 }
@@ -534,8 +566,8 @@ impl CompiledSpmv {
         });
 
         // Stage 2 — serial: append to the flat plan in rank order.
-        let mut expand = PhasePlan::new();
-        let mut fold = PhasePlan::new();
+        let mut expand = PhasePlan::new(true);
+        let mut fold = PhasePlan::new(false);
         for rr in &raw {
             expand.push_rank(&rr.e_owned, &rr.e_pack, &rr.e_unpack);
         }
@@ -543,8 +575,8 @@ impl CompiledSpmv {
             fold.push_rank(&rr.f_owned, &rr.f_pack, &rr.f_unpack);
         }
         for d in 0..p {
-            expand.link_rank(d, |_| false);
-            fold.link_rank(d, |_| false);
+            expand.link_rank(d, |_| false, vmap);
+            fold.link_rank(d, |_| false, vmap);
         }
 
         // The per-phase cost vectors change only when a delta touches
@@ -573,9 +605,9 @@ impl CompiledSpmv {
     ///
     /// Each `relower` rank is lowered again by the same `lower_rank` and
     /// spliced in; the ranks reading a rewritten region only have their
-    /// slots, payload offsets and `recv_src` refreshed — every rank of a
-    /// phase in which a region changed length, since all later regions
-    /// moved (O(volume) `u32` stores).
+    /// slots, payload offsets and reads refreshed — every rank's fold when
+    /// a fold region changed length, since all later ones moved (O(volume)
+    /// `u32` stores); window slots never move.
     pub(crate) fn patch(
         &mut self,
         vmap: &VectorMap,
@@ -592,13 +624,12 @@ impl CompiledSpmv {
             return;
         }
         let mut relowered = vec![false; blocks.len()];
-        let mut moved = [false; 2];
+        let mut moved = false;
         for &r in relower {
             let rr = lower_rank(r, vmap, &blocks[r], import, export);
-            moved[0] |= self
-                .expand
+            self.expand
                 .replace_rank(r, &rr.e_owned, &rr.e_pack, &rr.e_unpack);
-            moved[1] |= self
+            moved |= self
                 .fold
                 .replace_rank(r, &rr.f_owned, &rr.f_pack, &rr.f_unpack);
             self.expand_costs[r] = import.rank_phase_cost(r);
@@ -606,10 +637,10 @@ impl CompiledSpmv {
             self.sum_costs[r] = PhaseCost::compute(rr.sum_flops);
             relowered[r] = true;
         }
-        for (phase, moved) in [&mut self.expand, &mut self.fold].into_iter().zip(moved) {
+        for (phase, moved) in [(&mut self.expand, false), (&mut self.fold, moved)] {
             // A fresh rank has its payload offsets unset; a reader of a
             // fresh rank's region has stale offsets and slots; and when
-            // regions moved, so did what every rank reads.
+            // fold regions moved, so did what every rank reads there.
             let stale: Vec<usize> = if moved {
                 (0..blocks.len()).collect()
             } else {
@@ -621,7 +652,7 @@ impl CompiledSpmv {
                 stale
             };
             for d in stale {
-                phase.link_rank(d, |src| relowered[src as usize]);
+                phase.link_rank(d, |src| relowered[src as usize], vmap);
             }
         }
     }
@@ -643,17 +674,17 @@ impl CompiledSpmv {
         self.sum_costs[r].flops
     }
 
-    /// Actual heap footprint of the plan: entry arrays, owned, pack and
-    /// receive lists, offset tables, and the frozen cost vectors.
+    /// Actual heap footprint of the plan: entry arrays, owned, pack,
+    /// receive and gather lists, offset tables, and the frozen cost vectors.
     pub fn plan_bytes(&self) -> u64 {
         use std::mem::size_of;
         let phase = |pl: &PhasePlan| -> u64 {
-            // Five `p + 1` offset tables, the owned and pack lists, both
-            // receive lists.
-            let words = 5 * (pl.nranks() + 1)
+            // Six `p + 1` offset tables and the owned, pack, receive and read lists.
+            let words = 6 * (pl.nranks() + 1)
                 + pl.owned_idx.len()
                 + pl.pack_idx.len()
-                + 2 * pl.recv_dst.len();
+                + pl.recv_dst.len()
+                + pl.reads.len();
             (pl.pack.len() * size_of::<PackEntry>()
                 + pl.unpack.len() * size_of::<UnpackEntry>()
                 + words * 4) as u64
@@ -678,8 +709,8 @@ pub(crate) fn scratch_split(block: &RankBlock, width: usize) -> (usize, usize) {
 /// Reusable scratch space for [`spmv`](crate::spmv::spmv) /
 /// [`spmm`](crate::spmv::spmm): one arena for the per-rank `xcols` /
 /// `partials` scratch (one column chunk of `xcols`, every column of
-/// `partials` — `scratch_split`) and one flat `f64` payload arena per
-/// phase, laid out by the plan ([`PhasePlan::payload_range`]).
+/// `partials` — `scratch_split`), the x window and the fold's flat `f64`
+/// payload arena ([`PhasePlan::payload_range`]).
 ///
 /// A workspace is not tied to a matrix — buffers are (re)sized on first
 /// use with each matrix — so one workspace can serve a whole solve. The
@@ -692,8 +723,8 @@ pub(crate) fn scratch_split(block: &RankBlock, width: usize) -> (usize, usize) {
 /// [`sf2d_sim::wave::plan_waves`]: the scratch arena holds only the
 /// largest wave instead of all `p` ranks, and results (ledger included)
 /// stay byte-identical because each rank's work reads only state frozen
-/// before its phase. The payload arenas stay resident either way — they
-/// are the simulated network, read in place across waves.
+/// before its phase. The window and the fold arena stay resident either
+/// way — they are the simulated network, read in place across waves.
 #[derive(Debug, Clone)]
 pub struct SpmvWorkspace {
     /// Number of OS threads for phase-local work (1 = fully sequential).
@@ -707,12 +738,11 @@ pub struct SpmvWorkspace {
     /// product's width (unused at width 1, where the compiled costs are
     /// charged as they stand).
     pub(crate) widened: Vec<PhaseCost>,
-    /// Every rank's expand-phase send payloads, at least
-    /// `expand.arena_doubles() · width` long and laid out by the plan, an
-    /// index's `width` values adjacent. Destination ranks read it in
-    /// place, so the simulated transport is zero-copy.
-    pub(crate) expand_arena: Vec<f64>,
-    /// Every rank's fold-phase send payloads, same discipline.
+    /// The x window, at least `n · width` long: rank `r`'s entry `lid` at
+    /// `(local_base(r) + lid) · width`, its `width` values adjacent.
+    pub(crate) window: Vec<f64>,
+    /// Every rank's fold-phase send payloads, at least
+    /// `fold.arena_doubles() · width` long, laid out by the plan.
     pub(crate) fold_arena: Vec<f64>,
     /// Per-rank scratch footprints in bytes that `waves` was planned
     /// from; empty when a new budget has yet to be planned for.
@@ -735,7 +765,7 @@ impl SpmvWorkspace {
             budget: None,
             scratch: Vec::new(),
             widened: Vec::new(),
-            expand_arena: Vec::new(),
+            window: Vec::new(),
             fold_arena: Vec::new(),
             per_rank: Vec::new(),
             waves: Vec::new(),
@@ -776,10 +806,11 @@ impl SpmvWorkspace {
         (self.scratch.len() * std::mem::size_of::<f64>()) as u64
     }
 
-    /// Sizes the buffers for `blocks` at SpMM width `width` (1 for SpMV),
+    /// Sizes the buffers for `a` at SpMM width `width` (1 for SpMV),
     /// plans the waves, and reuses allocations where they already fit —
     /// at steady state it allocates nothing.
-    pub(crate) fn ensure(&mut self, blocks: &[RankBlock], compiled: &CompiledSpmv, width: usize) {
+    pub(crate) fn ensure(&mut self, a: &DistCsrMatrix, width: usize) {
+        let blocks = &a.blocks;
         // The waves are a function of the footprints and the budget:
         // plan again only when one of them moved.
         let mut moved = self.per_rank.len() != blocks.len();
@@ -801,13 +832,13 @@ impl SpmvWorkspace {
             self.scratch = Vec::new();
             self.scratch = vec![0.0; need];
         }
-        for (arena, plan) in [
-            (&mut self.expand_arena, &compiled.expand),
-            (&mut self.fold_arena, &compiled.fold),
+        for (arena, need) in [
+            (&mut self.window, a.vmap.local_base(blocks.len())),
+            (&mut self.fold_arena, a.compiled.fold.arena_doubles()),
         ] {
             // Grown exactly and never shrunk: a patched plan's payload
             // grows a value at a time, and an engine's batch widths cycle.
-            let need = plan.arena_doubles() * width;
+            let need = need * width;
             if arena.len() < need {
                 arena.reserve_exact(need - arena.len());
                 arena.resize(need, 0.0);
@@ -825,7 +856,6 @@ impl Default for SpmvWorkspace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distmat::DistCsrMatrix;
     use sf2d_gen::{rmat, RmatConfig};
     use sf2d_partition::MatrixDist;
 
@@ -934,7 +964,7 @@ mod tests {
         let mut ws = SpmvWorkspace::new();
         assert_eq!(ws.threads, 1);
         assert_eq!(ws.wave_count(), 0);
-        ws.ensure(&dm.blocks, &dm.compiled, 1);
+        ws.ensure(&dm, 1);
         // Unbudgeted: one wave, scratch holds every rank's xcols+partials.
         assert_eq!(ws.wave_count(), 1);
         let want: usize = dm
@@ -943,15 +973,15 @@ mod tests {
             .map(|b| b.colmap.len() + b.rowmap.len())
             .sum();
         assert_eq!(ws.scratch.len(), want);
-        assert_eq!(ws.expand_arena.len(), dm.import.total_volume());
+        assert_eq!(ws.window.len(), dm.n);
         assert_eq!(ws.fold_arena.len(), dm.export.total_volume());
         // Re-ensuring with the same matrix is a no-op resize, and a
         // narrower product after a wider one keeps the arenas.
-        ws.ensure(&dm.blocks, &dm.compiled, 1);
+        ws.ensure(&dm, 1);
         assert_eq!(ws.scratch.len(), want);
-        ws.ensure(&dm.blocks, &dm.compiled, 3);
-        ws.ensure(&dm.blocks, &dm.compiled, 1);
-        assert_eq!(ws.expand_arena.len(), 3 * dm.import.total_volume());
+        ws.ensure(&dm, 3);
+        ws.ensure(&dm, 1);
+        assert_eq!(ws.window.len(), 3 * dm.n);
         assert_eq!(ws.wave_count(), 1);
         assert_eq!(SpmvWorkspace::with_threads(0).threads, 1);
     }
@@ -960,12 +990,12 @@ mod tests {
     fn budgeted_workspace_plans_multiple_waves_with_smaller_scratch() {
         let dm = dist_matrix();
         let mut resident = SpmvWorkspace::new();
-        resident.ensure(&dm.blocks, &dm.compiled, 1);
+        resident.ensure(&dm, 1);
         let full = resident.scratch_bytes();
         // Budget far below the full footprint: more waves, less scratch.
         let mut ws = SpmvWorkspace::new().with_budget(full / 3);
         assert_eq!(ws.budget(), Some(full / 3));
-        ws.ensure(&dm.blocks, &dm.compiled, 1);
+        ws.ensure(&dm, 1);
         assert!(ws.wave_count() > 1, "waves {}", ws.wave_count());
         assert!(
             ws.scratch_bytes() < full,

@@ -16,6 +16,8 @@ pub struct VectorMap {
     lid: Vec<u32>,
     /// Global ids per rank, ascending (the rank's local ordering).
     gids: Vec<Vec<u32>>,
+    /// Prefix sums of the ranks' entry counts (`p + 1` offsets).
+    base: Vec<usize>,
 }
 
 impl VectorMap {
@@ -32,7 +34,16 @@ impl VectorMap {
             lid[k] = gids[o as usize].len() as u32;
             gids[o as usize].push(k as u32);
         }
-        VectorMap { owner, lid, gids }
+        let mut base = vec![0];
+        for g in &gids {
+            base.push(base[base.len() - 1] + g.len());
+        }
+        VectorMap {
+            owner,
+            lid,
+            gids,
+            base,
+        }
     }
 
     /// Number of global entries.
@@ -71,6 +82,13 @@ impl VectorMap {
         self.gids[rank].len()
     }
 
+    /// Where `rank`'s entries start when the vector is laid out rank by
+    /// rank in local order (the SpMV's x window); `local_base(p) = n`.
+    #[inline]
+    pub fn local_base(&self, rank: usize) -> usize {
+        self.base[rank]
+    }
+
     /// Whether two maps describe the **same distribution** — identical
     /// owner and local-id assignment for every global entry. This is the
     /// structural compatibility check the SpMV kernels require: two maps
@@ -96,6 +114,8 @@ mod tests {
         assert_eq!(m.gids(2), &[7, 8, 9]);
         assert_eq!(m.owner(5), 1);
         assert_eq!(m.lid(5), 1);
+        let bases: Vec<usize> = (0..=3).map(|r| m.local_base(r)).collect();
+        assert_eq!(bases, [0, 4, 7, 10]);
     }
 
     #[test]

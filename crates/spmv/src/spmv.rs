@@ -13,20 +13,21 @@
 //!
 //! Execution runs on the **compiled** local-index schedules built at
 //! matrix construction ([`CompiledSpmv`](crate::compiled::CompiledSpmv)):
-//! no gid resolution happens per iteration, message payloads live in one
-//! flat `f64` arena per phase owned by the [`SpmvWorkspace`] and laid out
-//! by the plan, and each side of an exchange is one gather through an
-//! index list congruent with that layout — a rank packs
-//! `arena[i] = x[pack_idx[i]]` over its region and unpacks
-//! `xcols[recv_dst[k]] = arena[recv_src[k]]` over its received values,
-//! in place (zero-copy transport, allocation-free at steady state, and
-//! nothing paid per *message*: at large p on a 1D layout nearly every
-//! message carries one value). The per-rank phase work can fan out across
-//! OS threads via the workspace's `threads` knob — bit-identical to
-//! sequential, because ranks only touch disjoint slices.
+//! no gid resolution happens per iteration, and both exchanges read
+//! values in place (zero-copy transport, nothing paid per *message*: at
+//! large p on a 1D layout nearly every message carries one value). The
+//! expand copies every rank's owned x entries once into the workspace's
+//! **x window** ([`VectorMap::local_base`]) and fills a rank's `xcols`
+//! with one gather, `xcols[lid] = window[gather[lid]]`, through a list
+//! linked from the senders' pack lists. The fold packs partials into a
+//! flat arena (`arena[i] = partials[pack_idx[i]]`) that owners read at
+//! `arena[reads[k]]`. Per product the executor allocates only the
+//! vectors of per-rank window slices and, per wave, scratch views. The
+//! per-rank phase work can fan out across OS threads (the workspace's
+//! `threads` knob) bit-identically: ranks touch disjoint slices.
 //!
 //! [`spmv`] and [`spmm`] share one executor: an SpMV is a width-1 SpMM
-//! (same schedules, same payload layout, costs widened by
+//! (same schedules, same layouts, costs widened by
 //! [`PhaseCost::widened`] — at width 1 the compiled cost vectors are
 //! charged as they stand, above it through one workspace-resident
 //! buffer). Phase 2 is one call per rank into the block kernel,
@@ -36,13 +37,13 @@
 //! same way, so no permutation runs per product. A wider product goes
 //! through the kernel [`SPMM_CHUNK`] columns at a time: `xcols` is
 //! row-major over one chunk (`xcols[lid·w + c]`, each entry one
-//! contiguous copy out of the gid-major payload), so indices, values and
+//! contiguous copy out of the gid-major window), so indices, values and
 //! loop exits are read once per chunk rather than once per column, while
 //! `partials` stay column-major and phases 3–4 do not know. When the
-//! workspace carries a **live-memory budget**, the unpack/compute/fold
+//! workspace carries a **live-memory budget**, the gather/compute/fold
 //! work runs in contiguous rank waves over one reusable scratch arena
 //! ([`sf2d_sim::wave`]): a rank's phase work reads only cross-rank state
-//! frozen before the phase (the expand arena written in phase 1, the fold
+//! frozen before the phase (the window written in phase 1, the fold
 //! arena read only in phase 4), so wave scheduling is invisible to both
 //! the results and the ledger. The original gid-based executors live on
 //! in [`reference`](crate::reference) as the oracle — they read every
@@ -53,11 +54,12 @@
 //! Fault injection is an argument of that executor, not a second one:
 //! [`spmv_chaos_with`] / [`spmm_chaos_with`] (and the no-workspace
 //! [`spmv_chaos`]) pass `run_phases` a [`ChaosRuntime`], and right after
-//! each exchange's superstep is charged the resident payloads are handed
-//! — send side from the pack entries, receive side from the unpack
-//! entries — to [`ChaosRuntime::mirror_exchange`], which clones them onto
+//! each exchange's superstep is charged its payloads are handed — send
+//! side from the pack entries, receive side from the unpack entries (the
+//! expand's packed out of the window and gathered through the gather
+//! lists) — to [`ChaosRuntime::mirror_exchange`], which clones them onto
 //! the fault-injecting wire, checks every healed delivery against what
-//! the receiving rank reads in place, and bills the extra traffic as a
+//! the receiving rank reads, and bills the extra traffic as a
 //! `Retransmit` superstep (none at rate 0, where the run is
 //! byte-identical, ledger included). Only the ledger can differ. Chaos
 //! superstep indices for [`FaultScript`](sf2d_sim::fault) targeting: the
@@ -269,17 +271,19 @@ pub fn spmm_chaos_with(
     run_phases(a, x, &mut y.locals, ledger, ws, &SPMM_SPANS, Some(rt));
 }
 
-/// One phase's resident payloads as [`ChaosRuntime::mirror_exchange`]
-/// takes them: per source rank the `(dst, payload)` slices its pack
-/// entries wrote, per destination rank the `(src, payload)` slices its
-/// unpack entries read in place (the owner's region plus `payload_off`).
+/// One phase's payloads as [`ChaosRuntime::mirror_exchange`] takes them,
+/// out of buffers laid out like its arena: per source rank the
+/// `(dst, payload)` slices its pack entries wrote into `sent`, per
+/// destination rank the `(src, payload)` slices its unpack entries read
+/// from `got` (the owner's region plus `payload_off`).
 fn payload_views<'a>(
     m: usize,
-    arena: &'a [f64],
-    phase: &PhasePlan,
+    sent: &'a [f64],
+    got: &'a [f64],
+    phase: &'a PhasePlan,
     rank_plan: impl Fn(usize) -> RankPlan<'a>,
 ) -> (Vec<PeerPayloads<'a>>, Vec<PeerPayloads<'a>>) {
-    let payload = |owner: usize, off: u32, n: usize| {
+    let payload = |arena: &'a [f64], owner: usize, off: u32, n: usize| {
         let at = (phase.payload_range(owner).start + off as usize) * m;
         &arena[at..at + n * m]
     };
@@ -287,7 +291,7 @@ fn payload_views<'a>(
         .map(|r| {
             rank_plan(r)
                 .packs()
-                .map(|(dst, lids, off)| (dst, payload(r, off, lids.len())))
+                .map(|(dst, lids, off)| (dst, payload(sent, r, off, lids.len())))
                 .collect()
         })
         .collect();
@@ -295,7 +299,7 @@ fn payload_views<'a>(
         .map(|r| {
             rank_plan(r)
                 .unpacks()
-                .map(|(src, _slot, off, lids)| (src, payload(src as usize, off, lids.len())))
+                .map(|(src, _, off, lids)| (src, payload(got, src as usize, off, lids.len())))
                 .collect()
         })
         .collect();
@@ -321,20 +325,20 @@ fn charge(
     }
 }
 
-/// Packs one rank's region of a payload arena: slot `k` takes the `m`
-/// values of index `idx[k]`, adjacent (gid-major), out of the
-/// column-major `cols` (`cols[c·n + i]`).
-fn pack(region: &mut [f64], idx: &[u32], cols: &[f64], m: usize) {
+/// Packs one rank's region of a payload arena or of the x window: slot
+/// `k` takes the `m` values of the `k`-th index, adjacent (gid-major),
+/// out of the column-major `cols` (`cols[c·n + i]`).
+fn pack(region: &mut [f64], idx: impl IntoIterator<Item = usize>, cols: &[f64], m: usize) {
     if m == 1 {
-        for (out, &i) in region.iter_mut().zip(idx) {
-            *out = cols[i as usize];
+        for (out, i) in region.iter_mut().zip(idx) {
+            *out = cols[i];
         }
         return;
     }
     let n = cols.len() / m;
-    for (vals, &i) in region.chunks_exact_mut(m).zip(idx) {
+    for (vals, i) in region.chunks_exact_mut(m).zip(idx) {
         for (c, out) in vals.iter_mut().enumerate() {
-            *out = cols[c * n + i as usize];
+            *out = cols[c * n + i];
         }
     }
 }
@@ -359,54 +363,72 @@ fn run_phases<X: ColumnAccess>(
     mut chaos: Option<&mut ChaosRuntime>,
 ) {
     let m = x.ncols();
-    ws.ensure(&a.blocks, &a.compiled, m);
+    ws.ensure(a, m);
     let SpmvWorkspace {
         threads,
         scratch,
         widened,
-        expand_arena,
+        window,
         fold_arena,
         waves,
         ..
     } = ws;
     let threads = *threads;
-    let compiled = &a.compiled;
+    let (compiled, vmap) = (&a.compiled, &a.vmap);
     let (expand, fold) = (&compiled.expand, &compiled.fold);
-    let expand_arena = &mut expand_arena[..expand.arena_doubles() * m];
+    let window = &mut window[..vmap.n() * m];
     let fold_arena = &mut fold_arena[..fold.arena_doubles() * m];
 
-    // Phase 1 — expand: every rank gathers its outgoing x values into
-    // its region of the arena. Transport is zero-copy: the destination
-    // reads each value in place at the slot its receive list names.
+    // Phase 1 — expand: every rank copies its owned x entries, gid-major,
+    // into its slice of the x window. Transport is zero-copy: a reader
+    // reads each value where it lives, at the slot its gather list names.
     trace_span!(PhaseKind::Pack, spans.pack, {
-        let mut rest = &mut *expand_arena;
+        let mut rest = &mut *window;
         let mut regions: Vec<&mut [f64]> = Vec::with_capacity(expand.nranks());
         for r in 0..expand.nranks() {
-            let (region, tail) = rest.split_at_mut(expand.payload_doubles(r) * m);
+            let (region, tail) = rest.split_at_mut(vmap.nlocal(r) * m);
             rest = tail;
             regions.push(region);
         }
-        par_ranks(threads, &mut regions, |r, region| {
-            pack(region, expand.pack_indices(r), x.local(r), m);
+        par_ranks(threads, &mut regions, |r, region| match m {
+            1 => region.copy_from_slice(x.local(r)),
+            _ => pack(region, 0..vmap.nlocal(r), x.local(r), m),
         })
     });
     note_gather();
     charge(ledger, Phase::Expand, &compiled.expand_costs, m, widened);
-    let expand_arena = &*expand_arena;
+    let window = &*window;
     if let Some(rt) = chaos.as_deref_mut() {
-        let (sends, views) = payload_views(m, expand_arena, expand, |r| compiled.expand_rank(r));
+        // Sends packed out of the window by the pack lists; receive views
+        // gathered through the gather lists, as the kernel reads them.
+        let slot = |s: usize| &window[s * m..][..m];
+        let mut sent = Vec::with_capacity(expand.arena_doubles() * m);
+        let mut got = vec![0.0; expand.arena_doubles() * m];
+        for r in 0..expand.nranks() {
+            for &i in expand.pack_indices(r) {
+                sent.extend_from_slice(slot(vmap.local_base(r) + i as usize));
+            }
+            let gather = expand.gather(r);
+            for (src, _, off, lids) in expand.rank(r).unpacks() {
+                let at = (expand.payload_range(src as usize).start + off as usize) * m;
+                for (view, &lid) in got[at..].chunks_exact_mut(m).zip(lids) {
+                    view.copy_from_slice(slot(gather[lid as usize] as usize));
+                }
+            }
+        }
+        let (sends, views) = payload_views(m, &sent, &got, expand, |r| expand.rank(r));
         rt.mirror_exchange(ledger, "spmv expand", &sends, Some(&views));
     }
 
     // Phases 2–3, wave by wave: each wave carves per-rank (xcols,
     // partials) views out of the shared scratch arena and the ranks'
-    // (contiguous) regions out of the fold arena, runs unpack + local
+    // (contiguous) regions out of the fold arena, runs gather + local
     // kernel, then fold-packs and folds owned rows while the partials
     // are still live. Safe to interleave across waves because a rank's
-    // phase-2/3 work reads only its own views plus the expand arena (all
-    // written in phase 1); no zeroing is needed because xcols is fully
-    // covered by owned + received entries and the local kernel
-    // overwrites its whole output slice.
+    // phase-2/3 work reads only its own views plus the window (written
+    // in phase 1); no zeroing is needed because the gather list covers
+    // every xcols position and the local kernel overwrites its whole
+    // output slice.
     let mut fold_rest = &mut *fold_arena;
     for w in waves.iter() {
         let mut rest: &mut [f64] = scratch;
@@ -422,41 +444,29 @@ fn run_phases<X: ColumnAccess>(
             views.push((xc, pt, region));
         }
 
-        // Phase 2 — local compute: assemble xcols (owned copies +
-        // received values; the two cover every position exactly once)
-        // and run the block kernel into the partials view, which it
-        // indexes by stored row. A wider product goes chunk by chunk:
-        // xcols holds SPMM_CHUNK columns row-major, each lid's values
-        // one contiguous copy out of the gid-major payload.
+        // Phase 2 — local compute: gather xcols out of the window, one
+        // slot per column-map position, and run the block kernel into
+        // the partials view, which it indexes by stored row. A wider
+        // product goes chunk by chunk: xcols holds SPMM_CHUNK columns
+        // row-major, each lid's values one contiguous copy out of the
+        // gid-major window.
         trace_span!(PhaseKind::LocalCompute, spans.compute, {
             par_ranks(threads, &mut views, |i, (xcols, partials, _)| {
                 let r = w.start + i;
-                let plan = compiled.expand_rank(r);
-                let (dst, src) = expand.received(r);
+                let gather = expand.gather(r);
                 let block = &a.blocks[r];
-                let xl = x.local(r);
                 if m == 1 {
-                    for (from, to) in plan.owned_pairs() {
-                        xcols[to as usize] = xl[from as usize];
-                    }
-                    for (&d, &s) in dst.iter().zip(src) {
-                        xcols[d as usize] = expand_arena[s as usize];
+                    for (x, &s) in xcols.iter_mut().zip(gather) {
+                        *x = window[s as usize];
                     }
                     return block.multiply(xcols, 1, partials);
                 }
-                let (nl, rl) = (xl.len() / m, block.rowmap.len());
+                let rl = block.rowmap.len();
                 for c0 in (0..m).step_by(SPMM_CHUNK) {
                     let cw = SPMM_CHUNK.min(m - c0);
                     let xcols = &mut xcols[..cw * block.colmap.len()];
-                    for k in 0..cw {
-                        let xc = &xl[(c0 + k) * nl..][..nl];
-                        for (from, to) in plan.owned_pairs() {
-                            xcols[to as usize * cw + k] = xc[from as usize];
-                        }
-                    }
-                    for (&d, &s) in dst.iter().zip(src) {
-                        let vals = &expand_arena[s as usize * m + c0..][..cw];
-                        xcols[d as usize * cw..][..cw].copy_from_slice(vals);
+                    for (x, &s) in xcols.chunks_exact_mut(cw).zip(gather) {
+                        x.copy_from_slice(&window[s as usize * m + c0..][..cw]);
                     }
                     block.multiply(xcols, cw, &mut partials[c0 * rl..(c0 + cw) * rl]);
                 }
@@ -469,7 +479,8 @@ fn run_phases<X: ColumnAccess>(
         // reference executor's per-element order).
         trace_span!(PhaseKind::Pack, spans.fold_pack, {
             par_ranks(threads, &mut views, |i, (_, partials, region)| {
-                pack(region, fold.pack_indices(w.start + i), partials, m);
+                let idx = fold.pack_indices(w.start + i).iter();
+                pack(region, idx.map(|&i| i as usize), partials, m);
             })
         });
         let views = &views;
@@ -497,7 +508,7 @@ fn run_phases<X: ColumnAccess>(
     charge(ledger, Phase::Fold, &compiled.fold_costs, m, widened);
     let fold_arena = &*fold_arena;
     if let Some(rt) = chaos {
-        let (sends, views) = payload_views(m, fold_arena, fold, |r| compiled.fold_rank(r));
+        let (sends, views) = payload_views(m, fold_arena, fold_arena, fold, |r| fold.rank(r));
         rt.mirror_exchange(ledger, "spmv fold", &sends, Some(&views));
     }
 
@@ -954,6 +965,45 @@ mod tests {
             assert!(l.by_phase[&Phase::Retransmit] > 0.0, "threads {threads}");
             assert!(l.total > l0.total, "faults must cost time");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "spmv expand: corrupted delivery")]
+    fn chaos_mirror_checks_the_gather_list_against_the_sender() {
+        let a = rmat(&RmatConfig::graph500(7), 29);
+        let d = MatrixDist::random_1d(a.nrows(), 6, 4);
+        let mut dm = DistCsrMatrix::from_global(&a, &d);
+        let x_global: Vec<f64> = (0..a.nrows()).map(|i| i as f64 + 0.5).collect();
+        let x = DistVector::from_global(Arc::clone(&dm.vmap), &x_global);
+        let mut want = DistVector::zeros(Arc::clone(&dm.vmap));
+        crate::reference::spmv_ref(&dm, &x, &mut want, &mut CostLedger::new(Machine::cab()));
+        // Point one received column of one rank at its neighbouring
+        // window slot: a value no sender shipped to it.
+        let r = (0..dm.nprocs())
+            .find(|&r| dm.compiled.expand_rank(r).nunpacks() > 0)
+            .expect("a random 1D layout has expand traffic");
+        let (_, _, _, lids) = dm.compiled.expand_rank(r).unpacks().next().unwrap();
+        let at = dm.compiled.expand.reads_base[r] as usize + lids[0] as usize;
+        let slot = &mut dm.compiled.expand.reads[at];
+        *slot = (*slot + 1) % a.nrows() as u32;
+
+        let mut y = DistVector::zeros(Arc::clone(&dm.vmap));
+        let mut ws = SpmvWorkspace::new();
+        spmv_with(
+            &dm,
+            &x,
+            &mut y,
+            &mut CostLedger::new(Machine::cab()),
+            &mut ws,
+        );
+        assert_ne!(
+            y.to_global(),
+            want.to_global(),
+            "a wrong plan gives a wrong y"
+        );
+        let mut rt = sf2d_sim::ChaosRuntime::seeded(1, 0.0);
+        let mut l = CostLedger::new(Machine::cab());
+        spmv_chaos_with(&dm, &x, &mut y, &mut l, &mut ws, &mut rt);
     }
 
     #[test]
