@@ -108,64 +108,77 @@ impl Default for HarnessOpts {
             procs: vec![64, 256, 1024, 4096],
             out: PathBuf::from("results"),
             seeds: vec![11, 22, 33],
-            trace: std::env::var_os("SF2D_TRACE").map(PathBuf::from),
+            trace: None,
         }
     }
 }
 
+/// What every rejected command line prints after its error.
+const USAGE: &str = "usage: --shrink N --procs a,b,c --seeds s1,s2 --out DIR --trace FILE";
+
+/// Parses one value of `flag`; `ok` rejects a parsed value.
+fn parse_value<T: std::str::FromStr>(
+    flag: &str,
+    text: &str,
+    ok: impl Fn(&T) -> bool,
+) -> Result<T, String> {
+    let value = text.parse().ok().filter(ok);
+    value.ok_or_else(|| format!("bad value {text:?} for {flag}"))
+}
+
 impl HarnessOpts {
-    /// Parses `std::env::args()`; unknown flags abort with a usage message.
+    /// Parses `std::env::args()`; a bad command line prints the error and
+    /// the usage message and exits with status 2. `SF2D_TRACE` sets the
+    /// trace path when `--trace` does not.
     pub fn from_args() -> HarnessOpts {
-        let mut opts = HarnessOpts::default();
         let args: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < args.len() {
-            let need_value = |i: usize| -> &str {
-                args.get(i + 1).unwrap_or_else(|| {
-                    eprintln!("missing value after {}", args[i]);
-                    std::process::exit(2);
-                })
-            };
-            match args[i].as_str() {
-                "--shrink" => {
-                    opts.shrink = need_value(i).parse().expect("numeric --shrink");
-                    i += 2;
-                }
-                "--procs" => {
-                    opts.procs = need_value(i)
-                        .split(',')
-                        .map(|t| t.parse().expect("numeric proc count"))
-                        .collect();
-                    i += 2;
-                }
-                "--out" => {
-                    opts.out = PathBuf::from(need_value(i));
-                    i += 2;
-                }
-                "--seeds" => {
-                    opts.seeds = need_value(i)
-                        .split(',')
-                        .map(|t| t.parse().expect("numeric seed"))
-                        .collect();
-                    i += 2;
-                }
-                "--trace" => {
-                    opts.trace = Some(PathBuf::from(need_value(i)));
-                    i += 2;
-                }
-                other => {
-                    eprintln!(
-                        "unknown flag {other}\nusage: --shrink N --procs a,b,c --seeds s1,s2 --out DIR --trace FILE"
-                    );
-                    std::process::exit(2);
-                }
+        match HarnessOpts::parse(&args) {
+            Ok(mut opts) => {
+                opts.trace = opts
+                    .trace
+                    .or_else(|| std::env::var_os("SF2D_TRACE").map(PathBuf::from));
+                opts
+            }
+            Err(e) => {
+                eprintln!("{e}\n{USAGE}");
+                std::process::exit(2);
             }
         }
-        assert!(
-            opts.shrink.is_power_of_two(),
-            "--shrink must be a power of two"
-        );
-        opts
+    }
+
+    /// Parses the flags after the program name: `--shrink` a power of
+    /// two, `--procs` positive rank counts and `--seeds` integers, both
+    /// comma-separated, `--out` and `--trace` paths. Any other flag or
+    /// value, or a missing value, is an error naming it.
+    pub fn parse(args: &[String]) -> Result<HarnessOpts, String> {
+        let mut opts = HarnessOpts::default();
+        let mut args = args.iter();
+        while let Some(flag) = args.next() {
+            let value = args
+                .next()
+                .ok_or_else(|| format!("missing value after {flag}"));
+            match flag.as_str() {
+                "--shrink" => {
+                    opts.shrink = parse_value(flag, value?, |s: &usize| s.is_power_of_two())?
+                }
+                "--procs" => {
+                    let procs = value?.split(',');
+                    opts.procs = procs
+                        .map(|t| parse_value(flag, t, |&p: &usize| p > 0))
+                        .collect::<Result<_, _>>()?;
+                }
+                "--seeds" => {
+                    let seeds = value?.split(',');
+                    opts.seeds = seeds
+                        .map(|t| parse_value(flag, t, |_: &u64| true))
+                        .collect::<Result<_, _>>()?;
+                }
+                "--out" => opts.out = PathBuf::from(value?),
+                "--trace" => opts.trace = Some(PathBuf::from(value?)),
+                other => return Err(format!("unknown flag {other}")),
+            }
+        }
+        Ok(opts)
     }
 
     /// Ensures the output directory exists and returns the path for a
@@ -303,6 +316,44 @@ pub fn ascii_scaling_chart(title: &str, procs: &[usize], series: &[(String, Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn parse(line: &str) -> Result<HarnessOpts, String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        HarnessOpts::parse(&args)
+    }
+
+    #[test]
+    fn parse_accepts_a_full_command_line() {
+        let opts =
+            parse("--shrink 8 --procs 64,4096 --seeds 1,2,3 --out o --trace t.json").unwrap();
+        assert_eq!(opts.shrink, 8);
+        assert_eq!(opts.procs, [64, 4096]);
+        assert_eq!(opts.seeds, [1, 2, 3]);
+        assert_eq!(opts.out, PathBuf::from("o"));
+        assert_eq!(opts.trace, Some(PathBuf::from("t.json")));
+        let defaults = parse("").unwrap();
+        assert_eq!((defaults.shrink, defaults.trace), (2, None));
+    }
+
+    #[test]
+    fn parse_rejects_every_bad_value_with_an_error() {
+        for (line, want) in [
+            ("--shrink abc", "bad value \"abc\" for --shrink"),
+            ("--shrink 0", "bad value \"0\" for --shrink"),
+            ("--shrink 6", "bad value \"6\" for --shrink"),
+            ("--shrink -2", "bad value \"-2\" for --shrink"),
+            ("--procs 64,x", "bad value \"x\" for --procs"),
+            ("--procs 64,0", "bad value \"0\" for --procs"),
+            ("--procs ,", "bad value \"\" for --procs"),
+            ("--seeds 1,,2", "bad value \"\" for --seeds"),
+            ("--seeds 1,-2", "bad value \"-2\" for --seeds"),
+            ("--shrink", "missing value after --shrink"),
+            ("--out o --trace", "missing value after --trace"),
+            ("--bogus 1", "unknown flag --bogus"),
+        ] {
+            assert_eq!(parse(line).unwrap_err(), want, "{line}");
+        }
+    }
 
     #[test]
     fn load_proxy_caches_and_roundtrips() {

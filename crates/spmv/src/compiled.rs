@@ -18,15 +18,13 @@
 //! array in rank order with a `p + 1` offset table, and a [`RankPlan`]
 //! view slices them on demand. Nothing is shared between ranks: sharing
 //! equal owned lists measures at most 0.83 % of `plan_bytes`
-//! (EXPERIMENTS.md). Rank `r` sends the region from `payload_base[r]`
-//! to `payload_base[r + 1]`, messages in pack order, slot `i` packed from
-//! `pack_idx[i]`. Both phases read in place — the zero-copy simulated
-//! transport, billed at exactly the plan's volume. The **fold**'s region
-//! is in a payload arena in the [`SpmvWorkspace`]; per arriving value a
-//! rank holds where it lands (`recv_dst`) and the arena slot it reads
-//! (`reads`). The **expand** has no arena: per column-map position a
-//! rank's reads — its **gather list** — name x-window slots
-//! ([`VectorMap::local_base`]), linked from the senders' pack lists.
+//! (EXPERIMENTS.md). Rank `r`'s pack lists fill `pack_idx` from
+//! `payload_base[r]` to `payload_base[r + 1]`, in message order. Both
+//! phases read in place — the zero-copy simulated transport, billed at
+//! exactly the plan's volume: an unpack entry `(src, payload_off)` points
+//! into its sender's pack lists. The **fold** follows it at run time, to
+//! the sender's partials; the **expand** once, when linking, into one
+//! **gather list** per rank of x-window slots ([`VectorMap::local_base`]).
 //!
 //! **Construction** parallelizes: [`CompiledSpmv::compile_with`] fans the
 //! pure per-rank lowering across OS threads (optionally on a persistent
@@ -66,10 +64,10 @@ use crate::plan::CommPlan;
 pub struct PackEntry {
     /// Destination rank.
     pub peer: u32,
-    /// Offset of this message's payload in the sender's region of the
-    /// payload arena, and of its pack list in the sender's `pack_idx`, in
-    /// width-1 doubles (multiply by `ncols` for SpMM). The next entry's
-    /// offset, or the region's length, ends it.
+    /// Offset of this message's pack list in the sender's region of
+    /// `pack_idx` — and of its payload in the sender's region of a
+    /// sender-major copy, in width-1 doubles (multiply by `ncols` for
+    /// SpMM). The next entry's offset, or the region's length, ends it.
     pub payload_off: u32,
 }
 
@@ -81,7 +79,7 @@ pub struct UnpackEntry {
     /// Slot in the source's pack list holding this message.
     pub slot: u32,
     /// The source's precomputed `payload_off` for that slot — so reading
-    /// a payload in place costs no lookup into the sender's plan.
+    /// the sender's pack list in place costs no lookup into its entries.
     pub payload_off: u32,
     /// Offset of this message's values in the receiver's receive lists.
     /// The next entry's offset, or the lists' length, ends it.
@@ -102,98 +100,98 @@ pub struct PhasePlan {
     /// Per-rank ranges into `pack` (`p + 1` offsets).
     pack_off: Vec<u32>,
     /// All ranks' unpack entries, concatenated in rank order.
-    unpack: Vec<UnpackEntry>,
+    pub(crate) unpack: Vec<UnpackEntry>,
     /// Per-rank ranges into `unpack` (`p + 1` offsets).
     unpack_off: Vec<u32>,
-    /// Per-rank regions of the phase's payload arena in width-1 doubles
-    /// (`p + 1` prefix sums of the ranks' send volumes).
+    /// Per-rank regions of `pack_idx` in width-1 values (`p + 1` prefix
+    /// sums of the ranks' send volumes).
     payload_base: Vec<u32>,
-    /// Where each width-1 arena slot is packed from. Expand: the sender's
-    /// x lid; fold: its stored row of `partials`.
+    /// Every rank's pack lists: what each sent value is read from.
+    /// Expand: the sender's x lid; fold: its stored row of partials.
     pack_idx: Vec<u32>,
     /// Per-rank ranges into `recv_dst` (`p + 1` offsets).
     recv_base: Vec<u32>,
     /// Per received value — sources ascending, payload order within a
     /// message — where it lands. Expand: the `xcols` lid; fold: the y lid.
     recv_dst: Vec<u32>,
-    /// Per-rank ranges into `reads` (`p + 1` offsets).
+    /// Per-rank ranges into `reads` (`p + 1` offsets; empty in the fold).
     pub(crate) reads_base: Vec<u32>,
-    /// The width-1 slot each read takes. Fold: per received value, its
-    /// arena slot. Expand: per column-map position, its x-window slot.
+    /// The expand's gather lists: per column-map position, the x-window
+    /// slot it reads. Empty in the fold.
     pub(crate) reads: Vec<u32>,
-    /// Whether reads name x-window slots (the expand), not arena slots.
-    windowed: bool,
+}
+
+/// A flat list's length as an offset.
+fn offset(len: usize) -> u32 {
+    u32::try_from(len).expect("a phase's volume fits u32")
+}
+
+/// Replaces list `r` of a flat array with `new`, shifting the later
+/// offsets of its `p + 1` table.
+fn splice<T>(flat: &mut Vec<T>, off: &mut [u32], r: usize, new: Vec<T>) {
+    let (lo, hi) = (off[r] as usize, off[r + 1] as usize);
+    let new_hi = lo + new.len();
+    flat.splice(lo..hi, new);
+    for o in &mut off[r + 1..] {
+        *o = offset(*o as usize - hi + new_hi);
+    }
 }
 
 impl PhasePlan {
     /// A plan over zero ranks, ready for [`push_rank`](PhasePlan::push_rank).
-    fn new(windowed: bool) -> PhasePlan {
+    fn new() -> PhasePlan {
         PhasePlan {
             owned_base: vec![0],
             pack_off: vec![0],
             unpack_off: vec![0],
             payload_base: vec![0],
             recv_base: vec![0],
-            reads_base: vec![0],
-            windowed,
             ..PhasePlan::default()
         }
     }
 
     /// Appends the next rank's raw lists: the owned pairs, the pack and
     /// the unpack lists concatenated onto `owned_idx`, `pack_idx` and
-    /// `recv_dst`. Where the received values are read from needs the
-    /// *sources'* regions and pack lists; [`link_rank`](PhasePlan::link_rank)
-    /// fills that in.
+    /// `recv_dst`. The unpack entries' payload offsets are the *sources'*;
+    /// [`link_rank`](PhasePlan::link_rank) fills them in.
     fn push_rank(
         &mut self,
         owned: &[u32],
         pack: &[(u32, Vec<u32>)],
         unpack: &[(u32, u32, Vec<u32>)],
     ) {
-        let end = |list: &[u32]| u32::try_from(list.len()).expect("a phase's volume fits u32");
         self.owned_idx.extend_from_slice(owned);
-        self.owned_base.push(end(&self.owned_idx));
-        let base = end(&self.pack_idx);
+        self.owned_base.push(offset(self.owned_idx.len()));
+        let base = offset(self.pack_idx.len());
         for (peer, lids) in pack {
             self.pack.push(PackEntry {
                 peer: *peer,
-                payload_off: end(&self.pack_idx) - base,
+                payload_off: offset(self.pack_idx.len()) - base,
             });
             self.pack_idx.extend_from_slice(lids);
         }
-        self.pack_off.push(self.pack.len() as u32);
-        self.payload_base.push(end(&self.pack_idx));
-        let base = end(&self.recv_dst);
+        self.pack_off.push(offset(self.pack.len()));
+        self.payload_base.push(offset(self.pack_idx.len()));
+        let base = offset(self.recv_dst.len());
         for (src, slot, lids) in unpack {
             self.unpack.push(UnpackEntry {
                 src: *src,
                 slot: *slot,
                 payload_off: 0,
-                start: end(&self.recv_dst) - base,
+                start: offset(self.recv_dst.len()) - base,
             });
             self.recv_dst.extend_from_slice(lids);
         }
-        self.unpack_off.push(self.unpack.len() as u32);
-        self.recv_base.push(end(&self.recv_dst));
-        // The expand reads its whole column map, owned and received columns.
-        let owned_reads = if self.windowed { owned.len() / 2 } else { 0 };
-        let reads = self.reads.len() + owned_reads + self.recv_dst.len() - base as usize;
-        self.reads.resize(reads, 0);
-        self.reads_base.push(end(&self.reads));
+        self.unpack_off.push(offset(self.unpack.len()));
+        self.recv_base.push(offset(self.recv_dst.len()));
     }
 
-    /// Points rank `d`'s unpack entries and reads at their sources: arena
-    /// slots, or window slots `local_base(src) + lid` from the pack lists.
+    /// Points rank `d`'s unpack entries at their senders' pack entries.
     /// An entry whose source `reslot` names also gets its slot looked up
     /// again (pack lists are peer-ascending): that pack list was rewritten.
-    fn link_rank(&mut self, d: usize, reslot: impl Fn(u32) -> bool, vmap: &VectorMap) {
-        let recv = self.recv_base[d] as usize..self.recv_base[d + 1] as usize;
+    fn link_rank(&mut self, d: usize, reslot: impl Fn(u32) -> bool) {
         let range = self.unpack_off[d] as usize..self.unpack_off[d + 1] as usize;
-        let r0 = self.reads_base[d] as usize;
-        // Backwards: a message's values end where the next one's start.
-        let mut end = recv.len();
-        for e in self.unpack[range].iter_mut().rev() {
+        for e in &mut self.unpack[range] {
             let src = e.src as usize;
             let packs = &self.pack[self.pack_off[src] as usize..self.pack_off[src + 1] as usize];
             if reslot(e.src) {
@@ -203,60 +201,47 @@ impl PhasePlan {
                     as u32;
             }
             e.payload_off = packs[e.slot as usize].payload_off;
-            let from = self.payload_base[src] + e.payload_off;
-            if self.windowed {
-                let base = vmap.local_base(src) as u32;
-                let dst = &self.recv_dst[recv.start + e.start as usize..recv.start + end];
-                for (&lid, &there) in dst.iter().zip(&self.pack_idx[from as usize..]) {
-                    self.reads[r0 + lid as usize] = base + there;
-                }
-            } else {
-                let reads = &mut self.reads[r0 + e.start as usize..r0 + end];
-                for (s, slot) in reads.iter_mut().zip(from..) {
-                    *s = slot;
-                }
-            }
-            end = e.start as usize;
         }
-        if self.windowed {
-            let base = vmap.local_base(d) as u32;
-            let owned = self.owned_base[d] as usize..self.owned_base[d + 1] as usize;
-            for pair in self.owned_idx[owned].chunks_exact(2) {
-                self.reads[r0 + pair[1] as usize] = base + pair[0];
+    }
+
+    /// Fills rank `d`'s gather list (the expand's, once linked): slot
+    /// `local_base(src) + lid` with `lid` out of the sender's pack list for
+    /// a received column, `local_base(d) + lid` out of an owned pair.
+    fn link_gather(&mut self, d: usize, vmap: &VectorMap) {
+        let mut reads = std::mem::take(&mut self.reads);
+        let gather = &mut reads[self.reads_base[d] as usize..self.reads_base[d + 1] as usize];
+        let plan = self.rank(d);
+        for (src, _, off, lids) in plan.unpacks() {
+            let base = vmap.local_base(src as usize) as u32;
+            for (&lid, &there) in lids.iter().zip(self.sent(src, off, lids.len())) {
+                gather[lid as usize] = base + there;
             }
         }
+        let base = vmap.local_base(d) as u32;
+        for (there, lid) in plan.owned_pairs() {
+            gather[lid as usize] = base + there;
+        }
+        self.reads = reads;
     }
 
     /// Replaces rank `r`'s schedule by its freshly lowered raw lists,
     /// splicing the flat arrays and shifting the offset tables. Unpack
-    /// entries of `r` and of every rank reading `r`'s region must be
-    /// [linked](PhasePlan::link_rank) afterwards — in the fold, every rank
-    /// when the region changed length (returned): all later ones moved.
+    /// entries of `r` and of every rank reading `r`'s pack lists must be
+    /// [linked](PhasePlan::link_rank) afterwards.
     fn replace_rank(
         &mut self,
         r: usize,
         owned: &[u32],
         pack: &[(u32, Vec<u32>)],
         unpack: &[(u32, u32, Vec<u32>)],
-    ) -> bool {
-        fn splice<T>(flat: &mut Vec<T>, off: &mut [u32], r: usize, new: Vec<T>) {
-            let (lo, hi) = (off[r] as usize, off[r + 1] as usize);
-            let new_hi = lo + new.len();
-            flat.splice(lo..hi, new);
-            for o in &mut off[r + 1..] {
-                *o = u32::try_from(*o as usize - hi + new_hi).expect("a phase's volume fits u32");
-            }
-        }
-        let mut one = PhasePlan::new(self.windowed);
+    ) {
+        let mut one = PhasePlan::new();
         one.push_rank(owned, pack, unpack);
-        let moved = one.pack_idx.len() != self.payload_doubles(r);
         splice(&mut self.owned_idx, &mut self.owned_base, r, one.owned_idx);
         splice(&mut self.pack, &mut self.pack_off, r, one.pack);
         splice(&mut self.unpack, &mut self.unpack_off, r, one.unpack);
         splice(&mut self.pack_idx, &mut self.payload_base, r, one.pack_idx);
         splice(&mut self.recv_dst, &mut self.recv_base, r, one.recv_dst);
-        splice(&mut self.reads, &mut self.reads_base, r, one.reads);
-        moved
     }
 
     /// Number of ranks.
@@ -276,9 +261,9 @@ impl PhasePlan {
         &self.unpack[self.unpack_off[r] as usize..self.unpack_off[r + 1] as usize]
     }
 
-    /// Rank `r`'s region of the phase's payload arena, in width-1
-    /// doubles. The regions tile `0..payload_range(p - 1).end` in rank
-    /// order.
+    /// Rank `r`'s region of `pack_idx` — and of a sender-major copy of
+    /// the phase's payloads — in width-1 values. The regions tile
+    /// `0..payload_range(p - 1).end` in rank order.
     #[inline]
     pub fn payload_range(&self, r: usize) -> Range<usize> {
         self.payload_base[r] as usize..self.payload_base[r + 1] as usize
@@ -290,30 +275,36 @@ impl PhasePlan {
         self.payload_range(r).len()
     }
 
-    /// Length of the whole phase's payload arena in width-1 doubles.
+    /// The whole phase's send volume in width-1 doubles: the length of
+    /// its sender-major copy.
     #[inline]
     pub fn arena_doubles(&self) -> usize {
         self.pack_idx.len()
     }
 
-    /// Where rank `r` packs its region from, slot by slot: its pack
-    /// lists concatenated in message order.
+    /// Where rank `r`'s sent values are read from, value by value: its
+    /// pack lists concatenated in message order.
     #[inline]
     pub fn pack_indices(&self, r: usize) -> &[u32] {
         &self.pack_idx[self.payload_range(r)]
     }
 
-    /// Rank `r`'s received values as `(dst, src)` lists: the local
-    /// position each lands in and the width-1 arena slot it is read from,
-    /// sources ascending, payload order within a message (the fold's).
+    /// What an unpack entry `(src, _, off, lids)` reads: the `n =
+    /// lids.len()` indices of `src`'s pack lists from its offset `off`.
     #[inline]
-    pub fn received(&self, r: usize) -> (&[u32], &[u32]) {
-        let range = self.recv_base[r] as usize..self.recv_base[r + 1] as usize;
-        (&self.recv_dst[range], self.gather(r))
+    pub fn sent(&self, src: u32, off: u32, n: usize) -> &[u32] {
+        &self.pack_indices(src as usize)[off as usize..][..n]
     }
 
-    /// Rank `r`'s reads; in the expand, its gather list: per column-map
-    /// position the width-1 x-window slot it reads, `local_base(owner) + lid`.
+    /// Where rank `r`'s received values land, sources ascending, payload
+    /// order within a message.
+    #[inline]
+    pub fn received(&self, r: usize) -> &[u32] {
+        &self.recv_dst[self.recv_base[r] as usize..self.recv_base[r + 1] as usize]
+    }
+
+    /// Rank `r`'s gather list (the expand's): per column-map position the
+    /// width-1 x-window slot it reads, `local_base(owner) + lid`.
     #[inline]
     pub fn gather(&self, r: usize) -> &[u32] {
         &self.reads[self.reads_base[r] as usize..self.reads_base[r + 1] as usize]
@@ -380,11 +371,12 @@ impl<'a> RankPlan<'a> {
     }
 
     /// Incoming messages as `(src, slot, payload_off, lids)` — the
-    /// payload offset is the *sender's*, into its region of the arena.
+    /// payload offset is the *sender's*, into its pack lists
+    /// ([`PhasePlan::sent`]).
     #[inline]
     pub fn unpacks(self) -> impl Iterator<Item = (u32, u32, u32, &'a [u32])> + 'a {
         let unpack = self.phase.unpack_entries(self.r);
-        let dst = self.phase.received(self.r).0;
+        let dst = self.phase.received(self.r);
         (0..unpack.len()).map(move |k| {
             let e = &unpack[k];
             let end = unpack.get(k + 1).map_or(dst.len(), |n| n.start as usize);
@@ -565,18 +557,24 @@ impl CompiledSpmv {
             *slot = lower_rank(r, vmap, &blocks[r], import, export);
         });
 
-        // Stage 2 — serial: append to the flat plan in rank order.
-        let mut expand = PhasePlan::new(true);
-        let mut fold = PhasePlan::new(false);
-        for rr in &raw {
+        // Stage 2 — serial: append to the flat plan in rank order, with
+        // one expand gather slot per column-map position, then point every
+        // unpack entry and gather list at the senders' pack lists.
+        let mut expand = PhasePlan::new();
+        let mut fold = PhasePlan::new();
+        expand.reads_base.push(0);
+        for (rr, block) in raw.iter().zip(blocks) {
             expand.push_rank(&rr.e_owned, &rr.e_pack, &rr.e_unpack);
-        }
-        for rr in &raw {
             fold.push_rank(&rr.f_owned, &rr.f_pack, &rr.f_unpack);
+            expand
+                .reads
+                .resize(expand.reads.len() + block.colmap.len(), 0);
+            expand.reads_base.push(offset(expand.reads.len()));
         }
         for d in 0..p {
-            expand.link_rank(d, |_| false, vmap);
-            fold.link_rank(d, |_| false, vmap);
+            expand.link_rank(d, |_| false);
+            expand.link_gather(d, vmap);
+            fold.link_rank(d, |_| false);
         }
 
         // The per-phase cost vectors change only when a delta touches
@@ -604,10 +602,10 @@ impl CompiledSpmv {
     /// count changed.
     ///
     /// Each `relower` rank is lowered again by the same `lower_rank` and
-    /// spliced in; the ranks reading a rewritten region only have their
-    /// slots, payload offsets and reads refreshed — every rank's fold when
-    /// a fold region changed length, since all later ones moved (O(volume)
-    /// `u32` stores); window slots never move.
+    /// spliced in; the ranks reading a re-lowered rank only have their
+    /// slots, payload offsets and gather entries refreshed. Payload
+    /// offsets are relative to the sender's region, so no other rank's
+    /// links move.
     pub(crate) fn patch(
         &mut self,
         vmap: &VectorMap,
@@ -624,36 +622,35 @@ impl CompiledSpmv {
             return;
         }
         let mut relowered = vec![false; blocks.len()];
-        let mut moved = false;
         for &r in relower {
             let rr = lower_rank(r, vmap, &blocks[r], import, export);
-            self.expand
-                .replace_rank(r, &rr.e_owned, &rr.e_pack, &rr.e_unpack);
-            moved |= self
-                .fold
+            let expand = &mut self.expand;
+            expand.replace_rank(r, &rr.e_owned, &rr.e_pack, &rr.e_unpack);
+            let gather = vec![0; blocks[r].colmap.len()];
+            splice(&mut expand.reads, &mut expand.reads_base, r, gather);
+            self.fold
                 .replace_rank(r, &rr.f_owned, &rr.f_pack, &rr.f_unpack);
             self.expand_costs[r] = import.rank_phase_cost(r);
             self.fold_costs[r] = export.rank_phase_cost(r);
             self.sum_costs[r] = PhaseCost::compute(rr.sum_flops);
             relowered[r] = true;
         }
-        for (phase, moved) in [(&mut self.expand, false), (&mut self.fold, moved)] {
-            // A fresh rank has its payload offsets unset; a reader of a
-            // fresh rank's region has stale offsets and slots; and when
-            // fold regions moved, so did what every rank reads there.
-            let stale: Vec<usize> = if moved {
-                (0..blocks.len()).collect()
-            } else {
-                let readers = relower.iter().flat_map(|&s| phase.pack_entries(s));
-                let readers = readers.map(|m| m.peer as usize);
-                let mut stale: Vec<usize> = readers.chain(relower.iter().copied()).collect();
-                stale.sort_unstable();
-                stale.dedup();
-                stale
-            };
-            for d in stale {
-                phase.link_rank(d, |src| relowered[src as usize], vmap);
+        // A fresh rank has its payload offsets unset; a reader of a fresh
+        // rank has stale offsets, slots and gather entries.
+        let reslot = |src: u32| relowered[src as usize];
+        let stale = |phase: &PhasePlan| {
+            let mut stale = relowered.clone();
+            for m in relower.iter().flat_map(|&s| phase.pack_entries(s)) {
+                stale[m.peer as usize] = true;
             }
+            (0..stale.len()).filter(move |&d| stale[d])
+        };
+        for d in stale(&self.fold) {
+            self.fold.link_rank(d, reslot);
+        }
+        for d in stale(&self.expand) {
+            self.expand.link_rank(d, reslot);
+            self.expand.link_gather(d, vmap);
         }
     }
 
@@ -679,8 +676,10 @@ impl CompiledSpmv {
     pub fn plan_bytes(&self) -> u64 {
         use std::mem::size_of;
         let phase = |pl: &PhasePlan| -> u64 {
-            // Six `p + 1` offset tables and the owned, pack, receive and read lists.
-            let words = 6 * (pl.nranks() + 1)
+            // Five `p + 1` offset tables, the gather lists' (the expand's
+            // only), and the owned, pack, receive and gather lists.
+            let words = 5 * (pl.nranks() + 1)
+                + pl.reads_base.len()
                 + pl.owned_idx.len()
                 + pl.pack_idx.len()
                 + pl.recv_dst.len()
@@ -695,36 +694,31 @@ impl CompiledSpmv {
     }
 }
 
-/// Doubles of `(xcols, partials)` scratch rank `block` needs at SpMM
-/// width `width`: one column chunk of `xcols`, every column of
-/// `partials`. The wave planner's footprint and the executor's carving
-/// of the arena both come from here.
-pub(crate) fn scratch_split(block: &RankBlock, width: usize) -> (usize, usize) {
-    (
-        width.min(SPMM_CHUNK) * block.colmap.len(),
-        width * block.rowmap.len(),
-    )
+/// Doubles of `xcols` scratch rank `block` needs at SpMM width `width`:
+/// one column chunk. The wave planner's footprint and the executor's
+/// carving of the arena both come from here.
+pub(crate) fn xcols_len(block: &RankBlock, width: usize) -> usize {
+    width.min(SPMM_CHUNK) * block.colmap.len()
 }
 
 /// Reusable scratch space for [`spmv`](crate::spmv::spmv) /
-/// [`spmm`](crate::spmv::spmm): one arena for the per-rank `xcols` /
-/// `partials` scratch (one column chunk of `xcols`, every column of
-/// `partials` — `scratch_split`), the x window and the fold's flat `f64`
-/// payload arena ([`PhasePlan::payload_range`]).
+/// [`spmm`](crate::spmv::spmm): one arena for the per-rank `xcols`
+/// scratch (one column chunk each — `xcols_len`), the x window and the
+/// partials buffer.
 ///
 /// A workspace is not tied to a matrix — buffers are (re)sized on first
 /// use with each matrix — so one workspace can serve a whole solve. The
-/// `threads` knob selects how many OS threads the phase-local work (pack,
-/// local SpMV, unpack, scatter-add) fans out across; any value produces
-/// bit-identical results because ranks only ever touch disjoint slices.
+/// `threads` knob selects how many OS threads the phase-local work (window
+/// copy, gather, local SpMV, sum) fans out across; any value produces
+/// bit-identical results because ranks only ever write disjoint slices.
 ///
 /// With a **live-memory budget** ([`SpmvWorkspace::with_budget`]), the
-/// unpack/compute/fold work executes in contiguous rank *waves* planned by
+/// gather/compute work executes in contiguous rank *waves* planned by
 /// [`sf2d_sim::wave::plan_waves`]: the scratch arena holds only the
-/// largest wave instead of all `p` ranks, and results (ledger included)
-/// stay byte-identical because each rank's work reads only state frozen
-/// before its phase. The window and the fold arena stay resident either
-/// way — they are the simulated network, read in place across waves.
+/// largest wave's `xcols` instead of all `p` ranks', and results (ledger
+/// included) stay byte-identical because each rank's work reads only state
+/// frozen before its phase. The window and the partials buffer stay
+/// resident either way — they are the simulated network, read in place.
 #[derive(Debug, Clone)]
 pub struct SpmvWorkspace {
     /// Number of OS threads for phase-local work (1 = fully sequential).
@@ -732,7 +726,7 @@ pub struct SpmvWorkspace {
     /// Live-memory budget in bytes for the scratch arena, or `None` for
     /// all-resident execution (a single wave).
     budget: Option<u64>,
-    /// The reusable xcols/partials arena, sized for the largest wave.
+    /// The reusable xcols arena, sized for the largest wave.
     pub(crate) scratch: Vec<f64>,
     /// The per-rank costs of the superstep being charged, widened to the
     /// product's width (unused at width 1, where the compiled costs are
@@ -741,9 +735,14 @@ pub struct SpmvWorkspace {
     /// The x window, at least `n · width` long: rank `r`'s entry `lid` at
     /// `(local_base(r) + lid) · width`, its `width` values adjacent.
     pub(crate) window: Vec<f64>,
-    /// Every rank's fold-phase send payloads, at least
-    /// `fold.arena_doubles() · width` long, laid out by the plan.
-    pub(crate) fold_arena: Vec<f64>,
+    /// Every rank's partials, at least `part_base[p] · width` long: rank
+    /// `r`'s stored row `s`, column `c` at `part_base[r] · width + c ·
+    /// |rowmap| + s` — rank-major, column-major within a rank, as
+    /// `RankBlock::multiply` writes them.
+    pub(crate) partials: Vec<f64>,
+    /// Per-rank offsets into `partials` in width-1 rows (`p + 1` prefix
+    /// sums of the blocks' row-map lengths).
+    pub(crate) part_base: Vec<usize>,
     /// Per-rank scratch footprints in bytes that `waves` was planned
     /// from; empty when a new budget has yet to be planned for.
     per_rank: Vec<u64>,
@@ -766,17 +765,19 @@ impl SpmvWorkspace {
             scratch: Vec::new(),
             widened: Vec::new(),
             window: Vec::new(),
-            fold_arena: Vec::new(),
+            partials: Vec::new(),
+            part_base: Vec::new(),
             per_rank: Vec::new(),
             waves: Vec::new(),
         }
     }
 
     /// Caps the live scratch arena at `bytes`: per-rank work then runs in
-    /// rank waves whose combined `xcols` + `partials` footprint fits (a
-    /// single rank larger than the budget still gets a wave of its own —
-    /// best effort, never failure). Results are byte-identical to the
-    /// unbudgeted workspace.
+    /// rank waves whose combined `xcols` footprint fits (a single rank
+    /// larger than the budget still gets a wave of its own — best effort,
+    /// never failure). The window and the partials buffer are not
+    /// scratch: a budget does not bound them. Results are byte-identical
+    /// to the unbudgeted workspace.
     pub fn with_budget(mut self, bytes: u64) -> SpmvWorkspace {
         self.set_budget(Some(bytes));
         self
@@ -800,8 +801,9 @@ impl SpmvWorkspace {
         self.waves.len()
     }
 
-    /// Current scratch-arena footprint in bytes — with a budget, the
-    /// largest wave's footprint rather than the whole matrix's.
+    /// Current `xcols` scratch-arena footprint in bytes — with a budget,
+    /// the largest wave's footprint rather than the whole matrix's. The
+    /// window and the partials buffer are not counted.
     pub fn scratch_bytes(&self) -> u64 {
         (self.scratch.len() * std::mem::size_of::<f64>()) as u64
     }
@@ -815,35 +817,35 @@ impl SpmvWorkspace {
         // plan again only when one of them moved.
         let mut moved = self.per_rank.len() != blocks.len();
         self.per_rank.resize(blocks.len(), 0);
+        self.part_base.clear();
+        self.part_base.push(0);
+        let mut rows = 0;
         for (have, block) in self.per_rank.iter_mut().zip(blocks) {
-            let (xcols, partials) = scratch_split(block, width);
-            let need = 8 * (xcols + partials) as u64;
+            let need = 8 * xcols_len(block, width) as u64;
             moved |= *have != need;
             *have = need;
+            rows += block.rowmap.len();
+            self.part_base.push(rows);
         }
         if moved {
             self.waves = sf2d_sim::wave::plan_waves(&self.per_rank, self.budget);
         }
         let need = sf2d_sim::wave::max_wave_bytes(&self.per_rank, &self.waves) as usize / 8;
-        if self.scratch.len() < need {
-            // Nothing in the arena outlives a product, so it grows by
-            // replacement: `resize` would copy the dead contents into a
-            // doubled allocation and hold both while it does.
-            self.scratch = Vec::new();
-            self.scratch = vec![0.0; need];
-        }
-        for (arena, need) in [
-            (&mut self.window, a.vmap.local_base(blocks.len())),
-            (&mut self.fold_arena, a.compiled.fold.arena_doubles()),
-        ] {
-            // Grown exactly and never shrunk: a patched plan's payload
-            // grows a value at a time, and an engine's batch widths cycle.
-            let need = need * width;
-            if arena.len() < need {
-                arena.reserve_exact(need - arena.len());
-                arena.resize(need, 0.0);
-            }
-        }
+        grow(&mut self.scratch, need);
+        grow(&mut self.window, a.vmap.local_base(blocks.len()) * width);
+        grow(&mut self.partials, rows * width);
+    }
+}
+
+/// Grows `buf` to at least `need` values, exactly and by replacement:
+/// nothing in it outlives a product, and `resize` would copy the dead
+/// contents into a doubled allocation and hold both while it does. Never
+/// shrunk: a patched block grows a row at a time, and an engine's batch
+/// widths cycle.
+fn grow(buf: &mut Vec<f64>, need: usize) {
+    if buf.len() < need {
+        *buf = Vec::new();
+        *buf = vec![0.0; need];
     }
 }
 
@@ -965,23 +967,24 @@ mod tests {
         assert_eq!(ws.threads, 1);
         assert_eq!(ws.wave_count(), 0);
         ws.ensure(&dm, 1);
-        // Unbudgeted: one wave, scratch holds every rank's xcols+partials.
+        // Unbudgeted: one wave, scratch holds every rank's xcols; the
+        // partials buffer every rank's partials.
         assert_eq!(ws.wave_count(), 1);
-        let want: usize = dm
-            .blocks
-            .iter()
-            .map(|b| b.colmap.len() + b.rowmap.len())
-            .sum();
+        let want: usize = dm.blocks.iter().map(|b| b.colmap.len()).sum();
+        let rows: usize = dm.blocks.iter().map(|b| b.rowmap.len()).sum();
         assert_eq!(ws.scratch.len(), want);
         assert_eq!(ws.window.len(), dm.n);
-        assert_eq!(ws.fold_arena.len(), dm.export.total_volume());
+        assert_eq!(ws.partials.len(), rows);
+        assert_eq!(ws.part_base.len(), dm.nprocs() + 1);
+        assert_eq!(ws.part_base[dm.nprocs()], rows);
         // Re-ensuring with the same matrix is a no-op resize, and a
-        // narrower product after a wider one keeps the arenas.
+        // narrower product after a wider one keeps the buffers.
         ws.ensure(&dm, 1);
         assert_eq!(ws.scratch.len(), want);
         ws.ensure(&dm, 3);
         ws.ensure(&dm, 1);
         assert_eq!(ws.window.len(), 3 * dm.n);
+        assert_eq!(ws.partials.len(), 3 * rows);
         assert_eq!(ws.wave_count(), 1);
         assert_eq!(SpmvWorkspace::with_threads(0).threads, 1);
     }

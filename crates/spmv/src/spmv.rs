@@ -14,17 +14,20 @@
 //! Execution runs on the **compiled** local-index schedules built at
 //! matrix construction ([`CompiledSpmv`](crate::compiled::CompiledSpmv)):
 //! no gid resolution happens per iteration, and both exchanges read
-//! values in place (zero-copy transport, nothing paid per *message*: at
-//! large p on a 1D layout nearly every message carries one value). The
-//! expand copies every rank's owned x entries once into the workspace's
-//! **x window** ([`VectorMap::local_base`]) and fills a rank's `xcols`
-//! with one gather, `xcols[lid] = window[gather[lid]]`, through a list
-//! linked from the senders' pack lists. The fold packs partials into a
-//! flat arena (`arena[i] = partials[pack_idx[i]]`) that owners read at
-//! `arena[reads[k]]`. Per product the executor allocates only the
-//! vectors of per-rank window slices and, per wave, scratch views. The
-//! per-rank phase work can fan out across OS threads (the workspace's
-//! `threads` knob) bit-identically: ranks touch disjoint slices.
+//! values where the sender left them (zero-copy transport, nothing paid
+//! per *message*: at large p on a 1D layout nearly every message carries
+//! one value). The expand copies every rank's owned x entries once into
+//! the workspace's **x window** ([`VectorMap::local_base`]) and fills a
+//! rank's `xcols` with one gather, `xcols[lid] = window[gather[lid]]`,
+//! through a list linked from the senders' pack lists. The fold reads the
+//! workspace's **partials buffer**, where the kernel wrote every rank's
+//! partials (rank-major, column-major within a rank): per unpack entry
+//! `(src, payload_off)` an owner adds the partial rows that `src`'s own
+//! pack list names from `payload_off` on. Per product the executor
+//! allocates only the vectors of window slices, per-wave scratch views
+//! and summing groups. The per-rank phase work can fan out across OS
+//! threads (the workspace's `threads` knob) bit-identically: ranks write
+//! disjoint slices.
 //!
 //! [`spmv`] and [`spmm`] share one executor: an SpMV is a width-1 SpMM
 //! (same schedules, same layouts, costs widened by
@@ -40,27 +43,28 @@
 //! contiguous copy out of the gid-major window), so indices, values and
 //! loop exits are read once per chunk rather than once per column, while
 //! `partials` stay column-major and phases 3–4 do not know. When the
-//! workspace carries a **live-memory budget**, the gather/compute/fold
-//! work runs in contiguous rank waves over one reusable scratch arena
+//! workspace carries a **live-memory budget**, the gather/compute work
+//! runs in contiguous rank waves over one reusable `xcols` arena
 //! ([`sf2d_sim::wave`]): a rank's phase work reads only cross-rank state
-//! frozen before the phase (the window written in phase 1, the fold
-//! arena read only in phase 4), so wave scheduling is invisible to both
-//! the results and the ledger. The original gid-based executors live on
-//! in [`reference`](crate::reference) as the oracle — they read every
-//! row through `RankBlock::row` and sum it with the plain serial loop —
-//! and the property tests in `tests/proptest_compiled.rs` pin this path
-//! to it bit-for-bit, ledger included.
+//! frozen before the phase (the window written in phase 1; the partials
+//! are read across ranks only in phase 4), so wave scheduling is
+//! invisible to both the results and the ledger. The original gid-based
+//! executors live on in [`reference`](crate::reference) as the oracle —
+//! they read every row through `RankBlock::row` and sum it with the plain
+//! serial loop — and the property tests in `tests/proptest_compiled.rs`
+//! pin this path to it bit-for-bit, ledger included.
 //!
 //! Fault injection is an argument of that executor, not a second one:
 //! [`spmv_chaos_with`] / [`spmm_chaos_with`] (and the no-workspace
 //! [`spmv_chaos`]) pass `run_phases` a [`ChaosRuntime`], and right after
-//! each exchange's superstep is charged its payloads are handed — send
-//! side from the pack entries, receive side from the unpack entries (the
-//! expand's packed out of the window and gathered through the gather
-//! lists) — to [`ChaosRuntime::mirror_exchange`], which clones them onto
-//! the fault-injecting wire, checks every healed delivery against what
-//! the receiving rank reads, and bills the extra traffic as a
-//! `Retransmit` superstep (none at rate 0, where the run is
+//! each exchange's superstep is charged its payloads are handed — the
+//! send side as a sender-major copy built through the pack lists, the
+//! receive side as what each rank's unpack entries read (the expand's
+//! through its gather list, the fold's through the sender's pack list at
+//! the entry's payload offset) — to [`ChaosRuntime::mirror_exchange`],
+//! which clones them onto the fault-injecting wire, checks every healed
+//! delivery against what the receiving rank reads, and bills the extra
+//! traffic as a `Retransmit` superstep (none at rate 0, where the run is
 //! byte-identical, ledger included). Only the ledger can differ. Chaos
 //! superstep indices for [`FaultScript`](sf2d_sim::fault) targeting: the
 //! k-th chaos-routed product routes its expand exchange at step `2k` and
@@ -74,7 +78,7 @@ use sf2d_sim::cost::{CostLedger, Phase, PhaseCost};
 use sf2d_sim::fault::{ChaosRuntime, PeerPayloads};
 use sf2d_sim::runtime::par_ranks;
 
-use crate::compiled::{scratch_split, PhasePlan, RankPlan, SpmvWorkspace};
+use crate::compiled::{xcols_len, PhasePlan, SpmvWorkspace};
 use crate::distmat::{DistCsrMatrix, SPMM_CHUNK};
 use crate::map::VectorMap;
 use crate::multivec::{DistMultiVector, DistVector};
@@ -142,21 +146,18 @@ impl ColumnAccess for DistMultiVector {
 struct SpanNames {
     pack: &'static str,
     compute: &'static str,
-    fold_pack: &'static str,
     sum: &'static str,
 }
 
 const SPMV_SPANS: SpanNames = SpanNames {
     pack: "spmv:expand-pack",
     compute: "spmv:unpack-compute",
-    fold_pack: "spmv:fold-pack",
     sum: "spmv:sum-unpack",
 };
 
 const SPMM_SPANS: SpanNames = SpanNames {
     pack: "spmm:expand-pack",
     compute: "spmm:unpack-compute",
-    fold_pack: "spmm:fold-pack",
     sum: "spmm:sum-unpack",
 };
 
@@ -271,39 +272,54 @@ pub fn spmm_chaos_with(
     run_phases(a, x, &mut y.locals, ledger, ws, &SPMM_SPANS, Some(rt));
 }
 
-/// One phase's payloads as [`ChaosRuntime::mirror_exchange`] takes them,
-/// out of buffers laid out like its arena: per source rank the
-/// `(dst, payload)` slices its pack entries wrote into `sent`, per
-/// destination rank the `(src, payload)` slices its unpack entries read
-/// from `got` (the owner's region plus `payload_off`).
-fn payload_views<'a>(
-    m: usize,
-    sent: &'a [f64],
-    got: &'a [f64],
-    phase: &'a PhasePlan,
-    rank_plan: impl Fn(usize) -> RankPlan<'a>,
-) -> (Vec<PeerPayloads<'a>>, Vec<PeerPayloads<'a>>) {
-    let payload = |arena: &'a [f64], owner: usize, off: u32, n: usize| {
-        let at = (phase.payload_range(owner).start + off as usize) * m;
-        &arena[at..at + n * m]
-    };
-    let sends = (0..phase.nranks())
+/// Hands one exchange to [`ChaosRuntime::mirror_exchange`], built only
+/// under chaos: the sends as a sender-major copy, value by value through
+/// each rank's pack lists (`send(r, i, out)` appends the `m` values of
+/// rank `r`'s index `i`), and the receive views as what each rank's unpack
+/// entries read, value by value (`recv(d, src, lid, i, out)`: the value
+/// landing at `lid`, which the entry names as `src`'s index `i`).
+fn mirror(
+    (rt, ledger): (&mut ChaosRuntime, &mut CostLedger),
+    (what, phase, m): (&str, &PhasePlan, usize),
+    send: impl Fn(usize, u32, &mut Vec<f64>),
+    recv: impl Fn(usize, u32, u32, u32, &mut Vec<f64>),
+) {
+    let p = phase.nranks();
+    let (mut sent, mut got) = (Vec::new(), Vec::new());
+    for r in 0..p {
+        for &i in phase.pack_indices(r) {
+            send(r, i, &mut sent);
+        }
+        for (src, _, off, lids) in phase.rank(r).unpacks() {
+            for (&lid, &i) in lids.iter().zip(phase.sent(src, off, lids.len())) {
+                recv(r, src, lid, i, &mut got);
+            }
+        }
+    }
+    // Both copies are message after message: cut them in that order.
+    fn cut<'a>(buf: &mut &'a [f64], n: usize) -> &'a [f64] {
+        let (head, tail) = buf.split_at(n);
+        *buf = tail;
+        head
+    }
+    let (mut sent, mut got) = (&sent[..], &got[..]);
+    let sends: Vec<PeerPayloads> = (0..p)
         .map(|r| {
-            rank_plan(r)
-                .packs()
-                .map(|(dst, lids, off)| (dst, payload(sent, r, off, lids.len())))
+            let packs = phase.rank(r).packs();
+            packs
+                .map(|(dst, lids, _)| (dst, cut(&mut sent, lids.len() * m)))
                 .collect()
         })
         .collect();
-    let views = (0..phase.nranks())
+    let views: Vec<PeerPayloads> = (0..p)
         .map(|r| {
-            rank_plan(r)
-                .unpacks()
-                .map(|(src, _, off, lids)| (src, payload(got, src as usize, off, lids.len())))
+            let unpacks = phase.rank(r).unpacks();
+            unpacks
+                .map(|(src, _, _, lids)| (src, cut(&mut got, lids.len() * m)))
                 .collect()
         })
         .collect();
-    (sends, views)
+    rt.mirror_exchange(ledger, what, &sends, Some(&views));
 }
 
 /// Charges one superstep of a width-`m` product: the compiled per-rank
@@ -325,20 +341,14 @@ fn charge(
     }
 }
 
-/// Packs one rank's region of a payload arena or of the x window: slot
-/// `k` takes the `m` values of the `k`-th index, adjacent (gid-major),
-/// out of the column-major `cols` (`cols[c·n + i]`).
-fn pack(region: &mut [f64], idx: impl IntoIterator<Item = usize>, cols: &[f64], m: usize) {
-    if m == 1 {
-        for (out, i) in region.iter_mut().zip(idx) {
-            *out = cols[i];
-        }
-        return;
-    }
+/// Copies one rank's owned x entries into its region of the x window at
+/// width `m`: slot `k` takes the `m` values of entry `k`, adjacent
+/// (gid-major), out of the column-major `cols` (`cols[c·n + k]`).
+fn transpose(region: &mut [f64], cols: &[f64], m: usize) {
     let n = cols.len() / m;
-    for (vals, i) in region.chunks_exact_mut(m).zip(idx) {
+    for (k, vals) in region.chunks_exact_mut(m).enumerate() {
         for (c, out) in vals.iter_mut().enumerate() {
-            *out = cols[c * n + i];
+            *out = cols[c * n + k];
         }
     }
 }
@@ -346,7 +356,7 @@ fn pack(region: &mut [f64], idx: impl IntoIterator<Item = usize>, cols: &[f64], 
 /// The shared 4-phase executor at SpMM width `x.ncols()` (1 = SpMV).
 ///
 /// `y_locals[r]` holds rank `r`'s output, column-major (`yl[c·nl + lid]`).
-/// Phases 2–3 run wave-by-wave over the workspace's scratch arena; the
+/// Phase 2 runs wave-by-wave over the workspace's scratch arena; the
 /// ledger charges the four canonical supersteps in order regardless of
 /// the wave count, so budgeted and all-resident runs have byte-identical
 /// histories. With a chaos runtime, the expand and fold payloads are
@@ -369,7 +379,8 @@ fn run_phases<X: ColumnAccess>(
         scratch,
         widened,
         window,
-        fold_arena,
+        partials,
+        part_base,
         waves,
         ..
     } = ws;
@@ -377,7 +388,7 @@ fn run_phases<X: ColumnAccess>(
     let (compiled, vmap) = (&a.compiled, &a.vmap);
     let (expand, fold) = (&compiled.expand, &compiled.fold);
     let window = &mut window[..vmap.n() * m];
-    let fold_arena = &mut fold_arena[..fold.arena_doubles() * m];
+    let partials = &mut partials[..part_base[expand.nranks()] * m];
 
     // Phase 1 — expand: every rank copies its owned x entries, gid-major,
     // into its slice of the x window. Transport is zero-copy: a reader
@@ -392,66 +403,47 @@ fn run_phases<X: ColumnAccess>(
         }
         par_ranks(threads, &mut regions, |r, region| match m {
             1 => region.copy_from_slice(x.local(r)),
-            _ => pack(region, 0..vmap.nlocal(r), x.local(r), m),
+            _ => transpose(region, x.local(r), m),
         })
     });
     note_gather();
     charge(ledger, Phase::Expand, &compiled.expand_costs, m, widened);
     let window = &*window;
+    let slot = |s: usize| &window[s * m..][..m];
     if let Some(rt) = chaos.as_deref_mut() {
-        // Sends packed out of the window by the pack lists; receive views
-        // gathered through the gather lists, as the kernel reads them.
-        let slot = |s: usize| &window[s * m..][..m];
-        let mut sent = Vec::with_capacity(expand.arena_doubles() * m);
-        let mut got = vec![0.0; expand.arena_doubles() * m];
-        for r in 0..expand.nranks() {
-            for &i in expand.pack_indices(r) {
-                sent.extend_from_slice(slot(vmap.local_base(r) + i as usize));
-            }
-            let gather = expand.gather(r);
-            for (src, _, off, lids) in expand.rank(r).unpacks() {
-                let at = (expand.payload_range(src as usize).start + off as usize) * m;
-                for (view, &lid) in got[at..].chunks_exact_mut(m).zip(lids) {
-                    view.copy_from_slice(slot(gather[lid as usize] as usize));
-                }
-            }
-        }
-        let (sends, views) = payload_views(m, &sent, &got, expand, |r| expand.rank(r));
-        rt.mirror_exchange(ledger, "spmv expand", &sends, Some(&views));
+        let send = |r, i: u32, out: &mut Vec<f64>| {
+            out.extend_from_slice(slot(vmap.local_base(r) + i as usize))
+        };
+        let read = |d, _, lid: u32, _, out: &mut Vec<f64>| {
+            out.extend_from_slice(slot(expand.gather(d)[lid as usize] as usize))
+        };
+        mirror((rt, ledger), ("spmv expand", expand, m), send, read);
     }
 
-    // Phases 2–3, wave by wave: each wave carves per-rank (xcols,
-    // partials) views out of the shared scratch arena and the ranks'
-    // (contiguous) regions out of the fold arena, runs gather + local
-    // kernel, then fold-packs and folds owned rows while the partials
-    // are still live. Safe to interleave across waves because a rank's
-    // phase-2/3 work reads only its own views plus the window (written
-    // in phase 1); no zeroing is needed because the gather list covers
-    // every xcols position and the local kernel overwrites its whole
-    // output slice.
-    let mut fold_rest = &mut *fold_arena;
+    // Phase 2 — local compute, wave by wave: each wave carves per-rank
+    // xcols views out of the shared scratch arena and runs gather + local
+    // kernel into the rank's (contiguous) region of the partials buffer,
+    // which it indexes by stored row. Safe to interleave across waves
+    // because a rank's work reads only its own views plus the window
+    // (written in phase 1); no zeroing is needed because the gather list
+    // covers every xcols position and the kernel overwrites its whole
+    // output slice. A wider product goes chunk by chunk: xcols holds
+    // SPMM_CHUNK columns row-major, each lid's values one contiguous copy
+    // out of the gid-major window.
+    let mut part_rest = &mut *partials;
     for w in waves.iter() {
         let mut rest: &mut [f64] = scratch;
-        let mut views: Vec<(&mut [f64], &mut [f64], &mut [f64])> = Vec::with_capacity(w.len());
+        let mut views: Vec<(&mut [f64], &mut [f64])> = Vec::with_capacity(w.len());
         for r in w.clone() {
-            let (nx, np) = scratch_split(&a.blocks[r], m);
-            let (xc, r1) = rest.split_at_mut(nx);
-            let (pt, r2) = r1.split_at_mut(np);
-            rest = r2;
-            let (region, tail) =
-                std::mem::take(&mut fold_rest).split_at_mut(fold.payload_doubles(r) * m);
-            fold_rest = tail;
-            views.push((xc, pt, region));
+            let (xc, tail) = rest.split_at_mut(xcols_len(&a.blocks[r], m));
+            rest = tail;
+            let rows = (part_base[r + 1] - part_base[r]) * m;
+            let (pt, tail) = std::mem::take(&mut part_rest).split_at_mut(rows);
+            part_rest = tail;
+            views.push((xc, pt));
         }
-
-        // Phase 2 — local compute: gather xcols out of the window, one
-        // slot per column-map position, and run the block kernel into
-        // the partials view, which it indexes by stored row. A wider
-        // product goes chunk by chunk: xcols holds SPMM_CHUNK columns
-        // row-major, each lid's values one contiguous copy out of the
-        // gid-major window.
         trace_span!(PhaseKind::LocalCompute, spans.compute, {
-            par_ranks(threads, &mut views, |i, (xcols, partials, _)| {
+            par_ranks(threads, &mut views, |i, (xcols, partials)| {
                 let r = w.start + i;
                 let gather = expand.gather(r);
                 let block = &a.blocks[r];
@@ -472,31 +464,6 @@ fn run_phases<X: ColumnAccess>(
                 }
             })
         });
-
-        // Phase 3 — fold: ship contributed partials through the fold
-        // arena; owned rows sum locally (per y element: owned add
-        // first, then messages by ascending source in phase 4 — the
-        // reference executor's per-element order).
-        trace_span!(PhaseKind::Pack, spans.fold_pack, {
-            par_ranks(threads, &mut views, |i, (_, partials, region)| {
-                let idx = fold.pack_indices(w.start + i).iter();
-                pack(region, idx.map(|&i| i as usize), partials, m);
-            })
-        });
-        let views = &views;
-        par_ranks(threads, &mut y_locals[w.clone()], |i, yl| {
-            let r = w.start + i;
-            let plan = compiled.fold_rank(r);
-            let partials: &[f64] = &*views[i].1;
-            let rl = a.blocks[r].rowmap.len();
-            let nl = a.vmap.nlocal(r);
-            yl.fill(0.0);
-            for c in 0..m {
-                for (pi, lid) in plan.owned_pairs() {
-                    yl[c * nl + lid as usize] += partials[c * rl + pi as usize];
-                }
-            }
-        });
     }
     charge(
         ledger,
@@ -505,24 +472,54 @@ fn run_phases<X: ColumnAccess>(
         m,
         widened,
     );
+
+    // Phase 3 — fold: zero-copy, like the expand. An owner reads each
+    // partial it is sent in column `c` of its sender's partials, indexed
+    // by stored row, at the row the sender's pack list names.
     charge(ledger, Phase::Fold, &compiled.fold_costs, m, widened);
-    let fold_arena = &*fold_arena;
+    let partials = &*partials;
+    let column = |r: usize, c: usize| {
+        let rl = part_base[r + 1] - part_base[r];
+        &partials[part_base[r] * m + c * rl..][..rl]
+    };
+    let row = |r: usize, s: u32, out: &mut Vec<f64>| {
+        out.extend((0..m).map(|c| column(r, c)[s as usize]));
+    };
     if let Some(rt) = chaos {
-        let (sends, views) = payload_views(m, fold_arena, fold_arena, fold, |r| fold.rank(r));
-        rt.mirror_exchange(ledger, "spmv fold", &sends, Some(&views));
+        let read = |_, src: u32, _, i, out: &mut Vec<f64>| row(src as usize, i, out);
+        mirror((rt, ledger), ("spmv fold", fold, m), row, read);
     }
 
-    // Phase 4 — sum: add arriving partials in receive-list order
-    // (sources ascending — the same per-element order as the reference
-    // executor, which is what makes the result bit-identical).
+    // Phase 4 — sum: per y element, the owned partial first, then the
+    // arriving partials in receive-list order (sources ascending) — the
+    // reference executor's per-element order, which is what makes the
+    // result bit-identical. Each thread takes a contiguous group of
+    // owners and adds what they receive column by column, so what it
+    // reads at a time is one column of the senders' partials, not every
+    // column of each.
     trace_span!(PhaseKind::Unpack, spans.sum, {
-        par_ranks(threads, y_locals, |r, yl| {
-            let nl = a.vmap.nlocal(r);
-            let (dst, src) = fold.received(r);
-            for (&d, &s) in dst.iter().zip(src) {
-                let vals = &fold_arena[s as usize * m..][..m];
-                for (c, v) in vals.iter().enumerate() {
-                    yl[c * nl + d as usize] += v;
+        let group = y_locals.len().div_ceil(threads).max(1);
+        let mut groups: Vec<&mut [Vec<f64>]> = y_locals.chunks_mut(group).collect();
+        par_ranks(threads, &mut groups, |g, owners| {
+            for (r, yl) in (g * group..).zip(owners.iter_mut()) {
+                let nl = vmap.nlocal(r);
+                yl.fill(0.0);
+                for c in 0..m {
+                    let mine = column(r, c);
+                    for (pi, lid) in fold.rank(r).owned_pairs() {
+                        yl[c * nl + lid as usize] += mine[pi as usize];
+                    }
+                }
+            }
+            for c in 0..m {
+                for (r, yl) in (g * group..).zip(owners.iter_mut()) {
+                    let y = &mut yl[c * vmap.nlocal(r)..];
+                    for (src, _, off, lids) in fold.rank(r).unpacks() {
+                        let theirs = column(src as usize, c);
+                        for (&d, &s) in lids.iter().zip(fold.sent(src, off, lids.len())) {
+                            y[d as usize] += theirs[s as usize];
+                        }
+                    }
                 }
             }
         })
@@ -986,6 +983,43 @@ mod tests {
         let at = dm.compiled.expand.reads_base[r] as usize + lids[0] as usize;
         let slot = &mut dm.compiled.expand.reads[at];
         *slot = (*slot + 1) % a.nrows() as u32;
+
+        let mut y = DistVector::zeros(Arc::clone(&dm.vmap));
+        let mut ws = SpmvWorkspace::new();
+        spmv_with(
+            &dm,
+            &x,
+            &mut y,
+            &mut CostLedger::new(Machine::cab()),
+            &mut ws,
+        );
+        assert_ne!(
+            y.to_global(),
+            want.to_global(),
+            "a wrong plan gives a wrong y"
+        );
+        let mut rt = sf2d_sim::ChaosRuntime::seeded(1, 0.0);
+        let mut l = CostLedger::new(Machine::cab());
+        spmv_chaos_with(&dm, &x, &mut y, &mut l, &mut ws, &mut rt);
+    }
+
+    #[test]
+    #[should_panic(expected = "spmv fold: corrupted delivery")]
+    fn chaos_mirror_checks_the_fold_link_against_the_sender() {
+        let a = rmat(&RmatConfig::graph500(7), 29);
+        let d = MatrixDist::block_2d(a.nrows(), 2, 3);
+        let mut dm = DistCsrMatrix::from_global(&a, &d);
+        let x_global: Vec<f64> = (0..a.nrows()).map(|i| i as f64 + 0.5).collect();
+        let x = DistVector::from_global(Arc::clone(&dm.vmap), &x_global);
+        let mut want = DistVector::zeros(Arc::clone(&dm.vmap));
+        crate::reference::spmv_ref(&dm, &x, &mut want, &mut CostLedger::new(Machine::cab()));
+        // Move one fold entry back by one value in its sender's pack
+        // lists: the owner then reads a partial its sender did not ship
+        // to it.
+        let fold = &mut dm.compiled.fold;
+        let e = (fold.unpack.iter_mut().find(|e| e.payload_off > 0))
+            .expect("a 2x3 block layout has senders with two fold messages");
+        e.payload_off -= 1;
 
         let mut y = DistVector::zeros(Arc::clone(&dm.vmap));
         let mut ws = SpmvWorkspace::new();

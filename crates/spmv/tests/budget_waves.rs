@@ -3,9 +3,9 @@
 //! workspace level — not just in `sf2d_sim::wave::plan_waves` unit tests —
 //! before the serving engine reuses a budgeted workspace across batches.
 //!
-//! The per-rank footprint at width `m` is
-//! `8·(min(m, SPMM_CHUNK)·|colmap| + m·|rowmap|)` bytes (one row-major
-//! column chunk of xcols + the column-major partials view). Pinned here:
+//! The per-rank footprint at width `m` is `8·min(m, SPMM_CHUNK)·|colmap|`
+//! bytes (one row-major column chunk of xcols; the partials are resident,
+//! outside the budget). Pinned here:
 //!
 //! * a budget smaller than *any* single rank's expand payload degrades to
 //!   one singleton wave per rank, with the overshoot visible through
@@ -42,7 +42,7 @@ fn fixture() -> (DistCsrMatrix, DistMultiVector, Vec<u64>) {
     let foot: Vec<u64> = dm
         .blocks
         .iter()
-        .map(|b| 8 * (WIDTH.min(SPMM_CHUNK) * b.colmap.len() + WIDTH * b.rowmap.len()) as u64)
+        .map(|b| 8 * (WIDTH.min(SPMM_CHUNK) * b.colmap.len()) as u64)
         .collect();
     (dm, x, foot)
 }
@@ -121,32 +121,29 @@ fn exact_fit_budget_is_one_wave_and_one_byte_less_splits() {
 #[test]
 fn width_changes_the_wave_plan_for_the_same_budget() {
     // The same byte budget admits fewer ranks per wave as the SpMM width
-    // grows — the footprint is width-dependent, so the engine cannot
-    // reuse a width-1 plan for a wide batch. Pin with the width-32
-    // footprint sum used as the budget at width 32 (one wave) versus the
-    // plan it would produce at a larger width (must split).
+    // grows up to SPMM_CHUNK — the footprint is width-dependent, so the
+    // engine cannot reuse a width-1 plan for a wide batch. Pin with the
+    // width-1 footprint sum used as the budget at width 1 (one wave)
+    // versus the plan it produces at width 32 (must split).
     let (dm, x, foot) = fixture();
-    let total_foot: u64 = foot.iter().sum();
-    let (_, _, _, waves32, _) = run(&dm, &x, Some(total_foot), 1);
-    assert_eq!(waves32, 1);
+    let narrow_foot = foot.iter().sum::<u64>() / SPMM_CHUNK as u64;
+    let (_, _, _, waves32, _) = run(&dm, &x, Some(narrow_foot), 1);
+    assert!(
+        waves32 > 1,
+        "widening to 32 must outgrow the width-1 budget"
+    );
 
-    let wide = 2 * WIDTH;
     let n = dm.n;
-    let cols: Vec<Vec<f64>> = (0..wide)
-        .map(|c| (0..n).map(|i| ((i + c) % 5) as f64).collect())
-        .collect();
-    let xw = DistMultiVector::from_columns(Arc::clone(&dm.vmap), &cols);
-    let mut ws = SpmvWorkspace::new().with_budget(total_foot);
-    let mut y = DistMultiVector::zeros(Arc::clone(&dm.vmap), wide);
+    let cols: Vec<Vec<f64>> = vec![(0..n).map(|i| (i % 5) as f64).collect()];
+    let x1 = DistMultiVector::from_columns(Arc::clone(&dm.vmap), &cols);
+    let mut ws = SpmvWorkspace::new().with_budget(narrow_foot);
+    let mut y = DistMultiVector::zeros(Arc::clone(&dm.vmap), 1);
     spmm_with(
         &dm,
-        &xw,
+        &x1,
         &mut y,
         &mut CostLedger::new(Machine::cab()),
         &mut ws,
     );
-    assert!(
-        ws.wave_count() > 1,
-        "doubling the width must outgrow the width-32 budget"
-    );
+    assert_eq!(ws.wave_count(), 1);
 }

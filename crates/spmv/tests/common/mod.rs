@@ -32,39 +32,44 @@ fn regions_tile<'a>(phase: &PhasePlan, rank: impl Fn(usize) -> RankPlan<'a>) -> 
     Ok(())
 }
 
-/// Checks the fold: (i) [`regions_tile`]; (ii) the receive lists are the
-/// expansion of `unpacks()` against the senders' `packs()`, and read
-/// every arena slot exactly once.
+/// Checks the fold: (i) [`regions_tile`]; (ii) each receiver's unpack
+/// entries tile its receive list, and each `(slot, payload_off)` names
+/// the sender's pack entry for this receiver, of the same length — the
+/// sender's pack list is what the owner reads through; (iii) every
+/// sender's pack entry is read by exactly one receiver entry.
 fn phase_invariants<'a>(
     phase: &PhasePlan,
     rank: impl Fn(usize) -> RankPlan<'a>,
 ) -> Result<(), String> {
     regions_tile(phase, &rank)?;
-    let mut reads = vec![0u32; phase.arena_doubles()];
+    let mut reads: Vec<Vec<u32>> = (0..phase.nranks())
+        .map(|r| vec![0; rank(r).npacks()])
+        .collect();
     for d in 0..phase.nranks() {
-        let (mut dst, mut src) = (Vec::new(), Vec::new());
+        let mut dst = Vec::new();
         for (from, slot, off, lids) in rank(d).unpacks() {
             let (peer, sent, sent_off) = rank(from as usize).pack(slot as usize);
             if peer != d as u32 || sent_off != off || sent.len() != lids.len() {
                 return Err(format!("rank {d}: entry from {from} misses its pack entry"));
             }
-            let first = phase.payload_range(from as usize).start + off as usize;
             dst.extend_from_slice(lids);
-            src.extend((first..first + lids.len()).map(|s| s as u32));
+            reads[from as usize][slot as usize] += 1;
         }
-        if (&dst[..], &src[..]) != phase.received(d) {
+        if dst != phase.received(d) {
             return Err(format!(
-                "rank {d}: receive lists are not its messages expanded"
+                "rank {d}: unpack entries do not tile its receive list"
             ));
         }
-        for s in src {
-            reads[s as usize] += 1;
+    }
+    for (src, counts) in reads.iter().enumerate() {
+        if let Some(slot) = counts.iter().position(|&n| n != 1) {
+            return Err(format!(
+                "rank {src}: pack entry {slot} is read {} times",
+                counts[slot]
+            ));
         }
     }
-    match reads.iter().position(|&n| n != 1) {
-        Some(slot) => Err(format!("arena slot {slot} is read {} times", reads[slot])),
-        None => Ok(()),
-    }
+    Ok(())
 }
 
 /// Checks the expand: (i) [`regions_tile`]; (ii) each rank's gather list
