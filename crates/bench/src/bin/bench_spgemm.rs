@@ -3,11 +3,11 @@
 //! an R-MAT graph under all six layouts of the SpMV study, prints a
 //! table3-style metrics row per (layout, algo), and writes
 //! `BENCH_spgemm.json` with the per-row message / volume / flop /
-//! predicted-time columns, wall-clock medians of both 2D-GP kernels for
-//! perf tracking, and the headline communication-avoiding comparison:
-//! SUMMA's worst per-rank send count over the layouts (bounded by the
-//! grid, not the layout) against expand/fold's (which degrades to
-//! `p − 1` under 1D layouts).
+//! predicted-time columns, wall-clock medians and resident workspace
+//! bytes of both 2D-GP kernels for perf tracking, and the headline
+//! communication-avoiding comparison: SUMMA's worst per-rank send count
+//! over the layouts (bounded by the grid, not the layout) against
+//! expand/fold's (which degrades to `p − 1` under 1D layouts).
 //!
 //! Run from the repo root:
 //!
@@ -40,6 +40,11 @@ struct BenchReport {
     wall_ns_2d_gp: u64,
     /// Median wall-clock ns for one Sparse SUMMA SpGEMM on 2D-GP.
     wall_ns_2d_gp_summa: u64,
+    /// Bytes the expand/fold workspace keeps reserved after a 2D-GP
+    /// product: a deterministic footprint, gated like `plan_bytes`.
+    workspace_bytes_2d_gp: u64,
+    /// Bytes the SUMMA workspace keeps reserved after a 2D-GP product.
+    workspace_bytes_2d_gp_summa: u64,
     /// Predicted-time ratio 1D-GP / 2D-GP (the worked comparison in
     /// EXPERIMENTS.md).
     ratio_1d_gp_over_2d_gp: f64,
@@ -171,6 +176,8 @@ fn main() {
         rows,
         wall_ns_2d_gp,
         wall_ns_2d_gp_summa,
+        workspace_bytes_2d_gp: ws.resident_bytes(),
+        workspace_bytes_2d_gp_summa: sws.resident_bytes(),
         ratio_1d_gp_over_2d_gp: ratio,
         msgs_worst_layout_expand_fold,
         msgs_worst_layout_summa,
@@ -182,6 +189,7 @@ fn main() {
         "bench_spgemm: 1D-GP/2D-GP predicted-time ratio {ratio:.2}, worst-layout max sends \
          expand/fold {msgs_worst_layout_expand_fold} vs summa {msgs_worst_layout_summa} \
          (stage max {msgs_summa_stage_max}), 2D-GP wall {wall_ns_2d_gp} ns \
-         (summa {wall_ns_2d_gp_summa} ns) -> {out_path}"
+         (summa {wall_ns_2d_gp_summa} ns), workspaces {} / {} bytes -> {out_path}",
+        report.workspace_bytes_2d_gp, report.workspace_bytes_2d_gp_summa,
     );
 }

@@ -13,8 +13,9 @@
 //!
 //! * `median_ns` / `wall_ns` / `sim_time` / `p50` / `p99` —
 //!   wall-clock-like, **higher is worse**;
-//! * `plan_bytes` — a footprint, **higher is worse**: a pure function of
-//!   the compiled plan, so it repeats to the byte on any machine;
+//! * `plan_bytes` / `workspace_bytes` — footprints, **higher is worse**:
+//!   pure functions of the compiled plan and of the reserved workspace
+//!   buffers, so they repeat to the byte on any machine;
 //! * `speedup` / `ratio` — relative metrics, **lower is worse**;
 //! * everything else is informational (compared for the report, never a
 //!   failure);
@@ -73,7 +74,7 @@ pub fn direction_of(key: &str) -> Option<Direction> {
     if key.contains("speedup") || key.contains("ratio") {
         return Some(Direction::LowerIsWorse);
     }
-    if key.contains("plan_bytes") {
+    if key.contains("plan_bytes") || key.contains("workspace_bytes") {
         return Some(Direction::FootprintHigherIsWorse);
     }
     Some(Direction::Info)
@@ -507,6 +508,27 @@ mod tests {
             let cur = scale_sample(plan_bytes, 20_000_000, 9_000_000);
             assert!(compare(&base, &cur, 15.0, true).passed(), "{plan_bytes}");
         }
+    }
+
+    #[test]
+    fn workspace_bytes_gate_as_a_footprint_beside_wall_clock() {
+        assert_eq!(
+            direction_of("workspace_bytes_2d_gp_summa"),
+            Some(Direction::FootprintHigherIsWorse)
+        );
+        let spgemm = |wall_ns: u64, bytes: u64| -> Value {
+            let text =
+                format!(r#"{{ "wall_ns_2d_gp": {wall_ns}, "workspace_bytes_2d_gp": {bytes} }}"#);
+            serde_json::from_str(&text).expect("spgemm sample parses")
+        };
+        let base = spgemm(17_000_000, 200_000_000);
+        // A workspace 30 % larger fails even where wall clock is ignored...
+        let diff = compare(&base, &spgemm(17_000_000, 260_000_000), 15.0, true);
+        let regs = diff.regressions();
+        assert_eq!(regs.len(), 1);
+        assert_eq!(regs[0].key, "workspace_bytes_2d_gp");
+        // ...while a smaller one on a slower machine passes.
+        assert!(compare(&base, &spgemm(40_000_000, 120_000_000), 15.0, true).passed());
     }
 
     #[test]

@@ -160,17 +160,24 @@ impl CostLedger {
     /// charges the ledger a full per-rank timeline for free. With tracing
     /// off the extra cost is one thread-local boolean read.
     pub fn superstep(&mut self, phase: Phase, costs: &[PhaseCost]) -> f64 {
-        let t = costs
-            .iter()
-            .map(|c| self.machine.phase_time(c))
-            .fold(0.0f64, f64::max);
+        self.superstep_iter(phase, costs.iter().copied())
+    }
+
+    /// [`superstep`](Self::superstep) over the per-rank costs as they are
+    /// computed, rank by rank: no per-rank vector is built.
+    pub fn superstep_iter(
+        &mut self,
+        phase: Phase,
+        costs: impl Iterator<Item = PhaseCost> + Clone,
+    ) -> f64 {
+        let times = costs.clone().map(|c| self.machine.phase_time(&c));
+        let t = times.fold(0.0f64, f64::max);
         if sf2d_obs::enabled() {
             let samples = costs
-                .iter()
                 .enumerate()
                 .map(|(r, c)| sf2d_obs::RankSample {
                     rank: r as u32,
-                    time: self.machine.phase_time(c),
+                    time: self.machine.phase_time(&c),
                     msgs: c.msgs,
                     bytes: c.bytes,
                     flops: c.flops,

@@ -167,12 +167,10 @@ impl ChaosRuntime {
     /// superstep (none when nothing fired).
     ///
     /// `sends[src]` lists the rank's outgoing `(dst, payload)` in send
-    /// order. `views[dst]`, when the kernel has a compiled receive side,
-    /// lists the `(src, payload)` slices the rank's unpack entries resolve
-    /// to, in delivery order — so a plan whose receive side disagrees
-    /// with its send side trips here. With `None` the expected inbox is
-    /// the sends regrouped by destination: source-ascending, send order
-    /// within a source, which is the order the wire delivers.
+    /// order. `views[dst]` lists the `(src, payload)` slices the rank reads,
+    /// in delivery order — source-ascending, send order within a source —
+    /// so a kernel whose receive side disagrees with its send side trips
+    /// here.
     ///
     /// # Panics
     /// Panics, naming `what` and the rank, if a delivery differs from the
@@ -182,7 +180,7 @@ impl ChaosRuntime {
         ledger: &mut CostLedger,
         what: &str,
         sends: &[PeerPayloads<'a>],
-        views: Option<&[PeerPayloads<'a>]>,
+        views: &[PeerPayloads<'a>],
     ) {
         let p = sends.len();
         let wire = sends
@@ -194,20 +192,6 @@ impl ChaosRuntime {
             })
             .collect();
         let (delivered, extra) = self.route(p, wire);
-        let regrouped: Vec<PeerPayloads<'a>>;
-        let views = match views {
-            Some(views) => views,
-            None => {
-                let mut by_dst = vec![Vec::new(); p];
-                for (src, out) in sends.iter().enumerate() {
-                    for &(dst, data) in out {
-                        by_dst[dst as usize].push((src as u32, data));
-                    }
-                }
-                regrouped = by_dst;
-                &regrouped
-            }
-        };
         assert_eq!(views.len(), p, "{what}: one receive view list per rank");
         for (r, (inbox, expected)) in delivered.iter().zip(views).enumerate() {
             assert_eq!(
@@ -695,7 +679,7 @@ mod tests {
         let views = views.map(<[_]>::to_vec);
         let mut rt = ChaosRuntime::seeded(1, 0.0);
         let mut ledger = CostLedger::new(Machine::cab());
-        rt.mirror_exchange(&mut ledger, "test", &two_into_rank_2(), Some(&views));
+        rt.mirror_exchange(&mut ledger, "test", &two_into_rank_2(), &views);
     }
 
     fn two_into_rank_2() -> Vec<PeerPayloads<'static>> {
@@ -704,15 +688,16 @@ mod tests {
 
     #[test]
     fn mirror_accepts_matching_views_and_heals_faults_at_a_retransmit_charge() {
-        mirror_with_views([&[], &[], &[(0, &[1.0, 2.0]), (1, &[3.0])]]);
+        let views = [&[][..], &[], &[(0, &[1.0, 2.0][..]), (1, &[3.0][..])]];
+        mirror_with_views(views);
 
-        // Same exchange with a scripted drop, receive side defaulted to
-        // the regrouped sends: healed, one Retransmit superstep, one step.
-        let sends = two_into_rank_2();
+        // Same exchange with a scripted drop: healed, one Retransmit
+        // superstep, one step.
         let script = FaultScript::default().fault(0, 0, 2, 0, FaultKind::Drop);
         let mut rt = ChaosRuntime::scripted(script);
         let mut ledger = CostLedger::new(Machine::cab());
-        rt.mirror_exchange(&mut ledger, "test", &sends, None);
+        let views = views.map(<[_]>::to_vec);
+        rt.mirror_exchange(&mut ledger, "test", &two_into_rank_2(), &views);
         assert_eq!(rt.stats.drops, 1);
         assert_eq!(ledger.history.len(), 1);
         assert_eq!(ledger.history[0].0, Phase::Retransmit);
@@ -749,8 +734,8 @@ mod tests {
         let sends: Vec<PeerPayloads> = vec![Vec::new(); 4];
         let mut rt = ChaosRuntime::seeded(9, 0.0);
         let mut ledger = CostLedger::new(Machine::cab());
-        rt.mirror_exchange(&mut ledger, "test", &sends, Some(&sends));
-        rt.mirror_exchange(&mut ledger, "test", &sends, None);
+        rt.mirror_exchange(&mut ledger, "test", &sends, &sends);
+        rt.mirror_exchange(&mut ledger, "test", &sends, &sends);
         assert_eq!(ledger.steps, 0);
         assert!(ledger.history.is_empty());
         assert_eq!(ledger.total.to_bits(), 0.0f64.to_bits());

@@ -17,21 +17,25 @@
 //! The communication *pattern* is exactly the SpMV's — the set of B rows a
 //! rank needs equals the set of x entries it imports (its column map), and
 //! the set of C rows it contributes equals the set of y partials it
-//! exports (its row map) — so the compiled local-index pack/unpack
-//! schedules of [`CompiledSpmv`](sf2d_spmv::compiled::CompiledSpmv) drive
-//! both exchanges unchanged, and the paper's 2D message bound
-//! (≤ pr + pc − 2 sends per rank across the two exchanges) carries over
-//! verbatim. Only the payloads differ: messages carry variable-length
-//! serialized rows (`[nnz, cols..., vals...]` per planned gid) instead of
-//! one double per gid, so the per-phase costs are measured off the actual
-//! payload lengths at both endpoints rather than read from the frozen
-//! SpMV cost vectors.
+//! exports (its row map) — so the compiled local-index schedules of
+//! [`CompiledSpmv`](sf2d_spmv::compiled::CompiledSpmv) drive both
+//! exchanges unchanged, and the paper's 2D message bound (≤ pr + pc − 2
+//! sends per rank across the two exchanges) carries over verbatim.
+//!
+//! Transport is zero-copy, as in the SpMV. The multiply reads B row
+//! `colmap[lj]` where it lives, and an owner merges each partial row it is
+//! sent in its sender's partial rows, at the stored row the sender's pack
+//! list names ([`PhasePlan::sent`]). Only the bill differs from the SpMV's:
+//! a message carries a variable-length `[nnz, cols…, vals…]` row per
+//! planned gid instead of one double, so each exchange is billed per call
+//! off the row lengths ([`framed_len`]), at both endpoints, rather than
+//! read from the frozen SpMV cost vectors.
 //!
 //! Fault injection is an argument: [`spgemm_with`] and [`spgemm_chaos`]
 //! are two entry points over one driver that takes
-//! `Option<&mut ChaosRuntime>` and, with a runtime, hands each exchange's
-//! resident payloads — send side from the pack entries, receive side from
-//! the `(src, slot)` unpack entries — to
+//! `Option<&mut ChaosRuntime>` and, with a runtime, frames each exchange
+//! the old way — sends through the pack lists, receive views through the
+//! unpack entries' [`PhasePlan::sent`] rows — for
 //! [`ChaosRuntime::mirror_exchange`] right after the exchange's superstep
 //! is charged (routing step 0 for the expand, 1 for the fold).
 //!
@@ -50,14 +54,15 @@ use sf2d_graph::CsrMatrix;
 use sf2d_obs::{trace_span, PhaseKind};
 use sf2d_sim::collective::{allreduce_cost, allreduce_sum_u64};
 use sf2d_sim::cost::{CostLedger, Phase, PhaseCost};
-use sf2d_sim::fault::{ChaosRuntime, PeerPayloads};
+use sf2d_sim::fault::ChaosRuntime;
 use sf2d_sim::runtime::par_ranks;
-use sf2d_spmv::compiled::{PhasePlan, RankPlan};
+use sf2d_spmv::compiled::PhasePlan;
 use sf2d_spmv::distmat::{DistCsrMatrix, RankBlock};
 use sf2d_spmv::map::VectorMap;
 
+use crate::wire::{framed_len, mirror, Framed};
 use crate::workspace::{
-    publish_drain_arms, BRowRef, MsgBufs, RankSpgemmScratch, RowBuf, SpgemmWorkspace,
+    par_zip, publish_drain_arms, RankSpgemmScratch, RowBuf, Spa, SpgemmWorkspace,
 };
 
 /// Per-rank traffic of one exchange phase (expand or fold).
@@ -65,7 +70,8 @@ use crate::workspace::{
 pub struct ExchangeStats {
     /// Messages sent by each rank (one per compiled pack entry).
     pub send_msgs: Vec<u64>,
-    /// Doubles sent by each rank (serialized payload lengths).
+    /// Doubles sent by each rank: framed lengths, computed from row
+    /// lengths.
     pub send_doubles: Vec<u64>,
     /// Billed per-rank cost — latency and bytes charged at **both**
     /// endpoints, the same convention as
@@ -156,147 +162,65 @@ pub(crate) fn close_output<'a>(
     (locals, allreduce_sum_u64(&partials))
 }
 
-/// Serializes one sparse row onto a message payload:
-/// `[nnz, cols..., vals...]`, columns as (exactly representable) doubles.
-#[inline]
-pub(crate) fn push_row(buf: &mut Vec<f64>, row: (&[u32], &[f64])) {
-    let (cols, vals) = row;
-    buf.push(cols.len() as f64);
-    buf.extend(cols.iter().map(|&c| c as f64));
-    buf.extend_from_slice(vals);
-}
+/// One sparse row: its columns and values.
+pub(crate) type Row<'a> = (&'a [u32], &'a [f64]);
 
-/// The sender half of an exchange's stats, off each rank's resident
-/// payload buffers; the receive halves differ per exchange kind.
-pub(crate) fn send_stats<'a>(bufs: impl Iterator<Item = &'a MsgBufs>) -> ExchangeStats {
-    let (send_msgs, send_doubles): (Vec<u64>, Vec<u64>) = bufs
-        .map(|out| (out.nmsgs() as u64, out.data.len() as u64))
-        .unzip();
-    let sends = send_msgs.iter().zip(&send_doubles);
-    let costs = sends.map(|(&m, &d)| PhaseCost::comm(m, 8 * d)).collect();
-    ExchangeStats {
-        send_msgs,
-        send_doubles,
-        costs,
-    }
-}
-
-/// Measures one exchange: send side from each rank's own pack buffers,
-/// receive side mirrored through the compiled `(src, slot)` unpack entries.
-fn exchange_stats(bufs: &[MsgBufs], plan: &PhasePlan) -> ExchangeStats {
-    let mut stats = send_stats(bufs.iter());
-    for (r, cost) in stats.costs.iter_mut().enumerate() {
-        for e in plan.unpack_entries(r) {
-            let doubles = bufs[e.src as usize].msg(e.slot as usize).len() as u64;
-            *cost = cost.add(&PhaseCost::comm(1, 8 * doubles));
+/// Bills one exchange off row lengths: each pack message carries one
+/// framed row per index of its pack list — `nnz(r, i)` entries for rank
+/// `r`'s index `i`.
+fn exchange_stats(phase: &PhasePlan, nnz: impl Fn(usize, u32) -> usize) -> ExchangeStats {
+    let mut stats = ExchangeStats::zero(phase.nranks());
+    for r in 0..phase.nranks() {
+        for (dst, idxs, _) in phase.rank(r).packs() {
+            let doubles = idxs.iter().map(|&i| framed_len(nnz(r, i), false)).sum();
+            stats.bill(r, dst as usize, doubles);
         }
     }
     stats
 }
 
-/// One exchange's resident payloads as
-/// [`ChaosRuntime::mirror_exchange`] takes them: per source rank its
-/// sealed `(dst, payload)` slots in pack order, per destination rank the
-/// `(src, payload)` slots its compiled `(src, slot)` unpack entries read
-/// in place.
-fn payload_views<'a>(
-    bufs: &'a [MsgBufs],
-    plan: &PhasePlan,
-) -> (Vec<PeerPayloads<'a>>, Vec<PeerPayloads<'a>>) {
-    let sends = (0..bufs.len())
-        .map(|r| {
-            let packs = plan.pack_entries(r).iter().enumerate();
-            packs.map(|(slot, e)| (e.peer, bufs[r].msg(slot))).collect()
-        })
-        .collect();
-    let views = (0..bufs.len())
-        .map(|r| {
-            let unpacks = plan.unpack_entries(r).iter();
-            unpacks
-                .map(|e| (e.src, bufs[e.src as usize].msg(e.slot as usize)))
-                .collect()
-        })
-        .collect();
-    (sends, views)
-}
-
-/// Packs one rank's expand payloads: the B rows named by the compiled
-/// pack lids (which index the sender's owned gid list).
-fn pack_expand(buf: &mut MsgBufs, plan: RankPlan<'_>, gids: &[u32], b: &CsrMatrix) {
-    buf.reset();
-    for (_dst, lids, _off) in plan.packs() {
-        for &lid in lids {
-            push_row(&mut buf.data, b.row(gids[lid as usize] as usize));
-        }
-        buf.seal();
-    }
-}
-
-/// Builds the rank's B-row directory: owned slots point at `b` directly,
-/// remote slots are decoded out of the senders' payloads into the
-/// scratch's `rcols` / `rvals` arrays.
-fn decode_expand(
-    scratch: &mut RankSpgemmScratch,
-    block: &RankBlock,
-    plan: RankPlan<'_>,
-    ebufs: &[MsgBufs],
+/// Under chaos only: frames one exchange for [`mirror`] — the sends
+/// through each rank's pack lists (`sent(r, i)` is the row rank `r` sends
+/// for its index `i`), the receive views through each unpack entry's
+/// [`PhasePlan::sent`] indices (`read(d, src, lid, i)` is the row rank `d`
+/// reads for the sender's index `i`, landing at `lid`).
+fn mirror_rows<'a>(
+    (rt, ledger): (&mut ChaosRuntime, &mut CostLedger),
+    (what, phase): (&str, &PhasePlan),
+    sent: impl Fn(usize, u32) -> Row<'a>,
+    read: impl Fn(usize, u32, u32, u32) -> Row<'a>,
 ) {
-    for (_src_lid, xcols_lid) in plan.owned_pairs() {
-        scratch.brows[xcols_lid as usize] = BRowRef::Local {
-            gid: block.colmap[xcols_lid as usize],
-        };
-    }
-    scratch.rcols.clear();
-    scratch.rvals.clear();
-    for (src, slot, _payload_off, lids) in plan.unpacks() {
-        let data = ebufs[src as usize].msg(slot as usize);
-        let mut off = 0usize;
-        for &lid in lids {
-            let nnz = data[off] as usize;
-            off += 1;
-            let start = scratch.rcols.len() as u32;
-            scratch
-                .rcols
-                .extend(data[off..off + nnz].iter().map(|&c| c as u32));
-            scratch
-                .rvals
-                .extend_from_slice(&data[off + nnz..off + 2 * nnz]);
-            off += 2 * nnz;
-            scratch.brows[lid as usize] = BRowRef::Remote {
-                off: start,
-                len: nnz as u32,
-            };
+    let p = phase.nranks();
+    let (mut sends, mut views) = (Framed::new(p), Framed::new(p));
+    for r in 0..p {
+        for (dst, idxs, _) in phase.rank(r).packs() {
+            for &i in idxs {
+                sends.row(None, sent(r, i));
+            }
+            sends.seal(r, dst);
         }
-        debug_assert_eq!(off, data.len(), "expand payload framing mismatch");
+        for (src, _, off, lids) in phase.rank(r).unpacks() {
+            for (&lid, &i) in lids.iter().zip(phase.sent(src, off, lids.len())) {
+                views.row(None, read(r, src, lid, i));
+            }
+            views.seal(r, src);
+        }
     }
+    mirror(rt, ledger, what, &sends, &views);
 }
 
 /// Row-wise Gustavson over the rank's local A block: one SPA pass per
 /// local row, visiting A entries in ascending column order (the local CSR
-/// is colmap-lid sorted and the column map is gid-ascending). Rows are
-/// taken in the block's stored order, so partial row `s` belongs to
-/// stored row `s` — what the compiled fold lists index. Fills the
-/// partial-row buffers and returns the number of product terms.
-fn gustavson(scratch: &mut RankSpgemmScratch, block: &RankBlock, b: &CsrMatrix) -> u64 {
-    let RankSpgemmScratch {
-        spa,
-        brows,
-        rcols,
-        rvals,
-        part,
-        ..
-    } = scratch;
+/// is colmap-lid sorted and the column map is gid-ascending) and reading
+/// each B row where it lives. Rows are taken in the block's stored order,
+/// so partial row `s` belongs to stored row `s` — what the compiled fold
+/// lists index. Fills `part` and returns the number of product terms.
+fn gustavson(spa: &mut Spa, part: &mut RowBuf, block: &RankBlock, b: &CsrMatrix) -> u64 {
     part.reset();
     let mut terms = 0u64;
     for (acols, avals) in block.stored_rows() {
         for (&lj, &aij) in acols.iter().zip(avals) {
-            let (bcols, bvals): (&[u32], &[f64]) = match brows[lj as usize] {
-                BRowRef::Local { gid } => b.row(gid as usize),
-                BRowRef::Remote { off, len } => {
-                    let (off, len) = (off as usize, len as usize);
-                    (&rcols[off..off + len], &rvals[off..off + len])
-                }
-            };
+            let (bcols, bvals) = b.row(block.colmap[lj as usize] as usize);
             for (&k, &bjk) in bcols.iter().zip(bvals) {
                 spa.add(k, aij * bjk);
             }
@@ -308,53 +232,36 @@ fn gustavson(scratch: &mut RankSpgemmScratch, block: &RankBlock, b: &CsrMatrix) 
     terms
 }
 
-/// Packs one rank's fold payloads: the partial C rows named by the
-/// compiled pack indices (stored rows of the A block).
-fn pack_fold(buf: &mut MsgBufs, plan: RankPlan<'_>, scratch: &RankSpgemmScratch) {
-    buf.reset();
-    for (_owner, idxs, _off) in plan.packs() {
-        for &pi in idxs {
-            push_row(&mut buf.data, scratch.part.row(pi as usize));
-        }
-        buf.seal();
-    }
-}
-
-/// Merges each owned C row out of the rank's own partial plus the
-/// arriving partial rows, in fixed order (own first, then sources
-/// ascending), emitting sorted final rows. Returns the number of entries
-/// merged (1 flop each, the SpGEMM analogue of the SpMV sum phase).
+/// Merges each of rank `r`'s owned C rows out of its own partial plus the
+/// partial rows it is sent, read in their senders' `parts`, in fixed order
+/// (own first, then sources ascending), emitting sorted final rows.
+/// Returns the number of entries merged (1 flop each, the SpGEMM analogue
+/// of the SpMV sum phase).
 fn merge_rank(
     scratch: &mut RankSpgemmScratch,
+    r: usize,
     nlocal: usize,
-    plan: RankPlan<'_>,
-    fbufs: &[MsgBufs],
+    fold: &PhasePlan,
+    parts: &[RowBuf],
 ) -> u64 {
+    let plan = fold.rank(r);
     scratch.own_part.clear();
     scratch.own_part.resize(nlocal, u32::MAX);
     for (pi, y_lid) in plan.owned_pairs() {
         scratch.own_part[y_lid as usize] = pi;
     }
     scratch.incoming.clear();
-    for (src, slot, _payload_off, y_lids) in plan.unpacks() {
-        let data = fbufs[src as usize].msg(slot as usize);
-        let mut off = 0usize;
-        for &y_lid in y_lids {
-            let nnz = data[off] as usize;
-            scratch
-                .incoming
-                .push((y_lid, src, slot, (off + 1) as u32, nnz as u32));
-            off += 1 + 2 * nnz;
-        }
-        debug_assert_eq!(off, data.len(), "fold payload framing mismatch");
+    for (src, _, off, y_lids) in plan.unpacks() {
+        let rows = fold.sent(src, off, y_lids.len());
+        let entries = y_lids.iter().zip(rows).map(|(&y, &i)| (y, src, i));
+        scratch.incoming.extend(entries);
     }
-    // Stable by y lid: within a row, contributions stay in message order
+    // Stable by y lid: within a row, contributions stay in receive order
     // (sources ascending) — the fixed rank-order reduction.
     scratch.incoming.sort_by_key(|e| e.0);
 
     let RankSpgemmScratch {
         spa,
-        part,
         own_part,
         incoming,
         out,
@@ -363,28 +270,27 @@ fn merge_rank(
     out.reset();
     let mut merged = 0u64;
     let mut cursor = 0usize;
-    for (y, &pi) in own_part.iter().enumerate().take(nlocal) {
+    for (y, &pi) in own_part.iter().enumerate() {
         if pi != u32::MAX {
-            let (cols, vals) = part.row(pi as usize);
-            for (&k, &v) in cols.iter().zip(vals) {
-                spa.add(k, v);
-            }
-            merged += cols.len() as u64;
+            merged += accumulate(spa, parts[r].row(pi as usize));
         }
         while cursor < incoming.len() && incoming[cursor].0 as usize == y {
-            let (_, src, slot, off, len) = incoming[cursor];
-            let data = fbufs[src as usize].msg(slot as usize);
-            let (off, len) = (off as usize, len as usize);
-            for k in 0..len {
-                spa.add(data[off + k] as u32, data[off + len + k]);
-            }
-            merged += len as u64;
+            let (_, src, i) = incoming[cursor];
+            merged += accumulate(spa, parts[src as usize].row(i as usize));
             cursor += 1;
         }
         spa.drain(&mut out.cols, &mut out.vals);
         out.close_row();
     }
     merged
+}
+
+/// Adds one row into the accumulator; returns its length.
+fn accumulate(spa: &mut Spa, (cols, vals): Row<'_>) -> u64 {
+    for (&k, &v) in cols.iter().zip(vals) {
+        spa.add(k, v);
+    }
+    cols.len() as u64
 }
 
 fn assert_conformal(a: &DistCsrMatrix, b: &CsrMatrix) {
@@ -402,9 +308,8 @@ fn assert_conformal(a: &DistCsrMatrix, b: &CsrMatrix) {
 /// Collective supersteps to the ledger.
 ///
 /// `b` is held globally by the simulator but accessed with distributed
-/// discipline: rank `r` reads only the B rows it owns under `a.vmap`
-/// (B shares A's row distribution) — every other row it touches travels
-/// through the expand exchange and is billed.
+/// discipline: rank `r` reads the B rows its column map names, and every
+/// row it does not own is billed to the expand exchange.
 ///
 /// Convenience wrapper over [`spgemm_with`] with a throwaway sequential
 /// workspace; iterative callers should hold a [`SpgemmWorkspace`].
@@ -413,8 +318,8 @@ pub fn spgemm_dist(a: &DistCsrMatrix, b: &CsrMatrix, ledger: &mut CostLedger) ->
 }
 
 /// [`spgemm_dist`] through a reusable workspace: scratch buffers and
-/// message payloads are borrowed from `ws` and the per-rank phase work
-/// fans out across `ws.threads` OS threads (bit-identical for any count).
+/// partial rows are borrowed from `ws` and the per-rank phase work fans
+/// out across `ws.threads` OS threads (bit-identical for any count).
 pub fn spgemm_with(
     a: &DistCsrMatrix,
     b: &CsrMatrix,
@@ -444,10 +349,11 @@ pub fn spgemm_chaos(
 }
 
 /// The shared expand/fold driver: plain when `chaos` is `None`, otherwise
-/// each exchange is also handed to [`ChaosRuntime::mirror_exchange`]
-/// right after its superstep is charged (faults never reach the multiply
-/// or the merge: the kernel reads the resident buffers, and the mirror
-/// asserts the healed deliveries carry the same bits).
+/// each exchange is also framed and handed to
+/// [`ChaosRuntime::mirror_exchange`] right after its superstep is charged
+/// (faults never reach the multiply or the merge: the kernel reads rows
+/// where they live, and the mirror asserts the healed deliveries carry the
+/// same bits).
 fn spgemm_inner(
     a: &DistCsrMatrix,
     b: &CsrMatrix,
@@ -456,92 +362,83 @@ fn spgemm_inner(
     mut chaos: Option<&mut ChaosRuntime>,
 ) -> DistSpgemm {
     assert_conformal(a, b);
-    ws.ensure(&a.blocks, b.ncols());
-    let threads = ws.threads;
-    let compiled = &a.compiled;
-    let vmap = &a.vmap;
+    ws.ensure(a.blocks.len(), b.ncols());
+    let SpgemmWorkspace {
+        threads,
+        ranks,
+        parts,
+    } = ws;
+    let threads = *threads;
+    let (vmap, expand, fold) = (&a.vmap, &a.compiled.expand, &a.compiled.fold);
 
-    // Phase 1 — expand: serialize the planned B rows into the resident
-    // send buffers; destinations read them in place via (src, slot).
-    trace_span!(PhaseKind::Pack, "spgemm:expand-pack", {
-        par_ranks(threads, &mut ws.expand_bufs, |r, buf| {
-            pack_expand(buf, compiled.expand_rank(r), vmap.gids(r), b);
-        })
-    });
-    let expand = exchange_stats(&ws.expand_bufs, &compiled.expand);
-    ledger.superstep(Phase::Expand, &expand.costs);
+    // Phase 1 — expand: the multiply reads each B row where it lives, so
+    // only the bill is built here, one framed row per planned gid.
+    let b_row = |r: usize, lid: u32| b.row(vmap.gids(r)[lid as usize] as usize);
+    let expand_stats = exchange_stats(expand, |r, lid| b_row(r, lid).0.len());
+    ledger.superstep(Phase::Expand, &expand_stats.costs);
     if let Some(rt) = chaos.as_deref_mut() {
-        let (sends, views) = payload_views(&ws.expand_bufs, &compiled.expand);
-        rt.mirror_exchange(ledger, "spgemm expand", &sends, Some(&views));
+        let read = |d: usize, _, lid: u32, _| b.row(a.blocks[d].colmap[lid as usize] as usize);
+        mirror_rows((rt, ledger), ("spgemm expand", expand), b_row, read);
     }
 
-    // Phase 2 — decode the arrived rows and run the local Gustavson pass.
-    let ebufs = &ws.expand_bufs;
-    trace_span!(PhaseKind::Multiply, "spgemm:unpack-multiply", {
-        par_ranks(threads, &mut ws.ranks, |r, scratch| {
-            decode_expand(scratch, &a.blocks[r], compiled.expand_rank(r), ebufs);
-            scratch.terms = gustavson(scratch, &a.blocks[r], b);
+    // Phase 2 — the local Gustavson pass, into each rank's partial rows.
+    trace_span!(PhaseKind::Multiply, "spgemm:multiply", {
+        par_zip(threads, ranks, parts, |r, scratch, part| {
+            scratch.terms = gustavson(&mut scratch.spa, part, &a.blocks[r], b);
         })
     });
-    let multiply_costs: Vec<PhaseCost> = ws
-        .ranks
+    let multiply_costs: Vec<PhaseCost> = ranks
         .iter()
         .map(|s| PhaseCost::compute(2 * s.terms))
         .collect();
     ledger.superstep(Phase::Multiply, &multiply_costs);
 
-    // Phase 3 — fold: serialize the partial rows bound for other owners.
-    let ranks = &ws.ranks;
-    trace_span!(PhaseKind::Pack, "spgemm:fold-pack", {
-        par_ranks(threads, &mut ws.fold_bufs, |r, buf| {
-            pack_fold(buf, compiled.fold_rank(r), &ranks[r]);
-        })
-    });
-    let fold = exchange_stats(&ws.fold_bufs, &compiled.fold);
-    ledger.superstep(Phase::Fold, &fold.costs);
+    // Phase 3 — fold: zero-copy like the expand; an owner reads each
+    // partial row it is sent at the stored row its sender's pack list
+    // names.
+    let parts = &*parts;
+    let part_row = |r: usize, i: u32| parts[r].row(i as usize);
+    let fold_stats = exchange_stats(fold, |r, i| part_row(r, i).0.len());
+    ledger.superstep(Phase::Fold, &fold_stats.costs);
     if let Some(rt) = chaos {
-        let (sends, views) = payload_views(&ws.fold_bufs, &compiled.fold);
-        rt.mirror_exchange(ledger, "spgemm fold", &sends, Some(&views));
+        let read = |_, src: u32, _, i: u32| part_row(src as usize, i);
+        mirror_rows((rt, ledger), ("spgemm fold", fold), part_row, read);
     }
 
     // Phase 4 — merge at the owners, fixed rank order per row.
-    let fbufs = &ws.fold_bufs;
     trace_span!(PhaseKind::Merge, "spgemm:merge", {
-        par_ranks(threads, &mut ws.ranks, |r, scratch| {
-            scratch.merged = merge_rank(scratch, vmap.nlocal(r), compiled.fold_rank(r), fbufs);
+        par_ranks(threads, ranks, |r, scratch| {
+            scratch.merged = merge_rank(scratch, r, vmap.nlocal(r), fold, parts);
         })
     });
-    let merge_costs: Vec<PhaseCost> = ws
-        .ranks
-        .iter()
-        .map(|s| PhaseCost::compute(s.merged))
-        .collect();
+    let merge_costs: Vec<PhaseCost> = ranks.iter().map(|s| PhaseCost::compute(s.merged)).collect();
     ledger.superstep(Phase::Merge, &merge_costs);
-    publish_drain_arms("ef", ws.ranks.iter().map(|s| &s.spa));
+    publish_drain_arms("ef", ranks.iter().map(|s| &s.spa));
 
     // Phase 5 — close nnz(C) and assemble the output blocks.
-    let rows = ws.ranks.iter().map(|s| &s.out);
+    let rows = ranks.iter().map(|s| &s.out);
     let (locals, nnz) = close_output(vmap, b.ncols(), rows, ledger);
     DistSpgemm {
         vmap: Arc::clone(vmap),
         ncols: b.ncols(),
         locals,
         nnz,
-        expand,
-        fold,
-        multiply_flops: ws.ranks.iter().map(|s| 2 * s.terms).collect(),
-        merge_flops: ws.ranks.iter().map(|s| s.merged).collect(),
+        expand: expand_stats,
+        fold: fold_stats,
+        multiply_flops: ranks.iter().map(|s| 2 * s.terms).collect(),
+        merge_flops: ranks.iter().map(|s| s.merged).collect(),
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use sf2d_gen::{grid_2d, rmat, RmatConfig};
-    use sf2d_graph::spgemm;
-    use sf2d_partition::{grid_shape, MatrixDist};
+    use sf2d_graph::{spgemm, Graph};
+    use sf2d_partition::{grid_shape, partition_graph, GpConfig, MatrixDist};
     use sf2d_sim::sf2d_chaos::{FaultKind, FaultScript};
     use sf2d_sim::Machine;
+    use sf2d_spmv::compiled::CompiledSpmv;
 
     fn check_layout(a: &CsrMatrix, b: &CsrMatrix, dist: &MatrixDist) {
         let dm = DistCsrMatrix::from_global(a, dist);
@@ -615,9 +512,11 @@ mod tests {
         let b = a.transpose();
         let mut ledger = CostLedger::new(Machine::cab());
         let c = spgemm_dist(&dm, &b, &mut ledger);
+        let plans = &dm.compiled;
         for r in 0..dm.nprocs() {
-            assert_eq!(c.expand.send_msgs[r], dm.import.sends[r].len() as u64);
-            assert_eq!(c.fold.send_msgs[r], dm.export.recvs[r].len() as u64);
+            let (expand, fold) = (plans.expand.pack_entries(r), plans.fold.pack_entries(r));
+            assert_eq!(c.expand.send_msgs[r], expand.len() as u64);
+            assert_eq!(c.fold.send_msgs[r], fold.len() as u64);
         }
         assert!(c.expand.max_send_msgs() <= 3);
         assert!(c.fold.max_send_msgs() <= 3);
@@ -699,12 +598,8 @@ mod tests {
         let (_a, b, dm) = chaos_fixture();
         // Drop the first real expand message (routing step 0), whichever
         // pair the layout produces.
-        let (src, dst) = dm
-            .import
-            .sends
-            .iter()
-            .enumerate()
-            .find_map(|(r, out)| out.first().map(|(d, _)| (r as u32, *d)))
+        let (src, dst) = (0..dm.nprocs())
+            .find_map(|r| (dm.compiled.expand.pack_entries(r).first()).map(|e| (r as u32, e.peer)))
             .expect("2x2 block layout always has expand traffic");
         let script = FaultScript::default().fault(0, src, dst, 0, FaultKind::Drop);
         let mut rt = ChaosRuntime::scripted(script);
@@ -740,5 +635,116 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The six layouts of the SpMV study on `p` ranks: 1D and 2D Block,
+    /// Random and GP (the last two sharing one graph partition).
+    pub(crate) fn six_layouts(a: &CsrMatrix, p: usize) -> Vec<MatrixDist> {
+        let (n, (pr, pc)) = (a.nrows(), grid_shape(p));
+        let part = partition_graph(&Graph::from_symmetric_matrix(a), p, &GpConfig::default());
+        vec![
+            MatrixDist::block_1d(n, p),
+            MatrixDist::random_1d(n, p, 5),
+            MatrixDist::from_partition_1d(&part),
+            MatrixDist::block_2d(n, pr, pc),
+            MatrixDist::random_2d(n, pr, pc, 6),
+            MatrixDist::cartesian_2d(&part, pr, pc, false),
+        ]
+    }
+
+    /// The exchange framing before rows were read in place, kept as the
+    /// billing oracle: every pack message serialized `[nnz, cols…,
+    /// vals…]` per row (`row(r, i)` for rank `r`'s index `i`), and the
+    /// stats measured off those bytes — send side from each rank's own
+    /// messages, receive side through its unpack entries' `(src, slot)`.
+    fn framed_stats<'a>(phase: &PhasePlan, row: impl Fn(usize, u32) -> Row<'a>) -> ExchangeStats {
+        let p = phase.nranks();
+        let msgs: Vec<Vec<Vec<f64>>> = (0..p)
+            .map(|r| {
+                let packs = phase.rank(r).packs();
+                packs
+                    .map(|(_, idxs, _)| {
+                        let mut msg = Vec::new();
+                        for &i in idxs {
+                            let (cols, vals) = row(r, i);
+                            msg.push(cols.len() as f64);
+                            msg.extend(cols.iter().map(|&c| c as f64));
+                            msg.extend_from_slice(vals);
+                        }
+                        msg
+                    })
+                    .collect()
+            })
+            .collect();
+        let send_msgs: Vec<u64> = msgs.iter().map(|m| m.len() as u64).collect();
+        let send_doubles: Vec<u64> = (msgs.iter())
+            .map(|m| m.iter().map(|d| d.len() as u64).sum())
+            .collect();
+        let mut costs: Vec<PhaseCost> = (0..p)
+            .map(|r| PhaseCost::comm(send_msgs[r], 8 * send_doubles[r]))
+            .collect();
+        for (r, cost) in costs.iter_mut().enumerate() {
+            for e in phase.unpack_entries(r) {
+                let doubles = msgs[e.src as usize][e.slot as usize].len() as u64;
+                *cost = cost.add(&PhaseCost::comm(1, 8 * doubles));
+            }
+        }
+        ExchangeStats {
+            send_msgs,
+            send_doubles,
+            costs,
+        }
+    }
+
+    #[test]
+    fn billing_matches_the_framed_bytes_on_every_layout() {
+        let a = rmat(&RmatConfig::graph500(8), 23);
+        let b = a.transpose();
+        for p in [1usize, 4, 16, 64] {
+            for dist in six_layouts(&a, p) {
+                let dm = DistCsrMatrix::from_global(&a, &dist);
+                let mut ws = SpgemmWorkspace::new();
+                let c = spgemm_with(&dm, &b, &mut CostLedger::new(Machine::cab()), &mut ws);
+                let gids = |r: usize, lid: u32| b.row(dm.vmap.gids(r)[lid as usize] as usize);
+                let part = |r: usize, i: u32| ws.parts[r].row(i as usize);
+                let at = format!("p={p} {:?}", dist.mode());
+                assert_eq!(c.expand, framed_stats(&dm.compiled.expand, gids), "{at}");
+                assert_eq!(c.fold, framed_stats(&dm.compiled.fold, part), "{at}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "spgemm fold: source mismatch")]
+    fn chaos_mirror_checks_the_fold_link_against_the_sender() {
+        let a = rmat(&RmatConfig::graph500(7), 29);
+        let b = a.transpose();
+        let mut dm = DistCsrMatrix::from_global(&a, &MatrixDist::block_2d(a.nrows(), 2, 3));
+        let want = spgemm_dist(&dm, &b, &mut CostLedger::new(Machine::cab()));
+        // Relink an owner's shorter fold message to its other sender: the
+        // owner then reads rows of the wrong peer, which that peer sent to
+        // it for other rows.
+        let mut export = dm.export.clone();
+        let inbound = export
+            .sends
+            .iter_mut()
+            .find(|m| m.len() == 2)
+            .expect("a 2x3 block layout has owners with two fold senders");
+        let (short, long) = if inbound[0].1.len() <= inbound[1].1.len() {
+            (0, 1)
+        } else {
+            (1, 0)
+        };
+        inbound[short].0 = inbound[long].0;
+        dm.compiled = CompiledSpmv::compile(&dm.vmap, &dm.blocks, &dm.import, &export);
+
+        let got = spgemm_dist(&dm, &b, &mut CostLedger::new(Machine::cab()));
+        assert_ne!(got.locals, want.locals, "a wrong plan gives a wrong C");
+        spgemm_chaos(
+            &dm,
+            &b,
+            &mut CostLedger::new(Machine::cab()),
+            &mut ChaosRuntime::seeded(1, 0.0),
+        );
     }
 }

@@ -11,8 +11,9 @@
 //! experiment suite knows (1D/2D × Block/Random/GP) works unchanged.
 //!
 //! - [`spgemm_dist`] / [`spgemm_with`]: the kernel, one-shot or through a
-//!   reusable [`SpgemmWorkspace`] (SPA accumulators + resident message
-//!   payloads, multi-threaded over ranks with bit-identical results).
+//!   reusable [`SpgemmWorkspace`] (SPA accumulators + the partial rows
+//!   owners read in place, multi-threaded over ranks with bit-identical
+//!   results).
 //! - [`DistSpgemm`]: the distributed product — per-rank owned row blocks
 //!   plus measured per-phase traffic ([`ExchangeStats`]) and work.
 //! - [`spgemm_chaos`]: the same driver with a
@@ -26,8 +27,10 @@
 //!   expand/fold degrades to `p − 1` sends under 1D distributions).
 //!   Same owned-row output blocks, so the two paths compare bitwise.
 //!
-//! Costs are charged per call (Expand / Multiply / Fold / Merge /
-//! Collective supersteps) because SpGEMM payload sizes depend on B and C,
+//! Every exchange reads the sender's rows where they live; no payload is
+//! serialized except onto the chaos wire (`wire.rs`). Costs are charged
+//! per call (Expand / Multiply / Fold / Merge / Collective supersteps) at
+//! each row's framed length, because SpGEMM row sizes depend on B and C,
 //! unlike the SpMV's frozen one-double-per-gid costs. The distributed
 //! result is **bitwise equal** to the serial Gustavson oracle
 //! ([`sf2d_graph::spgemm`]) whenever row sums are exact — the
@@ -38,8 +41,9 @@
 
 pub mod kernel;
 pub mod summa;
+mod wire;
 pub mod workspace;
 
 pub use kernel::{spgemm_chaos, spgemm_dist, spgemm_with, DistSpgemm, ExchangeStats};
 pub use summa::{summa_chaos, summa_dist, summa_with, SummaGrid, SummaSpgemm};
-pub use workspace::{BRowRef, SpgemmWorkspace, SummaWorkspace};
+pub use workspace::{SpgemmWorkspace, SummaWorkspace};

@@ -29,15 +29,15 @@
 //! blocking, billed as [`Phase::Expand`] supersteps:
 //!
 //! * **A-shuffle** — under 1D layouts a rank's A rows span all stage
-//!   columns, so each rank ships the off-stage column segments to the
-//!   matching grid-column peer in its own grid row (≤ `gc − 1` sends).
-//!   Under 2D layouts every local nonzero is already in the rank's own
-//!   stage column and this is an exact no-op (zero traffic, still a
+//!   columns, so each rank gathers the entries of its own stage column
+//!   from the grid-column peers in its own grid row (≤ `gc − 1` sends to
+//!   bill). Under 2D layouts every local nonzero is already in the rank's
+//!   own stage column and this is an exact no-op (zero traffic, still a
 //!   closed superstep so ledger histories keep one shape).
 //! * **B-shuffle** — B rows live with their vector owners (grid column
-//!   `t` = the stage that consumes them); each owner splits its rows
-//!   into `gc` column chunks and ships chunk `j` to the stage's
-//!   broadcast root `rank(t mod gr, j)` (≤ `gc` sends).
+//!   `t` = the stage that consumes them); each stage's broadcast root
+//!   `rank(t mod gr, j)` gathers column chunk `j` of them (≤ `gc` sends per
+//!   owner).
 //!
 //! Each stage's multiply and the cross-stage merge accumulate a row in,
 //! and emit it sorted from, the `Spa` (`workspace.rs`) the expand/fold
@@ -49,6 +49,16 @@
 //! products are small integers), and bit-identical for any `threads`
 //! setting — the differential suite pins both, head-to-head with
 //! expand/fold.
+//!
+//! ## Transport
+//!
+//! Every exchange reads the sender's rows where they live. A stage
+//! multiplies its roots' `a_block` / `b_stage[t]` directly, an owner
+//! assembles its rows out of its grid-row peers' merged chunk blocks, and
+//! the shuffles gather out of A's blocks and B's rows. Each receiver notes
+//! how many framed doubles (`[gid, nnz, cols…, vals…]` per row) it read
+//! from each sender, and the ledger bills those messages at both
+//! endpoints; a broadcast is billed off its root's row lengths.
 //!
 //! [`Phase::Expand`]: sf2d_sim::cost::Phase::Expand
 //! [`Phase::Merge`]: sf2d_sim::cost::Phase::Merge
@@ -66,14 +76,15 @@ use sf2d_graph::CsrMatrix;
 use sf2d_obs::{trace_span, PhaseKind};
 use sf2d_partition::{grid_shape, DistMode, MatrixDist};
 use sf2d_sim::cost::{CostLedger, Phase, PhaseCost};
-use sf2d_sim::fault::{ChaosRuntime, PeerPayloads};
+use sf2d_sim::fault::ChaosRuntime;
 use sf2d_sim::runtime::par_ranks;
-use sf2d_spmv::distmat::DistCsrMatrix;
+use sf2d_spmv::distmat::{DistCsrMatrix, RankBlock};
 use sf2d_spmv::map::VectorMap;
 
-use crate::kernel::{close_output, push_row, send_stats, to_global, ExchangeStats};
+use crate::kernel::{close_output, to_global, ExchangeStats, Row};
+use crate::wire::{framed_len, mirror, Framed};
 use crate::workspace::{
-    publish_drain_arms, DirBufs, HyperCsr, MsgBufs, RankSummaScratch, SummaWorkspace,
+    par_zip, publish_drain_arms, HyperCsr, RankSummaScratch, Spa, SummaBlocks, SummaWorkspace,
 };
 
 /// The SUMMA process grid a [`MatrixDist`] induces.
@@ -186,6 +197,18 @@ impl SummaGrid {
         r / self.gr
     }
 
+    /// The rank whose stage-`t` block rank `r` multiplies: its grid row's
+    /// rank in grid column `t` for A (`along_row`), its grid column's rank
+    /// in grid row `t mod gr` for B. A rank that is its own root
+    /// broadcasts the block.
+    fn bcast_root(&self, along_row: bool, r: u32, t: u32) -> u32 {
+        if along_row {
+            self.rank_at(self.row_of_rank(r), t)
+        } else {
+            self.rank_at(t % self.gr, self.col_of_rank(r))
+        }
+    }
+
     /// The communication-avoiding per-stage bound: no rank sends more
     /// than `(gr − 1) + (gc − 1)` broadcast fragments in one stage,
     /// independent of the nonzero distribution.
@@ -259,38 +282,60 @@ fn chunk_range(bcols: usize, gc: usize, j: usize) -> (usize, usize) {
     (j * bcols / gc, (j + 1) * bcols / gc)
 }
 
-fn zero_stats(p: usize) -> ExchangeStats {
-    ExchangeStats {
-        send_msgs: vec![0; p],
-        send_doubles: vec![0; p],
-        costs: vec![PhaseCost::default(); p],
-    }
+/// The part of `row` in the column range `[lo, hi)`.
+fn chunk((cols, vals): Row<'_>, (lo, hi): (usize, usize)) -> Row<'_> {
+    let a = cols.partition_point(|&c| (c as usize) < lo);
+    let b = cols.partition_point(|&c| (c as usize) < hi);
+    (&cols[a..b], &vals[a..b])
 }
 
-fn add_stats(into: &mut ExchangeStats, other: &ExchangeStats) {
-    for r in 0..into.send_msgs.len() {
-        into.send_msgs[r] += other.send_msgs[r];
-        into.send_doubles[r] += other.send_doubles[r];
-        into.costs[r] = into.costs[r].add(&other.costs[r]);
-    }
+/// Local row `li` of `block` restricted to the columns stage `s`
+/// consumes, as `(global column, value)` pairs — the sub-row its grid-row
+/// peer in grid column `s` reads in the A-shuffle.
+fn stage_entries<'a>(
+    block: &'a RankBlock,
+    li: usize,
+    s: u32,
+    rpart: &'a [u32],
+    g: SummaGrid,
+) -> impl Iterator<Item = (u32, f64)> + 'a {
+    let (lcols, vals) = block.row(li);
+    let entries = lcols.iter().zip(vals);
+    entries
+        .map(|(&lj, &v)| (block.colmap[lj as usize], v))
+        .filter(move |&(gj, _)| g.col_of_part(rpart[gj as usize]) == s)
 }
 
-/// Measures one directed exchange off the resident [`DirBufs`]: sender
-/// side from the sealed slots, receiver side mirrored through the
-/// per-slot destination list (same both-endpoints convention as
-/// [`exchange_stats`](crate::kernel)).
-fn dir_stats(bufs: &[DirBufs]) -> ExchangeStats {
-    let mut stats = send_stats(bufs.iter().map(|b| &b.bufs));
-    for src in bufs {
-        for (slot, &d) in src.dsts.iter().enumerate() {
-            let doubles = src.bufs.msg(slot).len() as u64;
-            stats.costs[d as usize] = stats.costs[d as usize].add(&PhaseCost::comm(1, 8 * doubles));
+/// Positions of the rows of `merged` whose C row `owner` owns.
+fn owned_rows<'a>(
+    merged: &'a HyperCsr,
+    vmap: &'a VectorMap,
+    owner: u32,
+) -> impl Iterator<Item = usize> + 'a {
+    (0..merged.nrows()).filter(move |&k| vmap.owner(merged.rows[k]) == owner)
+}
+
+/// Doubles a block takes framed, `[gid, nnz, cols…, vals…]` per row.
+fn framed_block(h: &HyperCsr) -> u64 {
+    let rows = h.ptr.windows(2);
+    rows.map(|w| framed_len(w[1] - w[0], true)).sum()
+}
+
+/// Bills a directed exchange off what each rank read: one message of the
+/// recorded framed doubles from every peer it read a nonempty share of.
+fn inbound_stats(ranks: &[RankSummaScratch]) -> ExchangeStats {
+    let mut stats = ExchangeStats::zero(ranks.len());
+    for (r, s) in ranks.iter().enumerate() {
+        for &(src, doubles) in &s.inbound {
+            if src as usize != r && doubles > 0 {
+                stats.bill(src as usize, r, doubles);
+            }
         }
     }
     stats
 }
 
-/// Where root `r` fans its one stage payload out: along its grid row to
+/// Where root `r` fans its stage block out: along its grid row to
 /// every other grid column (`along_row`, the A broadcast) or down its
 /// grid column to every other grid row (the B broadcast) — a pure
 /// function of the grid, so no destination lists are built.
@@ -306,268 +351,111 @@ fn bcast_dsts(g: SummaGrid, along_row: bool, r: u32) -> impl Iterator<Item = u32
     })
 }
 
-/// Measures one broadcast round: each root packs its payload **once**
-/// (only roots seal one) and fans it out to [`bcast_dsts`]; the simulator
+/// Bills one broadcast round: every root with a nonempty stage block
+/// (`block(root)`) sends it to each of its [`bcast_dsts`] — the simulator
 /// has no multicast, so the root is billed one point-to-point send per
 /// destination and each destination one receive.
-fn bcast_stats(bufs: &[MsgBufs], g: SummaGrid, along_row: bool) -> ExchangeStats {
-    let mut stats = zero_stats(bufs.len());
-    for (r, buf) in bufs.iter().enumerate().filter(|(_, b)| b.nmsgs() == 1) {
-        let nd = bcast_dsts(g, along_row, r as u32).count() as u64;
-        if nd == 0 {
-            continue;
-        }
-        let doubles = buf.msg(0).len() as u64;
-        stats.send_msgs[r] = nd;
-        stats.send_doubles[r] = nd * doubles;
-        stats.costs[r] = stats.costs[r].add(&PhaseCost::comm(nd, 8 * nd * doubles));
-        for d in bcast_dsts(g, along_row, r as u32) {
-            stats.costs[d as usize] = stats.costs[d as usize].add(&PhaseCost::comm(1, 8 * doubles));
+fn bcast_stats<'a>(
+    g: SummaGrid,
+    p: usize,
+    (along_row, t): (bool, u32),
+    block: impl Fn(usize) -> &'a HyperCsr,
+) -> ExchangeStats {
+    let mut stats = ExchangeStats::zero(p);
+    for root in (0..p as u32).filter(|&r| g.bcast_root(along_row, r, t) == r) {
+        let doubles = framed_block(block(root as usize));
+        if doubles > 0 {
+            for d in bcast_dsts(g, along_row, root) {
+                stats.bill(root as usize, d as usize, doubles);
+            }
         }
     }
     stats
 }
 
-/// A directed exchange as [`ChaosRuntime::mirror_exchange`] takes it:
-/// `(dst, payload)` in slot order.
-fn dir_wire(bufs: &[DirBufs]) -> Vec<PeerPayloads<'_>> {
-    bufs.iter()
-        .map(|b| {
-            b.dsts
-                .iter()
-                .enumerate()
-                .map(|(slot, &d)| (d, b.bufs.msg(slot)))
-                .collect()
-        })
-        .collect()
-}
-
-/// A broadcast round on the wire: the root's one resident payload once
-/// per destination, in [`bcast_dsts`] order.
-fn bcast_wire(bufs: &[MsgBufs], g: SummaGrid, along_row: bool) -> Vec<PeerPayloads<'_>> {
-    bufs.iter()
-        .enumerate()
-        .map(|(r, buf)| {
-            if buf.nmsgs() == 0 {
-                Vec::new()
-            } else {
-                bcast_dsts(g, along_row, r as u32)
-                    .map(|d| (d, buf.msg(0)))
-                    .collect()
-            }
-        })
-        .collect()
-}
-
-/// Serializes a hypersparse block: `[gid, nnz, cols..., vals...]` per row.
-fn serialize_block(data: &mut Vec<f64>, h: &HyperCsr) {
-    for k in 0..h.nrows() {
-        let (gid, cols, vals) = h.row_at(k);
-        data.push(gid as f64);
-        push_row(data, (cols, vals));
-    }
-}
-
-/// Appends the rows of one serialized hypersparse payload onto `out`.
-fn decode_block(data: &[f64], out: &mut HyperCsr) {
-    let mut off = 0usize;
-    while off < data.len() {
-        let gid = data[off] as u32;
-        let nnz = data[off + 1] as usize;
-        let cols = &data[off + 2..off + 2 + nnz];
-        out.cols.extend(cols.iter().map(|&c| c as u32));
-        out.vals
-            .extend_from_slice(&data[off + 2 + nnz..off + 2 + 2 * nnz]);
-        out.close_row(gid);
-        off += 2 + 2 * nnz;
-    }
-    debug_assert_eq!(off, data.len(), "summa block payload framing mismatch");
-}
-
-/// Packs rank `o`'s A-shuffle payloads: for every stage column `s` other
-/// than its own, the sub-rows of its local A block whose columns belong
-/// to stage `s`, addressed to the grid-column-`s` peer in its grid row.
-/// Exact no-op (every slot empty, nothing sealed) under 2D layouts.
-fn pack_shuffle_a(buf: &mut DirBufs, o: usize, a: &DistCsrMatrix, rpart: &[u32], g: &SummaGrid) {
-    buf.reset();
-    let (oi, oj) = (g.row_of_rank(o as u32), g.col_of_rank(o as u32));
-    let block = &a.blocks[o];
-    for s in 0..g.gc {
-        if s == oj {
-            continue;
-        }
-        let data = &mut buf.bufs.data;
-        for li in 0..block.rowmap.len() {
-            let (lcols, vals) = block.row(li);
-            // The framing puts a row's values after all of its columns, so
-            // the sub-row is written in place at full-row spacing and its
-            // values closed up once its length is known.
-            let (base, len) = (data.len(), lcols.len());
-            data.resize(base + 2 + 2 * len, 0.0);
-            let mut nnz = 0usize;
-            for (&lj, &v) in lcols.iter().zip(vals) {
-                let gj = block.colmap[lj as usize];
-                if g.col_of_part(rpart[gj as usize]) == s {
-                    data[base + 2 + nnz] = gj as f64;
-                    data[base + 2 + len + nnz] = v;
-                    nnz += 1;
-                }
-            }
-            if nnz == 0 {
-                data.truncate(base);
-                continue;
-            }
-            data[base] = block.rowmap[li] as f64;
-            data[base + 1] = nnz as f64;
-            data.copy_within(base + 2 + len..base + 2 + len + nnz, base + 2 + nnz);
-            data.truncate(base + 2 + 2 * nnz);
-        }
-        buf.seal_to(g.rank_at(oi, s));
-    }
-}
-
-/// Builds rank `r`'s stage-aligned A block: its own-stage entries plus
-/// every row shipped in by its grid-row peers, sorted back to ascending
-/// global row order. Each row arrives whole from a single source (a 1D
-/// row has one owner), so no per-row merging is needed.
+/// Gathers rank `r`'s stage-aligned A block: from each grid-row peer's
+/// local rows (its own included) the entries of stage column `rj`, read
+/// where they live, in ascending global row order. A row comes whole from
+/// one rank (its owner under a 1D layout, `r` itself under a 2D one), so
+/// nothing is merged. Notes the framed doubles read from each peer.
 fn build_a_block(
     s: &mut RankSummaScratch,
+    a_block: &mut HyperCsr,
     r: usize,
     a: &DistCsrMatrix,
     rpart: &[u32],
-    g: &SummaGrid,
-    sbufs: &[DirBufs],
+    g: SummaGrid,
 ) {
     let (ri, rj) = (g.row_of_rank(r as u32), g.col_of_rank(r as u32));
-    s.a_block.clear();
-    let block = &a.blocks[r];
-    for li in 0..block.rowmap.len() {
-        let (lcols, vals) = block.row(li);
-        let before = s.a_block.nnz();
-        for (&lj, &v) in lcols.iter().zip(vals) {
-            let gj = block.colmap[lj as usize];
-            if g.col_of_part(rpart[gj as usize]) == rj {
-                s.a_block.cols.push(gj);
-                s.a_block.vals.push(v);
-            }
-        }
-        if s.a_block.nnz() > before {
-            s.a_block.close_row(block.rowmap[li]);
-        }
-    }
+    s.keys.clear();
+    s.inbound.clear();
     for st in 0..g.gc {
-        if st == rj {
-            continue;
-        }
-        let src = g.rank_at(ri, st) as usize;
-        if let Some(slot) = sbufs[src].slot_for(r as u32) {
-            decode_block(sbufs[src].bufs.msg(slot), &mut s.a_block);
-        }
-    }
-    // No stage has run yet, so the receive block is free to sort into.
-    s.a_block.sort_rows(&mut s.a_recv, &mut s.sort_order);
-}
-
-/// Packs rank `o`'s B-shuffle payloads: its owned B rows (all of stage
-/// `t` = its grid column), split into `gc` column chunks, chunk `j`
-/// addressed to that stage's grid-column-`j` broadcast root. The chunk
-/// that would go to `o` itself stays local (handled in
-/// [`build_b_stages`]).
-fn pack_shuffle_b(
-    buf: &mut DirBufs,
-    o: usize,
-    b: &CsrMatrix,
-    vmap: &VectorMap,
-    g: &SummaGrid,
-    bcols: usize,
-) {
-    buf.reset();
-    let t = g.col_of_rank(o as u32);
-    let ti = t % g.gr;
-    for j in 0..g.gc {
-        let root = g.rank_at(ti, j);
-        if root == o as u32 {
-            continue;
-        }
-        let (clo, chi) = chunk_range(bcols, g.gc as usize, j as usize);
-        for &gid in vmap.gids(o) {
-            let (cols, vals) = b.row(gid as usize);
-            let lo = cols.partition_point(|&c| (c as usize) < clo);
-            let hi = cols.partition_point(|&c| (c as usize) < chi);
-            if hi > lo {
-                buf.bufs.data.push(gid as f64);
-                push_row(&mut buf.bufs.data, (&cols[lo..hi], &vals[lo..hi]));
+        let src = g.rank_at(ri, st);
+        let block = &a.blocks[src as usize];
+        for (li, &gid) in block.rowmap.iter().enumerate() {
+            if stage_entries(block, li, rj, rpart, g).next().is_some() {
+                s.keys.push((gid, st, li as u32));
             }
         }
-        buf.seal_to(root);
+        s.inbound.push((src, 0));
+    }
+    // Only rows with entries in the stage are sorted: under a 2D layout
+    // those are the rank's own rows, already in order.
+    s.keys.sort_unstable();
+    a_block.clear();
+    for &(gid, st, li) in &s.keys {
+        let block = &a.blocks[s.inbound[st as usize].0 as usize];
+        let before = a_block.nnz();
+        for (gj, v) in stage_entries(block, li as usize, rj, rpart, g) {
+            a_block.cols.push(gj);
+            a_block.vals.push(v);
+        }
+        a_block.close_row(gid);
+        s.inbound[st as usize].1 += framed_len(a_block.nnz() - before, true);
     }
 }
 
-/// Builds the stage blocks rank `r` roots: for every stage `t` with
-/// `t mod gr` = its grid row, the stage-`t` B rows restricted to its own
-/// column chunk — its own rows (when it sits in grid column `t`) plus
-/// everything the column-`t` owners shipped in. Rows are unique (one
-/// owner per B row), so sorting restores ascending global order.
+/// Gathers the stage blocks rank `r` roots: for every stage `t` with
+/// `t mod gr` = its grid row, the stage-`t` B rows — those of the vector
+/// owners in grid column `t`, its own among them when it sits there —
+/// restricted to its own column chunk, read where they live, in ascending
+/// global row order. Notes the framed doubles read from each owner.
 fn build_b_stages(
     s: &mut RankSummaScratch,
+    b_stage: &mut [HyperCsr],
     r: usize,
     b: &CsrMatrix,
     vmap: &VectorMap,
-    g: &SummaGrid,
-    sbufs: &[DirBufs],
-    bcols: usize,
+    g: SummaGrid,
 ) {
     let (ri, rj) = (g.row_of_rank(r as u32), g.col_of_rank(r as u32));
-    for t in 0..g.gc {
-        if t % g.gr != ri {
-            continue;
-        }
-        let bt = &mut s.b_stage[t as usize];
-        if rj == t {
-            let (clo, chi) = chunk_range(bcols, g.gc as usize, rj as usize);
-            for &gid in vmap.gids(r) {
-                let (cols, vals) = b.row(gid as usize);
-                let lo = cols.partition_point(|&c| (c as usize) < clo);
-                let hi = cols.partition_point(|&c| (c as usize) < chi);
-                if hi > lo {
-                    bt.push_row(gid, &cols[lo..hi], &vals[lo..hi]);
-                }
-            }
-        }
+    let range = chunk_range(b.ncols(), g.gc as usize, rj as usize);
+    s.inbound.clear();
+    for t in (0..g.gc).filter(|t| t % g.gr == ri) {
+        let base = s.inbound.len();
+        s.keys.clear();
         for i in 0..g.gr {
-            let src = g.rank_at(i, t) as usize;
-            if src == r {
-                continue;
-            }
-            if let Some(slot) = sbufs[src].slot_for(r as u32) {
-                decode_block(sbufs[src].bufs.msg(slot), bt);
+            let src = g.rank_at(i, t);
+            s.keys
+                .extend(vmap.gids(src as usize).iter().map(|&gid| (gid, i, 0)));
+            s.inbound.push((src, 0));
+        }
+        s.keys.sort_unstable();
+        let bt = &mut b_stage[t as usize];
+        for &(gid, i, _) in &s.keys {
+            let (cols, vals) = chunk(b.row(gid as usize), range);
+            if !cols.is_empty() {
+                bt.push_row(gid, cols, vals);
+                s.inbound[base + i as usize].1 += framed_len(cols.len(), true);
             }
         }
-        bt.sort_rows(&mut s.b_recv, &mut s.sort_order);
     }
 }
 
-/// One stage's local multiply at rank `r`: Gustavson over the resident or
-/// received hypersparse blocks, emitting the stage-`t` partial. Returns
-/// the product terms processed.
-fn multiply_stage(s: &mut RankSummaScratch, r: u32, t: u32, g: &SummaGrid) -> u64 {
-    let (ri, rj) = (g.row_of_rank(r), g.col_of_rank(r));
-    let RankSummaScratch {
-        spa,
-        a_block,
-        b_stage,
-        a_recv,
-        b_recv,
-        stage_out,
-        ..
-    } = s;
-    let a = if rj == t { &*a_block } else { &*a_recv };
-    let bs = if ri == t % g.gr {
-        &b_stage[t as usize]
-    } else {
-        &*b_recv
-    };
-    let out = &mut stage_out[t as usize];
+/// One stage's local multiply: Gustavson over the stage's A and B blocks,
+/// read at their roots, emitting the stage partial into `out`. Returns the
+/// product terms processed.
+fn multiply_stage(spa: &mut Spa, out: &mut HyperCsr, a: &HyperCsr, bs: &HyperCsr) -> u64 {
     let mut terms = 0u64;
     for k in 0..a.nrows() {
         let (gid, acols, avals) = a.row_at(k);
@@ -588,31 +476,30 @@ fn multiply_stage(s: &mut RankSummaScratch, r: u32, t: u32, g: &SummaGrid) -> u6
     terms
 }
 
-/// Merges rank `r`'s per-stage partials into one chunk block, per row in
-/// ascending **stage** order (the fixed reassociation the differential
-/// suite pins bitwise). Returns entries merged (1 flop each).
-fn merge_stages(s: &mut RankSummaScratch, gc: usize) -> u64 {
-    s.pairs.clear();
+/// Merges a rank's per-stage partials into its one chunk block `merged`,
+/// per row in ascending **stage** order (the fixed reassociation the
+/// differential suite pins bitwise). Returns entries merged (1 flop each).
+fn merge_stages(s: &mut RankSummaScratch, merged: &mut HyperCsr, gc: usize) -> u64 {
+    s.keys.clear();
     for (t, so) in s.stage_out.iter().enumerate().take(gc) {
         for k in 0..so.nrows() {
-            s.pairs.push((so.rows[k], t as u32, k as u32));
+            s.keys.push((so.rows[k], t as u32, k as u32));
         }
     }
-    s.pairs.sort_unstable();
+    s.keys.sort_unstable();
     let RankSummaScratch {
         spa,
         stage_out,
-        merged,
-        pairs,
+        keys,
         ..
     } = s;
     merged.clear();
     let mut flops = 0u64;
     let mut i = 0usize;
-    while i < pairs.len() {
-        let gid = pairs[i].0;
-        while i < pairs.len() && pairs[i].0 == gid {
-            let (_, t, k) = pairs[i];
+    while i < keys.len() {
+        let gid = keys[i].0;
+        while i < keys.len() && keys[i].0 == gid {
+            let (_, t, k) = keys[i];
             let (_, cols, vals) = stage_out[t as usize].row_at(k as usize);
             for (&c, &v) in cols.iter().zip(vals) {
                 spa.add(c, v);
@@ -626,116 +513,196 @@ fn merge_stages(s: &mut RankSummaScratch, gc: usize) -> u64 {
     flops
 }
 
-/// Packs rank `r`'s fold payloads: merged chunk rows grouped by their C
-/// row owner — always a grid-row peer, visited in ascending grid-column
-/// order (≤ `gc − 1` sends).
-fn pack_fold(buf: &mut DirBufs, r: usize, g: &SummaGrid, vmap: &VectorMap, merged: &HyperCsr) {
-    buf.reset();
-    let (ri, rj) = (g.row_of_rank(r as u32), g.col_of_rank(r as u32));
-    for sc in 0..g.gc {
-        if sc == rj {
-            continue;
-        }
-        let o = g.rank_at(ri, sc);
-        for k in 0..merged.nrows() {
-            let (gid, cols, vals) = merged.row_at(k);
-            if vmap.owner(gid) == o {
-                buf.bufs.data.push(gid as f64);
-                push_row(&mut buf.bufs.data, (cols, vals));
-            }
-        }
-        buf.seal_to(o);
-    }
-}
-
 /// Assembles rank `r`'s owned C rows: per row, the `gc` column-chunk
-/// contributions (own merged chunk + one per grid-row peer) concatenated
-/// in ascending chunk order — chunks are disjoint ascending column
-/// ranges, so concatenation yields sorted rows with no arithmetic.
-/// Returns entries assembled (billed 1 flop each, like the merge).
+/// contributions — its rows of its own and each grid-row peer's merged
+/// chunk block, read where they live — concatenated in ascending chunk
+/// order. Chunks are disjoint ascending column ranges, so concatenation
+/// yields sorted rows with no arithmetic. Notes the framed doubles read
+/// from each peer and returns entries assembled (billed 1 flop each, like
+/// the merge).
 fn assemble(
     s: &mut RankSummaScratch,
     r: usize,
-    g: &SummaGrid,
+    g: SummaGrid,
     vmap: &VectorMap,
-    fbufs: &[DirBufs],
+    blocks: &[SummaBlocks],
 ) -> u64 {
-    let (ri, rj) = (g.row_of_rank(r as u32), g.col_of_rank(r as u32));
-    s.incoming.clear();
-    for k in 0..s.merged.nrows() {
-        let (gid, cols, _) = s.merged.row_at(k);
-        if vmap.owner(gid) == r as u32 {
-            s.incoming.push((
-                vmap.lid(gid) as u32,
-                rj,
-                r as u32,
-                u32::MAX,
-                s.merged.ptr[k] as u32,
-                cols.len() as u32,
-            ));
-        }
-    }
+    let ri = g.row_of_rank(r as u32);
+    let merged_of = |sc: u32| &blocks[g.rank_at(ri, sc) as usize].merged;
+    s.keys.clear();
+    s.inbound.clear();
     for sc in 0..g.gc {
-        if sc == rj {
-            continue;
+        let merged = merged_of(sc);
+        let mut doubles = 0;
+        for k in owned_rows(merged, vmap, r as u32) {
+            s.keys.push((vmap.lid(merged.rows[k]) as u32, sc, k as u32));
+            doubles += framed_len(merged.ptr[k + 1] - merged.ptr[k], true);
         }
-        let src = g.rank_at(ri, sc) as usize;
-        if let Some(slot) = fbufs[src].slot_for(r as u32) {
-            let data = fbufs[src].bufs.msg(slot);
-            let mut off = 0usize;
-            while off < data.len() {
-                let gid = data[off] as u32;
-                let nnz = data[off + 1] as usize;
-                s.incoming.push((
-                    vmap.lid(gid) as u32,
-                    sc,
-                    src as u32,
-                    slot as u32,
-                    (off + 2) as u32,
-                    nnz as u32,
-                ));
-                off += 2 + 2 * nnz;
-            }
-            debug_assert_eq!(off, data.len(), "summa fold payload framing mismatch");
-        }
+        s.inbound.push((g.rank_at(ri, sc), doubles));
     }
-    s.incoming.sort_unstable_by_key(|e| (e.0, e.1));
-    let nlocal = vmap.nlocal(r);
-    let RankSummaScratch {
-        merged,
-        incoming,
-        out,
-        ..
-    } = s;
-    out.reset();
+    s.keys.sort_unstable();
+    s.out.reset();
     let mut flops = 0u64;
     let mut cur = 0usize;
-    for lid in 0..nlocal as u32 {
-        while cur < incoming.len() && incoming[cur].0 == lid {
-            let (_, _, src, slot, off, len) = incoming[cur];
-            let (off, len) = (off as usize, len as usize);
-            if slot == u32::MAX {
-                out.cols.extend_from_slice(&merged.cols[off..off + len]);
-                out.vals.extend_from_slice(&merged.vals[off..off + len]);
-            } else {
-                let data = fbufs[src as usize].bufs.msg(slot as usize);
-                out.cols
-                    .extend(data[off..off + len].iter().map(|&c| c as u32));
-                out.vals.extend_from_slice(&data[off + len..off + 2 * len]);
-            }
-            flops += len as u64;
+    for lid in 0..vmap.nlocal(r) as u32 {
+        while cur < s.keys.len() && s.keys[cur].0 == lid {
+            let (_, sc, k) = s.keys[cur];
+            let (_, cols, vals) = merged_of(sc).row_at(k as usize);
+            s.out.cols.extend_from_slice(cols);
+            s.out.vals.extend_from_slice(vals);
+            flops += cols.len() as u64;
             cur += 1;
         }
-        out.close_row();
+        s.out.close_row();
     }
     flops
 }
 
+/// Frames every row of a block onto `f`'s open message.
+fn frame_block(f: &mut Framed, h: &HyperCsr) {
+    for k in 0..h.nrows() {
+        let (gid, cols, vals) = h.row_at(k);
+        f.row(Some(gid), (cols, vals));
+    }
+}
+
+/// Under chaos only: the A-shuffle framed for [`mirror`] — each rank's
+/// sub-rows for every other stage column, sent to that column's peer in
+/// its grid row, and each rank's view of the sub-rows it reads from every
+/// such peer.
+fn mirror_a_shuffle(
+    (rt, ledger): (&mut ChaosRuntime, &mut CostLedger),
+    a: &DistCsrMatrix,
+    rpart: &[u32],
+    g: SummaGrid,
+) {
+    let frame = |f: &mut Framed, src: u32, stage: u32| {
+        let block = &a.blocks[src as usize];
+        for (li, &gid) in block.rowmap.iter().enumerate() {
+            let (cols, vals): (Vec<u32>, Vec<f64>) =
+                stage_entries(block, li, stage, rpart, g).unzip();
+            if !cols.is_empty() {
+                f.row(Some(gid), (&cols, &vals));
+            }
+        }
+    };
+    let p = a.nprocs();
+    let (mut sends, mut views) = (Framed::new(p), Framed::new(p));
+    for r in 0..p as u32 {
+        let (ri, rj) = (g.row_of_rank(r), g.col_of_rank(r));
+        for s in (0..g.gc).filter(|&s| s != rj) {
+            let peer = g.rank_at(ri, s);
+            frame(&mut sends, r, s);
+            sends.seal(r as usize, peer);
+            frame(&mut views, peer, rj);
+            views.seal(r as usize, peer);
+        }
+    }
+    mirror(rt, ledger, "summa a-shuffle", &sends, &views);
+}
+
+/// Under chaos only: the B-shuffle framed for [`mirror`] — each owner's
+/// rows split into column chunks, chunk `j` sent to its stage's root in
+/// grid column `j`, and each root's view of the chunk it reads from every
+/// owner of a stage it roots.
+fn mirror_b_shuffle(
+    (rt, ledger): (&mut ChaosRuntime, &mut CostLedger),
+    b: &CsrMatrix,
+    vmap: &VectorMap,
+    g: SummaGrid,
+) {
+    let frame = |f: &mut Framed, owner: u32, j: u32| {
+        let range = chunk_range(b.ncols(), g.gc as usize, j as usize);
+        for &gid in vmap.gids(owner as usize) {
+            let row = chunk(b.row(gid as usize), range);
+            if !row.0.is_empty() {
+                f.row(Some(gid), row);
+            }
+        }
+    };
+    let p = vmap.nprocs();
+    let (mut sends, mut views) = (Framed::new(p), Framed::new(p));
+    for r in 0..p as u32 {
+        let (ri, rj) = (g.row_of_rank(r), g.col_of_rank(r));
+        for root in (0..g.gc).map(|j| g.rank_at(rj % g.gr, j)) {
+            if root != r {
+                frame(&mut sends, r, g.col_of_rank(root));
+                sends.seal(r as usize, root);
+            }
+        }
+        for t in (0..g.gc).filter(|t| t % g.gr == ri) {
+            for src in (0..g.gr).map(|i| g.rank_at(i, t)).filter(|&src| src != r) {
+                frame(&mut views, src, rj);
+                views.seal(r as usize, src);
+            }
+        }
+    }
+    mirror(rt, ledger, "summa b-shuffle", &sends, &views);
+}
+
+/// Under chaos only: stage `t`'s broadcast framed for [`mirror`] — each
+/// root's block once per destination, and for every other rank the block
+/// of the root it reads.
+fn mirror_bcast<'a>(
+    (rt, ledger): (&mut ChaosRuntime, &mut CostLedger),
+    (what, along_row, t): (&str, bool, u32),
+    g: SummaGrid,
+    p: usize,
+    block: impl Fn(usize) -> &'a HyperCsr,
+) {
+    let (mut sends, mut views) = (Framed::new(p), Framed::new(p));
+    for r in 0..p as u32 {
+        let root = g.bcast_root(along_row, r, t);
+        if root == r {
+            for d in bcast_dsts(g, along_row, r) {
+                frame_block(&mut sends, block(r as usize));
+                sends.seal(r as usize, d);
+            }
+        } else {
+            frame_block(&mut views, block(root as usize));
+            views.seal(r as usize, root);
+        }
+    }
+    mirror(rt, ledger, what, &sends, &views);
+}
+
+/// Under chaos only: the fold framed for [`mirror`] — each rank's merged
+/// chunk rows sent to their owners among its grid-row peers
+/// (`merged(q)` is the block rank `q` sends from), and each owner's view
+/// of its rows in every peer's block (`read(q)` is the block it reads as
+/// rank `q`'s).
+fn mirror_fold<'a>(
+    (rt, ledger): (&mut ChaosRuntime, &mut CostLedger),
+    g: SummaGrid,
+    vmap: &VectorMap,
+    merged: impl Fn(u32) -> &'a HyperCsr,
+    read: impl Fn(u32) -> &'a HyperCsr,
+) {
+    let frame = |f: &mut Framed, h: &HyperCsr, owner: u32| {
+        for k in owned_rows(h, vmap, owner) {
+            let (gid, cols, vals) = h.row_at(k);
+            f.row(Some(gid), (cols, vals));
+        }
+    };
+    let p = vmap.nprocs();
+    let (mut sends, mut views) = (Framed::new(p), Framed::new(p));
+    for r in 0..p as u32 {
+        let (ri, rj) = (g.row_of_rank(r), g.col_of_rank(r));
+        for peer in (0..g.gc).filter(|&sc| sc != rj).map(|sc| g.rank_at(ri, sc)) {
+            frame(&mut sends, merged(r), peer);
+            sends.seal(r as usize, peer);
+            frame(&mut views, read(peer), r);
+            views.seal(r as usize, peer);
+        }
+    }
+    mirror(rt, ledger, "summa fold", &sends, &views);
+}
+
 /// The shared SUMMA driver: plain when `chaos` is `None`, otherwise every
-/// exchange is also handed to [`ChaosRuntime::mirror_exchange`] (SUMMA
-/// has no compiled receive side, so the expected inbox is the sends
-/// regrouped by destination) and the healed deliveries are asserted
-/// bit-identical to the resident buffers (so a rate-0 chaos run is
+/// exchange is also framed and handed to
+/// [`ChaosRuntime::mirror_exchange`] with the receive views the kernel
+/// reads (the roots' blocks, the peers' owned rows), and the healed
+/// deliveries are asserted bit-identical to them (so a rate-0 chaos run is
 /// byte-identical — values *and* ledger — to the plain path, which the
 /// chaos tests pin).
 fn summa_inner(
@@ -772,134 +739,67 @@ fn summa_inner(
     let gc = g.gc as usize;
     let bcols = b.ncols();
     ws.ensure(p, gc, bcols);
-    let threads = ws.threads;
+    let SummaWorkspace {
+        threads,
+        ranks,
+        blocks,
+    } = ws;
+    let threads = *threads;
     let rpart = dist.rpart();
     let vmap = &a.vmap;
-    let SummaWorkspace {
-        ref mut ranks,
-        ref mut shuffle_a,
-        ref mut shuffle_b,
-        ref mut stage_a,
-        ref mut stage_b,
-        ref mut fold,
-        ..
-    } = *ws;
 
-    // Phase 1 — A-shuffle: align A's columns with the stage blocking.
-    trace_span!(PhaseKind::Pack, "summa:a-shuffle-pack", {
-        par_ranks(threads, shuffle_a, |o, buf| {
-            pack_shuffle_a(buf, o, a, rpart, &g);
+    // Phase 1 — A-shuffle: each rank gathers its stage-aligned A block
+    // out of its grid-row peers' rows.
+    trace_span!(PhaseKind::Unpack, "summa:a-shuffle", {
+        par_zip(threads, ranks, blocks, |r, scratch, bl| {
+            build_a_block(scratch, &mut bl.a_block, r, a, rpart, g);
         })
     });
-    let shuffle_a_stats = dir_stats(shuffle_a);
-    ledger.superstep(Phase::Expand, &shuffle_a_stats.costs);
+    let mut shuffle = inbound_stats(ranks);
+    ledger.superstep(Phase::Expand, &shuffle.costs);
     if let Some(rt) = chaos.as_deref_mut() {
-        rt.mirror_exchange(ledger, "summa a-shuffle", &dir_wire(shuffle_a), None);
-    }
-    {
-        let sa: &[DirBufs] = shuffle_a;
-        trace_span!(PhaseKind::Unpack, "summa:a-shuffle-unpack", {
-            par_ranks(threads, ranks, |r, scratch| {
-                build_a_block(scratch, r, a, rpart, &g, sa);
-            })
-        });
+        mirror_a_shuffle((rt, ledger), a, rpart, g);
     }
 
-    // Phase 2 — B-shuffle: owners ship chunked stage rows to the roots.
-    trace_span!(PhaseKind::Pack, "summa:b-shuffle-pack", {
-        par_ranks(threads, shuffle_b, |o, buf| {
-            pack_shuffle_b(buf, o, b, vmap, &g, bcols);
+    // Phase 2 — B-shuffle: each stage root gathers its column chunk of
+    // the stage's B rows from their owners.
+    trace_span!(PhaseKind::Unpack, "summa:b-shuffle", {
+        par_zip(threads, ranks, blocks, |r, scratch, bl| {
+            build_b_stages(scratch, &mut bl.b_stage, r, b, vmap, g);
         })
     });
-    let shuffle_b_stats = dir_stats(shuffle_b);
-    ledger.superstep(Phase::Expand, &shuffle_b_stats.costs);
+    let shuffle_b = inbound_stats(ranks);
+    ledger.superstep(Phase::Expand, &shuffle_b.costs);
     if let Some(rt) = chaos.as_deref_mut() {
-        rt.mirror_exchange(ledger, "summa b-shuffle", &dir_wire(shuffle_b), None);
+        mirror_b_shuffle((rt, ledger), b, vmap, g);
     }
-    {
-        let sb: &[DirBufs] = shuffle_b;
-        trace_span!(PhaseKind::Unpack, "summa:b-shuffle-unpack", {
-            par_ranks(threads, ranks, |r, scratch| {
-                build_b_stages(scratch, r, b, vmap, &g, sb, bcols);
-            })
-        });
-    }
-    let mut shuffle = shuffle_a_stats;
-    add_stats(&mut shuffle, &shuffle_b_stats);
+    shuffle.add(&shuffle_b);
 
-    // Stages: row-broadcast A, col-broadcast B, multiply.
-    let mut bcast = zero_stats(p);
+    // Stages: row-broadcast A, col-broadcast B, multiply — each rank reads
+    // the stage's blocks at their roots.
+    let mut bcast = ExchangeStats::zero(p);
     let mut stage_send_msgs: Vec<Vec<u64>> = Vec::with_capacity(gc);
     for t in 0..g.gc {
-        {
-            let rk: &[RankSummaScratch] = ranks;
-            trace_span!(PhaseKind::Broadcast, "summa:a-bcast-pack", {
-                par_ranks(threads, stage_a, |r, buf| {
-                    buf.reset();
-                    if g.col_of_rank(r as u32) == t && rk[r].a_block.nnz() > 0 {
-                        serialize_block(&mut buf.data, &rk[r].a_block);
-                        buf.seal();
-                    }
-                })
-            });
-        }
-        let a_stats = bcast_stats(stage_a, g, true);
+        let bl: &[SummaBlocks] = blocks;
+        let a_of = |q: usize| &bl[q].a_block;
+        let b_of = |q: usize| &bl[q].b_stage[t as usize];
+        let a_stats = bcast_stats(g, p, (true, t), a_of);
         ledger.superstep(Phase::Broadcast, &a_stats.costs);
         if let Some(rt) = chaos.as_deref_mut() {
-            let wire = bcast_wire(stage_a, g, true);
-            rt.mirror_exchange(ledger, "summa a-bcast", &wire, None);
+            mirror_bcast((rt, ledger), ("summa a-bcast", true, t), g, p, a_of);
         }
-        {
-            let sa: &[MsgBufs] = stage_a;
-            trace_span!(PhaseKind::Unpack, "summa:a-bcast-unpack", {
-                par_ranks(threads, ranks, |r, scratch| {
-                    scratch.a_recv.clear();
-                    if g.col_of_rank(r as u32) != t {
-                        let src = g.rank_at(g.row_of_rank(r as u32), t) as usize;
-                        if sa[src].nmsgs() == 1 {
-                            decode_block(sa[src].msg(0), &mut scratch.a_recv);
-                        }
-                    }
-                })
-            });
-        }
-
-        {
-            let rk: &[RankSummaScratch] = ranks;
-            trace_span!(PhaseKind::Broadcast, "summa:b-bcast-pack", {
-                par_ranks(threads, stage_b, |r, buf| {
-                    buf.reset();
-                    if g.row_of_rank(r as u32) == t % g.gr && rk[r].b_stage[t as usize].nnz() > 0 {
-                        serialize_block(&mut buf.data, &rk[r].b_stage[t as usize]);
-                        buf.seal();
-                    }
-                })
-            });
-        }
-        let b_stats = bcast_stats(stage_b, g, false);
+        let b_stats = bcast_stats(g, p, (false, t), b_of);
         ledger.superstep(Phase::Broadcast, &b_stats.costs);
         if let Some(rt) = chaos.as_deref_mut() {
-            let wire = bcast_wire(stage_b, g, false);
-            rt.mirror_exchange(ledger, "summa b-bcast", &wire, None);
-        }
-        {
-            let sb: &[MsgBufs] = stage_b;
-            trace_span!(PhaseKind::Unpack, "summa:b-bcast-unpack", {
-                par_ranks(threads, ranks, |r, scratch| {
-                    scratch.b_recv.clear();
-                    if g.row_of_rank(r as u32) != t % g.gr {
-                        let src = g.rank_at(t % g.gr, g.col_of_rank(r as u32)) as usize;
-                        if sb[src].nmsgs() == 1 {
-                            decode_block(sb[src].msg(0), &mut scratch.b_recv);
-                        }
-                    }
-                })
-            });
+            mirror_bcast((rt, ledger), ("summa b-bcast", false, t), g, p, b_of);
         }
 
         trace_span!(PhaseKind::Multiply, "summa:multiply", {
             par_ranks(threads, ranks, |r, scratch| {
-                let terms = multiply_stage(scratch, r as u32, t, &g);
+                let a_root = g.bcast_root(true, r as u32, t) as usize;
+                let b_root = g.bcast_root(false, r as u32, t) as usize;
+                let out = &mut scratch.stage_out[t as usize];
+                let terms = multiply_stage(&mut scratch.spa, out, a_of(a_root), b_of(b_root));
                 scratch.stage_terms = terms;
                 scratch.terms += terms;
             })
@@ -915,14 +815,14 @@ fn summa_inner(
                 .map(|r| a_stats.send_msgs[r] + b_stats.send_msgs[r])
                 .collect(),
         );
-        add_stats(&mut bcast, &a_stats);
-        add_stats(&mut bcast, &b_stats);
+        bcast.add(&a_stats);
+        bcast.add(&b_stats);
     }
 
     // Cross-stage merge: fixed stage-ascending order per row.
     trace_span!(PhaseKind::Merge, "summa:stage-merge", {
-        par_ranks(threads, ranks, |_r, scratch| {
-            scratch.merged_flops = merge_stages(scratch, gc);
+        par_zip(threads, ranks, blocks, |_r, scratch, bl| {
+            scratch.merged_flops = merge_stages(scratch, &mut bl.merged, gc);
         })
     });
     let merge_costs: Vec<PhaseCost> = ranks
@@ -932,29 +832,19 @@ fn summa_inner(
     ledger.superstep(Phase::Merge, &merge_costs);
     publish_drain_arms("summa", ranks.iter().map(|s| &s.spa));
 
-    // Fold: merged chunk rows to their C row owners, within grid rows.
-    {
-        let rk: &[RankSummaScratch] = ranks;
-        trace_span!(PhaseKind::Pack, "summa:fold-pack", {
-            par_ranks(threads, fold, |r, buf| {
-                pack_fold(buf, r, &g, vmap, &rk[r].merged);
-            })
-        });
-    }
-    let fold_stats = dir_stats(fold);
-    ledger.superstep(Phase::Fold, &fold_stats.costs);
+    // Fold and assembly: each C row owner concatenates its rows of its
+    // grid-row peers' merged chunk blocks, read where they live.
+    let bl: &[SummaBlocks] = blocks;
+    trace_span!(PhaseKind::Merge, "summa:assemble", {
+        par_ranks(threads, ranks, |r, scratch| {
+            scratch.assemble_flops = assemble(scratch, r, g, vmap, bl);
+        })
+    });
+    let fold = inbound_stats(ranks);
+    ledger.superstep(Phase::Fold, &fold.costs);
     if let Some(rt) = chaos {
-        rt.mirror_exchange(ledger, "summa fold", &dir_wire(fold), None);
-    }
-
-    // Assembly: chunk concatenation at the owners.
-    {
-        let fb: &[DirBufs] = fold;
-        trace_span!(PhaseKind::Merge, "summa:assemble", {
-            par_ranks(threads, ranks, |r, scratch| {
-                scratch.assemble_flops = assemble(scratch, r, &g, vmap, fb);
-            })
-        });
+        let merged = |q: u32| &bl[q as usize].merged;
+        mirror_fold((rt, ledger), g, vmap, merged, merged);
     }
     let assemble_costs: Vec<PhaseCost> = ranks
         .iter()
@@ -973,7 +863,7 @@ fn summa_inner(
         grid: g,
         shuffle,
         bcast,
-        fold: fold_stats,
+        fold,
         stage_send_msgs,
         multiply_flops: ranks.iter().map(|s| 2 * s.terms).collect(),
         merge_flops: ranks
@@ -1000,10 +890,10 @@ pub fn summa_dist(
     summa_with(a, dist, b, ledger, &mut SummaWorkspace::new())
 }
 
-/// [`summa_dist`] through a reusable [`SummaWorkspace`]: scratch blocks
-/// and message payloads are borrowed from `ws` and the per-rank phase
-/// work fans out across `ws.threads` OS threads (bit-identical results
-/// for any count).
+/// [`summa_dist`] through a reusable [`SummaWorkspace`]: scratch and the
+/// blocks peers read are borrowed from `ws` and the per-rank phase work
+/// fans out across `ws.threads` OS threads (bit-identical results for any
+/// count).
 pub fn summa_with(
     a: &DistCsrMatrix,
     dist: &MatrixDist,
@@ -1015,11 +905,11 @@ pub fn summa_with(
 }
 
 /// Sparse SUMMA under fault injection: every exchange — both shuffles,
-/// every stage's two broadcasts, and the fold — is also routed through
-/// the chaos wire, healed deliveries are asserted bit-identical to the
-/// resident buffers, and recovery traffic is billed as `Retransmit`
-/// supersteps. At rate 0 the run is byte-identical (values *and*
-/// ledger) to [`summa_with`].
+/// every stage's two broadcasts, and the fold — is also framed onto the
+/// chaos wire, healed deliveries are asserted bit-identical to what each
+/// receiver reads, and recovery traffic is billed as `Retransmit`
+/// supersteps. At rate 0 the run is byte-identical (values *and* ledger)
+/// to [`summa_with`].
 pub fn summa_chaos(
     a: &DistCsrMatrix,
     dist: &MatrixDist,
@@ -1034,6 +924,7 @@ pub fn summa_chaos(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::tests::six_layouts;
     use sf2d_gen::{grid_2d, rmat, RmatConfig};
     use sf2d_graph::spgemm;
     use sf2d_sim::sf2d_chaos::{FaultKind, FaultScript};
@@ -1312,5 +1203,232 @@ mod tests {
         let dm = DistCsrMatrix::from_global(&a, &dist);
         let b = grid_2d(2, 2);
         summa_dist(&dm, &dist, &b, &mut CostLedger::new(Machine::cab()));
+    }
+
+    /// One directed exchange as the old framing built it: per rank its
+    /// `(dst, payload)` messages.
+    type Msgs = Vec<Vec<(u32, Vec<f64>)>>;
+
+    /// The old row serializer: `[gid, nnz, cols…, vals…]`.
+    fn push_keyed(msg: &mut Vec<f64>, gid: u32, cols: &[u32], vals: &[f64]) {
+        msg.push(gid as f64);
+        msg.push(cols.len() as f64);
+        msg.extend(cols.iter().map(|&c| c as f64));
+        msg.extend_from_slice(vals);
+    }
+
+    /// The old A-shuffle packing: rank `o`'s sub-rows of every other
+    /// stage column, sealed (if nonempty) to that column's grid-row peer.
+    fn old_shuffle_a(a: &DistCsrMatrix, rpart: &[u32], g: SummaGrid) -> Msgs {
+        (0..a.nprocs() as u32)
+            .map(|o| {
+                let (oi, oj) = (g.row_of_rank(o), g.col_of_rank(o));
+                let block = &a.blocks[o as usize];
+                let mut out = Vec::new();
+                for s in (0..g.gc).filter(|&s| s != oj) {
+                    let mut msg = Vec::new();
+                    for li in 0..block.rowmap.len() {
+                        let (lcols, vals) = block.row(li);
+                        let (mut cols, mut vs) = (Vec::new(), Vec::new());
+                        for (&lj, &v) in lcols.iter().zip(vals) {
+                            let gj = block.colmap[lj as usize];
+                            if g.col_of_part(rpart[gj as usize]) == s {
+                                cols.push(gj);
+                                vs.push(v);
+                            }
+                        }
+                        if !cols.is_empty() {
+                            push_keyed(&mut msg, block.rowmap[li], &cols, &vs);
+                        }
+                    }
+                    if !msg.is_empty() {
+                        out.push((g.rank_at(oi, s), msg));
+                    }
+                }
+                out
+            })
+            .collect()
+    }
+
+    /// The old B-shuffle packing: owner `o`'s rows split into column
+    /// chunks, chunk `j` sealed (if nonempty) to its stage's root `j`.
+    fn old_shuffle_b(b: &CsrMatrix, vmap: &VectorMap, g: SummaGrid) -> Msgs {
+        (0..vmap.nprocs() as u32)
+            .map(|o| {
+                let ti = g.col_of_rank(o) % g.gr;
+                let mut out = Vec::new();
+                for j in 0..g.gc {
+                    let root = g.rank_at(ti, j);
+                    if root == o {
+                        continue;
+                    }
+                    let (clo, chi) = chunk_range(b.ncols(), g.gc as usize, j as usize);
+                    let mut msg = Vec::new();
+                    for &gid in vmap.gids(o as usize) {
+                        let (cols, vals) = b.row(gid as usize);
+                        let lo = cols.partition_point(|&c| (c as usize) < clo);
+                        let hi = cols.partition_point(|&c| (c as usize) < chi);
+                        if hi > lo {
+                            push_keyed(&mut msg, gid, &cols[lo..hi], &vals[lo..hi]);
+                        }
+                    }
+                    if !msg.is_empty() {
+                        out.push((root, msg));
+                    }
+                }
+                out
+            })
+            .collect()
+    }
+
+    /// The old fold packing: rank `r`'s merged rows grouped by their
+    /// owner among its grid-row peers, grid columns ascending.
+    fn old_fold(blocks: &[SummaBlocks], vmap: &VectorMap, g: SummaGrid) -> Msgs {
+        (0..blocks.len() as u32)
+            .map(|r| {
+                let (ri, rj) = (g.row_of_rank(r), g.col_of_rank(r));
+                let merged = &blocks[r as usize].merged;
+                let mut out = Vec::new();
+                for o in (0..g.gc).filter(|&sc| sc != rj).map(|sc| g.rank_at(ri, sc)) {
+                    let mut msg = Vec::new();
+                    for k in 0..merged.nrows() {
+                        let (gid, cols, vals) = merged.row_at(k);
+                        if vmap.owner(gid) == o {
+                            push_keyed(&mut msg, gid, cols, vals);
+                        }
+                    }
+                    if !msg.is_empty() {
+                        out.push((o, msg));
+                    }
+                }
+                out
+            })
+            .collect()
+    }
+
+    /// The old stats of a directed exchange, measured off the bytes.
+    fn dir_stats(msgs: &Msgs) -> ExchangeStats {
+        let mut stats = ExchangeStats::zero(msgs.len());
+        for (r, out) in msgs.iter().enumerate() {
+            let doubles: u64 = out.iter().map(|(_, m)| m.len() as u64).sum();
+            stats.send_msgs[r] = out.len() as u64;
+            stats.send_doubles[r] = doubles;
+            stats.costs[r] = PhaseCost::comm(out.len() as u64, 8 * doubles);
+        }
+        for out in msgs {
+            for (d, m) in out {
+                let cost = PhaseCost::comm(1, 8 * m.len() as u64);
+                stats.costs[*d as usize] = stats.costs[*d as usize].add(&cost);
+            }
+        }
+        stats
+    }
+
+    /// The old stats of one broadcast round: every root with a nonempty
+    /// block serializes it once and fans it out to its destinations.
+    fn old_bcast(blocks: &[SummaBlocks], g: SummaGrid, along_row: bool, t: u32) -> ExchangeStats {
+        let p = blocks.len();
+        let mut stats = ExchangeStats::zero(p);
+        for r in 0..p as u32 {
+            let (root, h) = if along_row {
+                (g.col_of_rank(r) == t, &blocks[r as usize].a_block)
+            } else {
+                (
+                    g.row_of_rank(r) == t % g.gr,
+                    &blocks[r as usize].b_stage[t as usize],
+                )
+            };
+            if !root || h.nnz() == 0 {
+                continue;
+            }
+            let mut msg = Vec::new();
+            for k in 0..h.nrows() {
+                let (gid, cols, vals) = h.row_at(k);
+                push_keyed(&mut msg, gid, cols, vals);
+            }
+            let doubles = msg.len() as u64;
+            let nd = bcast_dsts(g, along_row, r).count() as u64;
+            if nd == 0 {
+                continue;
+            }
+            stats.send_msgs[r as usize] = nd;
+            stats.send_doubles[r as usize] = nd * doubles;
+            stats.costs[r as usize] = PhaseCost::comm(nd, 8 * nd * doubles);
+            for d in bcast_dsts(g, along_row, r) {
+                let cost = PhaseCost::comm(1, 8 * doubles);
+                stats.costs[d as usize] = stats.costs[d as usize].add(&cost);
+            }
+        }
+        stats
+    }
+
+    #[test]
+    fn billing_matches_the_framed_bytes_on_every_layout() {
+        let a = rmat(&RmatConfig::graph500(8), 23);
+        let b = a.transpose();
+        for p in [1usize, 4, 16, 64] {
+            for dist in six_layouts(&a, p) {
+                let dm = DistCsrMatrix::from_global(&a, &dist);
+                let mut ws = SummaWorkspace::new();
+                let mut ledger = CostLedger::new(Machine::cab());
+                let c = summa_with(&dm, &dist, &b, &mut ledger, &mut ws);
+                let (g, at) = (c.grid, format!("p={p} {:?}", dist.mode()));
+                let mut shuffle = dir_stats(&old_shuffle_a(&dm, dist.rpart(), g));
+                shuffle.add(&dir_stats(&old_shuffle_b(&b, &dm.vmap, g)));
+                assert_eq!(c.shuffle, shuffle, "{at}");
+                let mut bcast = ExchangeStats::zero(p);
+                for t in 0..g.gc() {
+                    let a_stats = old_bcast(&ws.blocks, g, true, t);
+                    let b_stats = old_bcast(&ws.blocks, g, false, t);
+                    let msgs: Vec<u64> = (0..p)
+                        .map(|r| a_stats.send_msgs[r] + b_stats.send_msgs[r])
+                        .collect();
+                    assert_eq!(c.stage_send_msgs[t as usize], msgs, "{at} stage {t}");
+                    bcast.add(&a_stats);
+                    bcast.add(&b_stats);
+                }
+                assert_eq!(c.bcast, bcast, "{at}");
+                assert_eq!(
+                    c.fold,
+                    dir_stats(&old_fold(&ws.blocks, &dm.vmap, g)),
+                    "{at}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "summa fold: ")]
+    fn chaos_mirror_checks_the_fold_read_against_the_sender() {
+        let (_a, b, dist, dm) = chaos_fixture();
+        let mut ws = SummaWorkspace::new();
+        summa_with(
+            &dm,
+            &dist,
+            &b,
+            &mut CostLedger::new(Machine::cab()),
+            &mut ws,
+        );
+        // An owner that read its rows out of the wrong peer's merged block
+        // (the next rank's) would see other rows than its peers sent.
+        let p = ws.blocks.len() as u32;
+        let merged = |q: u32| &ws.blocks[q as usize].merged;
+        let wrong = |q: u32| &ws.blocks[((q + 1) % p) as usize].merged;
+        let mut rt = ChaosRuntime::seeded(1, 0.0);
+        let mut ledger = CostLedger::new(Machine::cab());
+        mirror_fold(
+            (&mut rt, &mut ledger),
+            SummaGrid::from_dist(&dist),
+            &dm.vmap,
+            merged,
+            merged,
+        );
+        mirror_fold(
+            (&mut rt, &mut ledger),
+            SummaGrid::from_dist(&dist),
+            &dm.vmap,
+            merged,
+            wrong,
+        );
     }
 }

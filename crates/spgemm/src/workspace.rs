@@ -1,33 +1,35 @@
-//! Reusable per-rank scratch for the distributed SpGEMM: the sparse
-//! accumulator (`Spa`) all four row loops share, decoded remote-row
-//! storage, partial-row buffers, and the resident message payloads — the
-//! SpGEMM analogue of [`SpmvWorkspace`](sf2d_spmv::SpmvWorkspace).
+//! Reusable per-rank state for the distributed SpGEMM: the sparse
+//! accumulator (`Spa`) all four row loops share, the row buffers the
+//! kernels write, and the blocks peers read — the SpGEMM analogue of
+//! [`SpmvWorkspace`](sf2d_spmv::SpmvWorkspace).
+//!
+//! Each workspace keeps two kinds of per-rank state apart. A rank's
+//! *scratch* is written and read by that rank only. What a peer reads —
+//! the expand/fold partial rows, SUMMA's stage blocks and merged chunk
+//! rows — lives in a vector of its own, written in one phase and only read
+//! in the next, so a receiver reads a sender's rows where they are and no
+//! exchange keeps a payload buffer. `resident_bytes` reports what each
+//! workspace holds.
 
-use sf2d_spmv::distmat::RankBlock;
+use std::mem::size_of;
 
-/// Where a rank finds the B row for one of its column-map slots after the
-/// expand phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BRowRef {
-    /// The row is locally owned: read `b.row(gid)` directly.
-    Local {
-        /// Global row id.
-        gid: u32,
-    },
-    /// The row arrived in the expand exchange and was decoded into the
-    /// scratch's `rcols` / `rvals` arrays.
-    Remote {
-        /// Start offset into `rcols` / `rvals`.
-        off: u32,
-        /// Number of nonzeros.
-        len: u32,
-    },
+use sf2d_sim::runtime::par_ranks;
+
+/// Reserved bytes of a vector's buffer.
+fn reserved<T>(v: &Vec<T>) -> u64 {
+    (v.capacity() * size_of::<T>()) as u64
 }
 
-impl Default for BRowRef {
-    fn default() -> BRowRef {
-        BRowRef::Local { gid: 0 }
-    }
+/// [`par_ranks`] over two per-rank vectors at once: `f(r, &mut xs[r],
+/// &mut ys[r])` for every rank.
+pub(crate) fn par_zip<A: Send, B: Send>(
+    threads: usize,
+    xs: &mut [A],
+    ys: &mut [B],
+    f: impl Fn(usize, &mut A, &mut B) + Sync,
+) {
+    let mut pairs: Vec<(&mut A, &mut B)> = xs.iter_mut().zip(ys).collect();
+    par_ranks(threads, &mut pairs, |r, (x, y)| f(r, x, y));
 }
 
 /// The sparse accumulator of one output row: dense values over B's
@@ -150,6 +152,13 @@ impl Spa {
         }
         bitmap
     }
+
+    fn resident_bytes(&self) -> u64 {
+        reserved(&self.vals)
+            + reserved(&self.stamp)
+            + reserved(&self.touched)
+            + reserved(&self.bits)
+    }
 }
 
 /// Rows under construction, CSR-style: row `i` is
@@ -180,6 +189,10 @@ impl RowBuf {
         let (lo, hi) = (self.ptr[i], self.ptr[i + 1]);
         (&self.cols[lo..hi], &self.vals[lo..hi])
     }
+
+    fn resident_bytes(&self) -> u64 {
+        reserved(&self.ptr) + reserved(&self.cols) + reserved(&self.vals)
+    }
 }
 
 /// Publishes which arm each rank's rows left its [`Spa`] through in the
@@ -195,29 +208,21 @@ pub(crate) fn publish_drain_arms<'a>(kernel: &str, spas: impl Iterator<Item = &'
     }
 }
 
-/// One rank's scratch state for one SpGEMM execution. All buffers are
-/// reused across calls; nothing here survives as output (the kernel copies
-/// the final rows out into per-rank [`CsrMatrix`](sf2d_graph::CsrMatrix)
+/// One rank's scratch for one expand/fold SpGEMM. All buffers are reused
+/// across calls; nothing here survives as output (the kernel copies the
+/// final rows out into per-rank [`CsrMatrix`](sf2d_graph::CsrMatrix)
 /// blocks).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct RankSpgemmScratch {
     /// The row accumulator of the multiply and the merge.
     pub spa: Spa,
-    /// B-row location per column-map slot.
-    pub brows: Vec<BRowRef>,
-    /// Decoded remote B-row column indices, concatenated.
-    pub rcols: Vec<u32>,
-    /// Decoded remote B-row values, concatenated.
-    pub rvals: Vec<f64>,
-    /// Partial C rows, one per row-map position.
-    pub part: RowBuf,
-    /// Per owned `y` lid: the row-map position of this rank's own partial
-    /// for that row, or `u32::MAX` when the rank holds no local partial.
+    /// Per owned `y` lid: the stored row of this rank's own partial for
+    /// that row, or `u32::MAX` when the rank holds no local partial.
     pub own_part: Vec<u32>,
-    /// Incoming partial rows for the merge: `(y_lid, src, slot, off, len)`
-    /// in message order, stably sorted by `y_lid` (so per-row merge order
+    /// Incoming partial rows for the merge, `(y_lid, src, stored row)` in
+    /// receive order, stably sorted by `y_lid` (so per-row merge order
     /// stays sources-ascending).
-    pub incoming: Vec<(u32, u32, u32, u32, u32)>,
+    pub incoming: Vec<(u32, u32, u32)>,
     /// Final owned C rows (copied into the output blocks).
     pub out: RowBuf,
     /// Multiply product terms processed this call (2 flops each).
@@ -226,43 +231,12 @@ pub(crate) struct RankSpgemmScratch {
     pub merged: u64,
 }
 
-/// One rank's outgoing message payloads for one exchange, stored as a
-/// single flat allocation with a per-slot offset table — not one `Vec`
-/// per message, which at paper-scale rank counts (millions of tiny
-/// messages) would be mostly allocator headers. Slot order matches the
-/// rank's compiled pack list, so destination ranks read payloads in place
-/// via their compiled `(src, slot)` unpack entries.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct MsgBufs {
-    /// All message payloads, concatenated in slot order.
-    pub data: Vec<f64>,
-    /// Message boundaries: slot `k` is `data[offs[k]..offs[k + 1]]`.
-    pub offs: Vec<usize>,
-}
-
-impl MsgBufs {
-    /// Empties the buffers for a fresh pack pass (keeps the allocations).
-    pub fn reset(&mut self) {
-        self.data.clear();
-        self.offs.clear();
-        self.offs.push(0);
-    }
-
-    /// Marks the end of the current message: everything pushed onto
-    /// `data` since the previous seal belongs to the just-finished slot.
-    pub fn seal(&mut self) {
-        self.offs.push(self.data.len());
-    }
-
-    /// Slot `k`'s payload.
-    #[inline]
-    pub fn msg(&self, slot: usize) -> &[f64] {
-        &self.data[self.offs[slot]..self.offs[slot + 1]]
-    }
-
-    /// Number of sealed messages.
-    pub fn nmsgs(&self) -> usize {
-        self.offs.len().saturating_sub(1)
+impl RankSpgemmScratch {
+    fn resident_bytes(&self) -> u64 {
+        self.spa.resident_bytes()
+            + reserved(&self.own_part)
+            + reserved(&self.incoming)
+            + self.out.resident_bytes()
     }
 }
 
@@ -297,9 +271,7 @@ impl HyperCsr {
         self.vals.clear();
     }
 
-    /// Appends one row. Callers must append rows in ascending `gid`
-    /// order; [`Self::sort_rows`] restores the invariant after
-    /// out-of-order bulk loads.
+    /// Appends one row. Callers append rows in ascending `gid` order.
     pub fn push_row(&mut self, gid: u32, cols: &[u32], vals: &[f64]) {
         debug_assert_eq!(cols.len(), vals.len());
         self.cols.extend_from_slice(cols);
@@ -309,9 +281,10 @@ impl HyperCsr {
 
     /// Closes row `gid` over everything appended to `cols` / `vals`
     /// since the previous row ended — how rows written in place (a
-    /// drained [`Spa`], a decoded payload) enter the block.
+    /// drained [`Spa`], a filtered sub-row) enter the block.
     pub fn close_row(&mut self, gid: u32) {
         debug_assert_eq!(self.cols.len(), self.vals.len());
+        debug_assert!(self.rows.last().is_none_or(|&last| last < gid));
         if self.ptr.is_empty() {
             self.ptr.push(0);
         }
@@ -344,99 +317,26 @@ impl HyperCsr {
         Some((&self.cols[lo..hi], &self.vals[lo..hi]))
     }
 
-    /// Restores the ascending-`gid` invariant after rows were appended
-    /// out of order (e.g. decoded from several senders). Each `gid`
-    /// must appear at most once. The rows are copied in order into
-    /// `spare` and the two blocks swapped, `order` holding the
-    /// permutation, so a caller that keeps both allocates nothing once
-    /// they have grown.
-    pub fn sort_rows(&mut self, spare: &mut HyperCsr, order: &mut Vec<u32>) {
-        if self.rows.windows(2).all(|w| w[0] < w[1]) {
-            return;
-        }
-        order.clear();
-        order.extend(0..self.rows.len() as u32);
-        order.sort_unstable_by_key(|&k| self.rows[k as usize]);
-        spare.clear();
-        for &k in order.iter() {
-            let (gid, cols, vals) = self.row_at(k as usize);
-            spare.push_row(gid, cols, vals);
-        }
-        std::mem::swap(self, spare);
+    fn resident_bytes(&self) -> u64 {
+        reserved(&self.rows) + reserved(&self.ptr) + reserved(&self.cols) + reserved(&self.vals)
     }
 }
 
-/// One rank's outgoing traffic for one **directed** exchange: a flat
-/// [`MsgBufs`] payload store plus the destination rank of every sealed
-/// slot. Unlike the compiled expand/fold plans (where the receiver knows
-/// its `(src, slot)` entries ahead of time), SUMMA's shuffles and
-/// broadcasts compute destinations on the fly, so the slot → destination
-/// map rides along with the payloads and receivers locate their slot by
-/// scanning `dsts` (each sender targets a given rank at most once per
-/// exchange).
-#[derive(Debug, Clone, Default)]
-pub(crate) struct DirBufs {
-    /// Slot payloads (see [`MsgBufs`]).
-    pub bufs: MsgBufs,
-    /// Destination rank per sealed slot (`dsts.len() == bufs.nmsgs()`).
-    /// Only nonempty, non-self slots are sealed.
-    pub dsts: Vec<u32>,
-}
-
-impl DirBufs {
-    /// Empties payloads and destinations for a fresh pack pass.
-    pub fn reset(&mut self) {
-        self.bufs.reset();
-        self.dsts.clear();
-    }
-
-    /// Seals the pending payload for `dst` if anything was pushed since
-    /// the last seal; otherwise rolls it back (empty messages are never
-    /// sent).
-    pub fn seal_to(&mut self, dst: u32) {
-        let start = *self.bufs.offs.last().expect("reset() ran");
-        if self.bufs.data.len() > start {
-            self.bufs.seal();
-            self.dsts.push(dst);
-        } else {
-            self.bufs.data.truncate(start);
-        }
-    }
-
-    /// The slot this rank addresses to `dst`, if any.
-    pub fn slot_for(&self, dst: u32) -> Option<usize> {
-        self.dsts.iter().position(|&d| d == dst)
-    }
-}
-
-/// One rank's scratch state for one Sparse SUMMA execution. Mirrors
-/// [`RankSpgemmScratch`]'s reuse discipline: everything here is reused
-/// across calls and copied out at the end.
+/// One rank's scratch for one Sparse SUMMA execution, written and read by
+/// that rank only. Mirrors [`RankSpgemmScratch`]'s reuse discipline.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct RankSummaScratch {
     /// The row accumulator of the stage multiply and the stage merge.
     pub spa: Spa,
-    /// Row permutation of [`HyperCsr::sort_rows`], which sorts the
-    /// shuffled blocks into the (then idle) receive blocks below.
-    pub sort_order: Vec<u32>,
-    /// The rank's A block `A[i][j]` after the A-shuffle (global ids).
-    pub a_block: HyperCsr,
-    /// B-root storage: `b_stage[t]` holds the stage-`t` rows (restricted
-    /// to this rank's column chunk) for every stage this rank roots.
-    pub b_stage: Vec<HyperCsr>,
-    /// Received A block for the current stage (non-roots).
-    pub a_recv: HyperCsr,
-    /// Received B block for the current stage (non-roots).
-    pub b_recv: HyperCsr,
+    /// Sort keys of the row gathers: `(gid, src, row)` for the A block,
+    /// `(gid, src, 0)` for a B stage, `(gid, stage, row)` for the stage
+    /// merge and `(lid, chunk, row)` for the assembly.
+    pub keys: Vec<(u32, u32, u32)>,
+    /// The billing of the exchange just read: `(src, doubles)` per peer
+    /// whose rows this rank read, framed as `[gid, nnz, cols…, vals…]`.
+    pub inbound: Vec<(u32, u64)>,
     /// Per-stage partial products `A[i][t]·B[t][j]`.
     pub stage_out: Vec<HyperCsr>,
-    /// Cross-stage merged chunk rows (stage order, exact sums).
-    pub merged: HyperCsr,
-    /// `(gid, stage, row-position)` sort keys for the cross-stage merge.
-    pub pairs: Vec<(u32, u32, u32)>,
-    /// Incoming fold rows `(lid, chunk, src, slot, off, len)`, sorted by
-    /// `(lid, chunk)` so assembly concatenates chunks in column order.
-    pub incoming: Vec<(u32, u32, u32, u32, u32, u32)>,
     /// Final owned C rows, over the rank's vector lids.
     pub out: RowBuf,
     /// Multiply product terms processed this call (2 flops each).
@@ -449,30 +349,33 @@ pub(crate) struct RankSummaScratch {
     pub assemble_flops: u64,
 }
 
-/// Reusable scratch for [`summa_with`](crate::summa::summa_with): per-rank
-/// hypersparse blocks and SPA state plus the resident shuffle / stage /
-/// fold payload buffers (PR 8-style flat [`MsgBufs`], read in place by
-/// receivers). Like [`SpgemmWorkspace`], not tied to a matrix; buffers
-/// are (re)sized on first use and `threads` fans the per-rank phase work
-/// out with bit-identical results.
+/// One rank's SUMMA blocks — what its peers read in place: each written
+/// in one phase by its rank, then only read.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SummaBlocks {
+    /// The rank's A block `A[i][j]` after the A-shuffle (global ids) —
+    /// broadcast along its grid row in stage `j`.
+    pub a_block: HyperCsr,
+    /// B-root storage: `b_stage[t]` holds the stage-`t` rows (restricted
+    /// to this rank's column chunk) for every stage this rank roots —
+    /// broadcast down its grid column in stage `t`.
+    pub b_stage: Vec<HyperCsr>,
+    /// Cross-stage merged chunk rows (stage order, exact sums) — read by
+    /// their C row owners in the fold.
+    pub merged: HyperCsr,
+}
+
+/// Reusable scratch for [`summa_with`](crate::summa::summa_with):
+/// per-rank hypersparse blocks, which peers read in place, and per-rank
+/// SPA state. Like [`SpgemmWorkspace`], not tied to a matrix; buffers are
+/// (re)sized on first use and `threads` fans the per-rank phase work out
+/// with bit-identical results.
 #[derive(Debug, Clone)]
 pub struct SummaWorkspace {
     /// Number of OS threads for phase-local work (1 = fully sequential).
     pub threads: usize,
     pub(crate) ranks: Vec<RankSummaScratch>,
-    /// A-redistribution payloads (one slot per stage column, serialized
-    /// hypersparse rows).
-    pub(crate) shuffle_a: Vec<DirBufs>,
-    /// B-redistribution payloads (one slot per column chunk).
-    pub(crate) shuffle_b: Vec<DirBufs>,
-    /// Current stage's A row-broadcast fragments: roots seal exactly one
-    /// payload, read in place by every row peer (destinations are a pure
-    /// function of the grid, so no `dsts` list is needed).
-    pub(crate) stage_a: Vec<MsgBufs>,
-    /// Current stage's B col-broadcast fragments (roots only).
-    pub(crate) stage_b: Vec<MsgBufs>,
-    /// Fold payloads (merged chunk rows bound for their row owners).
-    pub(crate) fold: Vec<DirBufs>,
+    pub(crate) blocks: Vec<SummaBlocks>,
 }
 
 impl SummaWorkspace {
@@ -487,11 +390,7 @@ impl SummaWorkspace {
         SummaWorkspace {
             threads: threads.max(1),
             ranks: Vec::new(),
-            shuffle_a: Vec::new(),
-            shuffle_b: Vec::new(),
-            stage_a: Vec::new(),
-            stage_b: Vec::new(),
-            fold: Vec::new(),
+            blocks: Vec::new(),
         }
     }
 
@@ -499,28 +398,41 @@ impl SummaWorkspace {
     /// and a B with `bcols` columns, reusing allocations that fit.
     pub(crate) fn ensure(&mut self, p: usize, stages: usize, bcols: usize) {
         self.ranks.resize_with(p, RankSummaScratch::default);
+        self.blocks.resize_with(p, SummaBlocks::default);
         for scratch in &mut self.ranks {
             scratch.spa.resize(bcols);
-            scratch.b_stage.resize_with(stages, HyperCsr::default);
             scratch.stage_out.resize_with(stages, HyperCsr::default);
-            for b in &mut scratch.b_stage {
-                b.clear();
-            }
             for s in &mut scratch.stage_out {
                 s.clear();
             }
-            scratch.a_block.clear();
-            scratch.merged.clear();
             scratch.terms = 0;
-            scratch.stage_terms = 0;
-            scratch.merged_flops = 0;
-            scratch.assemble_flops = 0;
         }
-        self.shuffle_a.resize_with(p, DirBufs::default);
-        self.shuffle_b.resize_with(p, DirBufs::default);
-        self.stage_a.resize_with(p, MsgBufs::default);
-        self.stage_b.resize_with(p, MsgBufs::default);
-        self.fold.resize_with(p, DirBufs::default);
+        // A rank fills only the stages it roots; the others must be empty.
+        for blocks in &mut self.blocks {
+            blocks.b_stage.resize_with(stages, HyperCsr::default);
+            for b in &mut blocks.b_stage {
+                b.clear();
+            }
+        }
+    }
+
+    /// Bytes the workspace holds reserved between products: every
+    /// per-rank buffer's capacity, accumulators and blocks alike.
+    pub fn resident_bytes(&self) -> u64 {
+        let scratch = self.ranks.iter().map(|s| {
+            let stages: u64 = s.stage_out.iter().map(HyperCsr::resident_bytes).sum();
+            s.spa.resident_bytes()
+                + reserved(&s.keys)
+                + reserved(&s.inbound)
+                + reserved(&s.stage_out)
+                + stages
+                + s.out.resident_bytes()
+        });
+        let blocks = self.blocks.iter().map(|b| {
+            let stages: u64 = b.b_stage.iter().map(HyperCsr::resident_bytes).sum();
+            b.a_block.resident_bytes() + reserved(&b.b_stage) + stages + b.merged.resident_bytes()
+        });
+        reserved(&self.ranks) + reserved(&self.blocks) + scratch.sum::<u64>() + blocks.sum::<u64>()
     }
 }
 
@@ -531,27 +443,22 @@ impl Default for SummaWorkspace {
 }
 
 /// Reusable scratch space for [`spgemm_with`](crate::kernel::spgemm_with):
-/// per-rank SPA accumulators and row buffers plus the resident expand/fold
-/// message payloads, which destination ranks read in place via the
-/// compiled `(src, slot)` unpack entries (no per-message allocation at
+/// per-rank SPA accumulators and row buffers, and per-rank partial rows,
+/// which owners read in place in the fold (no per-message allocation at
 /// steady state).
 ///
 /// Like [`SpmvWorkspace`](sf2d_spmv::SpmvWorkspace), a workspace is not
 /// tied to a matrix — buffers are (re)sized on first use — and the
 /// `threads` knob fans the per-rank phase work across OS threads with
-/// bit-identical results (ranks only touch disjoint state).
+/// bit-identical results (ranks only write disjoint state).
 #[derive(Debug, Clone)]
 pub struct SpgemmWorkspace {
     /// Number of OS threads for phase-local work (1 = fully sequential).
     pub threads: usize,
     pub(crate) ranks: Vec<RankSpgemmScratch>,
-    /// Per-rank expand payloads, slots aligned with each rank's compiled
-    /// expand `pack` list: serialized B rows, `[nnz, cols..., vals...]`
-    /// per row, flat per rank.
-    pub(crate) expand_bufs: Vec<MsgBufs>,
-    /// Per-rank fold payloads, slots aligned with the compiled fold
-    /// `pack` list: serialized partial C rows, same framing.
-    pub(crate) fold_bufs: Vec<MsgBufs>,
+    /// Per-rank partial C rows, one per stored row of the rank's A block:
+    /// written by the multiply, read in place by the merge.
+    pub(crate) parts: Vec<RowBuf>,
 }
 
 impl SpgemmWorkspace {
@@ -566,24 +473,30 @@ impl SpgemmWorkspace {
         SpgemmWorkspace {
             threads: threads.max(1),
             ranks: Vec::new(),
-            expand_bufs: Vec::new(),
-            fold_bufs: Vec::new(),
+            parts: Vec::new(),
         }
     }
 
-    /// Sizes the per-rank buffers for `blocks` and a B with `bcols`
+    /// Sizes the per-rank buffers for `p` ranks and a B with `bcols`
     /// columns, reusing allocations where they already fit.
-    pub(crate) fn ensure(&mut self, blocks: &[RankBlock], bcols: usize) {
-        self.ranks
-            .resize_with(blocks.len(), RankSpgemmScratch::default);
-        for (scratch, block) in self.ranks.iter_mut().zip(blocks) {
+    pub(crate) fn ensure(&mut self, p: usize, bcols: usize) {
+        self.ranks.resize_with(p, RankSpgemmScratch::default);
+        for scratch in &mut self.ranks {
             scratch.spa.resize(bcols);
-            scratch.brows.resize(block.colmap.len(), BRowRef::default());
         }
-        // Message buffers are reset by each pack pass; only the per-rank
-        // slots need to exist.
-        self.expand_bufs.resize_with(blocks.len(), MsgBufs::default);
-        self.fold_bufs.resize_with(blocks.len(), MsgBufs::default);
+        self.parts.resize_with(p, RowBuf::default);
+    }
+
+    /// Bytes the workspace holds reserved between products: every
+    /// per-rank buffer's capacity, accumulators and partial rows alike.
+    pub fn resident_bytes(&self) -> u64 {
+        let scratch: u64 = self
+            .ranks
+            .iter()
+            .map(RankSpgemmScratch::resident_bytes)
+            .sum();
+        let parts: u64 = self.parts.iter().map(RowBuf::resident_bytes).sum();
+        reserved(&self.ranks) + reserved(&self.parts) + scratch + parts
     }
 }
 
@@ -878,25 +791,5 @@ mod tests {
         assert_eq!(cols, vec![3, 4, 5, 9], "row 1's columns 3 and 5 came back");
         // The real drain, same two rows.
         check_rows(&mut spa_for(64), 64, &[row1, row2]);
-    }
-
-    #[test]
-    fn sort_rows_orders_a_block_through_a_spare() {
-        let mut h = HyperCsr::default();
-        h.push_row(7, &[1, 4], &[1.0, 2.0]);
-        h.push_row(2, &[0], &[3.0]);
-        h.push_row(5, &[2, 3, 9], &[4.0, 5.0, 6.0]);
-        let mut want = HyperCsr::default();
-        want.push_row(2, &[0], &[3.0]);
-        want.push_row(5, &[2, 3, 9], &[4.0, 5.0, 6.0]);
-        want.push_row(7, &[1, 4], &[1.0, 2.0]);
-        // A spare that still holds another block's rows.
-        let (mut spare, mut order) = (want.clone(), vec![9u32; 7]);
-        h.sort_rows(&mut spare, &mut order);
-        assert_eq!(h, want);
-        // Already sorted: untouched, and the spare with it.
-        let before = spare.clone();
-        h.sort_rows(&mut spare, &mut order);
-        assert_eq!((h, spare), (want, before));
     }
 }

@@ -312,7 +312,7 @@ impl PhasePlan {
 
     /// Rank `r`'s view of this plan.
     #[inline]
-    pub(crate) fn rank(&self, r: usize) -> RankPlan<'_> {
+    pub fn rank(&self, r: usize) -> RankPlan<'_> {
         RankPlan { phase: self, r }
     }
 }

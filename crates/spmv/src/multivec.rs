@@ -11,7 +11,7 @@ use std::sync::Arc;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use sf2d_sim::collective::{allreduce_cost, allreduce_sum};
+use sf2d_sim::collective::allreduce_cost;
 use sf2d_sim::cost::{CostLedger, Phase, PhaseCost};
 
 use crate::map::VectorMap;
@@ -71,52 +71,51 @@ impl DistVector {
         out
     }
 
-    /// Per-rank cost of a streaming vector op touching each local entry
-    /// once with `flops_per_entry` flops.
-    fn stream_costs(&self, flops_per_entry: u64) -> Vec<PhaseCost> {
-        self.locals
-            .iter()
-            .map(|l| PhaseCost::compute(flops_per_entry * l.len() as u64))
-            .collect()
+    /// Charges a streaming vector op touching each local entry once with
+    /// `flops_per_entry` flops, as one vector superstep.
+    fn charge_stream(&self, flops_per_entry: u64, ledger: &mut CostLedger) {
+        let cost = |l: &Vec<f64>| PhaseCost::compute(flops_per_entry * l.len() as u64);
+        ledger.superstep_iter(Phase::VectorOp, self.locals.iter().map(cost));
     }
 
     /// `self += alpha * other`; charged as one vector superstep.
     pub fn axpy(&mut self, alpha: f64, other: &DistVector, ledger: &mut CostLedger) {
-        let costs = self.stream_costs(2);
         for (mine, theirs) in self.locals.iter_mut().zip(&other.locals) {
             assert_eq!(mine.len(), theirs.len(), "map mismatch in axpy");
             for (a, b) in mine.iter_mut().zip(theirs) {
                 *a += alpha * b;
             }
         }
-        ledger.superstep(Phase::VectorOp, &costs);
+        self.charge_stream(2, ledger);
     }
 
     /// `self *= alpha`.
     pub fn scale(&mut self, alpha: f64, ledger: &mut CostLedger) {
-        let costs = self.stream_costs(1);
         for l in &mut self.locals {
             for v in l {
                 *v *= alpha;
             }
         }
-        ledger.superstep(Phase::VectorOp, &costs);
+        self.charge_stream(1, ledger);
     }
 
     /// Global dot product: local partials (costed per rank) + allreduce.
+    /// Allocates nothing: the partials are summed as they are formed, in
+    /// rank order, exactly as
+    /// [`allreduce_sum`](sf2d_sim::collective::allreduce_sum) sums them.
     pub fn dot(&self, other: &DistVector, ledger: &mut CostLedger) -> f64 {
-        let mut partials = Vec::with_capacity(self.locals.len());
-        for (a, b) in self.locals.iter().zip(&other.locals) {
+        let partials = self.locals.iter().zip(&other.locals).map(|(a, b)| {
             assert_eq!(a.len(), b.len(), "map mismatch in dot");
-            partials.push(a.iter().zip(b).map(|(x, y)| x * y).sum());
-        }
-        ledger.superstep(Phase::VectorOp, &self.stream_costs(2));
+            a.iter().zip(b).map(|(x, y)| x * y).sum::<f64>()
+        });
+        let total = partials.sum::<f64>();
+        self.charge_stream(2, ledger);
         ledger.superstep_uniform(
             Phase::Collective,
             allreduce_cost(self.map.nprocs(), 1),
             self.map.nprocs(),
         );
-        allreduce_sum(&partials)
+        total
     }
 
     /// Euclidean norm via [`dot`](Self::dot).

@@ -319,7 +319,7 @@ fn mirror(
                 .collect()
         })
         .collect();
-    rt.mirror_exchange(ledger, what, &sends, Some(&views));
+    rt.mirror_exchange(ledger, what, &sends, &views);
 }
 
 /// Charges one superstep of a width-`m` product: the compiled per-rank
