@@ -13,8 +13,9 @@
 //! Per (layout, p) row it records the crossover ingredients — max
 //! messages per rank and total exchanged volume for expand and fold —
 //! plus the cost-model `sim_time` of one budget-waved SpMV, the plan
-//! compile wall-clock, the compiled plan's footprint (`plan_bytes`), and
-//! the allocator's peak-live-bytes / allocation-count deltas for the row
+//! compile wall-clock, the compiled plan's footprint (`plan_bytes`), the
+//! live heap the built matrix holds (`resident_bytes`), and the
+//! allocator's peak-live-bytes / allocation-count deltas for the row
 //! (this binary installs [`sf2d_obs::mem::CountingAlloc`] as its global
 //! allocator).
 //!
@@ -41,7 +42,7 @@ use sf2d_core::prelude::*;
 use sf2d_core::sf2d_gen::{rmat, RmatConfig};
 use sf2d_core::sf2d_obs::mem;
 use sf2d_core::sf2d_sim::sf2d_par::Pool;
-use sf2d_core::sf2d_spmv::{spmv_with, SpmvWorkspace};
+use sf2d_core::sf2d_spmv::{spmv_with, PhasePlan, SpmvWorkspace};
 
 #[global_allocator]
 static ALLOC: mem::CountingAlloc = mem::CountingAlloc;
@@ -74,6 +75,9 @@ struct ScaleRow {
     peak_live_bytes: u64,
     /// Allocations over this row.
     allocs: u64,
+    /// Live heap the built matrix holds: the allocator's live-bytes
+    /// delta over a serial FillComplete of this row's layout.
+    resident_bytes: u64,
 }
 
 #[derive(serde::Serialize)]
@@ -207,6 +211,19 @@ fn main() {
         a.nrows(),
         a.nnz()
     );
+    // What each row's matrix alone holds: the live-heap delta of a serial
+    // FillComplete, taken before any worker thread exists, so that no
+    // other thread allocates meanwhile and the bytes repeat run to run.
+    let mut resident = Vec::new();
+    for &p in &procs {
+        for name in LAYOUTS {
+            let dist = layout(name, a.nrows(), p);
+            let live = mem::snapshot().live_bytes;
+            let dm = DistCsrMatrix::from_global(&a, &dist);
+            resident.push(mem::snapshot().live_bytes - live);
+            drop(dm);
+        }
+    }
     let pool = Pool::new(threads);
 
     let mut rows: Vec<ScaleRow> = Vec::new();
@@ -229,20 +246,30 @@ fn main() {
             spmv_with(&dm, &x, &mut y, &mut ledger, &mut ws);
 
             let snap = mem::snapshot();
+            let (c, ranks) = (&dm.compiled, 0..dm.nprocs());
+            let max_msgs = |phase: &PhasePlan| {
+                let msgs = ranks.clone().map(|r| phase.pack_entries(r).len());
+                msgs.max().unwrap_or(0) as u64
+            };
+            let volume = |phase: &PhasePlan| {
+                let values = ranks.clone().map(|r| phase.pack_indices(r).len());
+                values.sum::<usize>() as u64
+            };
             let row = ScaleRow {
                 name: name.to_string(),
                 p: p as u64,
                 scale: scale as u64,
-                expand_max_msgs: dm.import.max_send_msgs() as u64,
-                fold_max_msgs: dm.export.max_send_msgs() as u64,
-                expand_volume: dm.import.total_volume() as u64,
-                fold_volume: dm.export.total_volume() as u64,
+                expand_max_msgs: max_msgs(&c.expand),
+                fold_max_msgs: max_msgs(&c.fold),
+                expand_volume: volume(&c.expand),
+                fold_volume: volume(&c.fold),
                 sim_time: ledger.total,
                 waves: ws.wave_count() as u64,
                 compile_wall_ns,
                 plan_bytes: dm.compiled.plan_bytes(),
                 peak_live_bytes: snap.peak_live_bytes,
                 allocs: snap.allocs - base.allocs,
+                resident_bytes: resident[rows.len()],
             };
             eprintln!(
                 "bench_scale: {:>9} p={:<5} msgs {:>5}/{:<5} sim {:>9.4}s waves {:>3} \
@@ -291,9 +318,7 @@ fn main() {
     let gate_dist = layout("2D-Random", a.nrows(), gate_p);
     let serial_dm = DistCsrMatrix::from_global(&a, &gate_dist);
     let parallel_dm = DistCsrMatrix::from_global_with(&a, &gate_dist, threads, Some(&pool));
-    let compile_identical = serial_dm.compiled == parallel_dm.compiled
-        && serial_dm.import == parallel_dm.import
-        && serial_dm.export == parallel_dm.export;
+    let compile_identical = serial_dm.compiled == parallel_dm.compiled;
     drop(parallel_dm);
     drop(serial_dm);
     let median_ns_serial = sf2d_bench::median_ns(samples, || {
@@ -330,8 +355,9 @@ fn main() {
         description: format!(
             "1D-vs-2D crossover sweep on an R-MAT scale-{scale} generator: per (layout, p) \
              row, max messages + volume per exchange, modeled SpMV seconds under a \
-             {budget_mb} MiB wave budget, FillComplete wall clock, plan bytes, and \
-             allocator peak/count deltas; compile gate = serial vs \
+             {budget_mb} MiB wave budget, FillComplete wall clock, plan bytes, the \
+             matrix's resident bytes, and allocator peak/count deltas; compile gate = \
+             serial vs \
              {threads}-thread FillComplete medians over {samples} samples"
         ),
         matrix: format!("rmat graph500 scale {scale} ({} nnz)", a.nnz()),

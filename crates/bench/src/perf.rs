@@ -13,9 +13,10 @@
 //!
 //! * `median_ns` / `wall_ns` / `sim_time` / `p50` / `p99` —
 //!   wall-clock-like, **higher is worse**;
-//! * `plan_bytes` / `workspace_bytes` — footprints, **higher is worse**:
-//!   pure functions of the compiled plan and of the reserved workspace
-//!   buffers, so they repeat to the byte on any machine;
+//! * `plan_bytes` / `workspace_bytes` / `resident_bytes` — footprints,
+//!   **higher is worse**: pure functions of the compiled plan, of the
+//!   reserved workspace buffers and of what a built matrix holds, so they
+//!   repeat to the byte on any machine;
 //! * `speedup` / `ratio` — relative metrics, **lower is worse**;
 //! * everything else is informational (compared for the report, never a
 //!   failure);
@@ -74,7 +75,10 @@ pub fn direction_of(key: &str) -> Option<Direction> {
     if key.contains("speedup") || key.contains("ratio") {
         return Some(Direction::LowerIsWorse);
     }
-    if key.contains("plan_bytes") || key.contains("workspace_bytes") {
+    if ["plan_bytes", "workspace_bytes", "resident_bytes"]
+        .iter()
+        .any(|k| key.contains(k))
+    {
         return Some(Direction::FootprintHigherIsWorse);
     }
     Some(Direction::Info)
@@ -508,6 +512,28 @@ mod tests {
             let cur = scale_sample(plan_bytes, 20_000_000, 9_000_000);
             assert!(compare(&base, &cur, 15.0, true).passed(), "{plan_bytes}");
         }
+    }
+
+    #[test]
+    fn resident_bytes_gate_as_a_footprint() {
+        assert_eq!(
+            direction_of("rows[name=1D-Random,p=64].resident_bytes"),
+            Some(Direction::FootprintHigherIsWorse)
+        );
+        let row = |resident: u64| -> Value {
+            let text = format!(
+                r#"{{ "rows": [ {{ "name": "1D-Random", "p": 64,
+                       "resident_bytes": {resident}, "compile_wall_ns": 20000000 }} ] }}"#
+            );
+            serde_json::from_str(&text).expect("resident sample parses")
+        };
+        // A matrix holding 30 % more fails even with --relative-only; a
+        // leaner one passes.
+        let diff = compare(&row(1_000_000), &row(1_300_000), 15.0, true);
+        let regs = diff.regressions();
+        assert_eq!(regs.len(), 1);
+        assert!(regs[0].key.ends_with("resident_bytes"));
+        assert!(compare(&row(1_000_000), &row(400_000), 15.0, true).passed());
     }
 
     #[test]

@@ -34,8 +34,9 @@
 //! Fault injection is an argument: [`spgemm_with`] and [`spgemm_chaos`]
 //! are two entry points over one driver that takes
 //! `Option<&mut ChaosRuntime>` and, with a runtime, frames each exchange
-//! the old way — sends through the pack lists, receive views through the
-//! unpack entries' [`PhasePlan::sent`] rows — for
+//! the old way — sends through the pack lists, receive views through each
+//! receiver's remote columns grouped by owner (expand) or its unpack
+//! entries' [`PhasePlan::sent`] rows (fold) — for
 //! [`ChaosRuntime::mirror_exchange`] right after the exchange's superstep
 //! is charged (routing step 0 for the expand, 1 for the fold).
 //!
@@ -74,8 +75,7 @@ pub struct ExchangeStats {
     /// lengths.
     pub send_doubles: Vec<u64>,
     /// Billed per-rank cost — latency and bytes charged at **both**
-    /// endpoints, the same convention as
-    /// [`CommPlan::phase_costs`](sf2d_spmv::plan::CommPlan::phase_costs).
+    /// endpoints, the same convention as the SpMV's compiled cost vectors.
     pub costs: Vec<PhaseCost>,
 }
 
@@ -181,14 +181,13 @@ fn exchange_stats(phase: &PhasePlan, nnz: impl Fn(usize, u32) -> usize) -> Excha
 
 /// Under chaos only: frames one exchange for [`mirror`] — the sends
 /// through each rank's pack lists (`sent(r, i)` is the row rank `r` sends
-/// for its index `i`), the receive views through each unpack entry's
-/// [`PhasePlan::sent`] indices (`read(d, src, lid, i)` is the row rank `d`
-/// reads for the sender's index `i`, landing at `lid`).
+/// for its index `i`), the receive views message by message (`read(d,
+/// views)` frames the rows rank `d` reads and seals each message).
 fn mirror_rows<'a>(
     (rt, ledger): (&mut ChaosRuntime, &mut CostLedger),
     (what, phase): (&str, &PhasePlan),
     sent: impl Fn(usize, u32) -> Row<'a>,
-    read: impl Fn(usize, u32, u32, u32) -> Row<'a>,
+    read: impl Fn(usize, &mut Framed),
 ) {
     let p = phase.nranks();
     let (mut sends, mut views) = (Framed::new(p), Framed::new(p));
@@ -199,12 +198,7 @@ fn mirror_rows<'a>(
             }
             sends.seal(r, dst);
         }
-        for (src, _, off, lids) in phase.rank(r).unpacks() {
-            for (&lid, &i) in lids.iter().zip(phase.sent(src, off, lids.len())) {
-                views.row(None, read(r, src, lid, i));
-            }
-            views.seal(r, src);
-        }
+        read(r, &mut views);
     }
     mirror(rt, ledger, what, &sends, &views);
 }
@@ -377,7 +371,17 @@ fn spgemm_inner(
     let expand_stats = exchange_stats(expand, |r, lid| b_row(r, lid).0.len());
     ledger.superstep(Phase::Expand, &expand_stats.costs);
     if let Some(rt) = chaos.as_deref_mut() {
-        let read = |d: usize, _, lid: u32, _| b.row(a.blocks[d].colmap[lid as usize] as usize);
+        // A receiver's messages are its remote columns by owner.
+        let read = |d: usize, views: &mut Framed| {
+            let colmap = &a.blocks[d].colmap;
+            let need = vmap.remote_by_owner(d, colmap);
+            for g in need.chunk_by(|x, y| x.0 == y.0) {
+                for &(_, lj) in g {
+                    views.row(None, b.row(colmap[lj as usize] as usize));
+                }
+                views.seal(d, g[0].0);
+            }
+        };
         mirror_rows((rt, ledger), ("spgemm expand", expand), b_row, read);
     }
 
@@ -401,7 +405,14 @@ fn spgemm_inner(
     let fold_stats = exchange_stats(fold, |r, i| part_row(r, i).0.len());
     ledger.superstep(Phase::Fold, &fold_stats.costs);
     if let Some(rt) = chaos {
-        let read = |_, src: u32, _, i: u32| part_row(src as usize, i);
+        let read = |d: usize, views: &mut Framed| {
+            for (src, _, off, lids) in fold.rank(d).unpacks() {
+                for &i in fold.sent(src, off, lids.len()) {
+                    views.row(None, part_row(src as usize, i));
+                }
+                views.seal(d, src);
+            }
+        };
         mirror_rows((rt, ledger), ("spgemm fold", fold), part_row, read);
     }
 
@@ -438,7 +449,7 @@ pub(crate) mod tests {
     use sf2d_partition::{grid_shape, partition_graph, GpConfig, MatrixDist};
     use sf2d_sim::sf2d_chaos::{FaultKind, FaultScript};
     use sf2d_sim::Machine;
-    use sf2d_spmv::compiled::CompiledSpmv;
+    use sf2d_spmv::compiled::UnpackEntry;
 
     fn check_layout(a: &CsrMatrix, b: &CsrMatrix, dist: &MatrixDist) {
         let dm = DistCsrMatrix::from_global(a, dist);
@@ -656,8 +667,13 @@ pub(crate) mod tests {
     /// billing oracle: every pack message serialized `[nnz, cols…,
     /// vals…]` per row (`row(r, i)` for rank `r`'s index `i`), and the
     /// stats measured off those bytes — send side from each rank's own
-    /// messages, receive side through its unpack entries' `(src, slot)`.
-    fn framed_stats<'a>(phase: &PhasePlan, row: impl Fn(usize, u32) -> Row<'a>) -> ExchangeStats {
+    /// messages, receive side through the `(src, slot)` of each message
+    /// `inbound(r)` names.
+    fn framed_stats<'a>(
+        phase: &PhasePlan,
+        row: impl Fn(usize, u32) -> Row<'a>,
+        inbound: impl Fn(usize) -> Vec<(u32, u32)>,
+    ) -> ExchangeStats {
         let p = phase.nranks();
         let msgs: Vec<Vec<Vec<f64>>> = (0..p)
             .map(|r| {
@@ -684,8 +700,8 @@ pub(crate) mod tests {
             .map(|r| PhaseCost::comm(send_msgs[r], 8 * send_doubles[r]))
             .collect();
         for (r, cost) in costs.iter_mut().enumerate() {
-            for e in phase.unpack_entries(r) {
-                let doubles = msgs[e.src as usize][e.slot as usize].len() as u64;
+            for (src, slot) in inbound(r) {
+                let doubles = msgs[src as usize][slot as usize].len() as u64;
                 *cost = cost.add(&PhaseCost::comm(1, 8 * doubles));
             }
         }
@@ -708,8 +724,24 @@ pub(crate) mod tests {
                 let gids = |r: usize, lid: u32| b.row(dm.vmap.gids(r)[lid as usize] as usize);
                 let part = |r: usize, i: u32| ws.parts[r].row(i as usize);
                 let at = format!("p={p} {:?}", dist.mode());
-                assert_eq!(c.expand, framed_stats(&dm.compiled.expand, gids), "{at}");
-                assert_eq!(c.fold, framed_stats(&dm.compiled.fold, part), "{at}");
+                // The expand keeps no receive side: its messages in are
+                // the oracle's gid plan's, at the sender's slot for `r`.
+                let (import, _) = sf2d_spmv::reference::gid_plans(&dm);
+                let imports = |r: usize| -> Vec<(u32, u32)> {
+                    let slot = |src: &u32| {
+                        import.sends[*src as usize].binary_search_by_key(&(r as u32), |m| m.0)
+                    };
+                    (import.recvs[r].iter())
+                        .map(|(src, _)| (*src, slot(src).expect("plan symmetry") as u32))
+                        .collect()
+                };
+                let folds = |r: usize| -> Vec<(u32, u32)> {
+                    let entries = dm.compiled.fold.unpack_entries(r).iter();
+                    entries.map(|e| (e.src, e.slot)).collect()
+                };
+                let expand = framed_stats(&dm.compiled.expand, gids, imports);
+                assert_eq!(c.expand, expand, "{at}");
+                assert_eq!(c.fold, framed_stats(&dm.compiled.fold, part, folds), "{at}");
             }
         }
     }
@@ -724,19 +756,19 @@ pub(crate) mod tests {
         // Relink an owner's shorter fold message to its other sender: the
         // owner then reads rows of the wrong peer, which that peer sent to
         // it for other rows.
-        let mut export = dm.export.clone();
-        let inbound = export
-            .sends
-            .iter_mut()
-            .find(|m| m.len() == 2)
+        let owner = (0..dm.nprocs())
+            .find(|&r| dm.compiled.fold_rank(r).nunpacks() == 2)
             .expect("a 2x3 block layout has owners with two fold senders");
-        let (short, long) = if inbound[0].1.len() <= inbound[1].1.len() {
-            (0, 1)
-        } else {
-            (1, 0)
+        let lens: Vec<usize> = (dm.compiled.fold_rank(owner).unpacks())
+            .map(|(_, _, _, lids)| lids.len())
+            .collect();
+        let (short, long) = if lens[0] <= lens[1] { (0, 1) } else { (1, 0) };
+        let inbound = dm.compiled.fold.unpack_entries_mut(owner);
+        let to = inbound[long];
+        inbound[short] = UnpackEntry {
+            start: inbound[short].start,
+            ..to
         };
-        inbound[short].0 = inbound[long].0;
-        dm.compiled = CompiledSpmv::compile(&dm.vmap, &dm.blocks, &dm.import, &export);
 
         let got = spgemm_dist(&dm, &b, &mut CostLedger::new(Machine::cab()));
         assert_ne!(got.locals, want.locals, "a wrong plan gives a wrong C");

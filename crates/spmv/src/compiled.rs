@@ -1,51 +1,43 @@
 //! Compiled local-index schedules for the 4-phase SpMV — the plan
 //! *compilation* step of Epetra's `FillComplete()`, stored flat.
 //!
-//! [`CommPlan`](crate::plan::CommPlan) stores the communication structure
-//! in **global ids**; executing it directly means every SpMV re-resolves
-//! `owner(gid)` / `lid(gid)` / `col_lid(gid)` for every entry. Since the
-//! maps change only when the matrix does, all of those lookups can be done
-//! once: this module lowers the plans plus the row/column maps into flat
-//! local-index copy lists, so the per-iteration path is array indexing
-//! only. The static per-phase [`PhaseCost`] vectors are precomputed here
-//! too, so a ledger superstep is a slice reduce.
+//! Executing gid-level plans directly (the [`reference`](crate::reference)
+//! oracle does) re-resolves `owner(gid)` / `lid(gid)` for every entry of
+//! every SpMV. The maps change only when the matrix does, so this module
+//! lowers them once, straight into flat local-index lists — no gid plan
+//! is built on the way — and freezes the per-phase [`PhaseCost`] vectors.
 //!
-//! **Storage** is built for paper-scale rank counts (p = 16,384). At high
-//! p the per-rank blocks go hypersparse (Buluç & Gilbert): every index
-//! list is tiny, so replicating `Vec<Vec<u32>>`-of-`Vec` plans per rank
-//! would drown in allocator headers. Instead every list of a phase —
-//! owned-copy pairs, pack, receive and gather lists — is one flat `u32`
-//! array in rank order with a `p + 1` offset table, and a [`RankPlan`]
-//! view slices them on demand. Nothing is shared between ranks: sharing
-//! equal owned lists measures at most 0.83 % of `plan_bytes`
-//! (EXPERIMENTS.md). Rank `r`'s pack lists fill `pack_idx` from
-//! `payload_base[r]` to `payload_base[r + 1]`, in message order. Both
-//! phases read in place — the zero-copy simulated transport, billed at
-//! exactly the plan's volume: an unpack entry `(src, payload_off)` points
-//! into its sender's pack lists. The **fold** follows it at run time, to
-//! the sender's partials; the **expand** once, when linking, into one
-//! **gather list** per rank of x-window slots ([`VectorMap::local_base`]).
+//! **Storage.** At paper-scale p (16,384) the blocks go hypersparse
+//! (Buluç & Gilbert) and per-message `Vec`s would drown in allocator
+//! headers, so every list of a phase is one flat `u32` array in rank
+//! order with a `p + 1` offset table, sliced by a [`RankPlan`] view. A
+//! phase keeps only what a product reads:
+//! - the **expand**: its send side (pack entries and lists) and per rank
+//!   a **gather list**, per column-map position the x-window slot
+//!   `local_base(owner) + lid` ([`VectorMap::local_base`]). A receiver's
+//!   messages are its remote columns by owner
+//!   ([`VectorMap::remote_by_owner`]), and are not stored;
+//! - the **fold**: its owned pairs, its send side, and unpack entries
+//!   `(src, payload_off)` pointing into the senders' pack lists, which an
+//!   owner follows at run time to the senders' partials.
 //!
-//! **Construction** parallelizes: [`CompiledSpmv::compile_with`] fans the
-//! pure per-rank lowering across OS threads (optionally on a persistent
-//! [`Pool`]) and then appends the results serially in rank order, so the
-//! compiled plan is byte-identical to the serial [`CompiledSpmv::compile`]
-//! for any thread count — property-tested in
-//! `tests/proptest_parallel_compile.rs`.
+//! **Construction** lowers every rank from its own maps (fanned across OS
+//! threads by [`CompiledSpmv::compile_with`], optionally on a [`Pool`]);
+//! then one counting transpose per phase, serial and in rank order, lays
+//! out the other side — the expand senders' pack lists, the fold owners'
+//! unpack entries — at exact capacity: counts first, then fill. The plan
+//! is byte-identical for any thread count
+//! (`tests/proptest_parallel_compile.rs`).
 //!
-//! **Maintenance** is rank-local: when a few ranks' maps or messages
-//! change ([`DistCsrMatrix::apply_delta`]), `CompiledSpmv::patch` runs
-//! the same per-rank lowering for those ranks only and splices the
-//! result in, leaving a plan **byte-equal** (`==`) to a full compile —
-//! property-tested in `tests/proptest_apply_delta.rs`.
+//! **Maintenance** is rank-local: `CompiledSpmv::patch`
+//! ([`DistCsrMatrix::apply_delta`]) lowers the changed ranks again and
+//! rewrites the one message each shares with a touched peer, leaving a
+//! plan `==` to a full compile (`tests/proptest_apply_delta.rs`).
 //!
 //! [`DistCsrMatrix::apply_delta`]: crate::distmat::DistCsrMatrix::apply_delta
 //!
-//! The compiled schedules change *nothing* observable: results are
-//! bit-identical to the gid-based reference executor
-//! ([`reference`](crate::reference)), and the [`CostLedger`] charges are
-//! byte-for-byte the same — this optimizes the simulator's real wall
-//! clock and live memory, not the modeled time.
+//! Nothing observable changes: results are bit-identical to the reference
+//! executor, and the [`CostLedger`] charges are byte-for-byte the same.
 //!
 //! [`CostLedger`]: sf2d_sim::cost::CostLedger
 //! [`Pool`]: sf2d_sim::sf2d_par::Pool
@@ -56,11 +48,10 @@ use sf2d_sim::cost::PhaseCost;
 use sf2d_sim::sf2d_par::{par_ranks_with, Pool};
 
 use crate::distmat::{DistCsrMatrix, RankBlock, SPMM_CHUNK};
-use crate::map::VectorMap;
-use crate::plan::CommPlan;
+use crate::map::{groups, owner_group, VectorMap};
 
 /// One outgoing message of a rank's compiled schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PackEntry {
     /// Destination rank.
     pub peer: u32,
@@ -71,8 +62,8 @@ pub struct PackEntry {
     pub payload_off: u32,
 }
 
-/// One incoming message of a rank's compiled schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One incoming message of a rank's compiled fold schedule.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct UnpackEntry {
     /// Source rank.
     pub src: u32,
@@ -86,44 +77,78 @@ pub struct UnpackEntry {
     pub start: u32,
 }
 
+/// An entry of a flat message list: `key` reads `(peer, start of its
+/// values in the holder's region)`, `at` sets them.
+trait Message: Copy + Default {
+    fn key(self) -> (u32, u32);
+    fn at(self, peer: u32, start: u32) -> Self;
+}
+
+impl Message for PackEntry {
+    fn key(self) -> (u32, u32) {
+        (self.peer, self.payload_off)
+    }
+    fn at(self, peer: u32, payload_off: u32) -> PackEntry {
+        PackEntry { peer, payload_off }
+    }
+}
+
+impl Message for UnpackEntry {
+    fn key(self) -> (u32, u32) {
+        (self.src, self.start)
+    }
+    fn at(self, src: u32, start: u32) -> UnpackEntry {
+        UnpackEntry { src, start, ..self }
+    }
+}
+
 /// One phase's compiled schedule for **all** ranks: flat entry and index
-/// arrays with per-rank offset tables.
+/// arrays with `p + 1` offset tables. A list the phase does not keep
+/// has all-zero offsets, and reads as empty for every rank.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PhasePlan {
-    /// Per-rank ranges into `owned_idx` (`p + 1` offsets).
+    /// Per-rank ranges into `owned_idx`.
     owned_base: Vec<u32>,
     /// All ranks' owned-copy pairs, interleaved `(a, b)`, in rank order.
     /// Expand: `(src_lid, xcols_lid)`; fold: `(partial_idx, y_lid)`.
     owned_idx: Vec<u32>,
     /// All ranks' pack entries, concatenated in rank order.
     pack: Vec<PackEntry>,
-    /// Per-rank ranges into `pack` (`p + 1` offsets).
+    /// Per-rank ranges into `pack`.
     pack_off: Vec<u32>,
-    /// All ranks' unpack entries, concatenated in rank order.
+    /// All ranks' unpack entries, concatenated in rank order (the fold's).
     pub(crate) unpack: Vec<UnpackEntry>,
-    /// Per-rank ranges into `unpack` (`p + 1` offsets).
+    /// Per-rank ranges into `unpack`.
     unpack_off: Vec<u32>,
-    /// Per-rank regions of `pack_idx` in width-1 values (`p + 1` prefix
-    /// sums of the ranks' send volumes).
+    /// Per-rank regions of `pack_idx` in width-1 values (prefix sums of
+    /// the ranks' send volumes).
     payload_base: Vec<u32>,
     /// Every rank's pack lists: what each sent value is read from.
     /// Expand: the sender's x lid; fold: its stored row of partials.
     pack_idx: Vec<u32>,
-    /// Per-rank ranges into `recv_dst` (`p + 1` offsets).
+    /// Per-rank ranges into `recv_dst`.
     recv_base: Vec<u32>,
-    /// Per received value — sources ascending, payload order within a
-    /// message — where it lands. Expand: the `xcols` lid; fold: the y lid.
+    /// The fold's received values — sources ascending, payload order
+    /// within a message — by the y lid each lands on.
     recv_dst: Vec<u32>,
-    /// Per-rank ranges into `reads` (`p + 1` offsets; empty in the fold).
+    /// Per-rank ranges into `reads`.
     pub(crate) reads_base: Vec<u32>,
     /// The expand's gather lists: per column-map position, the x-window
-    /// slot it reads. Empty in the fold.
+    /// slot it reads.
     pub(crate) reads: Vec<u32>,
 }
+
+/// A flat array of every rank's lists and its `p + 1` offset table.
+type Flat<T> = (Vec<T>, Vec<u32>);
 
 /// A flat list's length as an offset.
 fn offset(len: usize) -> u32 {
     u32::try_from(len).expect("a phase's volume fits u32")
+}
+
+/// List `r` of a flat array with offsets `off`.
+fn span(off: &[u32], r: usize) -> Range<usize> {
+    off[r] as usize..off[r + 1] as usize
 }
 
 /// Replaces list `r` of a flat array with `new`, shifting the later
@@ -137,113 +162,89 @@ fn splice<T>(flat: &mut Vec<T>, off: &mut [u32], r: usize, new: Vec<T>) {
     }
 }
 
+/// Every rank's `list` concatenated in rank order, exactly sized.
+fn concat(raw: &[RawRank], list: impl Fn(&RawRank) -> &[u32]) -> Flat<u32> {
+    let total = raw.iter().map(|rr| list(rr).len()).sum();
+    let (mut flat, mut off) = (Vec::with_capacity(total), Vec::with_capacity(raw.len() + 1));
+    off.push(0);
+    for rr in raw {
+        flat.extend_from_slice(list(rr));
+        off.push(offset(flat.len()));
+    }
+    (flat, off)
+}
+
+/// Lays every rank's need groups out as a flat message list, held by the
+/// rank itself or, `at_peer`, by each group's peer (the counting
+/// transpose): an entry per group naming the other rank, `value(d, item)`
+/// per item of rank `d`'s. Counts first, then fill, in rank order.
+fn lay_out<E: Message>(
+    raw: &[RawRank],
+    need: impl Fn(&RawRank) -> &[(u32, u32)],
+    at_peer: bool,
+    value: impl Fn(usize, u32) -> u32,
+) -> (Flat<E>, Flat<u32>) {
+    let p = raw.len();
+    let holder = |d: usize, peer: u32| if at_peer { peer as usize } else { d };
+    let (mut eoff, mut voff) = (vec![0u32; p + 1], vec![0u32; p + 1]);
+    for (d, rr) in raw.iter().enumerate() {
+        for g in groups(need(rr)) {
+            let h = holder(d, g[0].0);
+            eoff[h + 1] += 1;
+            voff[h + 1] += offset(g.len());
+        }
+    }
+    for r in 0..p {
+        eoff[r + 1] = offset(eoff[r] as usize + eoff[r + 1] as usize);
+        voff[r + 1] = offset(voff[r] as usize + voff[r + 1] as usize);
+    }
+    let mut entries = vec![E::default(); eoff[p] as usize];
+    let mut values = vec![0u32; voff[p] as usize];
+    let (mut next_e, mut next_v) = (eoff.clone(), voff.clone());
+    for (d, rr) in raw.iter().enumerate() {
+        for g in groups(need(rr)) {
+            let h = holder(d, g[0].0);
+            let other = if at_peer { d as u32 } else { g[0].0 };
+            entries[next_e[h] as usize] = E::default().at(other, next_v[h] - voff[h]);
+            next_e[h] += 1;
+            for &(_, k) in g {
+                values[next_v[h] as usize] = value(d, k);
+                next_v[h] += 1;
+            }
+        }
+    }
+    ((entries, eoff), (values, voff))
+}
+
+/// Sets holder `q`'s message with `peer` in a flat message list to
+/// `new`: rewritten, created in peer order, or removed when empty.
+fn set_message<E: Message>(
+    (entries, eoff): (&mut Vec<E>, &mut [u32]),
+    (values, voff): (&mut Vec<u32>, &mut [u32]),
+    q: usize,
+    peer: u32,
+    new: &[u32],
+) {
+    let (es, vs) = (&entries[span(eoff, q)], &values[span(voff, q)]);
+    let end = |k: usize| es.get(k + 1).map_or(vs.len(), |n| n.key().1 as usize);
+    let mut msgs: Vec<(E, u32, &[u32])> = (es.iter().enumerate())
+        .map(|(k, e)| (*e, e.key().0, &vs[e.key().1 as usize..end(k)]))
+        .filter(|m| m.1 != peer)
+        .collect();
+    if !new.is_empty() {
+        let k = msgs.partition_point(|m| m.1 < peer);
+        msgs.insert(k, (E::default(), peer, new));
+    }
+    let (mut ne, mut nv) = (Vec::with_capacity(msgs.len()), Vec::new());
+    for (e, peer, v) in msgs {
+        ne.push(e.at(peer, offset(nv.len())));
+        nv.extend_from_slice(v);
+    }
+    splice(entries, eoff, q, ne);
+    splice(values, voff, q, nv);
+}
+
 impl PhasePlan {
-    /// A plan over zero ranks, ready for [`push_rank`](PhasePlan::push_rank).
-    fn new() -> PhasePlan {
-        PhasePlan {
-            owned_base: vec![0],
-            pack_off: vec![0],
-            unpack_off: vec![0],
-            payload_base: vec![0],
-            recv_base: vec![0],
-            ..PhasePlan::default()
-        }
-    }
-
-    /// Appends the next rank's raw lists: the owned pairs, the pack and
-    /// the unpack lists concatenated onto `owned_idx`, `pack_idx` and
-    /// `recv_dst`. The unpack entries' payload offsets are the *sources'*;
-    /// [`link_rank`](PhasePlan::link_rank) fills them in.
-    fn push_rank(
-        &mut self,
-        owned: &[u32],
-        pack: &[(u32, Vec<u32>)],
-        unpack: &[(u32, u32, Vec<u32>)],
-    ) {
-        self.owned_idx.extend_from_slice(owned);
-        self.owned_base.push(offset(self.owned_idx.len()));
-        let base = offset(self.pack_idx.len());
-        for (peer, lids) in pack {
-            self.pack.push(PackEntry {
-                peer: *peer,
-                payload_off: offset(self.pack_idx.len()) - base,
-            });
-            self.pack_idx.extend_from_slice(lids);
-        }
-        self.pack_off.push(offset(self.pack.len()));
-        self.payload_base.push(offset(self.pack_idx.len()));
-        let base = offset(self.recv_dst.len());
-        for (src, slot, lids) in unpack {
-            self.unpack.push(UnpackEntry {
-                src: *src,
-                slot: *slot,
-                payload_off: 0,
-                start: offset(self.recv_dst.len()) - base,
-            });
-            self.recv_dst.extend_from_slice(lids);
-        }
-        self.unpack_off.push(offset(self.unpack.len()));
-        self.recv_base.push(offset(self.recv_dst.len()));
-    }
-
-    /// Points rank `d`'s unpack entries at their senders' pack entries.
-    /// An entry whose source `reslot` names also gets its slot looked up
-    /// again (pack lists are peer-ascending): that pack list was rewritten.
-    fn link_rank(&mut self, d: usize, reslot: impl Fn(u32) -> bool) {
-        let range = self.unpack_off[d] as usize..self.unpack_off[d + 1] as usize;
-        for e in &mut self.unpack[range] {
-            let src = e.src as usize;
-            let packs = &self.pack[self.pack_off[src] as usize..self.pack_off[src + 1] as usize];
-            if reslot(e.src) {
-                e.slot = packs
-                    .binary_search_by_key(&(d as u32), |m| m.peer)
-                    .expect("every unpack entry has its sender's pack entry")
-                    as u32;
-            }
-            e.payload_off = packs[e.slot as usize].payload_off;
-        }
-    }
-
-    /// Fills rank `d`'s gather list (the expand's, once linked): slot
-    /// `local_base(src) + lid` with `lid` out of the sender's pack list for
-    /// a received column, `local_base(d) + lid` out of an owned pair.
-    fn link_gather(&mut self, d: usize, vmap: &VectorMap) {
-        let mut reads = std::mem::take(&mut self.reads);
-        let gather = &mut reads[self.reads_base[d] as usize..self.reads_base[d + 1] as usize];
-        let plan = self.rank(d);
-        for (src, _, off, lids) in plan.unpacks() {
-            let base = vmap.local_base(src as usize) as u32;
-            for (&lid, &there) in lids.iter().zip(self.sent(src, off, lids.len())) {
-                gather[lid as usize] = base + there;
-            }
-        }
-        let base = vmap.local_base(d) as u32;
-        for (there, lid) in plan.owned_pairs() {
-            gather[lid as usize] = base + there;
-        }
-        self.reads = reads;
-    }
-
-    /// Replaces rank `r`'s schedule by its freshly lowered raw lists,
-    /// splicing the flat arrays and shifting the offset tables. Unpack
-    /// entries of `r` and of every rank reading `r`'s pack lists must be
-    /// [linked](PhasePlan::link_rank) afterwards.
-    fn replace_rank(
-        &mut self,
-        r: usize,
-        owned: &[u32],
-        pack: &[(u32, Vec<u32>)],
-        unpack: &[(u32, u32, Vec<u32>)],
-    ) {
-        let mut one = PhasePlan::new();
-        one.push_rank(owned, pack, unpack);
-        splice(&mut self.owned_idx, &mut self.owned_base, r, one.owned_idx);
-        splice(&mut self.pack, &mut self.pack_off, r, one.pack);
-        splice(&mut self.unpack, &mut self.unpack_off, r, one.unpack);
-        splice(&mut self.pack_idx, &mut self.payload_base, r, one.pack_idx);
-        splice(&mut self.recv_dst, &mut self.recv_base, r, one.recv_dst);
-    }
-
     /// Number of ranks.
     pub fn nranks(&self) -> usize {
         self.owned_base.len() - 1
@@ -255,31 +256,15 @@ impl PhasePlan {
         &self.pack[self.pack_off[r] as usize..self.pack_off[r + 1] as usize]
     }
 
-    /// Rank `r`'s unpack entries.
+    /// Rank `r`'s unpack entries (the fold's; none in the expand).
     #[inline]
     pub fn unpack_entries(&self, r: usize) -> &[UnpackEntry] {
         &self.unpack[self.unpack_off[r] as usize..self.unpack_off[r + 1] as usize]
     }
 
-    /// Rank `r`'s region of `pack_idx` — and of a sender-major copy of
-    /// the phase's payloads — in width-1 values. The regions tile
-    /// `0..payload_range(p - 1).end` in rank order.
-    #[inline]
-    pub fn payload_range(&self, r: usize) -> Range<usize> {
-        self.payload_base[r] as usize..self.payload_base[r + 1] as usize
-    }
-
-    /// Rank `r`'s total send-payload length in width-1 doubles.
-    #[inline]
-    pub fn payload_doubles(&self, r: usize) -> usize {
-        self.payload_range(r).len()
-    }
-
-    /// The whole phase's send volume in width-1 doubles: the length of
-    /// its sender-major copy.
-    #[inline]
-    pub fn arena_doubles(&self) -> usize {
-        self.pack_idx.len()
+    /// Rank `r`'s unpack entries, writable (to corrupt a link on purpose).
+    pub fn unpack_entries_mut(&mut self, r: usize) -> &mut [UnpackEntry] {
+        &mut self.unpack[span(&self.unpack_off, r)]
     }
 
     /// Where rank `r`'s sent values are read from, value by value: its
@@ -289,6 +274,12 @@ impl PhasePlan {
         &self.pack_idx[self.payload_range(r)]
     }
 
+    /// Rank `r`'s region of `pack_idx`.
+    #[inline]
+    fn payload_range(&self, r: usize) -> Range<usize> {
+        self.payload_base[r] as usize..self.payload_base[r + 1] as usize
+    }
+
     /// What an unpack entry `(src, _, off, lids)` reads: the `n =
     /// lids.len()` indices of `src`'s pack lists from its offset `off`.
     #[inline]
@@ -296,15 +287,16 @@ impl PhasePlan {
         &self.pack_indices(src as usize)[off as usize..][..n]
     }
 
-    /// Where rank `r`'s received values land, sources ascending, payload
-    /// order within a message.
+    /// Where rank `r`'s received fold values land, sources ascending,
+    /// payload order within a message.
     #[inline]
-    pub fn received(&self, r: usize) -> &[u32] {
+    fn received(&self, r: usize) -> &[u32] {
         &self.recv_dst[self.recv_base[r] as usize..self.recv_base[r + 1] as usize]
     }
 
-    /// Rank `r`'s gather list (the expand's): per column-map position the
-    /// width-1 x-window slot it reads, `local_base(owner) + lid`.
+    /// Rank `r`'s gather list (the expand's; empty in the fold): per
+    /// column-map position the width-1 x-window slot it reads,
+    /// `local_base(owner) + lid`.
     #[inline]
     pub fn gather(&self, r: usize) -> &[u32] {
         &self.reads[self.reads_base[r] as usize..self.reads_base[r + 1] as usize]
@@ -315,6 +307,29 @@ impl PhasePlan {
     pub fn rank(&self, r: usize) -> RankPlan<'_> {
         RankPlan { phase: self, r }
     }
+
+    /// One endpoint's cost of rank `r`'s sends: a message each, 8 bytes
+    /// per value.
+    fn send_cost(&self, r: usize) -> PhaseCost {
+        comm(self.pack_entries(r).len(), self.pack_indices(r).len())
+    }
+
+    /// Points the unpack entries reading rank `r` at its pack entries:
+    /// the slot and the payload offset each reads them by.
+    fn link(&mut self, r: usize) {
+        for (slot, at) in span(&self.pack_off, r).enumerate() {
+            let m = self.pack[at];
+            let entries = self.unpack_entries_mut(m.peer as usize);
+            let k = (entries.binary_search_by_key(&(r as u32), |e| e.src))
+                .expect("every pack entry has its owner's unpack entry");
+            (entries[k].slot, entries[k].payload_off) = (slot as u32, m.payload_off);
+        }
+    }
+}
+
+/// One endpoint's cost of `msgs` messages carrying `values` doubles.
+fn comm(msgs: usize, values: usize) -> PhaseCost {
+    PhaseCost::comm(msgs as u64, 8 * values as u64)
 }
 
 /// One rank's schedule for one phase: a cheap `Copy` view of the flat
@@ -327,8 +342,8 @@ pub struct RankPlan<'a> {
 }
 
 impl<'a> RankPlan<'a> {
-    /// Owned-copy pairs. Expand: `xcols[b] = x_local[a]`; fold:
-    /// `y_local[b] += partials[a]`.
+    /// Owned-copy pairs of the fold, `y_local[b] += partials[a]` (none in
+    /// the expand, whose gather list reads owned columns too).
     #[inline]
     pub fn owned_pairs(self) -> impl Iterator<Item = (u32, u32)> + 'a {
         self.owned().chunks_exact(2).map(|c| (c[0], c[1]))
@@ -370,9 +385,9 @@ impl<'a> RankPlan<'a> {
         self.phase.pack_entries(self.r).len()
     }
 
-    /// Incoming messages as `(src, slot, payload_off, lids)` — the
+    /// Incoming fold messages as `(src, slot, payload_off, lids)` — the
     /// payload offset is the *sender's*, into its pack lists
-    /// ([`PhasePlan::sent`]).
+    /// ([`PhasePlan::sent`]). None in the expand.
     #[inline]
     pub fn unpacks(self) -> impl Iterator<Item = (u32, u32, u32, &'a [u32])> + 'a {
         let unpack = self.phase.unpack_entries(self.r);
@@ -384,7 +399,7 @@ impl<'a> RankPlan<'a> {
         })
     }
 
-    /// Number of incoming messages.
+    /// Number of incoming fold messages.
     pub fn nunpacks(self) -> usize {
         self.phase.unpack_entries(self.r).len()
     }
@@ -403,118 +418,47 @@ pub struct CompiledSpmv {
     pub expand: PhasePlan,
     /// Fold-phase schedules for all ranks.
     pub fold: PhasePlan,
-    /// Per-rank expand-phase costs (= `import.phase_costs()`), frozen.
+    /// Per-rank expand-phase costs — messages and bytes at both
+    /// endpoints — frozen.
     pub expand_costs: Vec<PhaseCost>,
     /// Per-rank local-compute costs (2 flops per local nonzero), frozen.
     pub compute_costs: Vec<PhaseCost>,
-    /// Per-rank fold-phase costs (= `export.phase_costs()`), frozen.
+    /// Per-rank fold-phase costs — messages and bytes at both endpoints —
+    /// frozen.
     pub fold_costs: Vec<PhaseCost>,
     /// Per-rank sum-phase costs (one flop per locally-summed owned row
     /// plus one per received fold value), frozen.
     pub sum_costs: Vec<PhaseCost>,
 }
 
-/// One rank's schedules before they are appended to the flat plan: plain
-/// nested vectors, built by the (parallelizable) pure per-rank lowering
-/// pass.
+/// One rank's lists, lowered from its own maps: its gather list, its fold
+/// owned pairs `(stored row, y lid)`, and its remote columns and rows as
+/// `(owner, map position)` groups — the messages it receives in the
+/// expand and sends in the fold, from which the other side is transposed.
 #[derive(Debug, Clone, Default)]
 struct RawRank {
-    e_owned: Vec<u32>,
-    e_pack: Vec<(u32, Vec<u32>)>,
-    e_unpack: Vec<(u32, u32, Vec<u32>)>,
+    gather: Vec<u32>,
+    e_need: Vec<(u32, u32)>,
     f_owned: Vec<u32>,
-    f_pack: Vec<(u32, Vec<u32>)>,
-    f_unpack: Vec<(u32, u32, Vec<u32>)>,
-    sum_flops: u64,
+    f_need: Vec<(u32, u32)>,
 }
 
-/// Lowers one rank's schedules (the loop body of the old serial compile).
-/// Pure in `r` given the shared inputs, so fanning it across threads is
-/// trivially byte-identical.
-fn lower_rank(
-    r: usize,
-    vmap: &VectorMap,
-    block: &RankBlock,
-    import: &CommPlan,
-    export: &CommPlan,
-) -> RawRank {
-    // Expand: owned colmap entries copy straight from the local x slice;
-    // remote entries arrive via the import plan.
-    let mut e_owned = Vec::new();
-    for (lid, &g) in block.colmap.iter().enumerate() {
-        if vmap.owner(g) == r as u32 {
-            e_owned.push(vmap.lid(g) as u32);
-            e_owned.push(lid as u32);
-        }
-    }
-    let e_pack: Vec<(u32, Vec<u32>)> = import.sends[r]
-        .iter()
-        .map(|(dst, gids)| (*dst, gids.iter().map(|&g| vmap.lid(g) as u32).collect()))
-        .collect();
-    let e_unpack: Vec<(u32, u32, Vec<u32>)> = import.recvs[r]
-        .iter()
-        .map(|(src, gids)| {
-            // Sends are destination-ascending, so the slot lookup is a
-            // binary search, not the linear scan that made compilation
-            // O(messages²) per rank pair at high p.
-            let slot = import.sends[*src as usize]
-                .binary_search_by_key(&(r as u32), |(dst, _)| *dst)
-                .expect("import plan symmetry") as u32;
-            (
-                *src,
-                slot,
-                gids.iter().map(|&g| block.col_lid(g) as u32).collect(),
-            )
-        })
-        .collect();
-
-    // Fold: owned rows sum locally; the rest ship to their owner.
-    // `partials` is indexed by the block's stored row (the local kernel
-    // writes it sequentially), so pack lists are stored rows — listed in
-    // the plan's gid order, which is the payload order — and unpack
-    // lists are y local ids.
-    let mut f_owned = Vec::new();
-    for (li, &g) in block.rowmap.iter().enumerate() {
-        if vmap.owner(g) == r as u32 {
-            f_owned.push(block.stored_row(li) as u32);
-            f_owned.push(vmap.lid(g) as u32);
-        }
-    }
-    let f_pack: Vec<(u32, Vec<u32>)> = export.recvs[r]
-        .iter()
-        .map(|(owner, gids)| {
-            (
-                *owner,
-                gids.iter()
-                    .map(|&g| block.rowmap.binary_search(&g).expect("gid in row map"))
-                    .map(|li| block.stored_row(li) as u32)
-                    .collect(),
-            )
-        })
-        .collect();
-    let f_unpack: Vec<(u32, u32, Vec<u32>)> = export.sends[r]
-        .iter()
-        .map(|(src, gids)| {
-            let slot = export.recvs[*src as usize]
-                .binary_search_by_key(&(r as u32), |(owner, _)| *owner)
-                .expect("export plan symmetry") as u32;
-            (
-                *src,
-                slot,
-                gids.iter().map(|&g| vmap.lid(g) as u32).collect(),
-            )
-        })
-        .collect();
-    let received: u64 = f_unpack.iter().map(|(_, _, lids)| lids.len() as u64).sum();
-    let sum_flops = f_owned.len() as u64 / 2 + received;
+/// Lowers one rank from its maps: pure in `r`, so threads cannot move it.
+fn lower_rank(r: usize, vmap: &VectorMap, block: &RankBlock) -> RawRank {
+    // Expand: every column, owned or not, reads its x-window slot.
+    let slot = |&g: &u32| (vmap.local_base(vmap.owner(g) as usize) + vmap.lid(g)) as u32;
+    let gather = block.colmap.iter().map(slot).collect();
+    // Fold: owned rows sum locally, the rest ship to their owner; the
+    // partials are indexed by stored row, so the pack lists are too.
+    let f_need = vmap.remote_by_owner(r, &block.rowmap);
+    let mut f_owned = Vec::with_capacity(2 * (block.rowmap.len() - f_need.len()));
+    let owned = (block.rowmap.iter().enumerate()).filter(|&(_, &g)| vmap.owner(g) == r as u32);
+    f_owned.extend(owned.flat_map(|(li, &g)| [block.stored_row(li) as u32, vmap.lid(g) as u32]));
     RawRank {
-        e_owned,
-        e_pack,
-        e_unpack,
+        gather,
+        e_need: vmap.remote_by_owner(r, &block.colmap),
         f_owned,
-        f_pack,
-        f_unpack,
-        sum_flops,
+        f_need,
     }
 }
 
@@ -524,133 +468,167 @@ fn compute_cost(block: &RankBlock) -> PhaseCost {
 }
 
 impl CompiledSpmv {
-    /// Lowers the gid-based plans and maps into local-index schedules,
-    /// serially. All gid resolution the reference executor performs per
-    /// call happens here, once.
-    pub fn compile(
-        vmap: &VectorMap,
-        blocks: &[RankBlock],
-        import: &CommPlan,
-        export: &CommPlan,
-    ) -> CompiledSpmv {
-        CompiledSpmv::compile_with(vmap, blocks, import, export, 1, None)
+    /// Lowers the maps into local-index schedules, serially. All gid
+    /// resolution the reference executor performs per call happens here,
+    /// once.
+    pub fn compile(vmap: &VectorMap, blocks: &[RankBlock]) -> CompiledSpmv {
+        CompiledSpmv::compile_with(vmap, blocks, 1, None)
     }
 
     /// [`compile`](CompiledSpmv::compile) with the pure per-rank lowering
     /// fanned across `threads` OS threads (on the persistent `pool` when
-    /// given). The flat plan is appended serially in rank order, so the
+    /// given). The flat plan is laid out serially in rank order, so the
     /// result is **byte-identical** to the serial compile for any thread
     /// count.
     pub fn compile_with(
         vmap: &VectorMap,
         blocks: &[RankBlock],
-        import: &CommPlan,
-        export: &CommPlan,
         threads: usize,
         pool: Option<&Pool>,
     ) -> CompiledSpmv {
         let p = blocks.len();
-        // Stage 1 — parallel: lower every rank independently.
+        // Stage 1 — parallel: lower every rank from its own maps.
         let mut raw: Vec<RawRank> = Vec::new();
         raw.resize_with(p, RawRank::default);
         par_ranks_with(threads, pool, &mut raw, |r, slot| {
-            *slot = lower_rank(r, vmap, &blocks[r], import, export);
+            *slot = lower_rank(r, vmap, &blocks[r]);
         });
 
-        // Stage 2 — serial: append to the flat plan in rank order, with
-        // one expand gather slot per column-map position, then point every
-        // unpack entry and gather list at the senders' pack lists.
-        let mut expand = PhasePlan::new();
-        let mut fold = PhasePlan::new();
-        expand.reads_base.push(0);
-        for (rr, block) in raw.iter().zip(blocks) {
-            expand.push_rank(&rr.e_owned, &rr.e_pack, &rr.e_unpack);
-            fold.push_rank(&rr.f_owned, &rr.f_pack, &rr.f_unpack);
-            expand
-                .reads
-                .resize(expand.reads.len() + block.colmap.len(), 0);
-            expand.reads_base.push(offset(expand.reads.len()));
-        }
-        for d in 0..p {
-            expand.link_rank(d, |_| false);
-            expand.link_gather(d, vmap);
-            fold.link_rank(d, |_| false);
+        // Stage 2 — serial: own lists concatenated; the expand's senders
+        // and the fold's owners transposed from the need lists, then linked.
+        let x_lid = |d: usize, k: u32| vmap.lid(blocks[d].colmap[k as usize]) as u32;
+        let ((pack, pack_off), (pack_idx, payload_base)) =
+            lay_out(&raw, |rr| &rr.e_need, true, x_lid);
+        let (reads, reads_base) = concat(&raw, |rr| &rr.gather);
+        let expand = PhasePlan {
+            owned_base: vec![0; p + 1],
+            pack,
+            pack_off,
+            unpack_off: vec![0; p + 1],
+            payload_base,
+            pack_idx,
+            recv_base: vec![0; p + 1],
+            reads_base,
+            reads,
+            ..PhasePlan::default()
+        };
+        let stored = |d: usize, k: u32| blocks[d].stored_row(k as usize) as u32;
+        let ((pack, pack_off), (pack_idx, payload_base)) =
+            lay_out(&raw, |rr| &rr.f_need, false, stored);
+        let y_lid = |d: usize, k: u32| vmap.lid(blocks[d].rowmap[k as usize]) as u32;
+        let ((unpack, unpack_off), (recv_dst, recv_base)) =
+            lay_out(&raw, |rr| &rr.f_need, true, y_lid);
+        let (owned_idx, owned_base) = concat(&raw, |rr| &rr.f_owned);
+        let mut fold = PhasePlan {
+            owned_base,
+            owned_idx,
+            pack,
+            pack_off,
+            unpack,
+            unpack_off,
+            payload_base,
+            pack_idx,
+            recv_base,
+            recv_dst,
+            reads_base: vec![0; p + 1],
+            ..PhasePlan::default()
+        };
+        for r in 0..p {
+            fold.link(r);
         }
 
         // The per-phase cost vectors change only when a delta touches
         // their rank — freeze them so a superstep charge is a slice
         // reduce, not a plan traversal.
-        CompiledSpmv {
+        let mut compiled = CompiledSpmv {
             expand,
             fold,
-            expand_costs: import.phase_costs(),
+            expand_costs: vec![PhaseCost::default(); p],
             compute_costs: blocks.iter().map(compute_cost).collect(),
-            fold_costs: export.phase_costs(),
-            sum_costs: raw
-                .iter()
-                .map(|rr| PhaseCost::compute(rr.sum_flops))
-                .collect(),
+            fold_costs: vec![PhaseCost::default(); p],
+            sum_costs: vec![PhaseCost::default(); p],
+        };
+        for (r, rr) in raw.iter().enumerate() {
+            compiled.freeze_costs(r, rr);
         }
+        compiled
     }
 
-    /// Brings the schedule up to date after `blocks`, `import` and
-    /// `export` changed at a few ranks — the dirty-rank form of
-    /// [`compile`](CompiledSpmv::compile), and byte-equal (`==`) to it.
-    /// `relower` names, ascending, every rank whose row or column map or
-    /// stored row order changed or whose pack or unpack list gained, lost
-    /// or rewrote a message; `resized` every rank whose local nonzero
-    /// count changed.
-    ///
-    /// Each `relower` rank is lowered again by the same `lower_rank` and
-    /// spliced in; the ranks reading a re-lowered rank only have their
-    /// slots, payload offsets and gather entries refreshed. Payload
-    /// offsets are relative to the sender's region, so no other rank's
-    /// links move.
+    /// Freezes rank `r`'s expand, fold and sum costs, each message charged
+    /// at both endpoints (the expand's receive side off its need list).
+    fn freeze_costs(&mut self, r: usize, rr: &RawRank) {
+        let (expand, fold) = (&self.expand, &self.fold);
+        let received = comm(groups(&rr.e_need).count(), rr.e_need.len());
+        self.expand_costs[r] = expand.send_cost(r).add(&received);
+        let got = fold.received(r).len();
+        let received = comm(fold.unpack_entries(r).len(), got);
+        self.fold_costs[r] = received.add(&fold.send_cost(r));
+        self.sum_costs[r] = PhaseCost::compute((fold.rank(r).n_owned() + got) as u64);
+    }
+
+    /// Brings the schedule up to date after `blocks` changed at a few
+    /// ranks, byte-equal (`==`) to a fresh [`compile`](CompiledSpmv::compile).
+    /// `relower` names, ascending, every rank whose maps or stored row
+    /// order changed and every peer of a moved message; `resized` every
+    /// rank whose nonzero count changed; `moved[0]` each `(r, q)` whose
+    /// expand message from `q` to `r` changed, `moved[1]` each whose fold
+    /// message from `r` to `q` did. Those ranks are lowered again, those
+    /// messages rewritten at their holder, and the fold entries reading a
+    /// re-lowered sender linked again; no other rank's links move.
     pub(crate) fn patch(
         &mut self,
         vmap: &VectorMap,
         blocks: &[RankBlock],
-        import: &CommPlan,
-        export: &CommPlan,
         resized: &[usize],
         relower: &[usize],
+        moved: [&[(usize, u32)]; 2],
     ) {
         for &r in resized {
             self.compute_costs[r] = compute_cost(&blocks[r]);
         }
-        if relower.is_empty() {
-            return;
-        }
-        let mut relowered = vec![false; blocks.len()];
-        for &r in relower {
-            let rr = lower_rank(r, vmap, &blocks[r], import, export);
-            let expand = &mut self.expand;
-            expand.replace_rank(r, &rr.e_owned, &rr.e_pack, &rr.e_unpack);
-            let gather = vec![0; blocks[r].colmap.len()];
+        let mut raw: Vec<RawRank> = (relower.iter())
+            .map(|&r| lower_rank(r, vmap, &blocks[r]))
+            .collect();
+        let (expand, fold) = (&mut self.expand, &mut self.fold);
+        for (&r, rr) in relower.iter().zip(&mut raw) {
+            let gather = std::mem::take(&mut rr.gather);
             splice(&mut expand.reads, &mut expand.reads_base, r, gather);
-            self.fold
-                .replace_rank(r, &rr.f_owned, &rr.f_pack, &rr.f_unpack);
-            self.expand_costs[r] = import.rank_phase_cost(r);
-            self.fold_costs[r] = export.rank_phase_cost(r);
-            self.sum_costs[r] = PhaseCost::compute(rr.sum_flops);
-            relowered[r] = true;
+            let owned = std::mem::take(&mut rr.f_owned);
+            splice(&mut fold.owned_idx, &mut fold.owned_base, r, owned);
+            let stored = |_, k: u32| blocks[r].stored_row(k as usize) as u32;
+            let one = std::slice::from_ref(rr);
+            let ((pack, _), (idx, _)) = lay_out(one, |rr| &rr.f_need, false, stored);
+            splice(&mut fold.pack, &mut fold.pack_off, r, pack);
+            splice(&mut fold.pack_idx, &mut fold.payload_base, r, idx);
         }
-        // A fresh rank has its payload offsets unset; a reader of a fresh
-        // rank has stale offsets, slots and gather entries.
-        let reslot = |src: u32| relowered[src as usize];
-        let stale = |phase: &PhasePlan| {
-            let mut stale = relowered.clone();
-            for m in relower.iter().flat_map(|&s| phase.pack_entries(s)) {
-                stale[m.peer as usize] = true;
-            }
-            (0..stale.len()).filter(move |&d| stale[d])
+        // The vector lids of `r`'s group for `q` in a need list over `map`.
+        let lids = |r: usize, q, need: fn(&RawRank) -> &[(u32, u32)], map: &[u32]| {
+            let rr = &raw[relower
+                .binary_search(&r)
+                .expect("a moved rank is re-lowered")];
+            let group = owner_group(need(rr), q).iter();
+            group
+                .map(|&(_, k)| vmap.lid(map[k as usize]) as u32)
+                .collect::<Vec<u32>>()
         };
-        for d in stale(&self.fold) {
-            self.fold.link_rank(d, reslot);
+        for &(r, q) in moved[0] {
+            let new = lids(r, q, |rr| &rr.e_need, &blocks[r].colmap);
+            let entries = (&mut expand.pack, &mut expand.pack_off[..]);
+            let values = (&mut expand.pack_idx, &mut expand.payload_base[..]);
+            set_message(entries, values, q as usize, r as u32, &new);
         }
-        for d in stale(&self.expand) {
-            self.expand.link_rank(d, reslot);
-            self.expand.link_gather(d, vmap);
+        for &(r, q) in moved[1] {
+            let new = lids(r, q, |rr| &rr.f_need, &blocks[r].rowmap);
+            let entries = (&mut fold.unpack, &mut fold.unpack_off[..]);
+            let values = (&mut fold.recv_dst, &mut fold.recv_base[..]);
+            set_message(entries, values, q as usize, r as u32, &new);
+        }
+        // A re-lowered sender's pack lists moved: relink their readers.
+        for &r in relower {
+            fold.link(r);
+        }
+        for (&r, rr) in relower.iter().zip(&raw) {
+            self.freeze_costs(r, rr);
         }
     }
 
@@ -666,24 +644,26 @@ impl CompiledSpmv {
         self.fold.rank(r)
     }
 
-    /// Sum-phase flops charged to rank `r` per SpMV column.
-    pub fn sum_flops(&self, r: usize) -> u64 {
-        self.sum_costs[r].flops
-    }
-
     /// Actual heap footprint of the plan: entry arrays, owned, pack,
     /// receive and gather lists, offset tables, and the frozen cost vectors.
     pub fn plan_bytes(&self) -> u64 {
         use std::mem::size_of;
         let phase = |pl: &PhasePlan| -> u64 {
-            // Five `p + 1` offset tables, the gather lists' (the expand's
-            // only), and the owned, pack, receive and gather lists.
-            let words = 5 * (pl.nranks() + 1)
-                + pl.reads_base.len()
-                + pl.owned_idx.len()
-                + pl.pack_idx.len()
-                + pl.recv_dst.len()
-                + pl.reads.len();
+            let words: usize = [
+                &pl.owned_base,
+                &pl.owned_idx,
+                &pl.pack_off,
+                &pl.unpack_off,
+                &pl.payload_base,
+                &pl.pack_idx,
+                &pl.recv_base,
+                &pl.recv_dst,
+                &pl.reads_base,
+                &pl.reads,
+            ]
+            .iter()
+            .map(|list| list.len())
+            .sum();
             (pl.pack.len() * size_of::<PackEntry>()
                 + pl.unpack.len() * size_of::<UnpackEntry>()
                 + words * 4) as u64
@@ -870,14 +850,15 @@ mod tests {
     #[test]
     fn expand_schedule_is_aligned_with_the_import_plan() {
         let dm = dist_matrix();
+        let (import, _) = crate::reference::gid_plans(&dm);
         for r in 0..dm.nprocs() {
             let plan = dm.compiled.expand_rank(r);
-            assert_eq!(plan.npacks(), dm.import.sends[r].len());
-            assert_eq!(plan.nunpacks(), dm.import.recvs[r].len());
+            assert_eq!(plan.npacks(), import.sends[r].len());
+            assert_eq!(plan.nunpacks(), 0, "the expand keeps no receive side");
             // Pack lids resolve to exactly the gids the plan ships, and
             // payload offsets are the prefix sums of message lengths.
             let mut expect_off = 0u32;
-            for ((dst, lids, off), (pdst, gids)) in plan.packs().zip(&dm.import.sends[r]) {
+            for ((dst, lids, off), (pdst, gids)) in plan.packs().zip(&import.sends[r]) {
                 assert_eq!(dst, *pdst);
                 assert_eq!(off, expect_off);
                 expect_off += lids.len() as u32;
@@ -885,18 +866,18 @@ mod tests {
                     assert_eq!(dm.vmap.gids(r)[lid as usize], g);
                 }
             }
-            assert_eq!(dm.compiled.expand.payload_doubles(r), expect_off as usize);
-            // Unpack positions land on the matching colmap entries, and
-            // each slot points at the sender's message for this rank at
-            // the sender's recorded payload offset.
-            for ((src, slot, off, lids), (psrc, gids)) in plan.unpacks().zip(&dm.import.recvs[r]) {
-                assert_eq!(src, *psrc);
-                let (dst, sent, soff) = dm.compiled.expand_rank(src as usize).pack(slot as usize);
-                assert_eq!(dst, r as u32);
-                assert_eq!(off, soff);
-                assert_eq!(sent.len(), gids.len());
-                for (&lid, &g) in lids.iter().zip(gids) {
-                    assert_eq!(dm.blocks[r].colmap[lid as usize], g);
+            assert_eq!(
+                dm.compiled.expand.pack_indices(r).len(),
+                expect_off as usize
+            );
+            // Every gid the plan delivers is read at its sender's
+            // x-window slot by the matching column.
+            let gather = dm.compiled.expand.gather(r);
+            for (src, gids) in &import.recvs[r] {
+                let base = dm.vmap.local_base(*src as usize);
+                for &g in gids {
+                    let lid = dm.blocks[r].col_lid(g);
+                    assert_eq!(gather[lid] as usize, base + dm.vmap.lid(g));
                 }
             }
         }
@@ -907,16 +888,15 @@ mod tests {
         let dm = dist_matrix();
         for r in 0..dm.nprocs() {
             let block = &dm.blocks[r];
-            let owned_cols = block
-                .colmap
-                .iter()
-                .filter(|&&g| dm.vmap.owner(g) == r as u32)
-                .count();
-            assert_eq!(dm.compiled.expand_rank(r).n_owned(), owned_cols);
-            for (src, dst) in dm.compiled.expand_rank(r).owned_pairs() {
-                let g = block.colmap[dst as usize];
-                assert_eq!(dm.vmap.owner(g), r as u32);
-                assert_eq!(dm.vmap.lid(g), src as usize);
+            // The expand keeps no owned pairs: an owned column reads the
+            // rank's own region of the x window through the gather list.
+            assert_eq!(dm.compiled.expand_rank(r).n_owned(), 0);
+            let gather = dm.compiled.expand.gather(r);
+            for (lid, &g) in block.colmap.iter().enumerate() {
+                if dm.vmap.owner(g) == r as u32 {
+                    let own = dm.vmap.local_base(r) + dm.vmap.lid(g);
+                    assert_eq!(gather[lid] as usize, own);
+                }
             }
             let owned_rows = block
                 .rowmap
@@ -930,10 +910,11 @@ mod tests {
     #[test]
     fn sum_flops_match_the_reference_accounting() {
         let dm = dist_matrix();
+        let (_, export) = crate::reference::gid_plans(&dm);
         for r in 0..dm.nprocs() {
-            let received: u64 = dm.export.sends[r].iter().map(|(_, g)| g.len() as u64).sum();
+            let received: u64 = export.sends[r].iter().map(|(_, g)| g.len() as u64).sum();
             let owned = dm.compiled.fold_rank(r).n_owned() as u64;
-            assert_eq!(dm.compiled.sum_flops(r), owned + received);
+            assert_eq!(dm.compiled.sum_costs[r].flops, owned + received);
         }
     }
 
@@ -943,21 +924,25 @@ mod tests {
         let d = MatrixDist::random_2d(a.nrows(), 2, 3, 4);
         let dm = DistCsrMatrix::from_global(&a, &d);
         for threads in [2usize, 5] {
-            let par = CompiledSpmv::compile_with(
-                &dm.vmap, &dm.blocks, &dm.import, &dm.export, threads, None,
-            );
+            let par = CompiledSpmv::compile_with(&dm.vmap, &dm.blocks, threads, None);
             assert_eq!(par, dm.compiled, "threads {threads}");
         }
         let pool = sf2d_sim::sf2d_par::Pool::new(3);
-        let pooled = CompiledSpmv::compile_with(
-            &dm.vmap,
-            &dm.blocks,
-            &dm.import,
-            &dm.export,
-            3,
-            Some(&pool),
-        );
+        let pooled = CompiledSpmv::compile_with(&dm.vmap, &dm.blocks, 3, Some(&pool));
         assert_eq!(pooled, dm.compiled);
+    }
+
+    #[test]
+    fn a_phase_reads_empty_for_the_lists_it_does_not_keep() {
+        // A 2D layout folds, so its fold plan has every list but a gather
+        // list, and its expand every list but a receive side.
+        let dm = dist_matrix();
+        assert!((0..dm.nprocs()).any(|r| dm.compiled.fold_rank(r).nunpacks() > 0));
+        for r in 0..dm.nprocs() {
+            assert!(dm.compiled.fold.gather(r).is_empty(), "rank {r}");
+            assert!(dm.compiled.expand.unpack_entries(r).is_empty(), "rank {r}");
+            assert_eq!(dm.compiled.expand_rank(r).unpacks().count(), 0);
+        }
     }
 
     #[test]

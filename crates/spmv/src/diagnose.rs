@@ -13,6 +13,7 @@ use sf2d_obs::{BoundTerm, MetricsRegistry, RankSample};
 use sf2d_sim::cost::{Phase, PhaseCost};
 use sf2d_sim::Machine;
 
+use crate::compiled::RankPlan;
 use crate::distmat::DistCsrMatrix;
 
 /// What dominates a rank's phase time.
@@ -103,10 +104,10 @@ pub fn spmv_metrics(a: &DistCsrMatrix) -> MetricsRegistry {
             reg.add(&format!("spmv.{slug}.flops"), r as u32, c.flops);
         }
     }
-    for plan in [&a.import, &a.export] {
-        for out in &plan.sends {
-            for (_dst, gids) in out {
-                reg.observe("spmv.msg_bytes", 8 * gids.len() as u64);
+    for phase in [&a.compiled.expand, &a.compiled.fold] {
+        for r in 0..a.nprocs() {
+            for (_dst, lids, _) in phase.rank(r).packs() {
+                reg.observe("spmv.msg_bytes", 8 * lids.len() as u64);
             }
         }
     }
@@ -279,14 +280,15 @@ mod tests {
         // counts are the same numbers, recorded once.
         let dm = demo();
         let reg = spmv_metrics(&dm);
-        let send_msgs: u64 = dm.import.sends.iter().map(|s| s.len() as u64).sum();
-        let recv_msgs: u64 = dm.import.recvs.iter().map(|r| r.len() as u64).sum();
+        let (import, export) = crate::reference::gid_plans(&dm);
+        let send_msgs: u64 = import.sends.iter().map(|s| s.len() as u64).sum();
+        let recv_msgs: u64 = import.recvs.iter().map(|r| r.len() as u64).sum();
         // Expand counters charge both endpoints of each message.
         assert_eq!(reg.sum("spmv.expand.msgs"), send_msgs + recv_msgs);
-        let expand_bytes: u64 = 16 * dm.import.total_volume() as u64; // 8 B × 2 endpoints
+        let expand_bytes: u64 = 16 * import.total_volume() as u64; // 8 B × 2 endpoints
         assert_eq!(reg.sum("spmv.expand.bytes"), expand_bytes);
         // The message-size histogram saw every planned message once.
-        let planned_msgs: usize = [&dm.import, &dm.export]
+        let planned_msgs: usize = [&import, &export]
             .iter()
             .flat_map(|p| p.sends.iter())
             .map(|s| s.len())
@@ -295,7 +297,7 @@ mod tests {
         assert_eq!(h.count as usize, planned_msgs);
         assert_eq!(
             h.sum as usize,
-            8 * (dm.import.total_volume() + dm.export.total_volume())
+            8 * (import.total_volume() + export.total_volume())
         );
         // Flop-imbalance histogram: one observation per rank.
         assert_eq!(reg.histogram("spmv.rank_flops").unwrap().count, 4);
@@ -342,24 +344,35 @@ mod tests {
 /// expand/fold message is priced by whether its endpoints share a node,
 /// compute by γ — the robustness check for the flat α-β-γ conclusions.
 pub fn spmv_time_hierarchical(a: &DistCsrMatrix, nm: &sf2d_sim::hierarchy::NodeModel) -> f64 {
-    let p = a.nprocs();
-    let plan_traffic = |plan: &crate::plan::CommPlan, r: usize| {
-        let sends: Vec<(usize, usize)> = plan.sends[r]
-            .iter()
-            .map(|(d, g)| (*d as usize, g.len()))
-            .collect();
-        let recvs: Vec<(usize, usize)> = plan.recvs[r]
-            .iter()
-            .map(|(s, g)| (*s as usize, g.len()))
-            .collect();
-        (sends, recvs)
+    let (c, p) = (&a.compiled, a.nprocs());
+    // Each message at both endpoints, in the gid plans' order: the
+    // expand's sends, then the rank's remote columns by owner; the fold's
+    // receives, then its sends.
+    type Messages = Vec<(usize, usize)>;
+    let traffic = |r: usize, fold: bool| -> (Messages, Messages) {
+        let sends = |plan: RankPlan| {
+            plan.packs()
+                .map(|(d, l, _)| (d as usize, l.len()))
+                .collect()
+        };
+        if fold {
+            let plan = c.fold_rank(r);
+            let recvs = plan.unpacks().map(|(s, _, _, l)| (s as usize, l.len()));
+            (recvs.collect(), sends(plan))
+        } else {
+            let need = a.vmap.remote_by_owner(r, &a.blocks[r].colmap);
+            let recvs = need
+                .chunk_by(|x, y| x.0 == y.0)
+                .map(|g| (g[0].0 as usize, g.len()));
+            (sends(c.expand_rank(r)), recvs.collect())
+        }
     };
     let mut total = 0.0;
     // Expand and fold: BSP max over ranks of the node-aware comm time.
-    for plan in [&a.import, &a.export] {
+    for fold in [false, true] {
         let t = (0..p)
             .map(|r| {
-                let (s, rx) = plan_traffic(plan, r);
+                let (s, rx) = traffic(r, fold);
                 nm.comm_time(r, &s, &rx)
             })
             .fold(0.0f64, f64::max);

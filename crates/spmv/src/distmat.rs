@@ -1,6 +1,8 @@
-//! The distributed sparse matrix: per-rank local blocks plus the four maps
-//! and the import/export plans — Epetra's `Epetra_CrsMatrix` after
-//! `FillComplete()`.
+//! The distributed sparse matrix: per-rank local blocks, the four maps and
+//! the compiled schedules lowered from them — Epetra's `Epetra_CrsMatrix`
+//! after `FillComplete()`. The Import and Export are not kept as gid
+//! plans: the maps determine them, and the compiled plan holds all of
+//! them a product reads.
 //!
 //! A [`RankBlock`] keeps its maps ascending but stores its rows in
 //! **execution order** — ascending `(nnz, gid)` — because 2D blocks go
@@ -23,7 +25,6 @@ use sf2d_partition::NonzeroLayout;
 
 use crate::compiled::CompiledSpmv;
 use crate::map::VectorMap;
-use crate::plan::CommPlan;
 
 /// A stored nonzero: `(row gid, col gid, value)`.
 type Nonzero = (u32, u32, f64);
@@ -98,10 +99,12 @@ impl RankBlock {
         let mut colmap: Vec<u32> = entries.iter().map(|e| e.1).collect();
         colmap.sort_unstable();
         colmap.dedup();
+        colmap.shrink_to_fit();
 
         // Row starts in `entries`, by row-map position.
-        let mut rowmap = Vec::new();
-        let mut starts = Vec::new();
+        let nrows = entries.chunk_by(|a, b| a.0 == b.0).count();
+        let mut rowmap = Vec::with_capacity(nrows);
+        let mut starts = Vec::with_capacity(nrows + 1);
         for (k, e) in entries.iter().enumerate() {
             if rowmap.last() != Some(&e.0) {
                 rowmap.push(e.0);
@@ -274,9 +277,11 @@ impl RankBlock {
         }
         merged.extend(changes[k..].iter().filter_map(set));
         let new = RankBlock::from_sorted(&merged);
-        let change = if new.rowmap != self.rowmap || new.colmap != self.colmap {
-            BlockChange::Maps
-        } else if new.stored != self.stored {
+        if new.rowmap != self.rowmap || new.colmap != self.colmap {
+            let old = std::mem::replace(self, new);
+            return BlockChange::Maps(old.colmap, old.rowmap);
+        }
+        let change = if new.stored != self.stored {
             BlockChange::RowOrder
         } else {
             BlockChange::Pattern
@@ -284,19 +289,28 @@ impl RankBlock {
         *self = new;
         change
     }
+}
 
-    /// Global ids in `ids` (a row or column map) that `r` does not own:
-    /// the partial-y rows it must export, the x entries it must import.
-    fn remote(ids: &[u32], vmap: &VectorMap, r: usize) -> Vec<u32> {
-        ids.iter()
-            .copied()
-            .filter(|&g| vmap.owner(g) != r as u32)
-            .collect()
+/// The owners other than `r` of the ids that entered or left one of its
+/// maps (`old` → `new`): the peers whose one message with `r` changes.
+fn moved_peers(vmap: &VectorMap, r: usize, old: &[u32], new: &[u32]) -> Vec<u32> {
+    // The symmetric difference of the two maps, by one linear merge.
+    let (mut peers, mut i, mut j) = (Vec::new(), 0, 0);
+    while i < old.len() || j < new.len() {
+        let (a, b) = (old.get(i).copied(), new.get(j).copied());
+        let gone = a.is_some() && b.is_none_or(|b| a < Some(b));
+        let came = b.is_some() && a.is_none_or(|a| b < Some(a));
+        (i, j) = (i + usize::from(!came), j + usize::from(!gone));
+        let g = if gone { a } else { b.filter(|_| came) };
+        peers.extend(g.map(|g| vmap.owner(g)).filter(|&o| o as usize != r));
     }
+    peers.sort_unstable();
+    peers.dedup();
+    peers
 }
 
 /// How far a delta reached into one rank's block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 enum BlockChange {
     /// Values only: no map, plan, schedule or cost changes.
     Values,
@@ -309,7 +323,8 @@ enum BlockChange {
     /// change — its messages and every other rank's schedule do not.
     RowOrder,
     /// The row or column map changed: local ids shift, messages may too.
-    Maps,
+    /// Carries the block's old column and row maps.
+    Maps(Vec<u32>, Vec<u32>),
 }
 
 /// One change to the global matrix: entry `(i, j)` takes `value`, or is
@@ -345,20 +360,16 @@ pub struct DistCsrMatrix {
     pub vmap: Arc<VectorMap>,
     /// Per-rank local blocks.
     pub blocks: Vec<RankBlock>,
-    /// Expand plan: remote x entries per rank.
-    pub import: CommPlan,
-    /// Fold plan: remote partial-y contributions per rank.
-    pub export: CommPlan,
-    /// Plans and maps lowered to flat local-index schedules (the
-    /// compilation step of `FillComplete()`): what the SpMV/SpMM kernels
-    /// actually execute.
+    /// The maps lowered to flat local-index schedules (the compilation
+    /// step of `FillComplete()`): what the SpMV/SpMM kernels actually
+    /// execute.
     pub compiled: CompiledSpmv,
 }
 
 impl DistCsrMatrix {
     /// Distributes a global matrix: every nonzero goes to
     /// `dist.nonzero_owner`, per-rank blocks are assembled, and the expand /
-    /// fold plans are derived from the maps (Epetra's `FillComplete`).
+    /// fold schedules are lowered from the maps (Epetra's `FillComplete`).
     ///
     /// # Panics
     /// Panics if the matrix is not square or dimensions disagree with the
@@ -403,30 +414,19 @@ impl DistCsrMatrix {
         sf2d_sim::sf2d_par::par_ranks_with(threads, pool, &mut slots, |_, (bucket, block)| {
             *block = Some(RankBlock::from_sorted(&std::mem::take(bucket)));
         });
-        let blocks: Vec<RankBlock> = slots
-            .into_iter()
-            .map(|(_, block)| block.expect("every rank assembled"))
-            .collect();
+        // Not collected in place, into the slots' wider allocation.
+        let mut blocks = Vec::with_capacity(p);
+        blocks.extend(
+            slots
+                .into_iter()
+                .map(|(_, b)| b.expect("every rank assembled")),
+        );
 
-        let ranked = || blocks.iter().enumerate();
-        // Remote x entries each rank must import.
-        let needed_cols: Vec<Vec<u32>> = ranked()
-            .map(|(r, b)| RankBlock::remote(&b.colmap, &vmap, r))
-            .collect();
-        // Rows whose partial y must be exported.
-        let contributed_rows: Vec<Vec<u32>> = ranked()
-            .map(|(r, b)| RankBlock::remote(&b.rowmap, &vmap, r))
-            .collect();
-        let import = CommPlan::gather(&needed_cols, &vmap);
-        let export = CommPlan::gather(&contributed_rows, &vmap);
-        let compiled = CompiledSpmv::compile_with(&vmap, &blocks, &import, &export, threads, pool);
-
+        let compiled = CompiledSpmv::compile_with(&vmap, &blocks, threads, pool);
         DistCsrMatrix {
             n,
             vmap,
             blocks,
-            import,
-            export,
             compiled,
         }
     }
@@ -434,9 +434,8 @@ impl DistCsrMatrix {
     /// Applies entry changes in place — the dirty-rank `FillComplete`.
     /// Afterwards `self` is equal to
     /// [`from_global`](DistCsrMatrix::from_global) of the changed global
-    /// matrix under the same `dist`: `blocks`, `import`, `export` and
-    /// `compiled` are all `==`, so products are bitwise equal and bill
-    /// identically.
+    /// matrix under the same `dist`: `blocks` and `compiled` are both
+    /// `==`, so products are bitwise equal and bill identically.
     ///
     /// Deltas are grouped by `dist.nonzero_owner`, the last delta to an
     /// entry winning, and each dirty rank's block is touched once. The
@@ -447,9 +446,10 @@ impl DistCsrMatrix {
     ///   a row moves in the block's stored order (it changed length), that
     ///   rank alone is lowered again, because its fold lists index
     ///   partials by stored row;
-    /// * only when a row or column enters or leaves a rank's maps do the
-    ///   plans change — that rank's need-lists are regrouped, the one
-    ///   message entry of each affected peer is rewritten, and exactly
+    /// * only when a row or column enters or leaves a rank's maps do
+    ///   messages change — the peers whose group of that rank's remote
+    ///   ids differs between its old and new maps are found, the one
+    ///   message each shares with the rank is rewritten, and exactly
     ///   those ranks are lowered again (`CompiledSpmv::patch`).
     ///
     /// Removing an absent entry is a no-op.
@@ -485,6 +485,7 @@ impl DistCsrMatrix {
         let mut written = Vec::new();
         let mut resized = Vec::new();
         let mut relower = Vec::new();
+        let mut moved: [Vec<(usize, u32)>; 2] = Default::default();
         for run in keyed.chunk_by(|a, b| a.0 == b.0) {
             let r = run[0].0 as usize;
             let changes: Vec<(u32, u32, Option<f64>)> = run
@@ -497,28 +498,25 @@ impl DistCsrMatrix {
             if change != BlockChange::Values {
                 resized.push(r);
             }
-            if matches!(change, BlockChange::RowOrder | BlockChange::Maps) {
+            if matches!(change, BlockChange::RowOrder | BlockChange::Maps(..)) {
                 relower.push(r);
             }
-            if change == BlockChange::Maps {
+            if let BlockChange::Maps(colmap, rowmap) = change {
                 let block = &self.blocks[r];
-                let cols = RankBlock::remote(&block.colmap, &self.vmap, r);
-                let rows = RankBlock::remote(&block.rowmap, &self.vmap, r);
-                let peers = (self.import.set_needed(r, &cols, &self.vmap).into_iter())
-                    .chain(self.export.set_needed(r, &rows, &self.vmap));
-                relower.extend(peers.map(|q| q as usize));
+                let olds = [(colmap, &block.colmap), (rowmap, &block.rowmap)];
+                for (pairs, (old, new)) in moved.iter_mut().zip(olds) {
+                    for q in moved_peers(&self.vmap, r, &old, new) {
+                        relower.push(q as usize);
+                        pairs.push((r, q));
+                    }
+                }
             }
         }
         relower.sort_unstable();
         relower.dedup();
-        self.compiled.patch(
-            &self.vmap,
-            &self.blocks,
-            &self.import,
-            &self.export,
-            &resized,
-            &relower,
-        );
+        let [cols, rows] = &moved;
+        self.compiled
+            .patch(&self.vmap, &self.blocks, &resized, &relower, [cols, rows]);
         written.retain(|r| relower.binary_search(r).is_err());
         DeltaReport {
             dirty_ranks: written.len() + relower.len(),
@@ -586,7 +584,13 @@ mod tests {
         let d = MatrixDist::block_2d(64, 2, 2);
         let dm = DistCsrMatrix::from_global(&a, &d);
         for (r, block) in dm.blocks.iter().enumerate() {
-            let planned: usize = dm.import.recvs[r].iter().map(|(_, g)| g.len()).sum();
+            // What the senders' pack lists address to `r`: the transposed
+            // side of the expand.
+            let planned: usize = (0..dm.nprocs())
+                .flat_map(|s| dm.compiled.expand_rank(s).packs())
+                .filter(|&(dst, _, _)| dst == r as u32)
+                .map(|(_, lids, _)| lids.len())
+                .sum();
             let remote = block
                 .colmap
                 .iter()
@@ -602,8 +606,11 @@ mod tests {
         let a = rmat(&RmatConfig::graph500(6), 1);
         let d = MatrixDist::random_1d(a.nrows(), 4, 7);
         let dm = DistCsrMatrix::from_global(&a, &d);
-        assert_eq!(dm.export.total_volume(), 0);
-        assert!(dm.import.total_volume() > 0);
+        let volume = |phase: &crate::PhasePlan| -> usize {
+            (0..dm.nprocs()).map(|r| phase.pack_indices(r).len()).sum()
+        };
+        assert_eq!(volume(&dm.compiled.fold), 0);
+        assert!(volume(&dm.compiled.expand) > 0);
     }
 
     #[test]
@@ -613,8 +620,10 @@ mod tests {
         let dm = DistCsrMatrix::from_global(&a, &d);
         // Expand sends stay within a grid column (pr-1), fold within a grid
         // row (pc-1).
-        assert!(dm.import.max_send_msgs() <= 3);
-        assert!(dm.export.max_send_msgs() <= 3);
+        for r in 0..dm.nprocs() {
+            assert!(dm.compiled.expand_rank(r).npacks() <= 3);
+            assert!(dm.compiled.fold_rank(r).npacks() <= 3);
+        }
     }
 
     #[test]
@@ -625,9 +634,7 @@ mod tests {
         let pool = sf2d_sim::sf2d_par::Pool::new(3);
         for (threads, pool) in [(2usize, None), (3, Some(&pool))] {
             let par = DistCsrMatrix::from_global_with(&a, &d, threads, pool);
-            assert_eq!(par.import, serial.import, "threads {threads}");
-            assert_eq!(par.export, serial.export);
-            assert_eq!(par.compiled, serial.compiled);
+            assert_eq!(par.compiled, serial.compiled, "threads {threads}");
             assert_eq!(par.to_global(), serial.to_global());
             for (b1, b2) in par.blocks.iter().zip(&serial.blocks) {
                 assert_eq!(b1.rowmap, b2.rowmap);

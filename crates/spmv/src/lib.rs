@@ -14,7 +14,7 @@
 //! |---|---|
 //! | `Epetra_Map` (vector / domain / range map) | [`VectorMap`] |
 //! | row map / column map of `Epetra_CrsMatrix` | [`RankBlock::rowmap` / `colmap`](distmat::RankBlock) |
-//! | `Epetra_Import` (expand) / `Epetra_Export` (fold) | [`CommPlan`] |
+//! | `Epetra_Import` (expand) / `Epetra_Export` (fold) | [`CompiledSpmv`], lowered from the maps ([`CommPlan`] is the oracle's gid form) |
 //! | `FillComplete()` | [`DistCsrMatrix::from_global`](distmat::DistCsrMatrix::from_global) |
 //!
 //! As in Epetra, the four maps fully determine the communication; the

@@ -23,18 +23,22 @@ pub struct VectorMap {
 impl VectorMap {
     /// Builds the map from a layout's vector ownership.
     pub fn from_dist<L: NonzeroLayout + ?Sized>(dist: &L) -> VectorMap {
-        let n = dist.n();
-        let p = dist.nprocs();
-        let mut owner = Vec::with_capacity(n);
-        let mut gids: Vec<Vec<u32>> = vec![Vec::new(); p];
-        let mut lid = vec![0u32; n];
-        for k in 0..n {
-            let o = dist.vector_owner(k as u32);
-            owner.push(o);
-            lid[k] = gids[o as usize].len() as u32;
-            gids[o as usize].push(k as u32);
+        let owner: Vec<u32> = (0..dist.n() as u32).map(|k| dist.vector_owner(k)).collect();
+        // Each rank's list at its final length: count, then fill.
+        let mut counts = vec![0; dist.nprocs()];
+        for &o in &owner {
+            counts[o as usize] += 1;
         }
-        let mut base = vec![0];
+        let mut gids: Vec<Vec<u32>> = counts.iter().map(|&c| Vec::with_capacity(c)).collect();
+        let lid = (owner.iter().zip(0..))
+            .map(|(&o, k)| {
+                let mine = &mut gids[o as usize];
+                mine.push(k);
+                mine.len() as u32 - 1
+            })
+            .collect();
+        let mut base = Vec::with_capacity(gids.len() + 1);
+        base.push(0);
         for g in &gids {
             base.push(base[base.len() - 1] + g.len());
         }
@@ -89,6 +93,18 @@ impl VectorMap {
         self.base[rank]
     }
 
+    /// The ids of `ids` (ascending) that `rank` does not own, as `(owner,
+    /// position)` pairs by owner, then position: with its column map, a
+    /// group per expand message `rank` receives; with its row map, per
+    /// fold message it sends.
+    pub fn remote_by_owner(&self, rank: usize, ids: &[u32]) -> Vec<(u32, u32)> {
+        let mut pairs = Vec::with_capacity(ids.len());
+        let remote = (ids.iter().enumerate()).map(|(k, &g)| (self.owner(g), k as u32));
+        pairs.extend(remote.filter(|&(o, _)| o as usize != rank));
+        pairs.sort_unstable();
+        pairs
+    }
+
     /// Whether two maps describe the **same distribution** — identical
     /// owner and local-id assignment for every global entry. This is the
     /// structural compatibility check the SpMV kernels require: two maps
@@ -97,6 +113,16 @@ impl VectorMap {
     pub fn same_distribution(&self, other: &VectorMap) -> bool {
         self.owner == other.owner && self.lid == other.lid
     }
+}
+
+/// The message groups of a [`VectorMap::remote_by_owner`] list.
+pub(crate) fn groups(need: &[(u32, u32)]) -> impl Iterator<Item = &[(u32, u32)]> {
+    need.chunk_by(|a, b| a.0 == b.0)
+}
+
+/// The group of `owner` in a [`VectorMap::remote_by_owner`] list.
+pub(crate) fn owner_group(pairs: &[(u32, u32)], owner: u32) -> &[(u32, u32)] {
+    &pairs[pairs.partition_point(|e| e.0 < owner)..pairs.partition_point(|e| e.0 <= owner)]
 }
 
 #[cfg(test)]

@@ -1,7 +1,10 @@
-//! Communication plans: the Import (expand) and Export (fold) of Epetra.
+//! Communication plans: the Import (expand) and Export (fold) of Epetra,
+//! in global ids.
 //!
-//! A [`CommPlan`] is built once from the maps (like Epetra's
-//! `FillComplete()`), then executed every SpMV. Messages carry only values
+//! A [`CommPlan`] is the oracle's gid plan, built on demand from the maps
+//! ([`reference::gid_plans`](crate::reference::gid_plans)) and executed by
+//! the reference SpMV; `FillComplete` lowers the maps straight into the
+//! compiled schedules and keeps no `CommPlan`. Messages carry only values
 //! — the index lists live in the plan on both sides — so communication
 //! volume is exactly "number of doubles sent", the unit of the paper's
 //! Table 3.
@@ -51,12 +54,6 @@ fn group_by_owner(r: usize, need: &[u32], source: &VectorMap) -> Vec<(u32, Vec<u
         .collect()
 }
 
-/// The gid list `msgs` (peer-ascending) holds for `peer`, if any.
-fn gids_from(msgs: &[(u32, Vec<u32>)], peer: u32) -> Option<&Vec<u32>> {
-    let k = msgs.binary_search_by_key(&peer, |m| m.0).ok()?;
-    Some(&msgs[k].1)
-}
-
 /// One endpoint's cost of a message list: a message each, 8 bytes per gid.
 fn side_cost(msgs: &[(u32, Vec<u32>)]) -> PhaseCost {
     let doubles: u64 = msgs.iter().map(|(_, g)| g.len() as u64).sum();
@@ -93,53 +90,19 @@ impl CommPlan {
         self.p
     }
 
-    /// Replaces rank `r`'s need-list — [`gather`](CommPlan::gather) for
-    /// one rank of an existing plan. `recvs[r]` is regrouped, and the one
-    /// `sends` entry of every source whose gid list for `r` changed is
-    /// rewritten, created or deleted. Returns those sources, ascending;
-    /// the plan equals a from-scratch `gather` of the updated need-lists.
-    pub fn set_needed(&mut self, r: usize, needed: &[u32], source: &VectorMap) -> Vec<u32> {
-        let new = group_by_owner(r, needed, source);
-        let old = std::mem::replace(&mut self.recvs[r], new);
-        let new = &self.recvs[r];
-        let mut touched: Vec<u32> = old.iter().chain(new).map(|m| m.0).collect();
-        touched.sort_unstable();
-        touched.dedup();
-        touched.retain(|&src| gids_from(&old, src) != gids_from(new, src));
-        for &src in &touched {
-            let out = &mut self.sends[src as usize];
-            match (
-                out.binary_search_by_key(&(r as u32), |m| m.0),
-                gids_from(new, src),
-            ) {
-                (Ok(k), Some(gids)) => out[k].1.clone_from(gids),
-                (Ok(k), None) => {
-                    out.remove(k);
-                }
-                (Err(k), Some(gids)) => out.insert(k, (r as u32, gids.clone())),
-                (Err(_), None) => unreachable!("sends mirror recvs"),
-            }
-        }
-        touched
-    }
-
     /// Send-side cost per rank: one message per destination, 8 bytes per
     /// value.
     pub fn send_costs(&self) -> Vec<PhaseCost> {
         self.sends.iter().map(|out| side_cost(out)).collect()
     }
 
-    /// Full phase cost of rank `r`: each message charges latency and
+    /// Full phase cost of every rank: each message charges latency and
     /// bytes at **both** endpoints. This is what the SpMV phases use — a
     /// hub rank that receives from everyone pays for it, which is how
     /// receive-side hot spots slow the paper's block layouts.
-    pub fn rank_phase_cost(&self, r: usize) -> PhaseCost {
-        side_cost(&self.sends[r]).add(&side_cost(&self.recvs[r]))
-    }
-
-    /// [`rank_phase_cost`](CommPlan::rank_phase_cost) of every rank.
     pub fn phase_costs(&self) -> Vec<PhaseCost> {
-        (0..self.p).map(|r| self.rank_phase_cost(r)).collect()
+        let both = |r: usize| side_cost(&self.sends[r]).add(&side_cost(&self.recvs[r]));
+        (0..self.p).map(both).collect()
     }
 
     /// Total doubles moved by one execution (each planned gid is one

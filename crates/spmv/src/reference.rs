@@ -1,10 +1,11 @@
 //! Gid-based reference executors for SpMV/SpMM — the oracle for the
 //! compiled fast path.
 //!
-//! These are the original straightforward implementations: every column
-//! entry resolves `owner(gid)` / `lid(gid)` through the [`VectorMap`] on
-//! every call, remote values travel as `(gid, value)` pairs, and the fold
-//! goes through [`CommPlan::execute_scatter_add`]'s hash lookup. Slow but
+//! These are the original straightforward implementations: each call
+//! builds its gid plans from the maps alone ([`gid_plans`]), every column
+//! entry resolves `owner(gid)` / `lid(gid)` through the [`VectorMap`],
+//! remote values travel as `(gid, value)` pairs, and the fold goes
+//! through [`CommPlan::execute_scatter_add`]'s hash lookup. Slow but
 //! obviously correct — the compiled path in [`spmv`](crate::spmv::spmv) /
 //! [`spmm`](crate::spmv::spmm) must produce **bit-identical** vectors and
 //! byte-identical [`CostLedger`] charges (property-tested in
@@ -18,6 +19,27 @@ use sf2d_sim::cost::{CostLedger, Phase, PhaseCost};
 
 use crate::distmat::{DistCsrMatrix, RankBlock};
 use crate::multivec::{DistMultiVector, DistVector};
+use crate::plan::CommPlan;
+
+/// The gid-level Import (expand) and Export (fold) plans of `a`, built on
+/// demand: rank `r` imports the x entries of its column map it does not
+/// own and exports the partial y rows of its row map it does not own.
+pub fn gid_plans(a: &DistCsrMatrix) -> (CommPlan, CommPlan) {
+    let (mut cols, mut rows) = (Vec::new(), Vec::new());
+    for (r, b) in a.blocks.iter().enumerate() {
+        let theirs = |ids: &[u32]| -> Vec<u32> {
+            (ids.iter().copied())
+                .filter(|&g| a.vmap.owner(g) != r as u32)
+                .collect()
+        };
+        cols.push(theirs(&b.colmap));
+        rows.push(theirs(&b.rowmap));
+    }
+    (
+        CommPlan::gather(&cols, &a.vmap),
+        CommPlan::gather(&rows, &a.vmap),
+    )
+}
 
 /// `A_loc · xcols` indexed by **row-map position**: every row read
 /// through [`RankBlock::row`] and summed by the plain ascending-column
@@ -51,8 +73,9 @@ pub fn spmv_ref(a: &DistCsrMatrix, x: &DistVector, y: &mut DistVector, ledger: &
     );
 
     // Phase 1 — expand. Remote x values arrive as (gid, value) pairs.
-    let imported = a.import.execute_gather(&a.vmap, &x.locals);
-    ledger.superstep(Phase::Expand, &a.import.phase_costs());
+    let (import, export) = gid_plans(a);
+    let imported = import.execute_gather(&a.vmap, &x.locals);
+    ledger.superstep(Phase::Expand, &import.phase_costs());
 
     // Phase 2 — local compute: y_loc = A_loc * x_cols.
     let mut partials: Vec<Vec<f64>> = Vec::with_capacity(p);
@@ -93,12 +116,11 @@ pub fn spmv_ref(a: &DistCsrMatrix, x: &DistVector, y: &mut DistVector, ledger: &
             }
         }
     }
-    ledger.superstep(Phase::Fold, &a.export.phase_costs());
-    a.export
-        .execute_scatter_add(&a.vmap, &contributions, &mut y.locals);
+    ledger.superstep(Phase::Fold, &export.phase_costs());
+    export.execute_scatter_add(&a.vmap, &contributions, &mut y.locals);
     // Charge the receive-side additions of the fold.
     for r in 0..p {
-        let received: u64 = a.export.sends[r].iter().map(|(_, g)| g.len() as u64).sum();
+        let received: u64 = export.sends[r].iter().map(|(_, g)| g.len() as u64).sum();
         sum_costs[r].flops += received;
     }
     ledger.superstep(Phase::Sum, &sum_costs);
@@ -119,13 +141,13 @@ pub fn spmm_ref(
 
     // Expand: one plan execution per column moves the same gids; charge a
     // single superstep with ncols-wide payloads.
+    let (import, export) = gid_plans(a);
     let mut imported: Vec<Vec<Vec<(u32, f64)>>> = Vec::with_capacity(m);
     for c in 0..m {
         let col_locals: Vec<Vec<f64>> = (0..p).map(|r| x.col(r, c).to_vec()).collect();
-        imported.push(a.import.execute_gather(&a.vmap, &col_locals));
+        imported.push(import.execute_gather(&a.vmap, &col_locals));
     }
-    let widened: Vec<PhaseCost> = a
-        .import
+    let widened: Vec<PhaseCost> = import
         .phase_costs()
         .into_iter()
         .map(|c| PhaseCost {
@@ -162,8 +184,7 @@ pub fn spmm_ref(
         l.fill(0.0);
     }
     let mut sum_costs = vec![PhaseCost::default(); p];
-    let widened: Vec<PhaseCost> = a
-        .export
+    let widened: Vec<PhaseCost> = export
         .phase_costs()
         .into_iter()
         .map(|c| PhaseCost {
@@ -189,14 +210,13 @@ pub fn spmm_ref(
         }
         // Scatter-add into a per-column view, then write back.
         let mut col_locals: Vec<Vec<f64>> = (0..p).map(|r| y.col(r, c).to_vec()).collect();
-        a.export
-            .execute_scatter_add(&a.vmap, &contributions, &mut col_locals);
+        export.execute_scatter_add(&a.vmap, &contributions, &mut col_locals);
         for r in 0..p {
             y.col_mut(r, c).copy_from_slice(&col_locals[r]);
         }
     }
     for r in 0..p {
-        let received: u64 = a.export.sends[r].iter().map(|(_, g)| g.len() as u64).sum();
+        let received: u64 = export.sends[r].iter().map(|(_, g)| g.len() as u64).sum();
         sum_costs[r].flops += m as u64 * received;
     }
     ledger.superstep(Phase::Sum, &sum_costs);

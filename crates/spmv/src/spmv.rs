@@ -19,7 +19,7 @@
 //! one value). The expand copies every rank's owned x entries once into
 //! the workspace's **x window** ([`VectorMap::local_base`]) and fills a
 //! rank's `xcols` with one gather, `xcols[lid] = window[gather[lid]]`,
-//! through a list linked from the senders' pack lists. The fold reads the
+//! through a list lowered from its column map. The fold reads the
 //! workspace's **partials buffer**, where the kernel wrote every rank's
 //! partials (rank-major, column-major within a rank): per unpack entry
 //! `(src, payload_off)` an owner adds the partial rows that `src`'s own
@@ -59,9 +59,10 @@
 //! [`spmv_chaos`]) pass `run_phases` a [`ChaosRuntime`], and right after
 //! each exchange's superstep is charged its payloads are handed — the
 //! send side as a sender-major copy built through the pack lists, the
-//! receive side as what each rank's unpack entries read (the expand's
-//! through its gather list, the fold's through the sender's pack list at
-//! the entry's payload offset) — to [`ChaosRuntime::mirror_exchange`],
+//! receive side as what each rank reads (in the expand its remote columns
+//! grouped by owner, through its gather list; in the fold its unpack
+//! entries, through the sender's pack list at the entry's payload
+//! offset) — to [`ChaosRuntime::mirror_exchange`],
 //! which clones them onto the fault-injecting wire, checks every healed
 //! delivery against what the receiving rank reads, and bills the extra
 //! traffic as a `Retransmit` superstep (none at rate 0, where the run is
@@ -80,7 +81,7 @@ use sf2d_sim::runtime::par_ranks;
 
 use crate::compiled::{xcols_len, PhasePlan, SpmvWorkspace};
 use crate::distmat::{DistCsrMatrix, SPMM_CHUNK};
-use crate::map::VectorMap;
+use crate::map::{groups, VectorMap};
 use crate::multivec::{DistMultiVector, DistVector};
 
 thread_local! {
@@ -275,26 +276,22 @@ pub fn spmm_chaos_with(
 /// Hands one exchange to [`ChaosRuntime::mirror_exchange`], built only
 /// under chaos: the sends as a sender-major copy, value by value through
 /// each rank's pack lists (`send(r, i, out)` appends the `m` values of
-/// rank `r`'s index `i`), and the receive views as what each rank's unpack
-/// entries read, value by value (`recv(d, src, lid, i, out)`: the value
-/// landing at `lid`, which the entry names as `src`'s index `i`).
+/// rank `r`'s index `i`), and the receive views as what each rank reads,
+/// message by message (`recv(d, out)` appends rank `d`'s received values
+/// and returns its messages as `(src, indices)`).
 fn mirror(
     (rt, ledger): (&mut ChaosRuntime, &mut CostLedger),
     (what, phase, m): (&str, &PhasePlan, usize),
     send: impl Fn(usize, u32, &mut Vec<f64>),
-    recv: impl Fn(usize, u32, u32, u32, &mut Vec<f64>),
+    recv: impl Fn(usize, &mut Vec<f64>) -> Vec<(u32, usize)>,
 ) {
     let p = phase.nranks();
-    let (mut sent, mut got) = (Vec::new(), Vec::new());
+    let (mut sent, mut got, mut inbound) = (Vec::new(), Vec::new(), Vec::with_capacity(p));
     for r in 0..p {
         for &i in phase.pack_indices(r) {
             send(r, i, &mut sent);
         }
-        for (src, _, off, lids) in phase.rank(r).unpacks() {
-            for (&lid, &i) in lids.iter().zip(phase.sent(src, off, lids.len())) {
-                recv(r, src, lid, i, &mut got);
-            }
-        }
+        inbound.push(recv(r, &mut got));
     }
     // Both copies are message after message: cut them in that order.
     fn cut<'a>(buf: &mut &'a [f64], n: usize) -> &'a [f64] {
@@ -311,12 +308,10 @@ fn mirror(
                 .collect()
         })
         .collect();
-    let views: Vec<PeerPayloads> = (0..p)
-        .map(|r| {
-            let unpacks = phase.rank(r).unpacks();
-            unpacks
-                .map(|(src, _, _, lids)| (src, cut(&mut got, lids.len() * m)))
-                .collect()
+    let views: Vec<PeerPayloads> = (inbound.iter())
+        .map(|msgs| {
+            let msgs = msgs.iter();
+            msgs.map(|&(src, n)| (src, cut(&mut got, n * m))).collect()
         })
         .collect();
     rt.mirror_exchange(ledger, what, &sends, &views);
@@ -414,8 +409,18 @@ fn run_phases<X: ColumnAccess>(
         let send = |r, i: u32, out: &mut Vec<f64>| {
             out.extend_from_slice(slot(vmap.local_base(r) + i as usize))
         };
-        let read = |d, _, lid: u32, _, out: &mut Vec<f64>| {
-            out.extend_from_slice(slot(expand.gather(d)[lid as usize] as usize))
+        // A receiver's messages are its remote columns by owner, each
+        // value read where its gather list points.
+        let read = |d: usize, out: &mut Vec<f64>| {
+            let (need, gather) = (
+                vmap.remote_by_owner(d, &a.blocks[d].colmap),
+                expand.gather(d),
+            );
+            out.extend(
+                need.iter()
+                    .flat_map(|e| slot(gather[e.1 as usize] as usize)),
+            );
+            groups(&need).map(|g| (g[0].0, g.len())).collect()
         };
         mirror((rt, ledger), ("spmv expand", expand, m), send, read);
     }
@@ -486,7 +491,14 @@ fn run_phases<X: ColumnAccess>(
         out.extend((0..m).map(|c| column(r, c)[s as usize]));
     };
     if let Some(rt) = chaos {
-        let read = |_, src: u32, _, i, out: &mut Vec<f64>| row(src as usize, i, out);
+        let read = |d: usize, out: &mut Vec<f64>| {
+            let msgs = fold.rank(d).unpacks().map(|(src, _, off, lids)| {
+                let sent = fold.sent(src, off, lids.len()).iter();
+                sent.for_each(|&i| row(src as usize, i, out));
+                (src, lids.len())
+            });
+            msgs.collect()
+        };
         mirror((rt, ledger), ("spmv fold", fold, m), row, read);
     }
 
@@ -596,8 +608,9 @@ mod tests {
         let mut ledger = CostLedger::new(m);
         spmv(&dm, &x, &mut y, &mut ledger);
         let expand = ledger.by_phase[&Phase::Expand];
+        let (import, _) = crate::reference::gid_plans(&dm);
         let want = (0..4)
-            .map(|r| dm.import.sends[r].len() + dm.import.recvs[r].len())
+            .map(|r| import.sends[r].len() + import.recvs[r].len())
             .max()
             .unwrap();
         assert_eq!(expand as usize, want);
@@ -891,12 +904,8 @@ mod tests {
         let x = DistVector::random(Arc::clone(&dm.vmap), 3);
         // Drop the first real expand message (routing step 0); the fold
         // round (step 1) stays clean.
-        let (src, (dst, gids)) = dm
-            .import
-            .sends
-            .iter()
-            .enumerate()
-            .find_map(|(r, out)| out.first().map(|m| (r as u32, m.clone())))
+        let (src, (dst, gids, _)) = (0..dm.nprocs())
+            .find_map(|r| (dm.compiled.expand_rank(r).packs().next()).map(|m| (r as u32, m)))
             .expect("2x3 block layout always has expand traffic");
         let mut rt = sf2d_sim::ChaosRuntime::scripted(FaultScript::default().fault(
             0,
@@ -976,11 +985,13 @@ mod tests {
         crate::reference::spmv_ref(&dm, &x, &mut want, &mut CostLedger::new(Machine::cab()));
         // Point one received column of one rank at its neighbouring
         // window slot: a value no sender shipped to it.
-        let r = (0..dm.nprocs())
-            .find(|&r| dm.compiled.expand_rank(r).nunpacks() > 0)
+        let (r, lid) = (0..dm.nprocs())
+            .find_map(|r| {
+                let theirs = |g: &u32| dm.vmap.owner(*g) != r as u32;
+                (dm.blocks[r].colmap.iter().position(theirs)).map(|lid| (r, lid))
+            })
             .expect("a random 1D layout has expand traffic");
-        let (_, _, _, lids) = dm.compiled.expand_rank(r).unpacks().next().unwrap();
-        let at = dm.compiled.expand.reads_base[r] as usize + lids[0] as usize;
+        let at = dm.compiled.expand.reads_base[r] as usize + lid;
         let slot = &mut dm.compiled.expand.reads[at];
         *slot = (*slot + 1) % a.nrows() as u32;
 

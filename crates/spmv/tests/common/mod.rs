@@ -5,37 +5,30 @@
 
 use sf2d_spmv::{DistCsrMatrix, PhasePlan, RankPlan};
 
-/// Checks that the rank regions tile the phase's messages in rank order
-/// and that each is its pack lists concatenated.
+/// Checks that each rank's pack indices are its messages' pack lists
+/// concatenated, in message order, from offset 0.
 fn regions_tile<'a>(phase: &PhasePlan, rank: impl Fn(usize) -> RankPlan<'a>) -> Result<(), String> {
-    let mut at = 0usize;
     for r in 0..phase.nranks() {
-        let region = phase.payload_range(r);
-        if region.start != at || region.len() != phase.payload_doubles(r) {
-            return Err(format!("rank {r}: region {region:?} does not follow {at}"));
+        let mut at = 0u32;
+        let mut packed = Vec::new();
+        for (_, lids, off) in rank(r).packs() {
+            if off != at {
+                return Err(format!("rank {r}: a message starts at {off}, not {at}"));
+            }
+            at += lids.len() as u32;
+            packed.extend_from_slice(lids);
         }
-        at = region.end;
-        let packed: Vec<u32> = rank(r)
-            .packs()
-            .flat_map(|(_, lids, _)| lids.to_vec())
-            .collect();
         if packed != phase.pack_indices(r) {
             return Err(format!("rank {r}: pack list is not its messages' lists"));
         }
-    }
-    if at != phase.arena_doubles() {
-        return Err(format!(
-            "regions end at {at}, arena at {}",
-            phase.arena_doubles()
-        ));
     }
     Ok(())
 }
 
 /// Checks the fold: (i) [`regions_tile`]; (ii) each receiver's unpack
-/// entries tile its receive list, and each `(slot, payload_off)` names
-/// the sender's pack entry for this receiver, of the same length — the
-/// sender's pack list is what the owner reads through; (iii) every
+/// entries tile its receive list, and each `(slot, payload_off)` of them
+/// names the sender's pack entry for this receiver, of the same length —
+/// the sender's pack list is what the owner reads through; (iii) every
 /// sender's pack entry is read by exactly one receiver entry.
 fn phase_invariants<'a>(
     phase: &PhasePlan,
@@ -46,19 +39,22 @@ fn phase_invariants<'a>(
         .map(|r| vec![0; rank(r).npacks()])
         .collect();
     for d in 0..phase.nranks() {
-        let mut dst = Vec::new();
+        let mut at = 0;
+        for (e, (_, _, _, lids)) in phase.unpack_entries(d).iter().zip(rank(d).unpacks()) {
+            if e.start != at {
+                return Err(format!(
+                    "rank {d}: an entry starts at {}, not {at}",
+                    e.start
+                ));
+            }
+            at += lids.len() as u32;
+        }
         for (from, slot, off, lids) in rank(d).unpacks() {
             let (peer, sent, sent_off) = rank(from as usize).pack(slot as usize);
             if peer != d as u32 || sent_off != off || sent.len() != lids.len() {
                 return Err(format!("rank {d}: entry from {from} misses its pack entry"));
             }
-            dst.extend_from_slice(lids);
             reads[from as usize][slot as usize] += 1;
-        }
-        if dst != phase.received(d) {
-            return Err(format!(
-                "rank {d}: unpack entries do not tile its receive list"
-            ));
         }
     }
     for (src, counts) in reads.iter().enumerate() {
@@ -74,12 +70,14 @@ fn phase_invariants<'a>(
 
 /// Checks the expand: (i) [`regions_tile`]; (ii) each rank's gather list
 /// has one entry per column-map position, and entry `lid` is the x-window
-/// slot of `colmap[lid]` — `local_base(owner) + lid` of the map — which
-/// is also the slot the sender's pack list names for that position (the
-/// rank's own owned pairs for an owned column).
+/// slot of `colmap[lid]`, `local_base(owner) + lid` of the map; (iii) the
+/// pack lists are the need lists transposed: each rank's remote columns,
+/// grouped by owner, are exactly the messages their owners send it, and
+/// no sender sends anything else; (iv) no receive side is kept.
 fn expand_invariants(dm: &DistCsrMatrix) -> Result<(), String> {
     let (c, vmap) = (&dm.compiled, &dm.vmap);
     regions_tile(&c.expand, |r| c.expand_rank(r))?;
+    let mut needs = 0;
     for d in 0..dm.nprocs() {
         let gather = c.expand.gather(d);
         let colmap = &dm.blocks[d].colmap;
@@ -92,26 +90,32 @@ fn expand_invariants(dm: &DistCsrMatrix) -> Result<(), String> {
                 return Err(format!("rank {d}: column {lid} reads {slot}, not {want}"));
             }
         }
-        let mut named = vec![None; gather.len()];
-        let plan = c.expand_rank(d);
-        let owned = plan.owned_pairs().map(|(from, to)| (d, from, to));
-        let mut routed: Vec<(usize, u32, u32)> = owned.collect();
-        for (from, slot, off, lids) in plan.unpacks() {
-            let (peer, sent, sent_off) = c.expand_rank(from as usize).pack(slot as usize);
-            if peer != d as u32 || sent_off != off || sent.len() != lids.len() {
-                return Err(format!("rank {d}: entry from {from} misses its pack entry"));
+        let mut remote: Vec<(u32, u32)> = (colmap.iter())
+            .map(|&g| (vmap.owner(g), g))
+            .filter(|&(o, _)| o as usize != d)
+            .collect();
+        remote.sort_by_key(|&(o, _)| o);
+        for run in remote.chunk_by(|a, b| a.0 == b.0) {
+            needs += 1;
+            let src = run[0].0 as usize;
+            let sent = c.expand_rank(src).packs().find(|m| m.0 == d as u32);
+            let Some((_, lids, _)) = sent else {
+                return Err(format!("rank {src} sends rank {d} nothing it needs"));
+            };
+            let gids: Vec<u32> = lids.iter().map(|&l| vmap.gids(src)[l as usize]).collect();
+            if !gids.iter().copied().eq(run.iter().map(|&(_, g)| g)) {
+                return Err(format!(
+                    "rank {src} sends rank {d} other gids than it needs"
+                ));
             }
-            routed.extend(sent.iter().zip(lids).map(|(&s, &l)| (from as usize, s, l)));
         }
-        for (src, there, lid) in routed {
-            let slot = (vmap.local_base(src) + there as usize) as u32;
-            if named[lid as usize].replace(slot).is_some() {
-                return Err(format!("rank {d}: column {lid} is filled twice"));
-            }
+        if c.expand_rank(d).nunpacks() != 0 {
+            return Err(format!("rank {d} keeps expand unpack entries"));
         }
-        if named.iter().zip(gather).any(|(n, &g)| *n != Some(g)) {
-            return Err(format!("rank {d}: gather list is not its routing"));
-        }
+    }
+    let sent: usize = (0..dm.nprocs()).map(|r| c.expand_rank(r).npacks()).sum();
+    if sent != needs {
+        return Err(format!("{sent} expand messages for {needs} needs"));
     }
     Ok(())
 }

@@ -2,9 +2,8 @@
 //! inserts, re-weights and removals applied through
 //! [`DistCsrMatrix::apply_delta`], the patched matrix is equal to
 //! [`DistCsrMatrix::from_global`] of the changed global matrix under the
-//! same layout — `blocks`, `import`, `export` and the compiled plan are
-//! all `==` — and so `spmv`/`spmm` through it give the same bits and bill
-//! the same ledger.
+//! same layout — `blocks` and the compiled plan are both `==` — and so
+//! `spmv`/`spmm` through it give the same bits and bill the same ledger.
 //!
 //! The property sweep crosses three generator families × six layouts ×
 //! p ∈ {1, 4, 16, 64} with random multi-delta batches; the unit tests
@@ -23,7 +22,7 @@ use sf2d_partition::{grid_shape, partition_graph, GpConfig, MatrixDist};
 use sf2d_sim::{CostLedger, Machine};
 use sf2d_spmv::{
     spmm_with, spmv_with, DeltaReport, DistCsrMatrix, DistMultiVector, DistVector, EntryDelta,
-    SpmvWorkspace,
+    PackEntry, SpmvWorkspace, UnpackEntry,
 };
 
 const RANK_COUNTS: [usize; 4] = [1, 4, 16, 64];
@@ -52,6 +51,30 @@ fn graph_for(family: u8, seed: u64) -> CsrMatrix {
 }
 
 type Entries = BTreeMap<(u32, u32), f64>;
+
+/// Every message of both phases: pack entries and fold unpack entries,
+/// rank by rank.
+fn messages(dm: &DistCsrMatrix) -> (Vec<PackEntry>, Vec<UnpackEntry>) {
+    let c = &dm.compiled;
+    let ranks = 0..dm.nprocs();
+    let packs = ranks.clone().flat_map(|r| {
+        let both = c
+            .expand
+            .pack_entries(r)
+            .iter()
+            .chain(c.fold.pack_entries(r));
+        both.copied().collect::<Vec<_>>()
+    });
+    let unpacks = ranks.flat_map(|r| c.fold.unpack_entries(r).to_vec());
+    (packs.collect(), unpacks.collect())
+}
+
+/// Doubles moved by one width-1 product: both phases' pack lists.
+fn volume(dm: &DistCsrMatrix) -> usize {
+    let c = &dm.compiled;
+    let at = |r| c.expand.pack_indices(r).len() + c.fold.pack_indices(r).len();
+    (0..dm.nprocs()).map(at).sum()
+}
 
 fn entries_of(a: &CsrMatrix) -> Entries {
     a.iter().map(|(i, j, v)| ((i, j), v)).collect()
@@ -111,12 +134,6 @@ fn schedule_equal(
         if b != f {
             return Err(format!("block {r} differs"));
         }
-    }
-    if patched.import != fresh.import {
-        return Err("import plan differs".into());
-    }
-    if patched.export != fresh.export {
-        return Err("export plan differs".into());
     }
     if patched.compiled != fresh.compiled {
         return Err("compiled schedule differs".into());
@@ -256,7 +273,6 @@ fn reweight_touches_no_map_plan_or_schedule() {
     assert_eq!(reports[0].relowered, 0);
     assert!(reports[0].dirty_ranks >= 1);
     assert_eq!(dm.compiled, before.compiled);
-    assert_eq!(dm.import, before.import);
     assert_eq!(dm.to_global().get(i as usize, j), Some(9.5));
 }
 
@@ -295,8 +311,7 @@ fn an_insert_that_moves_a_row_to_another_length_relowers_its_own_rank_only() {
     assert_eq!(reports[0].dirty_ranks, 1);
     // Only rank 0's fold lists moved: messages, payloads and the
     // expand side are the bytes they were.
-    assert_eq!(dm.import, before.import);
-    assert_eq!(dm.export, before.export);
+    assert_eq!(messages(&dm), messages(&before));
     assert_eq!(dm.compiled.expand, before.compiled.expand);
     assert_ne!(dm.compiled.fold, before.compiled.fold);
 
@@ -325,8 +340,7 @@ fn first_nonzero_of_a_row_and_a_column_creates_both_messages() {
     // again when the messages are deleted.
     assert_eq!(reports[0].relowered, 3);
     assert_eq!(reports[1].relowered, 3);
-    assert_eq!(dm.import, before.import, "message deleted again");
-    assert_eq!(dm.export, before.export);
+    assert_eq!(messages(&dm), messages(&before), "message deleted again");
 }
 
 #[test]
@@ -346,7 +360,18 @@ fn removals_empty_a_row_a_column_a_message_and_a_whole_block() {
     );
     assert_eq!(dm.blocks[owner].nnz(), 0);
     assert!(dm.blocks[owner].rowmap.is_empty() && dm.blocks[owner].colmap.is_empty());
-    assert!(dm.import.recvs[owner].is_empty() && dm.export.recvs[owner].is_empty());
+    let c = &dm.compiled;
+    let to_owner = |r| {
+        c.expand
+            .pack_entries(r)
+            .iter()
+            .any(|e| e.peer == owner as u32)
+    };
+    assert!(
+        !(0..dm.nprocs()).any(to_owner),
+        "nothing is sent to the empty block"
+    );
+    assert!(c.fold.pack_entries(owner).is_empty());
 }
 
 #[test]
@@ -406,7 +431,8 @@ fn one_d_layouts_patch_the_expand_side_only() {
                 vec![remove(i, j), remove(j, i)],
             ],
         );
-        assert_eq!(dm.export.total_volume(), 0, "row-wise layouts never fold");
+        let fold = (0..dm.nprocs()).map(|r| dm.compiled.fold.pack_indices(r).len());
+        assert_eq!(fold.sum::<usize>(), 0, "row-wise layouts never fold");
     }
 }
 
@@ -416,18 +442,16 @@ fn a_delta_can_start_and_stop_a_rank_sending_to_a_peer() {
     let a = matrix(8, &[(0, 0), (2, 2), (4, 4), (6, 6)]);
     let dist = grid();
     let before = DistCsrMatrix::from_global(&a, &dist);
-    assert_eq!(
-        before.import.total_volume() + before.export.total_volume(),
-        0
-    );
+    assert_eq!(volume(&before), 0);
     let mut dm = before.clone();
     dm.apply_delta(&dist, &[set(0, 6, 1.0)]);
     let supplier = dm.vmap.owner(6) as usize;
     let owner = dist.nonzero_owner(0, 6);
-    assert_eq!(dm.import.sends[supplier], vec![(owner, vec![6])]);
-    assert_eq!(dm.compiled.expand_rank(supplier).npacks(), 1);
+    let sent: Vec<(u32, Vec<u32>)> = (dm.compiled.expand_rank(supplier).packs())
+        .map(|(dst, lids, _)| (dst, lids.to_vec()))
+        .collect();
+    assert_eq!(sent, vec![(owner, vec![dm.vmap.lid(6) as u32])]);
     dm.apply_delta(&dist, &[remove(0, 6)]);
-    assert!(dm.import.sends[supplier].is_empty());
     assert_eq!(dm.compiled.expand_rank(supplier).npacks(), 0);
     assert!(dm.compiled == before.compiled);
     run(&a, &dist, &[vec![set(0, 6, 1.0)], vec![remove(0, 6)]]);

@@ -128,9 +128,9 @@ proptest! {
         }
     }
 
-    /// The payload arena's layout: rank regions tile it, the pack and
-    /// receive lists are the messages expanded, every slot is read once —
-    /// and a threaded compile lays out the same bytes.
+    /// The flat layout: rank regions are the messages' pack lists, the
+    /// expand's pack lists are the need lists transposed, every fold slot
+    /// is read once — and a threaded compile lays out the same bytes.
     #[test]
     fn arena_layout_is_the_schedule_expanded((a, dist, _xs) in setup_strategy()) {
         let dm = DistCsrMatrix::from_global(&a, &dist);
@@ -138,16 +138,15 @@ proptest! {
             prop_assert!(false, "{}", what);
         }
         for threads in [2usize, 5] {
-            let par = CompiledSpmv::compile_with(
-                &dm.vmap, &dm.blocks, &dm.import, &dm.export, threads, None,
-            );
+            let par = CompiledSpmv::compile_with(&dm.vmap, &dm.blocks, threads, None);
             prop_assert_eq!(&par, &dm.compiled, "threads {}", threads);
         }
     }
 
-    /// The owned-copy pairs are `lower_rank`'s contract, read off the maps
-    /// alone: a rank's owned colmap entries as `(vmap lid, colmap lid)`
-    /// ascending, its owned rows as `(stored row, vmap lid)`.
+    /// The owned entries are `lower_rank`'s contract, read off the maps
+    /// alone: a rank's owned rows as fold pairs `(stored row, vmap lid)`
+    /// ascending; its owned colmap entries as gather slots in its own
+    /// region of the x window (the expand keeps no owned pairs).
     #[test]
     fn owned_pairs_are_the_owned_map_entries_in_order((a, dist, _xs) in setup_strategy()) {
         let dm = DistCsrMatrix::from_global(&a, &dist);
@@ -156,22 +155,20 @@ proptest! {
                 let gids = map.iter().copied().enumerate();
                 gids.filter(|&(_, g)| dm.vmap.owner(g) == r as u32).collect()
             };
-            let expand: Vec<(u32, u32)> = owned(&block.colmap)
-                .into_iter()
-                .map(|(lid, g)| (dm.vmap.lid(g) as u32, lid as u32))
-                .collect();
-            let fold: Vec<(u32, u32)> = owned(&block.rowmap)
+            let gather = dm.compiled.expand.gather(r);
+            for (lid, g) in owned(&block.colmap) {
+                let own = dm.vmap.local_base(r) + dm.vmap.lid(g);
+                prop_assert_eq!(gather[lid] as usize, own, "rank {}", r);
+            }
+            prop_assert_eq!(dm.compiled.expand_rank(r).n_owned(), 0);
+            let want: Vec<(u32, u32)> = owned(&block.rowmap)
                 .into_iter()
                 .map(|(li, g)| (block.stored_row(li) as u32, dm.vmap.lid(g) as u32))
                 .collect();
-            for (what, plan, want) in [
-                ("expand", dm.compiled.expand_rank(r), expand),
-                ("fold", dm.compiled.fold_rank(r), fold),
-            ] {
-                prop_assert_eq!(plan.n_owned(), want.len(), "{}, rank {}", what, r);
-                let got: Vec<(u32, u32)> = plan.owned_pairs().collect();
-                prop_assert_eq!(got, want, "{}, rank {}", what, r);
-            }
+            let plan = dm.compiled.fold_rank(r);
+            prop_assert_eq!(plan.n_owned(), want.len(), "rank {}", r);
+            let got: Vec<(u32, u32)> = plan.owned_pairs().collect();
+            prop_assert_eq!(got, want, "rank {}", r);
         }
     }
 

@@ -31,6 +31,12 @@ fn dist_matrix(p: usize) -> DistCsrMatrix {
     DistCsrMatrix::from_global(&a, &dist)
 }
 
+/// A phase's first message as `(sender, receiver)`: ranks in order, then
+/// the sender's messages in order.
+fn first_message(phase: &sf2d_spmv::PhasePlan) -> Option<(u32, u32)> {
+    (0..phase.nranks()).find_map(|r| (phase.pack_entries(r).first()).map(|e| (r as u32, e.peer)))
+}
+
 #[test]
 fn rate_zero_spmv_is_byte_identical_to_plain_for_all_p() {
     for p in [4usize, 16, 64] {
@@ -108,13 +114,8 @@ fn golden_recovery_scripted_drop_and_crash_into_table3_cell() {
     let mut gold_led = CostLedger::new(Machine::cab());
     let gold = power_iterate(&dm, &x0, 100, &mut gold_led);
 
-    let (src, dst) = dm
-        .import
-        .sends
-        .iter()
-        .enumerate()
-        .find_map(|(r, out)| out.first().map(|(d, _)| (r as u32, *d)))
-        .expect("2D-GP expand moves something at p=16");
+    let (src, dst) =
+        first_message(&dm.compiled.expand).expect("2D-GP expand moves something at p=16");
     let script = FaultScript::default()
         .fault(0, src, dst, 0, FaultKind::Drop)
         .crash(5);
@@ -186,20 +187,10 @@ fn golden_recovery_scripted_drop_into_spgemm_exchange() {
     let mut gold_led = CostLedger::new(Machine::cab());
     let gold = spgemm_dist(&dm, &b, &mut gold_led);
 
-    let (src, dst) = dm
-        .import
-        .sends
-        .iter()
-        .enumerate()
-        .find_map(|(r, out)| out.first().map(|(d, _)| (r as u32, *d)))
-        .expect("2D-GP expand moves something at p=16");
-    let (fsrc, fdst) = dm
-        .export
-        .recvs
-        .iter()
-        .enumerate()
-        .find_map(|(r, inbound)| inbound.first().map(|(o, _)| (r as u32, *o)))
-        .expect("2D-GP fold moves something at p=16");
+    let (src, dst) =
+        first_message(&dm.compiled.expand).expect("2D-GP expand moves something at p=16");
+    let (fsrc, fdst) =
+        first_message(&dm.compiled.fold).expect("2D-GP fold moves something at p=16");
     let script = FaultScript::default()
         .fault(0, src, dst, 0, FaultKind::Drop)
         .fault(1, fsrc, fdst, 0, FaultKind::BitFlip);
@@ -302,13 +293,7 @@ fn serve_scripted_drop_and_crash_mid_batch_heal_to_fault_free_bits() {
     let (want, gold_led) = serve_gold(&a, &cfg);
 
     let mut engine = Engine::new(&a, cfg);
-    let (src, dst) = engine
-        .active()
-        .import
-        .sends
-        .iter()
-        .enumerate()
-        .find_map(|(r, out)| out.first().map(|(d, _)| (r as u32, *d)))
+    let (src, dst) = first_message(&engine.active().compiled.expand)
         .expect("2D-GP expand moves something at p=16");
     let script = FaultScript::default()
         .fault(0, src, dst, 0, FaultKind::Drop)
