@@ -3,8 +3,10 @@
 //! an R-MAT graph under all six layouts of the SpMV study, prints a
 //! table3-style metrics row per (layout, algo), and writes
 //! `BENCH_spgemm.json` with the per-row message / volume / flop /
-//! predicted-time columns, wall-clock medians and resident workspace
-//! bytes of both 2D-GP kernels for perf tracking, and the headline
+//! predicted-time columns, wall-clock medians, resident workspace bytes
+//! and the live-heap peak of one product of both 2D-GP kernels for perf
+//! tracking (the binary installs `CountingAlloc` as its global
+//! allocator), and the headline
 //! communication-avoiding comparison: SUMMA's worst per-rank send count
 //! over the layouts (bounded by the grid, not the layout) against
 //! expand/fold's (which degrades to `p − 1` under 1D layouts).
@@ -23,6 +25,10 @@ use sf2d_core::experiment::{labeled_spgemm, spgemm_experiment, summa_experiment,
 use sf2d_core::prelude::*;
 use sf2d_core::report::fmt_secs;
 use sf2d_core::sf2d_gen::{rmat, RmatConfig};
+use sf2d_core::sf2d_obs::mem;
+
+#[global_allocator]
+static ALLOC: mem::CountingAlloc = mem::CountingAlloc;
 
 const SAMPLES: usize = 5;
 
@@ -45,6 +51,13 @@ struct BenchReport {
     workspace_bytes_2d_gp: u64,
     /// Bytes the SUMMA workspace keeps reserved after a 2D-GP product.
     workspace_bytes_2d_gp_summa: u64,
+    /// Live-heap peak of one sequential expand/fold product on 2D-GP from
+    /// a fresh workspace, above the heap live before it: workspace and
+    /// output together. Serial and deterministic, so it repeats to the
+    /// byte and gates as a footprint.
+    peak_live_bytes_2d_gp: u64,
+    /// The same peak for one sequential SUMMA product.
+    peak_live_bytes_2d_gp_summa: u64,
     /// Predicted-time ratio 1D-GP / 2D-GP (the worked comparison in
     /// EXPERIMENTS.md).
     ratio_1d_gp_over_2d_gp: f64,
@@ -58,6 +71,14 @@ struct BenchReport {
     /// must respect the communication-avoiding `(pr − 1) + (pc − 1)`
     /// bound (asserted in `tests/tests/paper_claims.rs`).
     msgs_summa_stage_max: u64,
+}
+
+/// Live-heap peak of `product` above the heap live before it.
+fn peak_live_bytes(product: impl FnOnce()) -> u64 {
+    let before = mem::snapshot().live_bytes;
+    mem::reset_peak();
+    product();
+    mem::snapshot().peak_live_bytes - before
 }
 
 fn main() {
@@ -146,6 +167,17 @@ fn main() {
         std::hint::black_box(c.nnz);
     });
 
+    let peak_live_bytes_2d_gp = peak_live_bytes(|| {
+        let mut ledger = CostLedger::new(Machine::cab());
+        let c = spgemm_with(&dm, &b, &mut ledger, &mut SpgemmWorkspace::new());
+        std::hint::black_box(c.nnz);
+    });
+    let peak_live_bytes_2d_gp_summa = peak_live_bytes(|| {
+        let mut ledger = CostLedger::new(Machine::cab());
+        let c = summa_with(&dm, &dist, &b, &mut ledger, &mut SummaWorkspace::new());
+        std::hint::black_box(c.nnz);
+    });
+
     let worst_msgs = |algo: &str| {
         rows.iter()
             .filter(|r| r.algo == algo)
@@ -178,6 +210,8 @@ fn main() {
         wall_ns_2d_gp_summa,
         workspace_bytes_2d_gp: ws.resident_bytes(),
         workspace_bytes_2d_gp_summa: sws.resident_bytes(),
+        peak_live_bytes_2d_gp,
+        peak_live_bytes_2d_gp_summa,
         ratio_1d_gp_over_2d_gp: ratio,
         msgs_worst_layout_expand_fold,
         msgs_worst_layout_summa,
@@ -189,7 +223,8 @@ fn main() {
         "bench_spgemm: 1D-GP/2D-GP predicted-time ratio {ratio:.2}, worst-layout max sends \
          expand/fold {msgs_worst_layout_expand_fold} vs summa {msgs_worst_layout_summa} \
          (stage max {msgs_summa_stage_max}), 2D-GP wall {wall_ns_2d_gp} ns \
-         (summa {wall_ns_2d_gp_summa} ns), workspaces {} / {} bytes -> {out_path}",
+         (summa {wall_ns_2d_gp_summa} ns), workspaces {} / {} bytes, product peaks \
+         {peak_live_bytes_2d_gp} / {peak_live_bytes_2d_gp_summa} bytes -> {out_path}",
         report.workspace_bytes_2d_gp, report.workspace_bytes_2d_gp_summa,
     );
 }

@@ -13,10 +13,11 @@
 //!
 //! * `median_ns` / `wall_ns` / `sim_time` / `p50` / `p99` —
 //!   wall-clock-like, **higher is worse**;
-//! * `plan_bytes` / `workspace_bytes` / `resident_bytes` — footprints,
-//!   **higher is worse**: pure functions of the compiled plan, of the
-//!   reserved workspace buffers and of what a built matrix holds, so they
-//!   repeat to the byte on any machine;
+//! * `plan_bytes` / `workspace_bytes` / `resident_bytes` /
+//!   `peak_live_bytes_<kernel>` — footprints, **higher is worse**: pure
+//!   functions of the compiled plan, of the reserved workspace buffers, of
+//!   what a built matrix holds and of what one sequential product
+//!   allocates, so they repeat to the byte on any machine;
 //! * `speedup` / `ratio` — relative metrics, **lower is worse**;
 //! * everything else is informational (compared for the report, never a
 //!   failure);
@@ -32,8 +33,8 @@
 //! gating there, which is exactly why deterministic ratios (cache-hit
 //! rate) are reported as `*_ratio`.
 //!
-//! `peak_live_bytes` (the allocator's high-water mark over a FillComplete
-//! and a product) stays informational: it counts every allocation the
+//! A bare `peak_live_bytes` (the allocator's high-water mark over a
+//! FillComplete and a product) stays informational: it counts every allocation the
 //! process makes meanwhile, the thread pool's included, and does not
 //! repeat to the byte — two runs of the CI scale sweep on a 2-core host
 //! differed by up to 336 B on the 2D rows at p = 64, and `SF2D_THREADS`
@@ -75,9 +76,14 @@ pub fn direction_of(key: &str) -> Option<Direction> {
     if key.contains("speedup") || key.contains("ratio") {
         return Some(Direction::LowerIsWorse);
     }
-    if ["plan_bytes", "workspace_bytes", "resident_bytes"]
-        .iter()
-        .any(|k| key.contains(k))
+    if [
+        "plan_bytes",
+        "workspace_bytes",
+        "resident_bytes",
+        "peak_live_bytes_",
+    ]
+    .iter()
+    .any(|k| key.contains(k))
     {
         return Some(Direction::FootprintHigherIsWorse);
     }
@@ -534,6 +540,29 @@ mod tests {
         assert_eq!(regs.len(), 1);
         assert!(regs[0].key.ends_with("resident_bytes"));
         assert!(compare(&row(1_000_000), &row(400_000), 15.0, true).passed());
+    }
+
+    #[test]
+    fn a_product_peak_gates_as_a_footprint_and_a_bare_peak_does_not() {
+        for key in ["peak_live_bytes_2d_gp", "peak_live_bytes_2d_gp_summa"] {
+            assert_eq!(direction_of(key), Some(Direction::FootprintHigherIsWorse));
+        }
+        assert_eq!(
+            direction_of("rows[name=1D-Random,p=64].peak_live_bytes"),
+            Some(Direction::Info)
+        );
+        let spgemm = |peak: u64| -> Value {
+            let text =
+                format!(r#"{{ "wall_ns_2d_gp": 17000000, "peak_live_bytes_2d_gp": {peak} }}"#);
+            serde_json::from_str(&text).expect("spgemm sample parses")
+        };
+        // A product peaking 30 % higher fails even with --relative-only; a
+        // leaner one passes.
+        let diff = compare(&spgemm(100_000_000), &spgemm(130_000_000), 15.0, true);
+        let regs = diff.regressions();
+        assert_eq!(regs.len(), 1);
+        assert_eq!(regs[0].key, "peak_live_bytes_2d_gp");
+        assert!(compare(&spgemm(100_000_000), &spgemm(40_000_000), 15.0, true).passed());
     }
 
     #[test]

@@ -14,6 +14,13 @@
 //! `Spa` of `workspace.rs`, which picks per row between a bitmap walk and
 //! a sort.
 //!
+//! Steps 2–4 run one wave of fold groups at a time: sets of ranks no fold
+//! message leaves (a grid row under 2D-GP, one rank under 1D), packed
+//! until a wave holds `threads` ranks. A wave multiplies into reused slots
+//! and merges its owners while every partial row they read is there. The
+//! ledger is charged after the last wave, superstep for superstep as one
+//! pass would; step 5 moves the final rows into the output.
+//!
 //! The communication *pattern* is exactly the SpMV's — the set of B rows a
 //! rank needs equals the set of x entries it imports (its column map), and
 //! the set of C rows it contributes equals the set of y partials it
@@ -56,14 +63,13 @@ use sf2d_obs::{trace_span, PhaseKind};
 use sf2d_sim::collective::{allreduce_cost, allreduce_sum_u64};
 use sf2d_sim::cost::{CostLedger, Phase, PhaseCost};
 use sf2d_sim::fault::ChaosRuntime;
-use sf2d_sim::runtime::par_ranks;
 use sf2d_spmv::compiled::PhasePlan;
 use sf2d_spmv::distmat::{DistCsrMatrix, RankBlock};
 use sf2d_spmv::map::VectorMap;
 
 use crate::wire::{framed_len, mirror, Framed};
 use crate::workspace::{
-    par_zip, publish_drain_arms, RankSpgemmScratch, RowBuf, Spa, SpgemmWorkspace,
+    par_workers, publish_drain_arms, RankSpgemmScratch, RowBuf, Spa, SpgemmWorkspace, Worker,
 };
 
 /// Per-rank traffic of one exchange phase (expand or fold).
@@ -140,19 +146,19 @@ pub(crate) fn to_global(vmap: &VectorMap, ncols: usize, locals: &[CsrMatrix]) ->
         .expect("per-rank blocks satisfy CSR invariants")
 }
 
-/// Copies each rank's final rows out as its owned block of C and closes
-/// the global `nnz(C)` allreduce (one [`Phase::Collective`] superstep).
-pub(crate) fn close_output<'a>(
+/// Moves each rank's final rows (in rank order) into its owned block of C
+/// and closes the global `nnz(C)` allreduce (one [`Phase::Collective`]
+/// superstep).
+pub(crate) fn close_output(
     vmap: &VectorMap,
     bcols: usize,
-    rows: impl Iterator<Item = &'a RowBuf>,
+    rows: impl Iterator<Item = RowBuf>,
     ledger: &mut CostLedger,
 ) -> (Vec<CsrMatrix>, u64) {
     let locals: Vec<CsrMatrix> = rows
         .enumerate()
         .map(|(r, o)| {
-            let (ptr, cols, vals) = (o.ptr.clone(), o.cols.clone(), o.vals.clone());
-            CsrMatrix::from_parts(vmap.nlocal(r), bcols, ptr, cols, vals)
+            CsrMatrix::from_parts(vmap.nlocal(r), bcols, o.ptr, o.cols, o.vals)
                 .expect("final rows satisfy CSR invariants")
         })
         .collect();
@@ -165,42 +171,38 @@ pub(crate) fn close_output<'a>(
 /// One sparse row: its columns and values.
 pub(crate) type Row<'a> = (&'a [u32], &'a [f64]);
 
-/// Bills one exchange off row lengths: each pack message carries one
-/// framed row per index of its pack list — `nnz(r, i)` entries for rank
-/// `r`'s index `i`.
-fn exchange_stats(phase: &PhasePlan, nnz: impl Fn(usize, u32) -> usize) -> ExchangeStats {
-    let mut stats = ExchangeStats::zero(phase.nranks());
-    for r in 0..phase.nranks() {
-        for (dst, idxs, _) in phase.rank(r).packs() {
-            let doubles = idxs.iter().map(|&i| framed_len(nnz(r, i), false)).sum();
-            stats.bill(r, dst as usize, doubles);
-        }
+/// Bills rank `r`'s sends of one exchange off row lengths: each pack
+/// message carries one framed row per index of its pack list — `nnz(i)`
+/// entries for index `i`.
+fn bill_sends(stats: &mut ExchangeStats, phase: &PhasePlan, r: usize, nnz: impl Fn(u32) -> usize) {
+    for (dst, idxs, _) in phase.rank(r).packs() {
+        let doubles = idxs.iter().map(|&i| framed_len(nnz(i), false)).sum();
+        stats.bill(r, dst as usize, doubles);
     }
-    stats
 }
 
-/// Under chaos only: frames one exchange for [`mirror`] — the sends
-/// through each rank's pack lists (`sent(r, i)` is the row rank `r` sends
-/// for its index `i`), the receive views message by message (`read(d,
-/// views)` frames the rows rank `d` reads and seals each message).
-fn mirror_rows<'a>(
-    (rt, ledger): (&mut ChaosRuntime, &mut CostLedger),
-    (what, phase): (&str, &PhasePlan),
-    sent: impl Fn(usize, u32) -> Row<'a>,
-    read: impl Fn(usize, &mut Framed),
+/// One exchange framed for [`mirror`]: what the senders seal and what
+/// the receivers read.
+type Wire = (Framed, Framed);
+
+/// Under chaos only: frames rank `r`'s side of one exchange — its sends
+/// through its pack lists (`sent(i)` is the row it sends for its index
+/// `i`) and its receive views (`read` frames the rows it reads and seals
+/// each message). A rank's messages may be framed in any rank order.
+fn frame_rank<'a>(
+    (sends, views): &mut Wire,
+    phase: &PhasePlan,
+    r: usize,
+    sent: impl Fn(u32) -> Row<'a>,
+    read: impl FnOnce(&mut Framed),
 ) {
-    let p = phase.nranks();
-    let (mut sends, mut views) = (Framed::new(p), Framed::new(p));
-    for r in 0..p {
-        for (dst, idxs, _) in phase.rank(r).packs() {
-            for &i in idxs {
-                sends.row(None, sent(r, i));
-            }
-            sends.seal(r, dst);
+    for (dst, idxs, _) in phase.rank(r).packs() {
+        for &i in idxs {
+            sends.row(None, sent(i));
         }
-        read(r, &mut views);
+        sends.seal(r, dst);
     }
-    mirror(rt, ledger, what, &sends, &views);
+    read(views);
 }
 
 /// Row-wise Gustavson over the rank's local A block: one SPA pass per
@@ -227,60 +229,67 @@ fn gustavson(spa: &mut Spa, part: &mut RowBuf, block: &RankBlock, b: &CsrMatrix)
 }
 
 /// Merges each of rank `r`'s owned C rows out of its own partial plus the
-/// partial rows it is sent, read in their senders' `parts`, in fixed order
-/// (own first, then sources ascending), emitting sorted final rows.
-/// Returns the number of entries merged (1 flop each, the SpGEMM analogue
-/// of the SpMV sum phase).
-fn merge_rank(
-    scratch: &mut RankSpgemmScratch,
-    r: usize,
-    nlocal: usize,
+/// partial rows it is sent, read where their senders wrote them
+/// (`part(src, i)` is rank `src`'s partial row `i`), in fixed order (own
+/// first, then sources ascending), emitting sorted final rows. Returns the
+/// number of entries merged (1 flop each, the SpGEMM analogue of the SpMV
+/// sum phase).
+fn merge_rank<'a>(
+    w: &mut Worker,
+    s: &mut RankSpgemmScratch,
+    (r, nlocal): (u32, usize),
     fold: &PhasePlan,
-    parts: &[RowBuf],
+    part: impl Fn(u32, u32) -> Row<'a>,
 ) -> u64 {
-    let plan = fold.rank(r);
-    scratch.own_part.clear();
-    scratch.own_part.resize(nlocal, u32::MAX);
-    for (pi, y_lid) in plan.owned_pairs() {
-        scratch.own_part[y_lid as usize] = pi;
-    }
-    scratch.incoming.clear();
-    for (src, _, off, y_lids) in plan.unpacks() {
-        let rows = fold.sent(src, off, y_lids.len());
-        let entries = y_lids.iter().zip(rows).map(|(&y, &i)| (y, src, i));
-        scratch.incoming.extend(entries);
-    }
-    // Stable by y lid: within a row, contributions stay in receive order
-    // (sources ascending) — the fixed rank-order reduction.
-    scratch.incoming.sort_by_key(|e| e.0);
-
-    let RankSpgemmScratch {
+    let Worker {
         spa,
         own_part,
         incoming,
-        out,
         ..
-    } = scratch;
-    out.reset();
-    let mut merged = 0u64;
-    let mut cursor = 0usize;
-    for (y, &pi) in own_part.iter().enumerate() {
-        if pi != u32::MAX {
-            merged += accumulate(spa, parts[r].row(pi as usize));
-        }
-        while cursor < incoming.len() && incoming[cursor].0 as usize == y {
-            let (_, src, i) = incoming[cursor];
-            merged += accumulate(spa, parts[src as usize].row(i as usize));
-            cursor += 1;
-        }
-        spa.drain(&mut out.cols, &mut out.vals);
-        out.close_row();
+    } = w;
+    let plan = fold.rank(r as usize);
+    own_part.clear();
+    own_part.resize(nlocal, u32::MAX);
+    for (pi, y_lid) in plan.owned_pairs() {
+        own_part[y_lid as usize] = pi;
     }
-    merged
+    incoming.clear();
+    for (src, _, off, y_lids) in plan.unpacks() {
+        let rows = fold.sent(src, off, y_lids.len());
+        incoming.extend(y_lids.iter().zip(rows).map(|(&y, &i)| (y, src, i)));
+    }
+    // Stable by y lid: within a row, contributions stay in receive order
+    // (sources ascending) — the fixed rank-order reduction.
+    incoming.sort_by_key(|e| e.0);
+
+    let out = &mut s.out;
+    out.reset();
+    spa.counting(&mut s.arms, |spa| {
+        let mut merged = 0u64;
+        let mut cursor = 0usize;
+        for (y, &pi) in own_part.iter().enumerate() {
+            if pi != u32::MAX {
+                merged += accumulate(spa, part(r, pi));
+            }
+            while cursor < incoming.len() && incoming[cursor].0 as usize == y {
+                let (_, src, i) = incoming[cursor];
+                merged += accumulate(spa, part(src, i));
+                cursor += 1;
+            }
+            spa.drain(&mut out.cols, &mut out.vals);
+            out.close_row();
+        }
+        merged
+    })
+}
+
+/// Per-rank compute costs of `flops` each.
+pub(crate) fn compute_costs(flops: impl Iterator<Item = u64>) -> Vec<PhaseCost> {
+    flops.map(PhaseCost::compute).collect()
 }
 
 /// Adds one row into the accumulator; returns its length.
-fn accumulate(spa: &mut Spa, (cols, vals): Row<'_>) -> u64 {
+pub(crate) fn accumulate(spa: &mut Spa, (cols, vals): Row<'_>) -> u64 {
     for (&k, &v) in cols.iter().zip(vals) {
         spa.add(k, v);
     }
@@ -356,78 +365,110 @@ fn spgemm_inner(
     mut chaos: Option<&mut ChaosRuntime>,
 ) -> DistSpgemm {
     assert_conformal(a, b);
-    ws.ensure(a.blocks.len(), b.ncols());
+    let (vmap, expand, fold) = (&a.vmap, &a.compiled.expand, &a.compiled.fold);
+    ws.ensure(fold, b.ncols());
     let SpgemmWorkspace {
         threads,
+        workers,
         ranks,
-        parts,
+        groups,
+        slots,
     } = ws;
-    let threads = *threads;
-    let (vmap, expand, fold) = (&a.vmap, &a.compiled.expand, &a.compiled.fold);
+    let (threads, p) = (*threads, a.blocks.len());
 
     // Phase 1 — expand: the multiply reads each B row where it lives, so
     // only the bill is built here, one framed row per planned gid.
     let b_row = |r: usize, lid: u32| b.row(vmap.gids(r)[lid as usize] as usize);
-    let expand_stats = exchange_stats(expand, |r, lid| b_row(r, lid).0.len());
+    let mut expand_stats = ExchangeStats::zero(p);
+    for r in 0..p {
+        bill_sends(&mut expand_stats, expand, r, |lid| b_row(r, lid).0.len());
+    }
     ledger.superstep(Phase::Expand, &expand_stats.costs);
     if let Some(rt) = chaos.as_deref_mut() {
-        // A receiver's messages are its remote columns by owner.
-        let read = |d: usize, views: &mut Framed| {
-            let colmap = &a.blocks[d].colmap;
-            let need = vmap.remote_by_owner(d, colmap);
-            for g in need.chunk_by(|x, y| x.0 == y.0) {
-                for &(_, lj) in g {
-                    views.row(None, b.row(colmap[lj as usize] as usize));
+        let mut wire = (Framed::new(p), Framed::new(p));
+        for d in 0..p {
+            // A receiver's messages are its remote columns by owner.
+            let read = |views: &mut Framed| {
+                let colmap = &a.blocks[d].colmap;
+                for g in vmap.remote_by_owner(d, colmap).chunk_by(|x, y| x.0 == y.0) {
+                    for &(_, lj) in g {
+                        views.row(None, b.row(colmap[lj as usize] as usize));
+                    }
+                    views.seal(d, g[0].0);
                 }
-                views.seal(d, g[0].0);
-            }
-        };
-        mirror_rows((rt, ledger), ("spgemm expand", expand), b_row, read);
+            };
+            frame_rank(&mut wire, expand, d, |lid| b_row(d, lid), read);
+        }
+        mirror(rt, ledger, "spgemm expand", &wire.0, &wire.1);
     }
 
-    // Phase 2 — the local Gustavson pass, into each rank's partial rows.
-    trace_span!(PhaseKind::Multiply, "spgemm:multiply", {
-        par_zip(threads, ranks, parts, |r, scratch, part| {
-            scratch.terms = gustavson(&mut scratch.spa, part, &a.blocks[r], b);
-        })
-    });
-    let multiply_costs: Vec<PhaseCost> = ranks
-        .iter()
-        .map(|s| PhaseCost::compute(2 * s.terms))
-        .collect();
-    ledger.superstep(Phase::Multiply, &multiply_costs);
+    // Phases 2–4, one wave of fold groups at a time: the local Gustavson
+    // pass into the wave's slots, the bill of their fold sends (zero-copy
+    // like the expand: an owner reads each partial row it is sent at the
+    // stored row its sender's pack list names), then the merge at the
+    // wave's owners in fixed rank order per row.
+    let mut fold_stats = ExchangeStats::zero(p);
+    let mut fold_wire = chaos.is_some().then(|| (Framed::new(p), Framed::new(p)));
+    for (lo, hi) in groups.spans() {
+        let wave = &groups.order[lo..hi];
+        let slots = &mut slots[..hi - lo];
+        trace_span!(PhaseKind::Multiply, "spgemm:multiply", {
+            par_workers(threads, workers, slots, |w, j, slot| {
+                let (block, mut arms) = (&a.blocks[wave[j] as usize], [0; 2]);
+                slot.terms = w
+                    .spa
+                    .counting(&mut arms, |spa| gustavson(spa, &mut slot.part, block, b));
+                slot.arms = arms;
+            })
+        });
+        let slots = &*slots;
+        let part = |r: u32, i: u32| {
+            slots[groups.pos[r as usize] as usize - lo]
+                .part
+                .row(i as usize)
+        };
+        for (j, &r) in wave.iter().enumerate() {
+            (ranks[lo + j].terms, ranks[lo + j].arms) = (slots[j].terms, slots[j].arms);
+            bill_sends(&mut fold_stats, fold, r as usize, |i| part(r, i).0.len());
+            if let Some(wire) = fold_wire.as_mut() {
+                let read = |views: &mut Framed| {
+                    for (src, _, off, lids) in fold.rank(r as usize).unpacks() {
+                        for &i in fold.sent(src, off, lids.len()) {
+                            views.row(None, part(src, i));
+                        }
+                        views.seal(r as usize, src);
+                    }
+                };
+                frame_rank(wire, fold, r as usize, |i| part(r, i), read);
+            }
+        }
+        trace_span!(PhaseKind::Merge, "spgemm:merge", {
+            par_workers(threads, workers, &mut ranks[lo..hi], |w, j, s| {
+                let r = wave[j];
+                s.merged = merge_rank(w, s, (r, vmap.nlocal(r as usize)), fold, part);
+            })
+        });
+    }
 
-    // Phase 3 — fold: zero-copy like the expand; an owner reads each
-    // partial row it is sent at the stored row its sender's pack list
-    // names.
-    let parts = &*parts;
-    let part_row = |r: usize, i: u32| parts[r].row(i as usize);
-    let fold_stats = exchange_stats(fold, |r, i| part_row(r, i).0.len());
+    // The ledger, in rank order: what the waves did, superstep by
+    // superstep.
+    let rank = |r: usize| &ranks[groups.pos[r] as usize];
+    let multiply_flops: Vec<u64> = (0..p).map(|r| 2 * rank(r).terms).collect();
+    let merge_flops: Vec<u64> = (0..p).map(|r| rank(r).merged).collect();
+    ledger.superstep(
+        Phase::Multiply,
+        &compute_costs(multiply_flops.iter().copied()),
+    );
     ledger.superstep(Phase::Fold, &fold_stats.costs);
-    if let Some(rt) = chaos {
-        let read = |d: usize, views: &mut Framed| {
-            for (src, _, off, lids) in fold.rank(d).unpacks() {
-                for &i in fold.sent(src, off, lids.len()) {
-                    views.row(None, part_row(src as usize, i));
-                }
-                views.seal(d, src);
-            }
-        };
-        mirror_rows((rt, ledger), ("spgemm fold", fold), part_row, read);
+    if let (Some(rt), Some((sends, views))) = (chaos, &fold_wire) {
+        mirror(rt, ledger, "spgemm fold", sends, views);
     }
+    ledger.superstep(Phase::Merge, &compute_costs(merge_flops.iter().copied()));
+    publish_drain_arms("ef", (0..p).map(|r| rank(r).arms));
 
-    // Phase 4 — merge at the owners, fixed rank order per row.
-    trace_span!(PhaseKind::Merge, "spgemm:merge", {
-        par_ranks(threads, ranks, |r, scratch| {
-            scratch.merged = merge_rank(scratch, r, vmap.nlocal(r), fold, parts);
-        })
-    });
-    let merge_costs: Vec<PhaseCost> = ranks.iter().map(|s| PhaseCost::compute(s.merged)).collect();
-    ledger.superstep(Phase::Merge, &merge_costs);
-    publish_drain_arms("ef", ranks.iter().map(|s| &s.spa));
-
-    // Phase 5 — close nnz(C) and assemble the output blocks.
-    let rows = ranks.iter().map(|s| &s.out);
+    // Phase 5 — close nnz(C) and move the final rows into the output.
+    let pos = &groups.pos;
+    let rows = (0..p).map(|r| ranks[pos[r] as usize].out.take());
     let (locals, nnz) = close_output(vmap, b.ncols(), rows, ledger);
     DistSpgemm {
         vmap: Arc::clone(vmap),
@@ -436,8 +477,8 @@ fn spgemm_inner(
         nnz,
         expand: expand_stats,
         fold: fold_stats,
-        multiply_flops: ranks.iter().map(|s| 2 * s.terms).collect(),
-        merge_flops: ranks.iter().map(|s| s.merged).collect(),
+        multiply_flops,
+        merge_flops,
     }
 }
 
@@ -712,6 +753,18 @@ pub(crate) mod tests {
         }
     }
 
+    /// Every rank's partial C rows, each multiplied on its own.
+    fn partial_rows(dm: &DistCsrMatrix, b: &CsrMatrix) -> Vec<RowBuf> {
+        let mut spa = Spa::default();
+        spa.resize(b.ncols());
+        let multiply = |block| {
+            let mut part = RowBuf::default();
+            gustavson(&mut spa, &mut part, block, b);
+            part
+        };
+        dm.blocks.iter().map(multiply).collect()
+    }
+
     #[test]
     fn billing_matches_the_framed_bytes_on_every_layout() {
         let a = rmat(&RmatConfig::graph500(8), 23);
@@ -719,10 +772,10 @@ pub(crate) mod tests {
         for p in [1usize, 4, 16, 64] {
             for dist in six_layouts(&a, p) {
                 let dm = DistCsrMatrix::from_global(&a, &dist);
-                let mut ws = SpgemmWorkspace::new();
-                let c = spgemm_with(&dm, &b, &mut CostLedger::new(Machine::cab()), &mut ws);
+                let c = spgemm_dist(&dm, &b, &mut CostLedger::new(Machine::cab()));
                 let gids = |r: usize, lid: u32| b.row(dm.vmap.gids(r)[lid as usize] as usize);
-                let part = |r: usize, i: u32| ws.parts[r].row(i as usize);
+                let parts = partial_rows(&dm, &b);
+                let part = |r: usize, i: u32| parts[r].row(i as usize);
                 let at = format!("p={p} {:?}", dist.mode());
                 // The expand keeps no receive side: its messages in are
                 // the oracle's gid plan's, at the sender's slot for `r`.

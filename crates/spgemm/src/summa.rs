@@ -39,12 +39,18 @@
 //!   `rank(t mod gr, j)` gathers column chunk `j` of them (≤ `gc` sends per
 //!   owner).
 //!
-//! Each stage's multiply and the cross-stage merge accumulate a row in,
-//! and emit it sorted from, the `Spa` (`workspace.rs`) the expand/fold
-//! kernel uses. After the stages, per-stage partials are
-//! merged in fixed stage order ([`Phase::Merge`]), folded within grid rows
-//! to the C row owners ([`Phase::Fold`], ≤ `gc − 1` sends), and assembled
-//! by chunk concatenation. Output rows are **bitwise equal** to the serial
+//! A rank forms its product row by row, walking the rows of its stage A
+//! blocks in gid order: for each stage in ascending order it multiplies
+//! the row against the stage's B block, then adds the nonempty stage rows
+//! in stage order into its merged chunk row — the same adds, in the same
+//! order, as forming every stage's product first and merging them after
+//! (`tests::staged`, the bitwise oracle). Both accumulate in, and emit
+//! sorted from, the `Spa` (`workspace.rs`) the expand/fold kernel uses, so
+//! no stage's whole product is ever held. Each stage's Multiply superstep
+//! is billed off its own term count, and the cross-stage sum as one
+//! [`Phase::Merge`]. The merged chunk rows are folded within grid rows to
+//! the C row owners ([`Phase::Fold`], ≤ `gc − 1` sends) and assembled by
+//! chunk concatenation. Output rows are **bitwise equal** to the serial
 //! Gustavson oracle whenever row sums are exact (the generator matrices'
 //! products are small integers), and bit-identical for any `threads`
 //! setting — the differential suite pins both, head-to-head with
@@ -81,10 +87,11 @@ use sf2d_sim::runtime::par_ranks;
 use sf2d_spmv::distmat::{DistCsrMatrix, RankBlock};
 use sf2d_spmv::map::VectorMap;
 
-use crate::kernel::{close_output, to_global, ExchangeStats, Row};
+use crate::kernel::{accumulate, close_output, compute_costs, to_global, ExchangeStats, Row};
 use crate::wire::{framed_len, mirror, Framed};
 use crate::workspace::{
-    par_zip, publish_drain_arms, HyperCsr, RankSummaScratch, Spa, SummaBlocks, SummaWorkspace,
+    par_workers, par_zip, publish_drain_arms, HyperCsr, RankSummaScratch, SummaBlocks,
+    SummaWorkspace, Worker,
 };
 
 /// The SUMMA process grid a [`MatrixDist`] induces.
@@ -452,65 +459,59 @@ fn build_b_stages(
     }
 }
 
-/// One stage's local multiply: Gustavson over the stage's A and B blocks,
-/// read at their roots, emitting the stage partial into `out`. Returns the
-/// product terms processed.
-fn multiply_stage(spa: &mut Spa, out: &mut HyperCsr, a: &HyperCsr, bs: &HyperCsr) -> u64 {
-    let mut terms = 0u64;
-    for k in 0..a.nrows() {
-        let (gid, acols, avals) = a.row_at(k);
-        for (&j, &aij) in acols.iter().zip(avals) {
-            if let Some((bc, bv)) = bs.row(j) {
-                for (&c, &bjc) in bc.iter().zip(bv) {
-                    spa.add(c, aij * bjc);
-                }
-                terms += bc.len() as u64;
-            }
-        }
-        let before = out.nnz();
-        spa.drain(&mut out.cols, &mut out.vals);
-        if out.nnz() > before {
-            out.close_row(gid);
-        }
-    }
-    terms
-}
-
-/// Merges a rank's per-stage partials into its one chunk block `merged`,
-/// per row in ascending **stage** order (the fixed reassociation the
-/// differential suite pins bitwise). Returns entries merged (1 flop each).
-fn merge_stages(s: &mut RankSummaScratch, merged: &mut HyperCsr, gc: usize) -> u64 {
-    s.keys.clear();
-    for (t, so) in s.stage_out.iter().enumerate().take(gc) {
-        for k in 0..so.nrows() {
-            s.keys.push((so.rows[k], t as u32, k as u32));
-        }
-    }
-    s.keys.sort_unstable();
-    let RankSummaScratch {
-        spa,
-        stage_out,
-        keys,
-        ..
-    } = s;
+/// A rank's product, row by row, into its chunk block `merged`. For each
+/// gid present in any of its stage A blocks (`a(t)`, `gc` of them), in
+/// ascending order: the row's Gustavson against each stage's B block
+/// (`b(t)`, read at its root), stages ascending, each drained into its own
+/// row of `w.rows`; then those rows summed in stage order (the fixed
+/// reassociation the differential suite pins bitwise). Per-stage product
+/// terms land in `s.stage_terms`, the drain arms in `s.arms`; returns the
+/// entries merged (1 flop each).
+fn multiply_merge<'a>(
+    w: &mut Worker,
+    s: &mut RankSummaScratch,
+    merged: &mut HyperCsr,
+    a: impl Fn(usize) -> &'a HyperCsr,
+    b: impl Fn(usize) -> &'a HyperCsr,
+) -> u64 {
+    let (Worker { spa, rows, at, .. }, stage_terms) = (w, &mut s.stage_terms);
+    let gc = stage_terms.len();
+    stage_terms.fill(0);
+    at.clear();
+    at.resize(gc, 0);
     merged.clear();
-    let mut flops = 0u64;
-    let mut i = 0usize;
-    while i < keys.len() {
-        let gid = keys[i].0;
-        while i < keys.len() && keys[i].0 == gid {
-            let (_, t, k) = keys[i];
-            let (_, cols, vals) = stage_out[t as usize].row_at(k as usize);
-            for (&c, &v) in cols.iter().zip(vals) {
-                spa.add(c, v);
+    spa.counting(&mut s.arms, |spa| {
+        let mut flops = 0u64;
+        loop {
+            let next = (0..gc).filter_map(|t| a(t).rows.get(at[t]).copied()).min();
+            let Some(gid) = next else { break };
+            rows.reset();
+            for t in 0..gc {
+                let block = a(t);
+                if block.rows.get(at[t]) == Some(&gid) {
+                    let (_, acols, avals) = block.row_at(at[t]);
+                    for (&j, &aij) in acols.iter().zip(avals) {
+                        if let Some((bc, bv)) = b(t).row(j) {
+                            for (&c, &bjc) in bc.iter().zip(bv) {
+                                spa.add(c, aij * bjc);
+                            }
+                            stage_terms[t] += bc.len() as u64;
+                        }
+                    }
+                    spa.drain(&mut rows.cols, &mut rows.vals);
+                    at[t] += 1;
+                }
+                rows.close_row();
             }
-            flops += cols.len() as u64;
-            i += 1;
+            if rows.cols.is_empty() {
+                continue;
+            }
+            flops += (0..gc).map(|t| accumulate(spa, rows.row(t))).sum::<u64>();
+            spa.drain(&mut merged.cols, &mut merged.vals);
+            merged.close_row(gid);
         }
-        spa.drain(&mut merged.cols, &mut merged.vals);
-        merged.close_row(gid);
-    }
-    flops
+        flops
+    })
 }
 
 /// Assembles rank `r`'s owned C rows: per row, the `gc` column-chunk
@@ -525,10 +526,10 @@ fn assemble(
     r: usize,
     g: SummaGrid,
     vmap: &VectorMap,
-    blocks: &[SummaBlocks],
+    merged: &[HyperCsr],
 ) -> u64 {
     let ri = g.row_of_rank(r as u32);
-    let merged_of = |sc: u32| &blocks[g.rank_at(ri, sc) as usize].merged;
+    let merged_of = |sc: u32| &merged[g.rank_at(ri, sc) as usize];
     s.keys.clear();
     s.inbound.clear();
     for sc in 0..g.gc {
@@ -741,8 +742,10 @@ fn summa_inner(
     ws.ensure(p, gc, bcols);
     let SummaWorkspace {
         threads,
+        workers,
         ranks,
         blocks,
+        merged,
     } = ws;
     let threads = *threads;
     let rpart = dist.rpart();
@@ -775,12 +778,24 @@ fn summa_inner(
     }
     shuffle.add(&shuffle_b);
 
-    // Stages: row-broadcast A, col-broadcast B, multiply — each rank reads
-    // the stage's blocks at their roots.
+    // The product, row by row: each rank reads its stage blocks at their
+    // roots and keeps only the cross-stage sums.
+    let bl: &[SummaBlocks] = blocks;
+    trace_span!(PhaseKind::Multiply, "summa:multiply", {
+        let mut items: Vec<_> = ranks.iter_mut().zip(merged.iter_mut()).collect();
+        par_workers(threads, workers, &mut items, |w, r, (scratch, merged)| {
+            let a = |t: usize| &bl[g.bcast_root(true, r as u32, t as u32) as usize].a_block;
+            let b = |t: usize| &bl[g.bcast_root(false, r as u32, t as u32) as usize].b_stage[t];
+            scratch.merged_flops = multiply_merge(w, scratch, merged, a, b);
+            merged.shrink_to_fit();
+        })
+    });
+
+    // Stages: row-broadcast A, col-broadcast B, multiply — billed in stage
+    // order off each stage's own term counts.
     let mut bcast = ExchangeStats::zero(p);
     let mut stage_send_msgs: Vec<Vec<u64>> = Vec::with_capacity(gc);
     for t in 0..g.gc {
-        let bl: &[SummaBlocks] = blocks;
         let a_of = |q: usize| &bl[q].a_block;
         let b_of = |q: usize| &bl[q].b_stage[t as usize];
         let a_stats = bcast_stats(g, p, (true, t), a_of);
@@ -793,57 +808,31 @@ fn summa_inner(
         if let Some(rt) = chaos.as_deref_mut() {
             mirror_bcast((rt, ledger), ("summa b-bcast", false, t), g, p, b_of);
         }
-
-        trace_span!(PhaseKind::Multiply, "summa:multiply", {
-            par_ranks(threads, ranks, |r, scratch| {
-                let a_root = g.bcast_root(true, r as u32, t) as usize;
-                let b_root = g.bcast_root(false, r as u32, t) as usize;
-                let out = &mut scratch.stage_out[t as usize];
-                let terms = multiply_stage(&mut scratch.spa, out, a_of(a_root), b_of(b_root));
-                scratch.stage_terms = terms;
-                scratch.terms += terms;
-            })
-        });
-        let mul_costs: Vec<PhaseCost> = ranks
-            .iter()
-            .map(|s| PhaseCost::compute(2 * s.stage_terms))
-            .collect();
-        ledger.superstep(Phase::Multiply, &mul_costs);
-
-        stage_send_msgs.push(
-            (0..p)
-                .map(|r| a_stats.send_msgs[r] + b_stats.send_msgs[r])
-                .collect(),
-        );
+        let terms = ranks.iter().map(|s| 2 * s.stage_terms[t as usize]);
+        ledger.superstep(Phase::Multiply, &compute_costs(terms));
+        let msgs = (0..p).map(|r| a_stats.send_msgs[r] + b_stats.send_msgs[r]);
+        stage_send_msgs.push(msgs.collect());
         bcast.add(&a_stats);
         bcast.add(&b_stats);
     }
 
     // Cross-stage merge: fixed stage-ascending order per row.
-    trace_span!(PhaseKind::Merge, "summa:stage-merge", {
-        par_zip(threads, ranks, blocks, |_r, scratch, bl| {
-            scratch.merged_flops = merge_stages(scratch, &mut bl.merged, gc);
-        })
-    });
-    let merge_costs: Vec<PhaseCost> = ranks
-        .iter()
-        .map(|s| PhaseCost::compute(s.merged_flops))
-        .collect();
-    ledger.superstep(Phase::Merge, &merge_costs);
-    publish_drain_arms("summa", ranks.iter().map(|s| &s.spa));
+    let merges = ranks.iter().map(|s| s.merged_flops);
+    ledger.superstep(Phase::Merge, &compute_costs(merges));
+    publish_drain_arms("summa", ranks.iter().map(|s| s.arms));
 
     // Fold and assembly: each C row owner concatenates its rows of its
     // grid-row peers' merged chunk blocks, read where they live.
-    let bl: &[SummaBlocks] = blocks;
+    let merged: &[HyperCsr] = merged;
     trace_span!(PhaseKind::Merge, "summa:assemble", {
         par_ranks(threads, ranks, |r, scratch| {
-            scratch.assemble_flops = assemble(scratch, r, g, vmap, bl);
+            scratch.assemble_flops = assemble(scratch, r, g, vmap, merged);
         })
     });
     let fold = inbound_stats(ranks);
     ledger.superstep(Phase::Fold, &fold.costs);
     if let Some(rt) = chaos {
-        let merged = |q: u32| &bl[q as usize].merged;
+        let merged = |q: u32| &merged[q as usize];
         mirror_fold((rt, ledger), g, vmap, merged, merged);
     }
     let assemble_costs: Vec<PhaseCost> = ranks
@@ -852,8 +841,12 @@ fn summa_inner(
         .collect();
     ledger.superstep(Phase::Merge, &assemble_costs);
 
-    // Close nnz(C) and assemble the output blocks.
-    let (locals, nnz) = close_output(vmap, bcols, ranks.iter().map(|s| &s.out), ledger);
+    // Close nnz(C) and move the owned rows into the output blocks.
+    let multiply_flops = ranks.iter().map(|s| 2 * s.stage_terms.iter().sum::<u64>());
+    let merge_flops = ranks.iter().map(|s| s.merged_flops + s.assemble_flops);
+    let (multiply_flops, merge_flops) = (multiply_flops.collect(), merge_flops.collect());
+    let rows = ranks.iter_mut().map(|s| s.out.take());
+    let (locals, nnz) = close_output(vmap, bcols, rows, ledger);
 
     SummaSpgemm {
         vmap: Arc::clone(vmap),
@@ -865,11 +858,8 @@ fn summa_inner(
         bcast,
         fold,
         stage_send_msgs,
-        multiply_flops: ranks.iter().map(|s| 2 * s.terms).collect(),
-        merge_flops: ranks
-            .iter()
-            .map(|s| s.merged_flops + s.assemble_flops)
-            .collect(),
+        multiply_flops,
+        merge_flops,
     }
 }
 
@@ -925,8 +915,11 @@ pub fn summa_chaos(
 mod tests {
     use super::*;
     use crate::kernel::tests::six_layouts;
+    use crate::workspace::Spa;
+    use proptest::prelude::*;
     use sf2d_gen::{grid_2d, rmat, RmatConfig};
     use sf2d_graph::spgemm;
+    use sf2d_sim::cost::PhaseCost;
     use sf2d_sim::sf2d_chaos::{FaultKind, FaultScript};
     use sf2d_sim::Machine;
 
@@ -1283,11 +1276,11 @@ mod tests {
 
     /// The old fold packing: rank `r`'s merged rows grouped by their
     /// owner among its grid-row peers, grid columns ascending.
-    fn old_fold(blocks: &[SummaBlocks], vmap: &VectorMap, g: SummaGrid) -> Msgs {
-        (0..blocks.len() as u32)
+    fn old_fold(merged: &[HyperCsr], vmap: &VectorMap, g: SummaGrid) -> Msgs {
+        (0..merged.len() as u32)
             .map(|r| {
                 let (ri, rj) = (g.row_of_rank(r), g.col_of_rank(r));
-                let merged = &blocks[r as usize].merged;
+                let merged = &merged[r as usize];
                 let mut out = Vec::new();
                 for o in (0..g.gc).filter(|&sc| sc != rj).map(|sc| g.rank_at(ri, sc)) {
                     let mut msg = Vec::new();
@@ -1390,10 +1383,190 @@ mod tests {
                 assert_eq!(c.bcast, bcast, "{at}");
                 assert_eq!(
                     c.fold,
-                    dir_stats(&old_fold(&ws.blocks, &dm.vmap, g)),
+                    dir_stats(&old_fold(&ws.merged, &dm.vmap, g)),
                     "{at}"
                 );
             }
+        }
+    }
+
+    /// The staged pass the fused one replaced, kept as its bitwise
+    /// oracle: each stage's whole product `A[i][t]·B[t][j]` formed first
+    /// (`multiply_stage`), then the stage rows merged per gid in ascending
+    /// stage order (`merge_stages`).
+    mod staged {
+        use super::*;
+
+        /// One stage's local multiply, emitting the stage partial into
+        /// `out`. Returns the product terms processed.
+        pub fn multiply_stage(
+            spa: &mut Spa,
+            out: &mut HyperCsr,
+            a: &HyperCsr,
+            bs: &HyperCsr,
+        ) -> u64 {
+            let mut terms = 0u64;
+            for k in 0..a.nrows() {
+                let (gid, acols, avals) = a.row_at(k);
+                for (&j, &aij) in acols.iter().zip(avals) {
+                    if let Some((bc, bv)) = bs.row(j) {
+                        for (&c, &bjc) in bc.iter().zip(bv) {
+                            spa.add(c, aij * bjc);
+                        }
+                        terms += bc.len() as u64;
+                    }
+                }
+                let before = out.nnz();
+                spa.drain(&mut out.cols, &mut out.vals);
+                if out.nnz() > before {
+                    out.close_row(gid);
+                }
+            }
+            terms
+        }
+
+        /// Merges the per-stage partials into `merged`, per row in
+        /// ascending stage order. Returns entries merged.
+        pub fn merge_stages(spa: &mut Spa, stage_out: &[HyperCsr], merged: &mut HyperCsr) -> u64 {
+            let mut keys = Vec::new();
+            for (t, so) in stage_out.iter().enumerate() {
+                for k in 0..so.nrows() {
+                    keys.push((so.rows[k], t as u32, k as u32));
+                }
+            }
+            keys.sort_unstable();
+            merged.clear();
+            let mut flops = 0u64;
+            let mut i = 0usize;
+            while i < keys.len() {
+                let gid = keys[i].0;
+                while i < keys.len() && keys[i].0 == gid {
+                    let (_, t, k) = keys[i];
+                    let (_, cols, vals) = stage_out[t as usize].row_at(k as usize);
+                    for (&c, &v) in cols.iter().zip(vals) {
+                        spa.add(c, v);
+                    }
+                    flops += cols.len() as u64;
+                    i += 1;
+                }
+                spa.drain(&mut merged.cols, &mut merged.vals);
+                merged.close_row(gid);
+            }
+            flops
+        }
+    }
+
+    /// Columns of C in the oracle test: two words and a bit, so rows take
+    /// both drain arms.
+    const NCOLS: u32 = 130;
+
+    /// Values whose sums expose a reordering: signed zeros, non-finite
+    /// values, NaNs with distinct payloads, magnitudes that absorb their
+    /// neighbours.
+    fn value(raw: u64) -> f64 {
+        const SPECIAL: [f64; 10] = [
+            1.0,
+            -1.0,
+            0.5,
+            3.0,
+            -0.0,
+            0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1e300,
+        ];
+        match raw % 5 {
+            0 => f64::from_bits(raw.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+            1 => -f64::NAN,
+            _ => SPECIAL[(raw >> 3) as usize % SPECIAL.len()],
+        }
+    }
+
+    /// A hypersparse block out of random `(gid, [(col, raw value)])` rows:
+    /// gids and columns sorted and deduplicated, empty rows dropped — the
+    /// shape the shuffles build.
+    fn hyper(rows: &[(u32, Vec<(u32, u64)>)]) -> HyperCsr {
+        let mut rows = rows.to_vec();
+        rows.sort_by_key(|r| r.0);
+        rows.dedup_by_key(|r| r.0);
+        let mut h = HyperCsr::default();
+        for (gid, mut entries) in rows {
+            entries.sort_by_key(|e| e.0);
+            entries.dedup_by_key(|e| e.0);
+            if !entries.is_empty() {
+                for (c, raw) in entries {
+                    h.cols.push(c);
+                    h.vals.push(value(raw));
+                }
+                h.close_row(gid);
+            }
+        }
+        h
+    }
+
+    /// A block as `(rows, ptr, cols, value bits)`: NaN ≡ NaN exactly when
+    /// the payloads agree.
+    fn bits(h: &HyperCsr) -> (Vec<u32>, Vec<usize>, Vec<u32>, Vec<u64>) {
+        let vals = h.vals.iter().map(|v| v.to_bits()).collect();
+        (h.rows.clone(), h.ptr.clone(), h.cols.clone(), vals)
+    }
+
+    /// Up to `nrows` random rows over gids `0..rows`, each with up to
+    /// `len` entries over columns `0..cols`.
+    fn block_strategy(
+        (rows, nrows): (u32, usize),
+        (cols, len): (u32, usize),
+    ) -> impl Strategy<Value = Vec<(u32, Vec<(u32, u64)>)>> {
+        let row = proptest::collection::vec((0..cols, 0u64..u64::MAX), 0..len);
+        proptest::collection::vec((0..rows, row), 0..nrows)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The fused row-by-row pass ≡ the staged one, bit for bit: the
+        /// same merged rows and the same per-stage term counts, over
+        /// random hypersparse stage blocks — A rows over 12 gids and 6
+        /// inner indices, B rows of up to 40 entries over those 6 and
+        /// `NCOLS` columns, dense enough that most entries of C sum terms
+        /// from several stages, so a reordered sum shows.
+        #[test]
+        fn fused_pass_matches_the_staged_oracle(
+            stages in proptest::collection::vec(
+                (block_strategy((12, 10), (6, 6)), block_strategy((6, 7), (NCOLS, 40))),
+                1..5,
+            ),
+        ) {
+            let a: Vec<HyperCsr> = stages.iter().map(|(a, _)| hyper(a)).collect();
+            let b: Vec<HyperCsr> = stages.iter().map(|(_, b)| hyper(b)).collect();
+            let gc = a.len();
+
+            let mut spa = Spa::default();
+            spa.resize(NCOLS as usize);
+            let mut stage_out = vec![HyperCsr::default(); gc];
+            let terms: Vec<u64> = (0..gc)
+                .map(|t| staged::multiply_stage(&mut spa, &mut stage_out[t], &a[t], &b[t]))
+                .collect();
+            let mut want = HyperCsr::default();
+            let want_flops = staged::merge_stages(&mut spa, &stage_out, &mut want);
+
+            let mut w = Worker::default();
+            w.spa.resize(NCOLS as usize);
+            let mut s = RankSummaScratch {
+                stage_terms: vec![7; gc],
+                ..RankSummaScratch::default()
+            };
+            let mut got = HyperCsr::default();
+            for _ in 0..2 {
+                let flops = multiply_merge(&mut w, &mut s, &mut got, |t| &a[t], |t| &b[t]);
+                prop_assert_eq!(bits(&got), bits(&want));
+                prop_assert_eq!(&s.stage_terms, &terms);
+                prop_assert_eq!(flops, want_flops);
+            }
+            // Both passes drain the same rows through the same arms.
+            let arms = [spa.rows_bitmap, spa.rows_sorted];
+            prop_assert_eq!(s.arms, [2 * arms[0], 2 * arms[1]]);
         }
     }
 
@@ -1411,9 +1584,9 @@ mod tests {
         );
         // An owner that read its rows out of the wrong peer's merged block
         // (the next rank's) would see other rows than its peers sent.
-        let p = ws.blocks.len() as u32;
-        let merged = |q: u32| &ws.blocks[q as usize].merged;
-        let wrong = |q: u32| &ws.blocks[((q + 1) % p) as usize].merged;
+        let p = ws.merged.len() as u32;
+        let merged = |q: u32| &ws.merged[q as usize];
+        let wrong = |q: u32| &ws.merged[((q + 1) % p) as usize];
         let mut rt = ChaosRuntime::seeded(1, 0.0);
         let mut ledger = CostLedger::new(Machine::cab());
         mirror_fold(

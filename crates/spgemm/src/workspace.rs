@@ -1,19 +1,20 @@
-//! Reusable per-rank state for the distributed SpGEMM: the sparse
-//! accumulator (`Spa`) all four row loops share, the row buffers the
-//! kernels write, and the blocks peers read — the SpGEMM analogue of
-//! [`SpmvWorkspace`](sf2d_spmv::SpmvWorkspace).
+//! Reusable state for the distributed SpGEMM — the SpGEMM analogue of
+//! [`SpmvWorkspace`](sf2d_spmv::SpmvWorkspace): the sparse accumulator
+//! (`Spa`) all row loops share, the row buffers the kernels write, and the
+//! blocks peers read.
 //!
-//! Each workspace keeps two kinds of per-rank state apart. A rank's
-//! *scratch* is written and read by that rank only. What a peer reads —
-//! the expand/fold partial rows, SUMMA's stage blocks and merged chunk
-//! rows — lives in a vector of its own, written in one phase and only read
-//! in the next, so a receiver reads a sender's rows where they are and no
-//! exchange keeps a payload buffer. `resident_bytes` reports what each
-//! workspace holds.
+//! A workspace holds only what one step of a product reads. Accumulators
+//! and merge lists are one set per worker thread. The expand/fold partial
+//! rows live in the slots of one wave of fold groups at a time; SUMMA keeps
+//! only each row's cross-stage sum. What a peer reads is written in one
+//! phase and only read in the next, in place, so no exchange keeps a
+//! payload buffer. Final rows are moved into the output; each rank's
+//! buffer remembers their lengths for the next product to reserve.
 
 use std::mem::size_of;
 
 use sf2d_sim::runtime::par_ranks;
+use sf2d_spmv::compiled::PhasePlan;
 
 /// Reserved bytes of a vector's buffer.
 fn reserved<T>(v: &Vec<T>) -> u64 {
@@ -30,6 +31,31 @@ pub(crate) fn par_zip<A: Send, B: Send>(
 ) {
     let mut pairs: Vec<(&mut A, &mut B)> = xs.iter_mut().zip(ys).collect();
     par_ranks(threads, &mut pairs, |r, (x, y)| f(r, x, y));
+}
+
+/// [`par_ranks`] with one worker per thread: `f(&mut worker, j, &mut
+/// items[j])` for every `j`, each of `par_ranks`' contiguous chunks run in
+/// order on its own worker (`threads.min(items.len())` of them).
+pub(crate) fn par_workers<W: Send, T: Send>(
+    threads: usize,
+    workers: &mut [W],
+    items: &mut [T],
+    f: impl Fn(&mut W, usize, &mut T) + Sync,
+) {
+    let chunk = items.len().div_ceil(threads.min(items.len()).max(1)).max(1);
+    let run = |c: usize, w: &mut W, slice: &mut [T]| {
+        let base = c * chunk;
+        (slice.iter_mut().enumerate()).for_each(|(j, item)| f(w, base + j, item));
+    };
+    if threads <= 1 {
+        return run(0, &mut workers[0], items);
+    }
+    debug_assert!(
+        workers.len() >= items.len().div_ceil(chunk),
+        "a worker per chunk"
+    );
+    let mut jobs: Vec<_> = workers.iter_mut().zip(items.chunks_mut(chunk)).collect();
+    par_ranks(threads, &mut jobs, |c, (w, slice)| run(c, w, slice));
 }
 
 /// The sparse accumulator of one output row: dense values over B's
@@ -153,6 +179,16 @@ impl Spa {
         bitmap
     }
 
+    /// Runs `f` and adds the rows it drained through each arm,
+    /// `[bitmap, sorted]`, to `arms`: one rank's share of the counts.
+    pub fn counting<R>(&mut self, arms: &mut [u64; 2], f: impl FnOnce(&mut Spa) -> R) -> R {
+        let before = [self.rows_bitmap, self.rows_sorted];
+        let out = f(self);
+        arms[0] += self.rows_bitmap - before[0];
+        arms[1] += self.rows_sorted - before[1];
+        out
+    }
+
     fn resident_bytes(&self) -> u64 {
         reserved(&self.vals)
             + reserved(&self.stamp)
@@ -168,15 +204,29 @@ pub(crate) struct RowBuf {
     pub ptr: Vec<usize>,
     pub cols: Vec<u32>,
     pub vals: Vec<f64>,
+    /// `(ptr, cols)` lengths of the rows [`RowBuf::take`] last moved out.
+    hint: (usize, usize),
 }
 
 impl RowBuf {
-    /// Empties the buffer for a fresh pass (keeps the allocations).
+    /// Empties the buffer for a fresh pass, keeping its allocations or
+    /// reserving the length of the rows last taken.
     pub fn reset(&mut self) {
         self.ptr.clear();
-        self.ptr.push(0);
         self.cols.clear();
         self.vals.clear();
+        self.ptr.reserve_exact(self.hint.0);
+        self.cols.reserve_exact(self.hint.1);
+        self.vals.reserve_exact(self.hint.1);
+        self.ptr.push(0);
+    }
+
+    /// Moves the rows out; the buffer keeps only their lengths.
+    pub fn take(&mut self) -> RowBuf {
+        let hint = (self.ptr.len(), self.cols.len());
+        let rows = std::mem::take(self);
+        self.hint = hint;
+        rows
     }
 
     /// Ends the current row at everything appended to `cols` / `vals`.
@@ -195,48 +245,134 @@ impl RowBuf {
     }
 }
 
-/// Publishes which arm each rank's rows left its [`Spa`] through in the
-/// product just finished, as the per-rank counters
-/// `spgemm.{kernel}.rows_bitmap` / `rows_sorted`. Nothing unless tracing
-/// is on.
-pub(crate) fn publish_drain_arms<'a>(kernel: &str, spas: impl Iterator<Item = &'a Spa>) {
+/// Publishes which arm each rank's rows left the accumulator through in
+/// the product just finished — `arms` in rank order, `[bitmap, sorted]` —
+/// as the per-rank counters `spgemm.{kernel}.rows_bitmap` / `rows_sorted`.
+/// Nothing unless tracing is on.
+pub(crate) fn publish_drain_arms(kernel: &str, arms: impl Iterator<Item = [u64; 2]>) {
     if sf2d_obs::enabled() {
-        for (r, spa) in spas.enumerate() {
-            sf2d_obs::counter!(&format!("spgemm.{kernel}.rows_bitmap"), r, spa.rows_bitmap);
-            sf2d_obs::counter!(&format!("spgemm.{kernel}.rows_sorted"), r, spa.rows_sorted);
+        for (r, [bitmap, sorted]) in arms.enumerate() {
+            sf2d_obs::counter!(&format!("spgemm.{kernel}.rows_bitmap"), r, bitmap);
+            sf2d_obs::counter!(&format!("spgemm.{kernel}.rows_sorted"), r, sorted);
         }
     }
 }
 
-/// One rank's scratch for one expand/fold SpGEMM. All buffers are reused
-/// across calls; nothing here survives as output (the kernel copies the
-/// final rows out into per-rank [`CsrMatrix`](sf2d_graph::CsrMatrix)
-/// blocks).
+/// One worker thread's scratch, reused rank after rank.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct RankSpgemmScratch {
-    /// The row accumulator of the multiply and the merge.
+pub(crate) struct Worker {
+    /// The row accumulator.
     pub spa: Spa,
-    /// Per owned `y` lid: the stored row of this rank's own partial for
-    /// that row, or `u32::MAX` when the rank holds no local partial.
+    /// Expand/fold merge: per owned `y` lid, the stored row of the rank's
+    /// own partial, or `u32::MAX`.
     pub own_part: Vec<u32>,
-    /// Incoming partial rows for the merge, `(y_lid, src, stored row)` in
-    /// receive order, stably sorted by `y_lid` (so per-row merge order
-    /// stays sources-ascending).
+    /// Expand/fold merge: incoming partial rows `(y_lid, src, stored
+    /// row)`, stably sorted by `y_lid` (sources stay ascending per row).
     pub incoming: Vec<(u32, u32, u32)>,
-    /// Final owned C rows (copied into the output blocks).
-    pub out: RowBuf,
-    /// Multiply product terms processed this call (2 flops each).
-    pub terms: u64,
-    /// Entries merged in the merge phase this call (1 flop each).
-    pub merged: u64,
+    /// SUMMA: the stage products of the row being formed, one per stage.
+    pub rows: RowBuf,
+    /// SUMMA: per stage, the next unread row of its A block.
+    pub at: Vec<usize>,
 }
 
-impl RankSpgemmScratch {
+impl Worker {
+    /// Workers for `p` ranks on `threads` threads, sized for `bcols`
+    /// columns.
+    fn ensure(workers: &mut Vec<Worker>, threads: usize, p: usize, bcols: usize) {
+        workers.resize_with(threads.min(p).max(1), Worker::default);
+        workers.iter_mut().for_each(|w| w.spa.resize(bcols));
+    }
+
     fn resident_bytes(&self) -> u64 {
-        self.spa.resident_bytes()
-            + reserved(&self.own_part)
-            + reserved(&self.incoming)
-            + self.out.resident_bytes()
+        let merge = reserved(&self.own_part) + reserved(&self.incoming);
+        self.spa.resident_bytes() + merge + self.rows.resident_bytes() + reserved(&self.at)
+    }
+}
+
+/// One rank's results of one expand/fold SpGEMM.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RankSpgemmScratch {
+    /// Final owned C rows, moved into the output block.
+    pub out: RowBuf,
+    /// Multiply product terms (2 flops each).
+    pub terms: u64,
+    /// Entries merged (1 flop each).
+    pub merged: u64,
+    /// Rows drained through each accumulator arm, `[bitmap, sorted]`.
+    pub arms: [u64; 2],
+}
+
+/// One rank's partial C rows in the wave in flight (one per stored row of
+/// its A block), with the multiply's counts.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Slot {
+    pub part: RowBuf,
+    pub terms: u64,
+    pub arms: [u64; 2],
+}
+
+/// The fold groups — sets of ranks that no fold message leaves — and the
+/// waves they run in.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct FoldGroups {
+    /// The ranks by group (groups by lowest rank, ranks ascending).
+    pub order: Vec<u32>,
+    /// Where each rank sits in `order`.
+    pub pos: Vec<u32>,
+    /// Where each wave ends in `order`.
+    pub waves: Vec<usize>,
+    /// Per rank, its group's lowest rank.
+    root: Vec<u32>,
+}
+
+impl FoldGroups {
+    /// Finds the groups with one union-find over `fold`'s unpack sources
+    /// and packs consecutive ones into waves of at least `threads` ranks.
+    /// Returns the widest wave.
+    pub fn plan(&mut self, fold: &PhasePlan, threads: usize) -> usize {
+        let (p, root) = (fold.nranks(), &mut self.root);
+        root.clear();
+        root.extend(0..p as u32);
+        let find = |root: &mut Vec<u32>, mut x: u32| {
+            while root[x as usize] != x {
+                (root[x as usize], x) = (root[root[x as usize] as usize], root[x as usize]);
+            }
+            x
+        };
+        for d in 0..p as u32 {
+            for (src, ..) in fold.rank(d as usize).unpacks() {
+                let (a, b) = (find(root, d), find(root, src));
+                root[a.max(b) as usize] = a.min(b);
+            }
+        }
+        // Links point down, so one ascending pass flattens the forest.
+        (0..p).for_each(|r| root[r] = root[root[r] as usize]);
+        self.order.clear();
+        self.order.extend(0..p as u32);
+        self.order.sort_unstable_by_key(|&r| (root[r as usize], r));
+        self.pos.resize(p, 0);
+        (self.order.iter().enumerate()).for_each(|(k, &r)| self.pos[r as usize] = k as u32);
+        self.waves.clear();
+        let (mut lo, mut widest) = (0, 0);
+        for k in 1..=p {
+            let group_ends =
+                k == p || root[self.order[k] as usize] != root[self.order[k - 1] as usize];
+            if group_ends && (k == p || k - lo >= threads) {
+                self.waves.push(k);
+                (widest, lo) = (widest.max(k - lo), k);
+            }
+        }
+        widest
+    }
+
+    /// `[lo, hi)` of each wave in `order`.
+    pub fn spans(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let starts = std::iter::once(0).chain(self.waves.iter().copied());
+        starts.zip(self.waves.iter().copied())
+    }
+
+    fn resident_bytes(&self) -> u64 {
+        reserved(&self.order) + reserved(&self.pos) + reserved(&self.waves) + reserved(&self.root)
     }
 }
 
@@ -292,6 +428,15 @@ impl HyperCsr {
         self.ptr.push(self.cols.len());
     }
 
+    /// Frees the capacity the rows leave unused: a block rebuilt at the
+    /// same length then allocates nothing.
+    pub fn shrink_to_fit(&mut self) {
+        self.rows.shrink_to_fit();
+        self.ptr.shrink_to_fit();
+        self.cols.shrink_to_fit();
+        self.vals.shrink_to_fit();
+    }
+
     /// Number of stored (nonempty) rows.
     pub fn nrows(&self) -> usize {
         self.rows.len()
@@ -323,34 +468,30 @@ impl HyperCsr {
 }
 
 /// One rank's scratch for one Sparse SUMMA execution, written and read by
-/// that rank only. Mirrors [`RankSpgemmScratch`]'s reuse discipline.
+/// that rank only.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct RankSummaScratch {
-    /// The row accumulator of the stage multiply and the stage merge.
-    pub spa: Spa,
     /// Sort keys of the row gathers: `(gid, src, row)` for the A block,
-    /// `(gid, src, 0)` for a B stage, `(gid, stage, row)` for the stage
-    /// merge and `(lid, chunk, row)` for the assembly.
+    /// `(gid, src, 0)` for a B stage and `(lid, chunk, row)` for the
+    /// assembly.
     pub keys: Vec<(u32, u32, u32)>,
     /// The billing of the exchange just read: `(src, doubles)` per peer
     /// whose rows this rank read, framed as `[gid, nnz, cols…, vals…]`.
     pub inbound: Vec<(u32, u64)>,
-    /// Per-stage partial products `A[i][t]·B[t][j]`.
-    pub stage_out: Vec<HyperCsr>,
-    /// Final owned C rows, over the rank's vector lids.
+    /// Final owned C rows, moved into the output block.
     pub out: RowBuf,
-    /// Multiply product terms processed this call (2 flops each).
-    pub terms: u64,
-    /// Product terms of the stage currently being billed.
-    pub stage_terms: u64,
+    /// Product terms of each stage (2 flops each).
+    pub stage_terms: Vec<u64>,
     /// Entries merged across stages (1 flop each).
     pub merged_flops: u64,
     /// Entries concatenated during owner assembly (1 flop each).
     pub assemble_flops: u64,
+    /// Rows drained through each accumulator arm, `[bitmap, sorted]`.
+    pub arms: [u64; 2],
 }
 
-/// One rank's SUMMA blocks — what its peers read in place: each written
-/// in one phase by its rank, then only read.
+/// One rank's SUMMA stage blocks — what its peers read in place: each
+/// written in one phase by its rank, then only read.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SummaBlocks {
     /// The rank's A block `A[i][j]` after the A-shuffle (global ids) —
@@ -360,22 +501,22 @@ pub(crate) struct SummaBlocks {
     /// to this rank's column chunk) for every stage this rank roots —
     /// broadcast down its grid column in stage `t`.
     pub b_stage: Vec<HyperCsr>,
-    /// Cross-stage merged chunk rows (stage order, exact sums) — read by
-    /// their C row owners in the fold.
-    pub merged: HyperCsr,
 }
 
 /// Reusable scratch for [`summa_with`](crate::summa::summa_with):
 /// per-rank hypersparse blocks, which peers read in place, and per-rank
-/// SPA state. Like [`SpgemmWorkspace`], not tied to a matrix; buffers are
-/// (re)sized on first use and `threads` fans the per-rank phase work out
-/// with bit-identical results.
+/// and per-thread scratch. Like [`SpgemmWorkspace`], not tied to a
+/// matrix; buffers are (re)sized on first use and `threads` fans the
+/// per-rank phase work out with bit-identical results.
 #[derive(Debug, Clone)]
 pub struct SummaWorkspace {
     /// Number of OS threads for phase-local work (1 = fully sequential).
     pub threads: usize,
+    pub(crate) workers: Vec<Worker>,
     pub(crate) ranks: Vec<RankSummaScratch>,
     pub(crate) blocks: Vec<SummaBlocks>,
+    /// Per rank, its merged chunk rows — read by the C row owners.
+    pub(crate) merged: Vec<HyperCsr>,
 }
 
 impl SummaWorkspace {
@@ -389,50 +530,50 @@ impl SummaWorkspace {
     pub fn with_threads(threads: usize) -> SummaWorkspace {
         SummaWorkspace {
             threads: threads.max(1),
+            workers: Vec::new(),
             ranks: Vec::new(),
             blocks: Vec::new(),
+            merged: Vec::new(),
         }
     }
 
-    /// Sizes the per-rank state for `p` ranks, `stages` grid columns,
-    /// and a B with `bcols` columns, reusing allocations that fit.
+    /// Sizes the state for `p` ranks, `stages` grid columns, and a B with
+    /// `bcols` columns, reusing allocations that fit.
     pub(crate) fn ensure(&mut self, p: usize, stages: usize, bcols: usize) {
+        Worker::ensure(&mut self.workers, self.threads, p, bcols);
         self.ranks.resize_with(p, RankSummaScratch::default);
-        self.blocks.resize_with(p, SummaBlocks::default);
         for scratch in &mut self.ranks {
-            scratch.spa.resize(bcols);
-            scratch.stage_out.resize_with(stages, HyperCsr::default);
-            for s in &mut scratch.stage_out {
-                s.clear();
-            }
-            scratch.terms = 0;
+            scratch.stage_terms.resize(stages, 0);
+            scratch.arms = [0; 2];
         }
         // A rank fills only the stages it roots; the others must be empty.
+        self.blocks.resize_with(p, SummaBlocks::default);
         for blocks in &mut self.blocks {
             blocks.b_stage.resize_with(stages, HyperCsr::default);
             for b in &mut blocks.b_stage {
                 b.clear();
             }
         }
+        self.merged.resize_with(p, HyperCsr::default);
     }
 
     /// Bytes the workspace holds reserved between products: every
-    /// per-rank buffer's capacity, accumulators and blocks alike.
+    /// buffer's capacity, accumulators and blocks alike.
     pub fn resident_bytes(&self) -> u64 {
         let scratch = self.ranks.iter().map(|s| {
-            let stages: u64 = s.stage_out.iter().map(HyperCsr::resident_bytes).sum();
-            s.spa.resident_bytes()
-                + reserved(&s.keys)
-                + reserved(&s.inbound)
-                + reserved(&s.stage_out)
-                + stages
-                + s.out.resident_bytes()
+            let lists = reserved(&s.keys) + reserved(&s.inbound) + reserved(&s.stage_terms);
+            lists + s.out.resident_bytes()
         });
         let blocks = self.blocks.iter().map(|b| {
             let stages: u64 = b.b_stage.iter().map(HyperCsr::resident_bytes).sum();
-            b.a_block.resident_bytes() + reserved(&b.b_stage) + stages + b.merged.resident_bytes()
+            b.a_block.resident_bytes() + reserved(&b.b_stage) + stages
         });
-        reserved(&self.ranks) + reserved(&self.blocks) + scratch.sum::<u64>() + blocks.sum::<u64>()
+        let merged = self.merged.iter().map(HyperCsr::resident_bytes);
+        let headers = reserved(&self.ranks) + reserved(&self.blocks) + reserved(&self.merged);
+        self.workers.iter().map(Worker::resident_bytes).sum::<u64>()
+            + reserved(&self.workers)
+            + headers
+            + (scratch.chain(blocks).chain(merged)).sum::<u64>()
     }
 }
 
@@ -443,9 +584,8 @@ impl Default for SummaWorkspace {
 }
 
 /// Reusable scratch space for [`spgemm_with`](crate::kernel::spgemm_with):
-/// per-rank SPA accumulators and row buffers, and per-rank partial rows,
-/// which owners read in place in the fold (no per-message allocation at
-/// steady state).
+/// per-thread scratch, per-rank results, and the wave slots whose partial
+/// rows owners read in place in the fold.
 ///
 /// Like [`SpmvWorkspace`](sf2d_spmv::SpmvWorkspace), a workspace is not
 /// tied to a matrix — buffers are (re)sized on first use — and the
@@ -455,10 +595,13 @@ impl Default for SummaWorkspace {
 pub struct SpgemmWorkspace {
     /// Number of OS threads for phase-local work (1 = fully sequential).
     pub threads: usize,
+    pub(crate) workers: Vec<Worker>,
+    /// Per-rank results in wave order: `ranks[k]` is rank
+    /// `groups.order[k]`'s.
     pub(crate) ranks: Vec<RankSpgemmScratch>,
-    /// Per-rank partial C rows, one per stored row of the rank's A block:
-    /// written by the multiply, read in place by the merge.
-    pub(crate) parts: Vec<RowBuf>,
+    pub(crate) groups: FoldGroups,
+    /// Slot `j` holds the wave in flight's `j`-th rank's partial rows.
+    pub(crate) slots: Vec<Slot>,
 }
 
 impl SpgemmWorkspace {
@@ -472,31 +615,31 @@ impl SpgemmWorkspace {
     pub fn with_threads(threads: usize) -> SpgemmWorkspace {
         SpgemmWorkspace {
             threads: threads.max(1),
+            workers: Vec::new(),
             ranks: Vec::new(),
-            parts: Vec::new(),
+            groups: FoldGroups::default(),
+            slots: Vec::new(),
         }
     }
 
-    /// Sizes the per-rank buffers for `p` ranks and a B with `bcols`
-    /// columns, reusing allocations where they already fit.
-    pub(crate) fn ensure(&mut self, p: usize, bcols: usize) {
+    /// Sizes the state for the ranks of `fold` and a B with `bcols`
+    /// columns, reusing allocations that fit, and plans the waves.
+    pub(crate) fn ensure(&mut self, fold: &PhasePlan, bcols: usize) {
+        let p = fold.nranks();
+        Worker::ensure(&mut self.workers, self.threads, p, bcols);
         self.ranks.resize_with(p, RankSpgemmScratch::default);
-        for scratch in &mut self.ranks {
-            scratch.spa.resize(bcols);
-        }
-        self.parts.resize_with(p, RowBuf::default);
+        let widest = self.groups.plan(fold, self.threads);
+        self.slots.resize_with(widest, Slot::default);
     }
 
     /// Bytes the workspace holds reserved between products: every
-    /// per-rank buffer's capacity, accumulators and partial rows alike.
+    /// buffer's capacity, accumulators and partial rows alike.
     pub fn resident_bytes(&self) -> u64 {
-        let scratch: u64 = self
-            .ranks
-            .iter()
-            .map(RankSpgemmScratch::resident_bytes)
-            .sum();
-        let parts: u64 = self.parts.iter().map(RowBuf::resident_bytes).sum();
-        reserved(&self.ranks) + reserved(&self.parts) + scratch + parts
+        let workers = self.workers.iter().map(Worker::resident_bytes);
+        let outs = self.ranks.iter().map(|s| s.out.resident_bytes());
+        let slots = self.slots.iter().map(|s| s.part.resident_bytes());
+        let headers = reserved(&self.workers) + reserved(&self.ranks) + reserved(&self.slots);
+        headers + self.groups.resident_bytes() + (workers.chain(outs).chain(slots)).sum::<u64>()
     }
 }
 
@@ -743,6 +886,44 @@ mod tests {
         check_rows(&mut spa, 65, &[vec![(64, 3.0), (0, 4.0), (64, 5.0)]]);
         spa.resize(100_003);
         check_rows(&mut spa, 100_003, &[vec![(100_002, 6.0), (64, 7.0)]]);
+    }
+
+    #[test]
+    fn a_workspace_reserves_one_accumulator_per_thread_not_per_rank() {
+        use crate::{spgemm_with, summa_with};
+        use sf2d_partition::MatrixDist;
+        use sf2d_sim::cost::CostLedger;
+        use sf2d_sim::Machine;
+        use sf2d_spmv::DistCsrMatrix;
+
+        let a = sf2d_gen::rmat(&sf2d_gen::RmatConfig::graph500(8), 5);
+        let b = a.transpose();
+        let dist = MatrixDist::random_1d(a.nrows(), 1_024, 3);
+        let dm = DistCsrMatrix::from_global(&a, &dist);
+        let spa = spa_for(b.ncols()).resident_bytes();
+        for threads in [1, 3] {
+            let mut ef = SpgemmWorkspace::with_threads(threads);
+            spgemm_with(&dm, &b, &mut CostLedger::new(Machine::cab()), &mut ef);
+            let mut summa = SummaWorkspace::with_threads(threads);
+            summa_with(
+                &dm,
+                &dist,
+                &b,
+                &mut CostLedger::new(Machine::cab()),
+                &mut summa,
+            );
+            assert_eq!(ef.workers.len(), threads);
+            assert_eq!(summa.workers.len(), threads);
+            // Every accumulator is sized for B's columns, and there is no
+            // other one.
+            for w in &ef.workers {
+                assert!(w.spa.resident_bytes() >= spa);
+            }
+            // A 1D layout folds nothing: every rank is its own fold group,
+            // and a wave holds one per thread.
+            assert_eq!(ef.groups.waves.len(), 1_024usize.div_ceil(threads));
+            assert_eq!(ef.slots.len(), threads);
+        }
     }
 
     /// [`Spa::drain`]'s bitmap arm with the one mistake a word walk
